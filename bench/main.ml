@@ -32,6 +32,12 @@ let median_of runs = Stats.median (Array.of_list (List.map float_of_int runs))
 
 let rounds_outcome o = Rn_radio.Engine.rounds_of_outcome o
 
+(* Wall time for the "done in" lines, the perf record and the campaign
+   profile fields: bechamel's CLOCK_MONOTONIC stub (nanoseconds since an
+   arbitrary origin), the clock rbcast uses, so an NTP step or suspend
+   cannot corrupt a measured interval. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* Table rendering is pure (rblint R4: lib/ returns data); the bench owns
    the console.  Byte-for-byte the same output as the old Table.print. *)
 let print_table t =
@@ -1232,11 +1238,11 @@ let es_decay ~id ~graph_name g ~domain_counts =
   let run ?(engine = Rn_radio.Engine.Dense) domains =
     let rng = Rng.create ~seed:42 in
     let metrics = Obs.Metrics.create ~phases:256 ~hist_width:ladder () in
-    let w0 = Unix.gettimeofday () in
+    let w0 = now () in
     let r =
       Decay.broadcast ?domains ~engine ~metrics ~rng ~graph:g ~source:0 ()
     in
-    (Unix.gettimeofday () -. w0, r, metrics)
+    (now () -. w0, r, metrics)
   in
   let ref_wall, ref_r, ref_m = run None in
   let ref_obs = obs_fingerprint ref_m in
@@ -1325,9 +1331,9 @@ let es () =
       ~columns:[ "algorithm"; "rounds"; "wall s" ]
   in
   let wd, rd =
-    let w0 = Unix.gettimeofday () in
+    let w0 = now () in
     let r = Decay.broadcast ~rng:(Rng.create ~seed:42) ~graph:g ~source:0 () in
-    (Unix.gettimeofday () -. w0, r)
+    (now () -. w0, r)
   in
   Table.add_row t
     [
@@ -1339,9 +1345,9 @@ let es () =
     let rng = Rng.create ~seed:42 in
     let s0 = Rn_radio.Engine.total_simulated_rounds () in
     let k0 = Rn_radio.Engine.total_skipped_rounds () in
-    let w0 = Unix.gettimeofday () in
+    let w0 = now () in
     let r = Single_broadcast.run ~rng:(Rng.split rng) ~graph:g ~source:0 () in
-    ( Unix.gettimeofday () -. w0,
+    ( now () -. w0,
       r,
       Rn_radio.Engine.total_simulated_rounds () - s0,
       Rn_radio.Engine.total_skipped_rounds () - k0 )
@@ -1385,9 +1391,9 @@ let esthm_compare ~id ~graph_name g =
     let rng = Rng.create ~seed:42 in
     let s0 = Rn_radio.Engine.total_simulated_rounds () in
     let k0 = Rn_radio.Engine.total_skipped_rounds () in
-    let w0 = Unix.gettimeofday () in
+    let w0 = now () in
     let r = Single_broadcast.run ~engine ~rng:(Rng.split rng) ~graph:g ~source:0 () in
-    let wall = Unix.gettimeofday () -. w0 in
+    let wall = now () -. w0 in
     ( wall,
       r,
       Rn_radio.Engine.total_simulated_rounds () - s0,
@@ -1429,12 +1435,12 @@ let esthm_sparse_only ~id ~graph_name g =
   let rng = Rng.create ~seed:42 in
   let s0 = Rn_radio.Engine.total_simulated_rounds () in
   let k0 = Rn_radio.Engine.total_skipped_rounds () in
-  let w0 = Unix.gettimeofday () in
+  let w0 = now () in
   let r =
     Single_broadcast.run ~engine:Rn_radio.Engine.Sparse ~rng:(Rng.split rng)
       ~graph:g ~source:0 ()
   in
-  let wall = Unix.gettimeofday () -. w0 in
+  let wall = now () -. w0 in
   let sim = Rn_radio.Engine.total_simulated_rounds () - s0 in
   let skip = Rn_radio.Engine.total_skipped_rounds () - k0 in
   assert r.Single_broadcast.delivered;
@@ -1494,9 +1500,9 @@ let reg () =
     (fun e ->
       let s0 = Rn_radio.Engine.total_simulated_rounds () in
       let k0 = Rn_radio.Engine.total_skipped_rounds () in
-      let w0 = Unix.gettimeofday () in
+      let w0 = now () in
       let r = e.R.run ~k:4 ~seed:42 ~graph:g ~source:0 () in
-      let wall = Unix.gettimeofday () -. w0 in
+      let wall = now () -. w0 in
       let sim = Rn_radio.Engine.total_simulated_rounds () - s0 in
       let skip = Rn_radio.Engine.total_skipped_rounds () - k0 in
       assert r.R.delivered;
@@ -1524,14 +1530,14 @@ let campaign_spec text =
   | Error msg -> failwith ("EC: bad campaign spec: " ^ msg)
 
 let run_campaign ?domains ?schedule ?cache spec =
-  let w0 = Unix.gettimeofday () in
+  let w0 = now () in
   let stats =
     Rn_campaign.Campaign.run ?domains ?schedule ?cache
-      ~clock:Unix.gettimeofday
+      ~clock:now
       ~emit:(fun _ -> ())
       spec
   in
-  (stats, Unix.gettimeofday () -. w0)
+  (stats, now () -. w0)
 
 (* Deterministic per-row rounds: the campaign engine's per-cell counts
    are schedule/cache/domain independent (QCheck-enforced), so benchdiff
@@ -1815,16 +1821,16 @@ let ed () =
        must reproduce, and the deterministic per-row rounds metric *)
     let buf = Buffer.create 8192 in
     let st, w_serial =
-      let w0 = Unix.gettimeofday () in
+      let w0 = now () in
       let st =
         Rn_campaign.Campaign.run ~domains:1
-          ~clock:Unix.gettimeofday
+          ~clock:now
           ~emit:(fun l ->
             Buffer.add_string buf l;
             Buffer.add_char buf '\n')
           spec
       in
-      (st, Unix.gettimeofday () -. w0)
+      (st, now () -. w0)
     in
     let reference = Buffer.contents buf in
     let rounds = campaign_rounds st in
@@ -1857,9 +1863,9 @@ let ed () =
           (Filename.quote exe) (Filename.quote spec_path)
           (Filename.quote out_path) workers chaos_flags
       in
-      let w0 = Unix.gettimeofday () in
+      let w0 = now () in
       let rc = Sys.command cmd in
-      let wall = Unix.gettimeofday () -. w0 in
+      let wall = now () -. w0 in
       let ok = rc = 0 && String.equal (read_file out_path) reference in
       if not ok then
         failwith
@@ -1933,20 +1939,20 @@ let () =
     | None -> not (List.mem id explicit_only)
     | Some ids -> List.mem id ids
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   List.iter
     (fun (id, f) ->
       if wanted id then begin
         let r0 = Rn_radio.Engine.total_simulated_rounds () in
         let k0 = Rn_radio.Engine.total_skipped_rounds () in
-        let w0 = Unix.gettimeofday () in
+        let w0 = now () in
         f ();
-        let wall = Unix.gettimeofday () -. w0 in
+        let wall = now () -. w0 in
         let rounds = Rn_radio.Engine.total_simulated_rounds () - r0 in
         let skipped = Rn_radio.Engine.total_skipped_rounds () - k0 in
         record_bench ~skipped id wall rounds
       end)
     experiments;
-  let total_wall = Unix.gettimeofday () -. t0 in
+  let total_wall = now () -. t0 in
   write_bench_json ~total_wall;
   Printf.printf "\nall requested experiments done in %.1fs\n" total_wall

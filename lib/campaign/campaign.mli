@@ -79,7 +79,8 @@ val run :
     - [on_cell] fires after each journaled cell with this session's
       completion count (the CLI's [--kill-after] hook).
     - [clock] (default [fun () -> 0.]) timestamps the profile fields in
-      {!stats}; pass [Unix.gettimeofday] from bin/bench.
+      {!stats}; bin/rbcast and bench/main pass a monotonic clock
+      (bechamel's [Monotonic_clock], in seconds).
     - [emit] receives every cell line exactly once, in cell-index order,
       as soon as the index-order prefix is complete (streaming).
 

@@ -14,10 +14,9 @@ let cr_broadcast ?(params = Params.default) ?metrics
   (* Cycle: three truncated phases (fast progress at per-layer degrees
      <= n/D) then one full phase (resolves dense neighborhoods). *)
   let cycle = (3 * short) + full in
-  let prob round =
+  let exponent round =
     let r = round mod cycle in
-    let e = if r < 3 * short then (r mod short) + 1 else r - (3 * short) + 1 in
-    1.0 /. float_of_int (1 lsl min e 62)
+    if r < 3 * short then (r mod short) + 1 else r - (3 * short) + 1
   in
   let max_rounds = params.Params.max_round_factor * (n + 1) * full in
   let node_rng = Rng.split_n rng n in
@@ -26,7 +25,7 @@ let cr_broadcast ?(params = Params.default) ?metrics
   let missing = Atomic.make (n - 1) in
   let decide ~round ~node =
     if received_round.(node) >= 0 then begin
-      if Rng.bernoulli node_rng.(node) (prob round) then
+      if Rng.coin_pow2 node_rng.(node) (exponent round) then
         Engine.Transmit Cmsg.Probe
       else Engine.Listen
     end
@@ -108,8 +107,7 @@ let routing_multi ?(params = Params.default) ?max_rounds ~rng ~graph ~source
   let decide ~round ~node =
     if count.(node) = 0 then Engine.Listen
     else begin
-      let p = 1.0 /. float_of_int (1 lsl min ((round mod ladder) + 1) 62) in
-      if Rng.bernoulli node_rng.(node) p then begin
+      if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then begin
         (* Uniform choice among held messages: the classic store-and-forward
            forwarding rule. *)
         let pick = Rng.int node_rng.(node) count.(node) in

@@ -49,8 +49,7 @@ type t = {
   mutable late_attaches : int;
 }
 
-let decay_prob t r =
-  1.0 /. float_of_int (1 lsl min ((r mod t.ladder) + 1) 62)
+let decay_exponent t r = (r mod t.ladder) + 1
 
 let node_rng t v =
   match t.node_rng.(v) with
@@ -432,7 +431,7 @@ let decide t ~node =
   | Done | Waiting -> Engine.Sleep
   | Identify ->
       if is_primary t node then begin
-        if Rng.bernoulli (node_rng t node) (decay_prob t t.stage_round) then
+        if Rng.coin_pow2 (node_rng t node) (decay_exponent t t.stage_round) then
           Engine.Transmit Cmsg.Blue_here
         else Engine.Listen
       end
@@ -444,7 +443,7 @@ let decide t ~node =
       else Engine.Sleep
   | Loner_inform ->
       if is_primary t node && t.loner.(node) then begin
-        if Rng.bernoulli (node_rng t node) (decay_prob t t.stage_round) then
+        if Rng.coin_pow2 (node_rng t node) (decay_exponent t t.stage_round) then
           Engine.Transmit Cmsg.Loner_here
         else Engine.Listen
       end
@@ -453,7 +452,7 @@ let decide t ~node =
   | Part (_, recr) -> Recruiting.decide recr ~node
   | Stage3 ->
       if List.mem node t.ranked_now then begin
-        if Rng.bernoulli (node_rng t node) (decay_prob t t.stage_round) then
+        if Rng.coin_pow2 (node_rng t node) (decay_exponent t t.stage_round) then
           Engine.Transmit (Cmsg.Marked { red = node; rank = t.ranks.(node) })
         else Engine.Listen
       end

@@ -21,6 +21,7 @@ let broadcast ?(params = Params.default) ?ladder
   let n = Graph.n graph in
   if source < 0 || source >= n then invalid_arg "Decay.broadcast: bad source";
   let ladder = match ladder with Some l -> l | None -> Params.phase_len ~n in
+  if ladder < 1 then invalid_arg "Decay.broadcast: ladder";
   let max_rounds =
     match max_rounds with
     | Some m -> m
@@ -36,7 +37,7 @@ let broadcast ?(params = Params.default) ?ladder
   let missing = Atomic.make (n - 1) in
   let decide ~round ~node =
     if received_round.(node) >= 0 then begin
-      if Rng.bernoulli node_rng.(node) (probability ~ladder round) then
+      if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
         Engine.Transmit Payload
       else Engine.Listen
     end
@@ -128,8 +129,7 @@ let mmv_broadcast ?(params = Params.default) ?(noising = true) ?max_rounds ~rng
          probability-1 round (exponent 0) is what lets single-neighbor
          nodes receive deterministically. *)
       let e = ((step mod ladder) + ladder) mod ladder in
-      let p = 1.0 /. float_of_int (1 lsl min e 62) in
-      if Rng.bernoulli node_rng.(node) p then begin
+      if Rng.coin_pow2 node_rng.(node) e then begin
         if received_round.(node) >= 0 then Engine.Transmit Payload
         else if noising then Engine.Transmit Noise
         else Engine.Listen

@@ -23,7 +23,10 @@ open Rn_radio
 val probability : ladder:int -> int -> float
 (** [probability ~ladder r] is the transmit probability in round [r] of a
     Decay schedule whose phase cycles through exponents 1 … [ladder]:
-    [2^{-((r mod ladder) + 1)}]. *)
+    [2^{-((r mod ladder) + 1)}].  The protocols draw this ladder as
+    [Rng.coin_pow2 rng ((r mod ladder) + 1)], which decides exactly as
+    [Rng.bernoulli rng (probability ~ladder r)] without allocating; this
+    float form is the documented reference and the tests' oracle. *)
 
 type result = {
   outcome : Engine.outcome;

@@ -97,8 +97,7 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
       end
       else if slow_slot ~level_or_vd:(slow_of node) ~round then begin
         let e = slow_exponent ~clogn ~level_or_vd:(slow_of node) ~round in
-        let p = 1.0 /. float_of_int (1 lsl min e 62) in
-        if Rng.bernoulli node_rng.(node) p then
+        if Rng.coin_pow2 node_rng.(node) e then
           match fresh_packet node with
           | Some pkt -> Engine.Transmit (Data pkt)
           | None -> Engine.Listen

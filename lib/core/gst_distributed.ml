@@ -475,8 +475,7 @@ let run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
     in
     let decide ~round ~node =
       if in_forest node && vd.(node) = dv then begin
-        let p = 1.0 /. float_of_int (1 lsl min ((round mod ladder) + 1) 62) in
-        if Rng.bernoulli node_rng.(node) p then
+        if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
           Engine.Transmit (Cmsg.Vd_label { from_node = node; vd = dv })
         else Engine.Listen
       end

@@ -24,9 +24,8 @@ let decay_bfs ?(params = Params.default) ?max_rounds
   let decide ~round ~node =
     let lvl = levels.(node) in
     if lvl >= 0 && lvl <= epoch_of round then begin
-      let i = (round mod ladder) + 1 in
-      if Rng.bernoulli node_rng.(node) (1.0 /. float_of_int (1 lsl min i 62))
-      then Engine.Transmit Cmsg.Probe
+      if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
+        Engine.Transmit Cmsg.Probe
       else Engine.Listen
     end
     else if lvl < 0 then Engine.Listen

@@ -71,17 +71,17 @@ let slot t =
 
 let iteration t = t.round / t.iter_len
 
-let announce_probability t =
-  (* 2^{-⌈j/⌈log n⌉⌉}, cycling so long runs keep sweeping all scales. *)
-  let e = ((iteration t / t.ladder) mod t.ladder) + 1 in
-  1.0 /. float_of_int (1 lsl min e 62)
+let announce_exponent t =
+  (* Exponent of 2^{-⌈j/⌈log n⌉⌉}, cycling so long runs keep sweeping all
+     scales. *)
+  ((iteration t / t.ladder) mod t.ladder) + 1
 
 let decide t ~node =
   if t.done_flag then Engine.Sleep
   else
     match (Hashtbl.find_opt t.red_st node, slot t) with
     | Some red, Announce ->
-        red.coin <- Rng.bernoulli red.red_rng (announce_probability t);
+        red.coin <- Rng.coin_pow2 red.red_rng (announce_exponent t);
         red.claims <- [];
         if red.coin then Engine.Transmit (Cmsg.Red_id node) else Engine.Listen
     | Some _, Claiming _ -> Engine.Listen
@@ -113,8 +113,7 @@ let decide t ~node =
             Engine.Listen
         | Some blue, Claiming d ->
             if blue.parent < 0 && blue.heard >= 0 then begin
-              let p = 1.0 /. float_of_int (1 lsl min d 62) in
-              if Rng.bernoulli blue.blue_rng p then
+              if Rng.coin_pow2 blue.blue_rng d then
                 Engine.Transmit (Cmsg.Claim { blue = node; red = blue.heard })
               else Engine.Listen
             end

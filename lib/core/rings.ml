@@ -55,8 +55,8 @@ let decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers ~payload
   Array.iter (fun v -> if not (satisfied v) then Atomic.incr missing) receivers;
   let decide ~round ~node =
     if is_holder.(node) then begin
-      let p = 1.0 /. float_of_int (1 lsl min ((round mod ladder) + 1) 62) in
-      if Rng.bernoulli node_rng.(node) p then Engine.Transmit (payload node)
+      if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
+        Engine.Transmit (payload node)
       else Engine.Listen
     end
     else if is_receiver.(node) && not (satisfied node) then Engine.Listen

@@ -8,7 +8,8 @@
     independent stream. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: no draw allocates except the
+    boxed results of {!bits64} and {!float}. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a fresh generator from [seed].  Equal seeds yield
@@ -38,6 +39,21 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0,1]). *)
+
+val coin_pow2 : t -> int -> bool
+(** [coin_pow2 t e] is [true] with probability [2^-e]: the Decay-ladder
+    coin.  It decides exactly as
+    [bernoulli t (1.0 /. float_of_int (1 lsl min e 62))], draw for draw,
+    but on the integer draw, so it allocates nothing:
+    - [e = 0] is [true] and consumes no draw;
+    - [1 <= e <= 52] draws once and tests the top [e] of 53 bits for zero;
+    - [53 <= e <= 61] draws once and is [true] only if all 53 bits are zero;
+    - [e >= 62] is [false] and consumes no draw (there [1 lsl 62]
+      overflows to [min_int], so the float probability is negative).
+
+    Exact because every value involved is a power of two: for a 53-bit
+    draw [r], [r /. 2^53 < 2^-e] iff [r < 2^(53-e)].
+    @raise Invalid_argument if [e < 0]. *)
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.  @raise Invalid_argument on

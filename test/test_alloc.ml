@@ -5,10 +5,13 @@
    heap beyond the [Received] wrappers handed to successful listeners (the
    [Transmit] packets are the protocol's own, counted against it).  The
    Runner's shard loop must allocate O(1) words per item, independent of
-   both the item count and the graph size.  Both are measured with
+   both the item count and the graph size.  On the protocol's side, coin
+   draws allocate nothing and a whole Decay broadcast stays within its
+   setup plus the delivery wrappers.  All are measured with
    [Gc.minor_words] deltas captured into preallocated float arrays, so the
    measurement itself allocates nothing between the marks. *)
 
+open Rn_util
 open Rn_graph
 open Rn_radio
 
@@ -374,6 +377,66 @@ let test_runner_serial_budget () =
     true
     (per_item <= 32.0)
 
+(* The protocol's side of a round.  Every coin draw must be
+   allocation-free: the generator state is unboxed and each draw returns
+   an immediate, so 10⁴ draws cost exactly zero minor words. *)
+let draw_words draw =
+  let rng = Rng.create ~seed:7 in
+  let marks = [| 0.0; 0.0 |] in
+  let hits = ref 0 in
+  marks.(0) <- Gc.minor_words ();
+  for i = 1 to 10_000 do
+    if draw rng i then incr hits
+  done;
+  marks.(1) <- Gc.minor_words ();
+  marks.(1) -. marks.(0)
+
+let test_coin_draws_zero_alloc () =
+  List.iter
+    (fun (name, draw) ->
+      Alcotest.(check (float 0.0))
+        (name ^ ": 10^4 draws allocate zero minor words")
+        0.0 (draw_words draw))
+    [
+      ("coin_pow2", fun rng i -> Rng.coin_pow2 rng (i mod 70));
+      ("bernoulli", fun rng _ -> Rng.bernoulli rng 0.3);
+      ("int", fun rng i -> Rng.int rng (1 + (i mod 1000)) = 0);
+      ("bool", fun rng _ -> Rng.bool rng);
+    ]
+
+(* A whole Decay broadcast: setup linear in n (the per-node streams and
+   arrays), one [Received] wrapper per delivery, and a constant per round.
+   A per-draw allocation — a boxed Int64 state or a boxed float
+   probability — costs words per informed node per round and blows the
+   budget several times over. *)
+let test_decay_broadcast_budget () =
+  let graph =
+    Gen.layered_random ~rng:(Rng.create ~seed:3) ~depth:40 ~width:50 ~p:0.2
+  in
+  let n = Graph.n graph in
+  let marks = [| 0.0; 0.0 |] in
+  marks.(0) <- Gc.minor_words ();
+  let r =
+    Rn_broadcast.Decay.broadcast ~rng:(Rng.create ~seed:5) ~graph ~source:0 ()
+  in
+  marks.(1) <- Gc.minor_words ();
+  let words = marks.(1) -. marks.(0) in
+  let st = r.Rn_broadcast.Decay.stats in
+  Alcotest.(check bool) "broadcast completed" true
+    (match r.Rn_broadcast.Decay.outcome with
+    | Engine.Completed _ -> true
+    | Engine.Out_of_budget _ -> false);
+  let budget =
+    float_of_int
+      ((16 * n) + (4 * st.Engine.deliveries) + (64 * st.Engine.rounds))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "Decay.broadcast n=%d allocates <= 16n + 4*deliveries + 64*rounds \
+        (%.0f <= %.0f)"
+       n words budget)
+    true (words <= budget)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -403,6 +466,13 @@ let () =
         [
           Alcotest.test_case "lane round budget" `Quick
             test_sharded_lane_budget;
+        ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "coin draws are allocation-free" `Quick
+            test_coin_draws_zero_alloc;
+          Alcotest.test_case "Decay.broadcast budget" `Quick
+            test_decay_broadcast_budget;
         ] );
       ( "runner",
         [

@@ -95,6 +95,93 @@ let test_rng_copy_replays () =
   let dup = Rng.copy rng in
   Alcotest.(check int64) "copy replays" (Rng.bits64 rng) (Rng.bits64 dup)
 
+(* Golden vectors: the exact SplitMix64 outputs, pinned so any change to
+   the generator's representation or arithmetic that alters a stream fails
+   here rather than as a silent shift in every simulation's bytes. *)
+let golden_seeds = [ 0; 1; -1; max_int ]
+
+let golden_bits64 =
+  [
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL;
+      0xF88BB8A8724C81ECL; 0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL;
+      0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL ];
+    [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL;
+      0x71C18690EE42C90BL; 0x71BB54D8D101B5B9L; 0xC34D0BFF90150280L;
+      0xE099EC6CD7363CA5L; 0x85E7BB0F12278575L ];
+    [ 0xE4D971771B652C20L; 0xE99FF867DBF682C9L; 0x382FF84CB27281E9L;
+      0x6D1DB36CCBA982D2L; 0xB4A0472E578069AEL; 0xD31DADBDA438BB33L;
+      0xF14F2CF802083FA5L; 0x405DA438A39E8064L ];
+    [ 0x43DF0885536978A6L; 0x101018CC4A4CADFDL; 0xF7123DB96BB11521L;
+      0x6EB32F7EE5175C16L; 0xB954958D2F637748L; 0xE07958AFD6D62EB7L;
+      0xBCE9AAA54AFDB47EL; 0x07EEA021A2857177L ];
+  ]
+
+let test_rng_golden_bits64 () =
+  List.iter2
+    (fun seed expected ->
+      let rng = Rng.create ~seed in
+      List.iteri
+        (fun i want ->
+          Alcotest.(check int64)
+            (Printf.sprintf "seed %d draw %d" seed i)
+            want (Rng.bits64 rng))
+        expected)
+    golden_seeds golden_bits64
+
+(* Per seed: two draws of the first child, one of the second, then the
+   parent's next draw (each split consumed one parent draw). *)
+let golden_split =
+  [
+    (0x0E0C900B419CB7A0L, 0x126E5CDE5DA6FED9L, 0x53D846FC87F0F44BL,
+     0x06C45D188009454FL);
+    (0x11A8F33E8ACFACE1L, 0xE068FB0265CEDDE6L, 0x18478FB6117DEC9CL,
+     0xF893A2EEFB32555EL);
+    (0x500DDCC7B26D8E62L, 0x7ABD631529CBFC94L, 0xE5364437E6BDCF73L,
+     0x382FF84CB27281E9L);
+    (0x8D94537AEDAB4500L, 0x434A289D168B5FF6L, 0x03C2E21E9929C8BCL,
+     0xF7123DB96BB11521L);
+  ]
+
+let test_rng_golden_split () =
+  List.iter2
+    (fun seed (c1a, c1b, c2a, parent_next) ->
+      let rng = Rng.create ~seed in
+      let c1 = Rng.split rng in
+      let c2 = Rng.split rng in
+      let chk what = Alcotest.(check int64) (Printf.sprintf "seed %d %s" seed what) in
+      chk "child 1 draw 0" c1a (Rng.bits64 c1);
+      chk "child 1 draw 1" c1b (Rng.bits64 c1);
+      chk "child 2 draw 0" c2a (Rng.bits64 c2);
+      chk "parent after splits" parent_next (Rng.bits64 rng))
+    golden_seeds golden_split
+
+(* One stream, seed 42, through every typed draw in turn. *)
+let test_rng_golden_draws () =
+  let rng = Rng.create ~seed:42 in
+  Alcotest.(check (list int)) "int"
+    [ 0; 1; 2; 5; 0; 350; 4028864712777624925; 1024863383460 ]
+    (List.map (Rng.int rng) [ 1; 2; 3; 7; 10; 1000; max_int; 1 lsl 40 ]);
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.5c16e1dc2cf5ep-2; 0x1.8bd41a0c67beap+0; 0x1.86d1b8f98f91bp+27;
+      0x1.f8d2283914594p-2 ]
+    (List.map (Rng.float rng) [ 1.0; 2.5; 1e9; 1.0 ]);
+  Alcotest.(check (list bool)) "bool"
+    [ false; true; false; false; true; true; true; false;
+      false; true; true; true; false; true; true; true ]
+    (List.init 16 (fun _ -> Rng.bool rng));
+  Alcotest.(check (list bool)) "bernoulli"
+    [ false; false; false; true; false; false; true; false;
+      false; false; true; true ]
+    (List.map (Rng.bernoulli rng)
+       [ 0.5; 0.5; 0.25; 0.9; 0.1; 0.0; 1.0; 0.75; 0.5; 0.01; 0.99; 0.5 ]);
+  Alcotest.(check int64) "stream position afterwards" 0xC2DE56B8961D5F40L
+    (Rng.bits64 rng)
+
+let test_rng_coin_pow2_negative () =
+  Alcotest.check_raises "e < 0 rejected"
+    (Invalid_argument "Rng.coin_pow2: negative exponent") (fun () ->
+      ignore (Rng.coin_pow2 (Rng.create ~seed:1) (-1)))
+
 (* ------------------------------------------------------------------ *)
 (* Ilog *)
 
@@ -482,6 +569,40 @@ let qcheck_tests =
         let rng = Rng.create ~seed in
         let v = Rng.int rng bound in
         v >= 0 && v < bound);
+    (* coin_pow2 is the float ladder draw for draw: same answer, and the
+       same stream position afterwards (so e = 0 and e >= 62 consume
+       nothing, exactly like the clamped bernoulli). *)
+    Test.make ~name:"coin_pow2 = bernoulli on the float ladder, e in [0, 80]"
+      ~count:200 int
+      (fun seed ->
+        let rng = Rng.create ~seed in
+        List.for_all
+          (fun e ->
+            let oracle = Rng.copy rng in
+            let want =
+              Rng.bernoulli oracle (1.0 /. float_of_int (1 lsl min e 62))
+            in
+            let got = Rng.coin_pow2 rng e in
+            Bool.equal got want
+            && Int64.equal (Rng.bits64 rng) (Rng.bits64 oracle))
+          (List.init 81 (fun e -> e)));
+    Test.make ~name:"coin_pow2 matches Decay.probability across ladder wrap"
+      ~count:300
+      (triple int (int_range 1 20) (int_range 0 500))
+      (fun (seed, ladder, r) ->
+        let rng = Rng.create ~seed in
+        let oracle = Rng.copy rng in
+        let want =
+          Rng.bernoulli oracle (Rn_broadcast.Decay.probability ~ladder r)
+        in
+        Bool.equal (Rng.coin_pow2 rng ((r mod ladder) + 1)) want
+        && Int64.equal (Rng.bits64 rng) (Rng.bits64 oracle));
+    Test.make ~name:"coin_pow2 rejects negative exponents" ~count:100
+      (pair int (oneof [ int_range (-1000) (-1); oneofl [ min_int; -62 ] ]))
+      (fun (seed, e) ->
+        match Rng.coin_pow2 (Rng.create ~seed) e with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
     Test.make ~name:"ceil_log2 is tight" ~count:500 (int_range 1 100_000)
       (fun n ->
         let c = Ilog.ceil_log2 n in
@@ -622,6 +743,11 @@ let () =
           Alcotest.test_case "sample without replacement" `Quick
             test_rng_sample_without_replacement;
           Alcotest.test_case "copy replays" `Quick test_rng_copy_replays;
+          Alcotest.test_case "golden bits64" `Quick test_rng_golden_bits64;
+          Alcotest.test_case "golden split" `Quick test_rng_golden_split;
+          Alcotest.test_case "golden typed draws" `Quick test_rng_golden_draws;
+          Alcotest.test_case "coin_pow2 negative exponent" `Quick
+            test_rng_coin_pow2_negative;
         ] );
       ( "ilog",
         [
