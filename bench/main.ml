@@ -1235,16 +1235,14 @@ let es_decay ~id ~graph_name g ~domain_counts =
       ~columns:[ "engine"; "wall s"; "rounds/s"; "vs serial" ]
   in
   let ladder = Ilog.clog (Graph.n g) in
-  let run ?(engine = Rn_radio.Engine.Dense) domains =
+  let run engine =
     let rng = Rng.create ~seed:42 in
     let metrics = Obs.Metrics.create ~phases:256 ~hist_width:ladder () in
     let w0 = now () in
-    let r =
-      Decay.broadcast ?domains ~engine ~metrics ~rng ~graph:g ~source:0 ()
-    in
+    let r = Decay.broadcast ~engine ~metrics ~rng ~graph:g ~source:0 () in
     (now () -. w0, r, metrics)
   in
-  let ref_wall, ref_r, ref_m = run None in
+  let ref_wall, ref_r, ref_m = run Rn_radio.Engine.Dense in
   let ref_obs = obs_fingerprint ref_m in
   let rounds = ref_r.Decay.stats.Rn_radio.Engine.rounds in
   let extra =
@@ -1277,18 +1275,19 @@ let es_decay ~id ~graph_name g ~domain_counts =
         (Printf.sprintf
            "%s: %s metrics export diverged from the serial engine" id name)
   in
-  row "serial" ref_wall;
-  let sparse_wall, sparse_r, sparse_m =
-    run ~engine:Rn_radio.Engine.Sparse None
+  let name = function
+    | Rn_radio.Engine.Dense -> "serial"
+    | Rn_radio.Engine.Sparse -> "sparse"
+    | Rn_radio.Engine.Sharded d -> Printf.sprintf "domains=%d" d
   in
-  verify "sparse" sparse_r sparse_m;
-  row "sparse" sparse_wall;
+  row (name Rn_radio.Engine.Dense) ref_wall;
   List.iter
-    (fun d ->
-      let wall, r, m = run (Some d) in
-      verify (Printf.sprintf "domains=%d" d) r m;
-      row (Printf.sprintf "domains=%d" d) wall)
-    domain_counts;
+    (fun engine ->
+      let wall, r, m = run engine in
+      verify (name engine) r m;
+      row (name engine) wall)
+    (Rn_radio.Engine.Sparse
+    :: List.map (fun d -> Rn_radio.Engine.Sharded d) domain_counts);
   print_table t;
   note
     (Printf.sprintf

@@ -5,8 +5,8 @@ open Rn_radio
 let decay_broadcast ?(params = Params.default) ?metrics ~rng ~graph ~source () =
   Decay.broadcast ~params ?metrics ~rng ~graph ~source ()
 
-let cr_broadcast ?(params = Params.default) ?metrics
-    ?(engine = Engine.Sparse) ~rng ~graph ~source ~diameter () =
+let cr_broadcast ?(params = Params.default) ?metrics ?engine ~rng ~graph
+    ~source ~diameter () =
   let n = Graph.n graph in
   if source < 0 || source >= n then invalid_arg "Baselines.cr_broadcast";
   let full = Params.phase_len ~n in
@@ -50,22 +50,14 @@ let cr_broadcast ?(params = Params.default) ?metrics
         Some
           (fun ~round -> Rn_obs.Phase.enter_of_round m ~len:cycle ~round:(round + 1))
   in
+  (* No active set or hint: every node may receive in any round, and the
+     holders' probability ladder draws a coin every round. *)
   let outcome =
-    (* No active set or hint: every node may receive in any round, and the
-       holders' probability ladder draws a coin every round. *)
-    match engine with
-    | Engine.Dense ->
-        Engine.run ?metrics ?after_round ~stats ~graph
-          ~detection:Engine.No_collision_detection
-          ~protocol:{ Engine.decide; deliver }
-          ~stop:(fun ~round:_ -> Atomic.get missing = 0)
-          ~max_rounds ()
-    | Engine.Sparse ->
-        Engine_sparse.run ?metrics ?after_round ~stats ~graph
-          ~detection:Engine.No_collision_detection
-          ~protocol:{ Engine.decide; deliver }
-          ~stop:(fun ~round:_ -> Atomic.get missing = 0)
-          ~max_rounds ()
+    Drive.run ?engine ?metrics ?after_round ~stats ~graph
+      ~detection:Engine.No_collision_detection
+      ~protocol:{ Engine.decide; deliver }
+      ~stop:(fun ~round:_ -> Atomic.get missing = 0)
+      ~max_rounds ()
   in
   (match metrics with
   | None -> ()
@@ -136,7 +128,8 @@ let routing_multi ?(params = Params.default) ?max_rounds ~rng ~graph ~source
   in
   let stats = Engine.fresh_stats () in
   let outcome =
-    Engine.run ~stats ~graph ~detection:Engine.No_collision_detection
+    Drive.run ~engine:Engine.Dense ~stats ~graph
+      ~detection:Engine.No_collision_detection
       ~protocol:{ Engine.decide; deliver }
       ~stop:(fun ~round:_ -> Atomic.get missing = 0)
       ~max_rounds ()

@@ -545,9 +545,8 @@ type outcome = {
   epoch_history : (int * int) list;
 }
 
-let run_standalone ?(detection = Engine.No_collision_detection)
-    ?(engine = Engine.Sparse) ?metrics ~rng ~params ~graph ~reds ~blues
-    ~blue_ranks () =
+let run_standalone ?(detection = Engine.No_collision_detection) ?engine
+    ?metrics ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
   let n = Graph.n graph in
   let parents = Array.make n (-1) in
   let ranks = Array.make n 0 in
@@ -588,36 +587,14 @@ let run_standalone ?(detection = Engine.No_collision_detection)
   (* Only reds and blues ever act (decide falls through both tables to
      Sleep); the awake set is static.  No hint: Waiting never occurs under
      the standalone [ready], and every live stage keeps nodes awake. *)
-  let active_ids =
-    let mark = Array.make n false in
-    Array.iter (fun v -> mark.(v) <- true) reds;
-    Array.iter (fun v -> mark.(v) <- true) blues;
-    let count = ref 0 in
-    Array.iter (fun b -> if b then incr count) mark;
-    let ids = Array.make (max !count 1) 0 in
-    let i = ref 0 in
-    for v = 0 to n - 1 do
-      if mark.(v) then begin
-        ids.(!i) <- v;
-        incr i
-      end
-    done;
-    (ids, !count)
-  in
-  let decide_active ~round:_ dst =
-    let ids, count = active_ids in
-    Array.blit ids 0 dst 0 count;
-    count
-  in
+  let decide_active = Drive.static_active ~n [ reds; blues ] in
   let stop ~round:_ = finished t in
+  (* Recruiting's deliver writes across nodes: never sharded. *)
   ignore
-    (match engine with
-    | Engine.Dense ->
-        Engine.run ?metrics ~graph ~detection ~protocol ~after_round ~stop
-          ~max_rounds ()
-    | Engine.Sparse ->
-        Engine_sparse.run ?metrics ~decide_active ~graph ~detection ~protocol
-          ~after_round ~stop ~max_rounds ());
+    (Drive.run
+       ?engine:(Option.map Drive.serial engine)
+       ?metrics ?decide_active ~graph ~detection ~protocol ~after_round ~stop
+       ~max_rounds ());
   {
     rounds = rounds_used t;
     parents;

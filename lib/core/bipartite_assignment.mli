@@ -110,4 +110,5 @@ val run_standalone :
     blue's (already final) rank; node ids index [blue_ranks] directly.
     [metrics], when given, records each round under the phase annotation
     [epoch] — Lemma 2.4's shrinkage unit (epoch survivor counts themselves
-    are in [epoch_history]). *)
+    are in [epoch_history]).  [engine] (default [Sparse]) runs [Sharded _]
+    as [Sparse], as {!Recruiting.run_standalone} does. *)

@@ -16,8 +16,8 @@ type result = {
 type msg = Payload | Noise
 
 let broadcast ?(params = Params.default) ?ladder
-    ?(detection = Engine.No_collision_detection) ?max_rounds ?faults ?domains
-    ?(engine = Engine.Sparse) ?metrics ~rng ~graph ~source () =
+    ?(detection = Engine.No_collision_detection) ?max_rounds ?faults ?engine
+    ?metrics ~rng ~graph ~source () =
   let n = Graph.n graph in
   if source < 0 || source >= n then invalid_arg "Decay.broadcast: bad source";
   let ladder = match ladder with Some l -> l | None -> Params.phase_len ~n in
@@ -74,21 +74,13 @@ let broadcast ?(params = Params.default) ?ladder
           (fun ~round ->
             Rn_obs.Phase.enter_of_round m ~len:ladder ~round:(round + 1))
   in
+  (* No skip hint: an informed node draws its coin every round, so no
+     round is statically silent; the sparse win is the elided silence
+     deliveries and listener resets.  Decay's deliver ignores Silence,
+     satisfying the sparse no-op contract. *)
   let outcome =
-    match (domains, engine) with
-    | Some d, _ ->
-        Engine_sharded.run ~stats ?metrics ?after_round ~domains:d ~graph
-          ~detection ~protocol ~stop ~max_rounds ()
-    | None, Engine.Dense ->
-        Engine.run ~stats ?metrics ?after_round ~graph ~detection ~protocol
-          ~stop ~max_rounds ()
-    | None, Engine.Sparse ->
-        (* No skip hint: an informed node draws its coin every round, so no
-           round is statically silent; the win is the elided silence
-           deliveries and listener resets.  Decay's deliver ignores
-           Silence, satisfying the sparse no-op contract. *)
-        Engine_sparse.run ~stats ?metrics ?after_round ~graph ~detection
-          ~protocol ~stop ~max_rounds ()
+    Drive.run ?engine ~stats ?metrics ?after_round ~graph ~detection ~protocol
+      ~stop ~max_rounds ()
   in
   (match metrics with
   | None -> ()
@@ -149,7 +141,8 @@ let mmv_broadcast ?(params = Params.default) ?(noising = true) ?max_rounds ~rng
   in
   let stats = Engine.fresh_stats () in
   let outcome =
-    Engine.run ~stats ~graph ~detection:Engine.No_collision_detection
+    Drive.run ~engine:Engine.Dense ~stats ~graph
+      ~detection:Engine.No_collision_detection
       ~protocol:{ Engine.decide; deliver }
       ~stop:(fun ~round:_ -> Atomic.get missing = 0)
       ~max_rounds ()

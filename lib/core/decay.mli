@@ -42,7 +42,6 @@ val broadcast :
   ?detection:Engine.detection ->
   ?max_rounds:int ->
   ?faults:Faults.spec ->
-  ?domains:int ->
   ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   rng:Rng.t ->
@@ -57,15 +56,12 @@ val broadcast :
     are ≤ n/D).  Collision detection is irrelevant to Decay; the default is
     [No_collision_detection] as in [2].
 
-    [domains], when given, runs the round loop on {!Engine_sharded} with
-    that shard count — bit-identical results to the serial default for any
-    [domains ≥ 1] (the protocol's callbacks touch only per-node state; the
-    completion count is atomic).  This is the E-scale workload.
-
-    [engine] (default [Sparse]) picks the serial round path when [domains]
-    is absent: {!Engine_sparse.run} elides the per-round silence
-    deliveries (Decay ignores them), [Dense] is the {!Engine.run}
-    reference.  Identical results either way; no skip hint is offered
+    [engine] (default [Sparse]) picks the round path via {!Drive.run}:
+    [Sparse] elides the per-round silence deliveries (Decay ignores them),
+    [Dense] is the {!Engine.run} reference, and [Sharded d] runs the
+    round loop on {!Engine_sharded} with [d] shards — the E-scale workload
+    (the callbacks touch only per-node state; the completion count is
+    atomic).  Identical results under every mode; no skip hint is offered
     because informed nodes draw a coin every round.
 
     [metrics], when given, records every round into the registry with the
@@ -74,7 +70,7 @@ val broadcast :
     run, folds each non-source node's first-receive round into the
     registry's histogram — create the registry with
     [~hist_width:ladder] to make the histogram a per-phase first-receive
-    count.  Identical registry contents for serial and any [domains]. *)
+    count.  Identical registry contents under every [engine]. *)
 
 val cr_ladder : n:int -> diameter:int -> int
 (** The truncated ladder [⌈log(n/D)⌉ + 1] used by the Czumaj–Rytter-style

@@ -56,7 +56,8 @@ let run_guess ~graph ~source ~t =
         end
   in
   ignore
-    (Engine.run ~graph ~detection:Engine.Collision_detection
+    (Drive.run ~engine:Engine.Dense ~graph
+       ~detection:Engine.Collision_detection
        ~protocol:{ Engine.decide; deliver }
        ~stop:(fun ~round:_ -> false)
        ~max_rounds:((2 * t) + 2)

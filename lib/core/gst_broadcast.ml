@@ -28,7 +28,7 @@ type msg = Data of Rlnc.packet
 
 let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
     ?step_reset ?faults ?max_rounds ?(params = Params.default)
-    ?(engine = Engine.Sparse) ?metrics ~rng ~gst ~vd ~msgs ~sources () =
+    ?engine ?metrics ~rng ~gst ~vd ~msgs ~sources () =
   let graph = gst.Gst.graph in
   let n = Graph.n graph in
   let k = Array.length msgs in
@@ -172,33 +172,12 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
      its decide even off-forest), so the awake set is static: hand it to the
      engine once and skip the O(n) decide scan.  Ids ascend, matching the
      default scan's call order exactly. *)
-  let active_ids =
-    let mark = Array.make n false in
-    for v = 0 to n - 1 do
-      if in_forest v then mark.(v) <- true
-    done;
-    (match faults with
-    | Some { Faults.jammers; _ } ->
-        Array.iter (fun j -> mark.(j) <- true) jammers
-    | None -> ());
-    let count = ref 0 in
-    Array.iter (fun b -> if b then incr count) mark;
-    let ids = Array.make (max !count 1) 0 in
-    let i = ref 0 in
-    for v = 0 to n - 1 do
-      if mark.(v) then begin
-        ids.(!i) <- v;
-        incr i
-      end
-    done;
-    if !count < n then Some (ids, !count) else None
-  in
   let decide_active =
-    Option.map
-      (fun (ids, count) ~round:_ dst ->
-        Array.blit ids 0 dst 0 count;
-        count)
-      active_ids
+    Drive.static_active ~n
+      [
+        Array.of_seq (Seq.filter in_forest (Seq.init n Fun.id));
+        (match faults with Some { Faults.jammers; _ } -> jammers | None -> [||]);
+      ]
   in
   (* Skip hint: both transmission schedules are residue classes of static
      node attributes — a fast slot occupies the even residue
@@ -212,9 +191,9 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
      there).  Jammers transmit in arbitrary rounds, so fault injection
      disables the hint. *)
   let next_busy_round =
-    match (faults, engine) with
-    | Some _, _ | _, Engine.Dense -> None
-    | None, Engine.Sparse ->
+    match faults with
+    | Some _ -> None
+    | None ->
         let period = 6 * clogn in
         let busy = Array.make period false in
         Array.iteri
@@ -244,16 +223,9 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
   let stats = Engine.fresh_stats () in
   let stop ~round:_ = Atomic.get missing = 0 in
   let outcome =
-    match engine with
-    | Engine.Dense ->
-        Engine.run ?metrics ?after_round ?decide_active ~stats ~graph
-          ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds
-          ()
-    | Engine.Sparse ->
-        Engine_sparse.run ?metrics ?after_round ?decide_active
-          ?next_busy_round ~stats ~graph
-          ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds
-          ()
+    Drive.run ?engine ?metrics ?after_round ?decide_active ?next_busy_round
+      ~stats ~graph ~detection:Engine.No_collision_detection ~protocol ~stop
+      ~max_rounds ()
   in
   let payloads_ok =
     let ok = ref true in

@@ -25,7 +25,7 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Phase 2: level-pair assignments *)
 
-let run_assignment ~mode ~params ~detection ~engine ~rng ~graph ~levels () =
+let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels () =
   let n = Graph.n graph in
   let scale_n = n in
   let depth = Bfs.max_level levels in
@@ -198,14 +198,13 @@ let run_assignment ~mode ~params ~detection ~engine ~rng ~graph ~levels () =
     in
     let protocol = { Engine.decide; deliver } in
     let stop ~round:_ = all_done () in
+    (* The blocks run Recruiting's deliver, which writes across nodes:
+       never sharded. *)
     let outcome =
-      match engine with
-      | Engine.Dense ->
-          Engine.run ~graph ~detection ~protocol ~after_round ~stop
-            ~max_rounds ()
-      | Engine.Sparse ->
-          Engine_sparse.run ~decide_active ~next_busy_round ~graph ~detection
-            ~protocol ~after_round ~stop ~max_rounds ()
+      Drive.run
+        ?engine:(Option.map Drive.serial engine)
+        ~decide_active ~next_busy_round ~graph ~detection ~protocol
+        ~after_round ~stop ~max_rounds ()
     in
     let rounds =
       match outcome with
@@ -236,7 +235,7 @@ let run_assignment ~mode ~params ~detection ~engine ~rng ~graph ~levels () =
 (* ------------------------------------------------------------------ *)
 (* Phase 3: wave-safety self-test *)
 
-let run_selftest ~detection ~engine ~graph ~levels ~parents ~ranks () =
+let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
   let n = Graph.n graph in
   let max_rank = Array.fold_left max 0 ranks in
   let safe = Array.make n true in
@@ -279,51 +278,46 @@ let run_selftest ~detection ~engine ~graph ~levels ~parents ~ranks () =
      (rank, class) slice holds no node have no transmitters and therefore
      no listeners either (a listener's parent would populate the slice),
      so they can be fast-forwarded from a static table. *)
+  let rank_count = Array.make (max_rank + 1) 0 in
+  Array.iteri
+    (fun v l -> if l >= 0 && ranks.(v) >= 1 then
+        rank_count.(ranks.(v)) <- rank_count.(ranks.(v)) + 1)
+    levels;
+  let rank_nodes = Array.map (fun c -> Array.make (max c 1) 0) rank_count in
+  let fill = Array.make (max_rank + 1) 0 in
+  Array.iteri
+    (fun v l ->
+      if l >= 0 && ranks.(v) >= 1 then begin
+        let r = ranks.(v) in
+        rank_nodes.(r).(fill.(r)) <- v;
+        fill.(r) <- fill.(r) + 1
+      end)
+    levels;
+  let slice_count = Array.make (max (3 * (max_rank + 1)) 1) 0 in
+  Array.iteri
+    (fun v l ->
+      if l >= 0 && ranks.(v) >= 1 then begin
+        let i = (3 * ranks.(v)) + (l mod 3) in
+        slice_count.(i) <- slice_count.(i) + 1
+      end)
+    levels;
+  let decide_active ~round (buf : int array) =
+    let r = (round / 3) + 1 in
+    let nodes = rank_nodes.(r) and count = rank_count.(r) in
+    Array.blit nodes 0 buf 0 count;
+    count
+  in
+  let next_busy_round ~round =
+    let rec go r =
+      if r >= total then total
+      else if slice_count.((3 * ((r / 3) + 1)) + (r mod 3)) > 0 then r
+      else go (r + 1)
+    in
+    go round
+  in
   let outcome =
-    match engine with
-    | Engine.Dense -> Engine.run ~graph ~detection ~protocol ~stop ~max_rounds:total ()
-    | Engine.Sparse ->
-        let rank_count = Array.make (max_rank + 1) 0 in
-        Array.iteri
-          (fun v l -> if l >= 0 && ranks.(v) >= 1 then
-              rank_count.(ranks.(v)) <- rank_count.(ranks.(v)) + 1)
-          levels;
-        let rank_nodes =
-          Array.map (fun c -> Array.make (max c 1) 0) rank_count
-        in
-        let fill = Array.make (max_rank + 1) 0 in
-        Array.iteri
-          (fun v l ->
-            if l >= 0 && ranks.(v) >= 1 then begin
-              let r = ranks.(v) in
-              rank_nodes.(r).(fill.(r)) <- v;
-              fill.(r) <- fill.(r) + 1
-            end)
-          levels;
-        let slice_count = Array.make (max (3 * (max_rank + 1)) 1) 0 in
-        Array.iteri
-          (fun v l ->
-            if l >= 0 && ranks.(v) >= 1 then begin
-              let i = (3 * ranks.(v)) + (l mod 3) in
-              slice_count.(i) <- slice_count.(i) + 1
-            end)
-          levels;
-        let decide_active ~round (buf : int array) =
-          let r = (round / 3) + 1 in
-          let nodes = rank_nodes.(r) and count = rank_count.(r) in
-          Array.blit nodes 0 buf 0 count;
-          count
-        in
-        let next_busy_round ~round =
-          let rec go r =
-            if r >= total then total
-            else if slice_count.((3 * ((r / 3) + 1)) + (r mod 3)) > 0 then r
-            else go (r + 1)
-          in
-          go round
-        in
-        Engine_sparse.run ~decide_active ~next_busy_round ~graph ~detection
-          ~protocol ~stop ~max_rounds:total ()
+    Drive.run ?engine ~decide_active ~next_busy_round ~graph ~detection
+      ~protocol ~stop ~max_rounds:total ()
   in
   let head_override = Array.init n (fun v -> listens.(v) && not safe.(v)) in
   (head_override, Engine.rounds_of_outcome outcome)
@@ -331,7 +325,7 @@ let run_selftest ~detection ~engine ~graph ~levels ~parents ~ranks () =
 (* ------------------------------------------------------------------ *)
 (* Phase 4: virtual-distance learning (Lemma 3.10) *)
 
-let run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
+let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
     ~parent_rank ~head_override () =
   let n = Graph.n graph in
   let scale_n = n in
@@ -362,12 +356,8 @@ let run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
       ~max_rounds () =
     let protocol = { Engine.decide; deliver } in
     let outcome =
-      match engine with
-      | Engine.Dense ->
-          Engine.run ~graph ~detection ~protocol ~stop ~max_rounds ()
-      | Engine.Sparse ->
-          Engine_sparse.run ?decide_active ?next_busy_round ~graph ~detection
-            ~protocol ~stop ~max_rounds ()
+      Drive.run ?engine ?decide_active ?next_busy_round ~graph ~detection
+        ~protocol ~stop ~max_rounds ()
     in
     total_rounds := !total_rounds + Engine.rounds_of_outcome outcome
   in
@@ -397,7 +387,9 @@ let run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
            epoch-1 counts grow as the sweep labels nodes (bumped in
            deliver).  A round with zero potential transmitters delivers
            nothing, so it creates no new potential either — promising its
-           silence from counts read at round start is sound. *)
+           silence from counts read at round start is sound.  Lanes of a
+           sharded run may bump the same level's count concurrently; only
+           the hint reads it, and Drive.run drops the hint under Sharded. *)
         let head_count = Array.make depth_cap 0 in
         Array.iteri
           (fun v l ->
@@ -518,8 +510,8 @@ let run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
 
 let construct ?(mode = Pipelined) ?(layering = Decay_layering)
     ?(learn_vd = false) ?(params = Params.default)
-    ?(detection = Engine.No_collision_detection) ?(engine = Engine.Sparse)
-    ~rng ~graph ~roots () =
+    ?(detection = Engine.No_collision_detection) ?engine ~rng ~graph ~roots
+    () =
   let n = Graph.n graph in
   let levels, layering_rounds =
     match layering with
@@ -529,7 +521,7 @@ let construct ?(mode = Pipelined) ?(layering = Decay_layering)
         (levels, 0)
     | Decay_layering ->
         let r =
-          Layering.decay_bfs ~params ~engine ~rng:(Rng.split rng) ~graph
+          Layering.decay_bfs ~params ?engine ~rng:(Rng.split rng) ~graph
             ~sources:roots ()
         in
         (r.Layering.levels, r.Layering.rounds)
@@ -541,14 +533,14 @@ let construct ?(mode = Pipelined) ?(layering = Decay_layering)
   in
   let parents, ranks, parent_rank, assignment_rounds, class_fixups,
       fallback_reactivations =
-    run_assignment ~mode ~params ~detection ~engine ~rng ~graph ~levels ()
+    run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels ()
   in
   let head_override, selftest_rounds =
-    run_selftest ~detection ~engine ~graph ~levels ~parents ~ranks ()
+    run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks ()
   in
   let vd, vd_rounds =
     if learn_vd then
-      run_vd ~params ~detection ~engine ~rng ~graph ~levels ~parents ~ranks
+      run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
         ~parent_rank ~head_override ()
     else (Array.make n (-1), 0)
   in

@@ -82,5 +82,7 @@ val construct :
     or the relaxation candidates (stage 2).  Results are identical to
     [Dense]: every excluded node's decide is a side-effect-free [Sleep],
     and every skipped round is provably silent — per-node RNG streams
-    advance exactly as under the full scan (DESIGN.md §12).
+    advance exactly as under the full scan (DESIGN.md §12).  Under
+    [Sharded d] the assignment phase still runs on [Sparse]: its Recruiting
+    callbacks write across nodes ({!Rn_radio.Drive.serial}).
     @raise Failure if a phase exhausts its round budget. *)

@@ -4,8 +4,8 @@ open Rn_radio
 
 type result = { levels : int array; rounds : int; stats : Engine.stats }
 
-let decay_bfs ?(params = Params.default) ?max_rounds
-    ?(engine = Engine.Sparse) ~rng ~graph ~sources () =
+let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
+    ~sources () =
   let n = Graph.n graph in
   let ladder = Params.phase_len ~n in
   let epoch_len = Params.whp_phases params ~n * ladder in
@@ -46,14 +46,8 @@ let decay_bfs ?(params = Params.default) ?max_rounds
   (* finish on epoch boundary; no skip hint — labeled nodes draw a coin
      every round, so no round is statically silent. *)
   let outcome =
-    match engine with
-    | Engine.Dense ->
-        Engine.run ~stats ~graph ~detection:Engine.No_collision_detection
-          ~protocol ~stop ~max_rounds ()
-    | Engine.Sparse ->
-        Engine_sparse.run ~stats ~graph
-          ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds
-          ()
+    Drive.run ?engine ~stats ~graph ~detection:Engine.No_collision_detection
+      ~protocol ~stop ~max_rounds ()
   in
   { levels; rounds = Engine.rounds_of_outcome outcome; stats }
 
@@ -80,7 +74,8 @@ let collision_wave ?max_rounds ~graph ~sources () =
   in
   let stats = Engine.fresh_stats () in
   let outcome =
-    Engine.run ~stats ~graph ~detection:Engine.Collision_detection
+    Drive.run ~engine:Engine.Dense ~stats ~graph
+      ~detection:Engine.Collision_detection
       ~protocol:{ Engine.decide; deliver }
       ~stop:(fun ~round:_ -> Atomic.get labeled = n)
       ~max_rounds ()

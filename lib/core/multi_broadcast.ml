@@ -13,14 +13,14 @@ type known_result = {
 }
 
 let known ?(params = Params.default) ?(msg_len = 32)
-    ?(slow_key = Gst_broadcast.By_virtual_distance)
-    ?(engine = Rn_radio.Engine.Sparse) ~rng ~graph ~source ~k () =
+    ?(slow_key = Gst_broadcast.By_virtual_distance) ?engine ~rng ~graph
+    ~source ~k () =
   if k < 1 then invalid_arg "Multi_broadcast.known: k must be >= 1";
   let gst = Gst.build_centralized ~graph ~roots:[| source |] () in
   let vd = Gst.virtual_distances gst in
   let msgs = random_messages rng ~k ~msg_len in
   let r =
-    Gst_broadcast.run ~params ~slow_key ~engine ~rng:(Rng.split rng) ~gst ~vd
+    Gst_broadcast.run ~params ~slow_key ?engine ~rng:(Rng.split rng) ~gst ~vd
       ~msgs ~sources:[| source |] ()
   in
   {
@@ -47,7 +47,7 @@ type unknown_result = {
 
 let unknown ?(params = Params.default) ?(msg_len = 32)
     ?(rings = Single_broadcast.Auto) ?batch_size ?(estimate_diameter = false)
-    ?(engine = Rn_radio.Engine.Sparse) ~rng ~graph ~source ~k () =
+    ?engine ~rng ~graph ~source ~k () =
   if k < 1 then invalid_arg "Multi_broadcast.unknown: k must be >= 1";
   let n = Graph.n graph in
   let batch_size =
@@ -89,7 +89,7 @@ let unknown ?(params = Params.default) ?(msg_len = 32)
     List.init rcount (fun j ->
         Gst_distributed.construct ~mode:Gst_distributed.Pipelined
           ~layering:(Gst_distributed.Given_layering (Rings.ring_levels rings_t j))
-          ~learn_vd:true ~params ~engine ~rng:(Rng.split rng) ~graph
+          ~learn_vd:true ~params ?engine ~rng:(Rng.split rng) ~graph
           ~roots:(Rings.roots rings_t j) ())
   in
   let rounds_construction =
@@ -120,7 +120,7 @@ let unknown ?(params = Params.default) ?(msg_len = 32)
           let stage_rounds = ref 0 in
           let g = ring_gsts.(j) in
           let r =
-            Gst_broadcast.run ~params ~engine ~rng:(Rng.split rng)
+            Gst_broadcast.run ~params ?engine ~rng:(Rng.split rng)
               ~gst:g.Gst_distributed.gst ~vd:g.Gst_distributed.vd ~msgs:bmsgs
               ~sources:roots ()
           in
@@ -136,7 +136,7 @@ let unknown ?(params = Params.default) ?(msg_len = 32)
             let holders = Rings.outer_boundary rings_t j in
             let receivers = Rings.roots rings_t (j + 1) in
             let h, decoded =
-              Rings.handoff_fec ~params ~engine ~rng:(Rng.split rng) ~graph
+              Rings.handoff_fec ~params ?engine ~rng:(Rng.split rng) ~graph
                 ~holders ~receivers ~msgs:bmsgs ()
             in
             stage_rounds := !stage_rounds + h.Rings.rounds;

@@ -29,7 +29,6 @@ let decay_entry =
     multi = false;
     traceable = true;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = true; sharded = true; offers_hint = false };
     run =
       (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -48,7 +47,6 @@ let cr_entry =
     multi = false;
     traceable = true;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = false };
     run =
       (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -70,7 +68,6 @@ let mmv_entry =
     multi = false;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = false; sharded = false; offers_hint = false };
     run =
       (fun ?k:_ ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -90,7 +87,6 @@ let gst_entry =
     multi = false;
     traceable = true;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
       (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -120,7 +116,6 @@ let thm11_entry =
        (rblint:allow R11 in gst_distributed.ml), so spurious Silence
        injection legitimately perturbs this pipeline. *)
     silence_pure = false;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
       (fun ?k:_ ?engine ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -145,7 +140,6 @@ let estimate_entry =
     multi = false;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = false; sharded = false; offers_hint = false };
     run =
       (fun ?k:_ ?engine:_ ?metrics:_ ~seed:_ ~graph ~source () ->
         let r = Diameter_estimate.run ~graph ~source () in
@@ -168,7 +162,6 @@ let gst_dist_entry =
     traceable = false;
     (* Same self-test caveat as thm11. *)
     silence_pure = false;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
       (fun ?k:_ ?engine ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -199,7 +192,6 @@ let known_entry =
     multi = true;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
       (fun ?k ?engine ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -219,7 +211,6 @@ let unknown_entry =
     traceable = false;
     (* Uses the distributed GST construction; see thm11. *)
     silence_pure = false;
-    caps = { Registry.dense = true; sparse = true; sharded = false; offers_hint = true };
     run =
       (fun ?k ?engine ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -244,7 +235,6 @@ let routing_entry =
     multi = true;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = false; sharded = false; offers_hint = false };
     run =
       (fun ?k ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
@@ -263,7 +253,6 @@ let sequential_entry =
     multi = true;
     traceable = false;
     silence_pure = true;
-    caps = { Registry.dense = true; sparse = false; sharded = false; offers_hint = false };
     run =
       (fun ?k ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in

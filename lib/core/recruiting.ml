@@ -159,7 +159,7 @@ let deliver t ~node reception =
                       (* The red might not have heard this blue; its class is
                          already Many by construction of Sigma. *)
                       let rs = Hashtbl.find t.red_st red in
-                      (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block and is never driven by Engine_sharded. *)
+                      (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block: all three drivers of this deliver (Recruiting.run_standalone, Bipartite_assignment.run_standalone, Gst_distributed.run_assignment) map Sharded to Sparse with Drive.serial, so Engine_sharded never runs it. *)
                       if rs.recruits < 2 then rs.recruits <- 2
                     end
                 | _ -> ())))
@@ -223,8 +223,8 @@ type outcome = {
   classes_consistent : bool;
 }
 
-let run_standalone ?(detection = Engine.No_collision_detection)
-    ?(engine = Engine.Sparse) ?metrics ~rng ~params ~graph ~reds ~blues () =
+let run_standalone ?(detection = Engine.No_collision_detection) ?engine
+    ?metrics ~rng ~params ~graph ~reds ~blues () =
   let t = create ~rng ~params ~scale_n:(Graph.n graph) ~graph ~reds ~blues () in
   (* rblint:allow R14 internal Lemma-6 driver: a serial building block of the assignment phase, reachable from registered pipelines only through Bipartite_assignment; not a user-facing protocol. *)
   let protocol =
@@ -237,28 +237,7 @@ let run_standalone ?(detection = Engine.No_collision_detection)
      falls through both tables), so the awake set is static.  No skip
      hint: every slot keeps some population awake (announce coins, claim
      listeners, verdict transmitters). *)
-  let active_ids =
-    let n = Graph.n graph in
-    let mark = Array.make n false in
-    Array.iter (fun v -> mark.(v) <- true) reds;
-    Array.iter (fun v -> mark.(v) <- true) blues;
-    let count = ref 0 in
-    Array.iter (fun b -> if b then incr count) mark;
-    let ids = Array.make (max !count 1) 0 in
-    let i = ref 0 in
-    for v = 0 to n - 1 do
-      if mark.(v) then begin
-        ids.(!i) <- v;
-        incr i
-      end
-    done;
-    (ids, !count)
-  in
-  let decide_active ~round:_ dst =
-    let ids, count = active_ids in
-    Array.blit ids 0 dst 0 count;
-    count
-  in
+  let decide_active = Drive.static_active ~n:(Graph.n graph) [ reds; blues ] in
   (* Phase = recruiting iteration (one announce/claim/verdict cycle).
      [advance] moves [t.round], so the annotation reads the machine's own
      iteration counter right after advancing — coordinator-serial. *)
@@ -274,13 +253,10 @@ let run_standalone ?(detection = Engine.No_collision_detection)
   let stop ~round:_ = finished t in
   let max_rounds = t.total_rounds + 1 in
   let outcome =
-    match engine with
-    | Engine.Dense ->
-        Engine.run ?metrics ~graph ~detection ~protocol ~after_round ~stop
-          ~max_rounds ()
-    | Engine.Sparse ->
-        Engine_sparse.run ?metrics ~decide_active ~graph ~detection ~protocol
-          ~after_round ~stop ~max_rounds ()
+    Drive.run
+      ?engine:(Option.map Drive.serial engine)
+      ?metrics ?decide_active ~graph ~detection ~protocol ~after_round ~stop
+      ~max_rounds ()
   in
   let rounds = Engine.rounds_of_outcome outcome in
   let recruited =

@@ -107,4 +107,6 @@ val run_standalone :
 (** Run recruiting alone on [graph] (e.g. a random bipartite graph) until
     [finished]; used by experiment E3 and the test-suite.  [metrics], when
     given, records each round under the phase annotation [iteration t] —
-    one announce/claim/verdict cycle per phase. *)
+    one announce/claim/verdict cycle per phase.  [engine] (default
+    [Sparse]) runs [Sharded _] as [Sparse]: [deliver] writes across nodes
+    ({!Rn_radio.Drive.serial}). *)

@@ -42,7 +42,7 @@ type handoff_result = { rounds : int; delivered : bool }
 (* Shared Decay loop for both handoff flavours: [payload] builds the packet
    a holder sends when its coin comes up; [receive] consumes a clean
    reception and returns true once that receiver is satisfied. *)
-let decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers ~payload
+let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
     ~receive ~satisfied () =
   let n = Graph.n graph in
   let ladder = Params.phase_len ~n in
@@ -77,48 +77,23 @@ let decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers ~payload
   (* Everyone else sleeps, so the awake set is the (static, disjoint)
      boundary populations; deduped defensively in case a caller passes
      overlapping sets.  No skip hint: holders draw a coin every round. *)
-  let active_ids =
-    let mark = Array.make n false in
-    Array.iter (fun v -> mark.(v) <- true) holders;
-    Array.iter (fun v -> mark.(v) <- true) receivers;
-    let count = ref 0 in
-    Array.iter (fun b -> if b then incr count) mark;
-    let ids = Array.make (max !count 1) 0 in
-    let i = ref 0 in
-    for v = 0 to n - 1 do
-      if mark.(v) then begin
-        ids.(!i) <- v;
-        incr i
-      end
-    done;
-    (ids, !count)
-  in
-  let decide_active ~round:_ dst =
-    let ids, count = active_ids in
-    Array.blit ids 0 dst 0 count;
-    count
-  in
+  let decide_active = Drive.static_active ~n [ holders; receivers ] in
   let outcome =
-    match engine with
-    | Engine.Dense ->
-        Engine.run ~graph ~detection:Engine.No_collision_detection ~protocol
-          ~stop ~max_rounds:budget ()
-    | Engine.Sparse ->
-        Engine_sparse.run ~decide_active ~graph
-          ~detection:Engine.No_collision_detection ~protocol ~stop
-          ~max_rounds:budget ()
+    Drive.run ?engine ?decide_active ~graph
+      ~detection:Engine.No_collision_detection ~protocol ~stop
+      ~max_rounds:budget ()
   in
   {
     rounds = Engine.rounds_of_outcome outcome;
     delivered = (match outcome with Engine.Completed _ -> true | _ -> false);
   }
 
-let handoff_single ?(params = Params.default) ?(engine = Engine.Sparse) ~rng
-    ~graph ~holders ~receivers () =
+let handoff_single ?(params = Params.default) ?engine ~rng ~graph ~holders
+    ~receivers () =
   if Array.length holders = 0 then { rounds = 0; delivered = false }
   else begin
     let got = Array.make (Graph.n graph) false in
-    decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers
+    decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers
       ~payload:(fun _ -> Cmsg.Beacon)
       ~receive:(fun v _ ->
         got.(v) <- true;
@@ -129,8 +104,8 @@ let handoff_single ?(params = Params.default) ?(engine = Engine.Sparse) ~rng
 
 type fec_msg = Fec_packet of Rlnc.packet
 
-let handoff_fec ?(params = Params.default) ?(engine = Engine.Sparse) ~rng
-    ~graph ~holders ~receivers ~msgs () =
+let handoff_fec ?(params = Params.default) ?engine ~rng ~graph ~holders
+    ~receivers ~msgs () =
   let k = Array.length msgs in
   if k = 0 then invalid_arg "Rings.handoff_fec: empty batch";
   let msg_len = Bitvec.length msgs.(0) in
@@ -140,7 +115,7 @@ let handoff_fec ?(params = Params.default) ?(engine = Engine.Sparse) ~rng
     let fec_rng = Rng.split_n rng n in
     let decoders = Array.init n (fun _ -> Rlnc.create ~k ~msg_len) in
     let result =
-      decay_handoff ~params ~engine ~rng ~graph ~holders ~receivers
+      decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers
         ~payload:(fun v ->
           (* Fresh random combination per transmission — RLNC-grade FEC,
              at least as decodable as the paper's fixed Θ(k′) codebook. *)

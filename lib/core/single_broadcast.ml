@@ -30,8 +30,7 @@ let ring_width_of ~depth = function
 
 let run ?(rings = Auto) ?(params = Params.default)
     ?(construction_mode = Gst_distributed.Pipelined)
-    ?(estimate_diameter = false) ?(engine = Rn_radio.Engine.Sparse) ~rng
-    ~graph ~source () =
+    ?(estimate_diameter = false) ?engine ~rng ~graph ~source () =
   let n = Graph.n graph in
   if n = 0 then invalid_arg "Single_broadcast.run: empty graph";
   (* Phase 1: collision-detection layering — either the D-round wave alone
@@ -59,7 +58,7 @@ let run ?(rings = Auto) ?(params = Params.default)
         let local = Rings.ring_levels rings_t j in
         Gst_distributed.construct ~mode:construction_mode
           ~layering:(Gst_distributed.Given_layering local) ~learn_vd:true
-          ~params ~engine ~rng:(Rng.split rng) ~graph ~roots ())
+          ~params ?engine ~rng:(Rng.split rng) ~graph ~roots ())
   in
   let rounds_construction =
     Rings.charged_parallel_rounds
@@ -79,7 +78,7 @@ let run ?(rings = Auto) ?(params = Params.default)
         else begin
           let gst = r.Gst_distributed.gst in
           let b =
-            Gst_broadcast.run ~params ~engine ~rng:(Rng.split rng) ~gst
+            Gst_broadcast.run ~params ?engine ~rng:(Rng.split rng) ~gst
               ~vd:r.Gst_distributed.vd ~msgs:msg ~sources:roots ()
           in
           rounds_broadcast := !rounds_broadcast + b.Gst_broadcast.rounds;
@@ -93,7 +92,7 @@ let run ?(rings = Auto) ?(params = Params.default)
             let holders = Rings.outer_boundary rings_t j in
             let receivers = Rings.roots rings_t (j + 1) in
             let h =
-              Rings.handoff_single ~params ~engine ~rng:(Rng.split rng) ~graph
+              Rings.handoff_single ~params ?engine ~rng:(Rng.split rng) ~graph
                 ~holders ~receivers ()
             in
             rounds_broadcast := !rounds_broadcast + h.Rings.rounds;

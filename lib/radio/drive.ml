@@ -1,0 +1,30 @@
+(* The routing table of drive.mli, in code: Dense drops both fast paths,
+   Sharded drops the skip hint, Sparse takes everything. *)
+let run ?(engine = Engine.Sparse) ?stats ?metrics ?on_round ?after_round
+    ?decide_active ?next_busy_round ?validate ~graph ~detection ~protocol
+    ~stop ~max_rounds () =
+  match engine with
+  | Engine.Dense ->
+      Engine.run ?stats ?metrics ?on_round ?after_round ?validate ~graph
+        ~detection ~protocol ~stop ~max_rounds ()
+  | Engine.Sparse ->
+      Engine_sparse.run ?stats ?metrics ?on_round ?after_round ?decide_active
+        ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
+        ~max_rounds ()
+  | Engine.Sharded domains ->
+      Engine_sharded.run ?stats ?metrics ?on_round ?after_round ?decide_active
+        ?validate ~domains ~graph ~detection ~protocol ~stop ~max_rounds ()
+
+let serial = function Engine.Sharded _ -> Engine.Sparse | mode -> mode
+
+let static_active ~n groups =
+  let mark = Array.make n false in
+  List.iter (Array.iter (fun v -> mark.(v) <- true)) groups;
+  let ids = Array.of_seq (Seq.filter (Array.get mark) (Seq.init n Fun.id)) in
+  let count = Array.length ids in
+  if count = n then None
+  else
+    Some
+      (fun ~round:_ dst ->
+        Array.blit ids 0 dst 0 count;
+        count)

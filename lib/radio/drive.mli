@@ -1,0 +1,49 @@
+(** The one engine entry point: every pipeline in [lib/core] runs its
+    rounds through {!run}.  It lives above the three engines because
+    {!Engine} cannot call {!Engine_sparse} or {!Engine_sharded} without a
+    dependency cycle.
+
+    Routing rule — which protocol fast paths each mode consumes (all other
+    hooks reach every engine unchanged):
+
+    {v
+    mode        decide_active  next_busy_round  engine
+    Dense       ignored        ignored          Engine.run (full scan)
+    Sparse      used           used             Engine_sparse.run
+    Sharded d   used           ignored          Engine_sharded.run ~domains:d
+    v}
+
+    [Dense] is the reference the fast paths are checked against, so it
+    never consumes them: a node outside the active set must [Sleep]
+    without side effects and a skipped round must be silent, hence
+    dropping either never changes a result.  [Sharded] has no skip path. *)
+
+val run :
+  ?engine:Engine.mode ->
+  ?stats:Engine.stats ->
+  ?metrics:Rn_obs.Metrics.t ->
+  ?on_round:(round:int -> 'msg Engine.trace_event list -> unit) ->
+  ?after_round:(round:int -> unit) ->
+  ?decide_active:(round:int -> int array -> int) ->
+  ?next_busy_round:(round:int -> int) ->
+  ?validate:bool ->
+  graph:Rn_graph.Graph.t ->
+  detection:Engine.detection ->
+  protocol:'msg Engine.protocol ->
+  stop:(round:int -> bool) ->
+  max_rounds:int ->
+  unit ->
+  Engine.outcome
+(** Runs on [engine] (default [Sparse]) by the rule above; every other
+    argument is as documented at {!Engine.run} and {!Engine_sparse.run}. *)
+
+val serial : Engine.mode -> Engine.mode
+(** Maps [Sharded _] to [Sparse], for drivers whose callbacks write across
+    nodes (the Recruiting subroutine, DESIGN.md §13). *)
+
+val static_active :
+  n:int -> int array list -> (round:int -> int array -> int) option
+(** [static_active ~n groups] is the [decide_active] of an awake set that
+    never changes: the distinct ids in [groups], ascending (the full
+    scan's call order).  [None] when they cover all [n] nodes — such a set
+    saves nothing over the scan. *)

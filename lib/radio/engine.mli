@@ -88,16 +88,22 @@ val total_skipped_rounds : unit -> int
 val add_skipped_rounds : int -> unit
 (** Credit fast-forwarded rounds.  For engine front ends only. *)
 
-type mode = Dense | Sparse
-(** Which round path a protocol wrapper should drive: [Dense] is {!run}
-    (the reference full-scan engine), [Sparse] is {!Engine_sparse.run}.
-    Wrappers default to [Sparse]; benches pass [Dense] to time or verify
-    against the reference. *)
+type mode =
+  | Dense  (** {!run}: the full-scan reference *)
+  | Sparse  (** {!Engine_sparse.run}: frontier delivery + silent-round skip *)
+  | Sharded of int
+      (** {!Engine_sharded.run} with that many shards ([>= 1]) *)
+(** Which round path a pipeline runs on.  Every wrapper forwards its
+    [?engine] to {!Drive.run}, which declares the [Sparse] default and
+    decides which protocol fast paths each mode consumes; all three modes
+    produce byte-identical results ([test/test_contracts.ml] checks every
+    registry entry under [Dense], [Sparse] and [Sharded 1/2/4]). *)
 
 val inject_silence : bool Atomic.t
-(** Debug probe for the contracts suite: when set, {!run} (and
-    {!Engine_sparse.run}) delivers one spurious [Silence] to every listener
-    before its real reception of the round.  A protocol honouring the R11
+(** Debug probe for the contracts suite: when set, all three engines
+    ({!run}, {!Engine_sparse.run}, {!Engine_sharded.run}) deliver one
+    spurious [Silence] to every listener they deliver to, before its real
+    reception of the round.  A protocol honouring the R11
     silence-purity contract (DESIGN.md §13) produces byte-identical results
     either way — [test/test_contracts.ml] asserts exactly that for every
     registered pipeline.  Read once per run; defaults to [false], in which

@@ -165,6 +165,8 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
     match decide_active with None -> [||] | Some _ -> Array.make (max n 1) 0
   in
   let tracing = Option.is_some on_round in
+  (* Read once per run, as in the serial engines. *)
+  let inject = Atomic.get Engine.inject_silence in
   (* A lane's stacks must hold its worst case: its full node range in
      full-scan mode, the largest active-buffer slice otherwise. *)
   let slice_cap = ((n + shards - 1) / shards) + 1 in
@@ -308,6 +310,7 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
       done;
     for i = lane.n_ls - 1 downto 0 do
       let v = lane.ls_stack.(i) in
+      if inject then protocol.Engine.deliver ~round ~node:v Engine.Silence;
       (* [v] is a listener, so its byte is 0, 1 or 2 — never 255. *)
       let c = Char.code (Bytes.unsafe_get st v) in
       let reception =
@@ -342,6 +345,7 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
     let any_tx = some_lane_transmits 0 in
     for i = lane.n_ls - 1 downto 0 do
       let v = lane.ls_stack.(i) in
+      if inject then protocol.Engine.deliver ~round ~node:v Engine.Silence;
       if any_tx then begin
         lane.g_cnt <- 0;
         for e = off.(v) to off.(v + 1) - 1 do

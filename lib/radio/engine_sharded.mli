@@ -59,9 +59,9 @@ val run :
   max_rounds:int ->
   unit ->
   Engine.outcome
-(** Same surface as {!Engine.run} ([validate] included; the
-    {!Engine.inject_silence} probe is dense/sparse-only) plus
-    [domains ≥ 1], the shard count.
+(** Same surface as {!Engine.run} ([validate] and the
+    {!Engine.inject_silence} probe included) plus [domains ≥ 1], the
+    shard count.
     [metrics] follows the determinism contract: the coordinator records
     each round from the shard-order sums of the owner-local lane counters
     at the post-barrier merge, so the registry (and any export of it) is

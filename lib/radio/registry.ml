@@ -1,10 +1,3 @@
-type caps = {
-  dense : bool;
-  sparse : bool;
-  sharded : bool;
-  offers_hint : bool;
-}
-
 type result = {
   rounds : int;
   delivered : bool;
@@ -27,7 +20,6 @@ type entry = {
   multi : bool;
   traceable : bool;
   silence_pure : bool;
-  caps : caps;
   run : run;
 }
 

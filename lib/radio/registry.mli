@@ -5,7 +5,8 @@
     the protocol set a run-time value: [bin/rbcast.ml] derives its
     [--proto] enumeration from {!names}, [bench/main.ml] sweeps {!all}
     instead of hand-wired wrapper tables, and [test/test_contracts.ml]
-    exercises each registered [run] under spurious-[Silence] injection.
+    exercises each registered [run] under every engine mode and under
+    spurious-[Silence] injection.
 
     The registry is also the anchor of rblint's protocol-contract rules
     (DESIGN.md §13): R11–R13 statically verify every protocol's
@@ -13,17 +14,6 @@
     engine-driving pipeline that is not reachable from a
     [Registry.register] call — so a protocol cannot opt out of the
     contract checks by simply not registering. *)
-
-type caps = {
-  dense : bool;  (** honours [~engine:Dense] ({!Engine.run}) *)
-  sparse : bool;  (** honours [~engine:Sparse] ({!Engine_sparse.run}) *)
-  sharded : bool;  (** can run on {!Engine_sharded} (multi-domain) *)
-  offers_hint : bool;  (** supplies a [next_busy_round] skip hint *)
-}
-(** Which engine fast paths the protocol's wrapper supports.  Capabilities
-    are declarative: a [run] whose wrapper has no [?engine] parameter
-    ignores the mode argument, and callers consult [caps] to learn which
-    modes are meaningful. *)
 
 type result = {
   rounds : int;  (** simulated rounds (total across phases) *)
@@ -48,9 +38,16 @@ type run =
   result
 (** Uniform pipeline entry point.  [k] is the message count for multi-
     message protocols (ignored otherwise; defaults to 8), [engine] selects
-    the round path where [caps] permit, and [metrics] is forwarded to
-    wrappers that support round tracing.  The wrapper creates its own
-    {!Rn_util.Rng} from [seed]. *)
+    the round path (forwarded to {!Drive.run}, default [Sparse]), and
+    [metrics] is forwarded to wrappers that support round tracing.  The
+    wrapper creates its own {!Rn_util.Rng} from [seed].
+
+    The result is engine-independent: [run ~engine] returns a
+    byte-identical record for [Dense], [Sparse] and every [Sharded d] —
+    [test/test_contracts.ml] runs every entry under [Dense], [Sparse] and
+    [Sharded 1/2/4] and compares.  Drivers whose callbacks must stay serial
+    map [Sharded] back to [Sparse] ({!Drive.serial}); drivers pinned to the
+    reference engine ignore the mode. *)
 
 type entry = {
   name : string;  (** unique CLI-friendly identifier, e.g. ["decay"] *)
@@ -63,7 +60,6 @@ type entry = {
           reasoned [rblint:allow R11] in the pipeline's source (e.g. the
           GST self-test, where silence {e means} unsafe); the contracts
           suite only asserts injection byte-identity when [true]. *)
-  caps : caps;
   run : run;
 }
 

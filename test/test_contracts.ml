@@ -2,13 +2,18 @@
    run over the live registry so every pipeline a user can reach from
    rbcast/bench is exercised:
 
-   - R11 silence purity: each registered pipeline runs twice on the same
-     (graph, seed), the second time with [Engine.inject_silence] handing
-     every listener a spurious [Silence] before its real reception.
-     Entries declaring [silence_pure] must produce byte-identical result
-     records; entries that opted out with a reasoned [rblint:allow R11]
-     (the GST self-test family, where silence means unsafe) must still
-     run to completion.
+   - engine independence: each registered pipeline runs under [Dense],
+     [Sparse] and [Sharded 1/2/4] on two graphs and three seeds, and every
+     mode must return a byte-identical result record — the routing rule of
+     [Drive.run] (which fast paths each mode consumes) must never show in
+     a result, and R12's write locality must hold on real lanes.
+   - R11 silence purity: each registered pipeline runs on the same
+     (graph, seed) with [Engine.inject_silence] handing every listener a
+     spurious [Silence] before its real reception, under the default
+     engine and under [Sharded 2].  Entries declaring [silence_pure] must
+     produce byte-identical result records; entries that opted out with a
+     reasoned [rblint:allow R11] (the GST self-test family, where silence
+     means unsafe) must still run to completion.
    - transmit-buffer contract: the engines' [?validate] debug flag must
      stay quiet on a well-formed [decide_active] and raise — naming the
      offending round — on one that repeats a node id, on all three round
@@ -20,12 +25,60 @@ open Rn_broadcast
 
 let () = Protocols.ensure_registered ()
 
+(* Same cap override as test_engine_sharded: the sharded modes must run on
+   real worker domains, not degrade to the calling domain. *)
+let () =
+  Atomic.set Runner.Pool.size_cap (max 8 (Atomic.get Runner.Pool.size_cap))
+
 let graph =
   Gen.layered_random
     ~rng:(Rn_util.Rng.create ~seed:5)
     ~depth:6 ~width:6 ~p:0.3
 
-let run_entry e = e.Registry.run ~k:3 ~seed:42 ~graph ~source:0 ()
+let run_entry ?engine ?(graph = graph) ?(seed = 42) e =
+  e.Registry.run ~k:3 ?engine ~seed ~graph ~source:0 ()
+
+let check_result what (a : Registry.result) (b : Registry.result) =
+  Alcotest.(check int) (what ^ ": rounds") a.Registry.rounds b.Registry.rounds;
+  Alcotest.(check bool)
+    (what ^ ": delivered") a.Registry.delivered b.Registry.delivered;
+  Alcotest.(check (list (pair string string)))
+    (what ^ ": details") a.Registry.details b.Registry.details
+
+(* --------------------------------------------------------------- *)
+(* Engine independence                                               *)
+
+let graphs =
+  [
+    ("layered", graph);
+    ( "random",
+      Gen.random_connected ~rng:(Rn_util.Rng.create ~seed:9) ~n:40 ~extra:40 );
+  ]
+
+let modes =
+  [
+    ("sparse", Engine.Sparse);
+    ("sharded 1", Engine.Sharded 1);
+    ("sharded 2", Engine.Sharded 2);
+    ("sharded 4", Engine.Sharded 4);
+  ]
+
+let independence_case e =
+  Alcotest.test_case e.Registry.name `Quick (fun () ->
+      List.iter
+        (fun (gname, graph) ->
+          List.iter
+            (fun seed ->
+              let base = run_entry ~engine:Engine.Dense ~graph ~seed e in
+              List.iter
+                (fun (mname, engine) ->
+                  check_result
+                    (Printf.sprintf "%s seed=%d %s ≡ dense" gname seed mname)
+                    base
+                    (run_entry ~engine ~graph ~seed e))
+                modes)
+            [ 1; 42; 1234 ])
+        graphs)
 
 let with_injection f =
   Atomic.set Engine.inject_silence true;
@@ -35,19 +88,18 @@ let injection_case e =
   let name = e.Registry.name in
   Alcotest.test_case name `Quick (fun () ->
       let base = run_entry e in
-      let injected = with_injection (fun () -> run_entry e) in
-      if e.Registry.silence_pure then begin
-        Alcotest.(check int) "rounds" base.Registry.rounds injected.Registry.rounds;
-        Alcotest.(check bool) "delivered" base.Registry.delivered
-          injected.Registry.delivered;
-        Alcotest.(check (list (pair string string)))
-          "details" base.Registry.details injected.Registry.details
-      end
-      else
-        (* Silence-as-evidence pipelines legitimately take a different
-           trajectory under injection (self-test fallbacks fire); the
-           contract is that they remain well-defined, not identical. *)
-        Alcotest.(check bool) "completes" true (injected.Registry.rounds > 0))
+      List.iter
+        (fun (mname, engine) ->
+          let injected = with_injection (fun () -> run_entry ?engine e) in
+          if e.Registry.silence_pure then check_result mname base injected
+          else
+            (* Silence-as-evidence pipelines legitimately take a different
+               trajectory under injection (self-test fallbacks fire); the
+               contract is that they remain well-defined, not identical. *)
+            Alcotest.(check bool)
+              (mname ^ ": completes") true
+              (injected.Registry.rounds > 0))
+        [ ("default", None); ("sharded 2", Some (Engine.Sharded 2)) ])
 
 (* --------------------------------------------------------------- *)
 (* ?validate: the transmit-buffer distinctness check                 *)
@@ -108,6 +160,35 @@ let sharded decide_active () =
     ~stop:(fun ~round:_ -> false)
     ~max_rounds:3 ()
 
+(* The probe itself: dense and sharded deliver the spurious [Silence] to
+   every listener, so a listen-only round hands each node two receptions
+   (the sparse engine delivers only to touched listeners). *)
+let test_injection_reaches_listeners () =
+  let rounds = 3 in
+  let receptions engine =
+    let got = Array.make (Graph.n small) 0 in
+    let protocol =
+      {
+        null_protocol with
+        Engine.deliver = (fun ~round:_ ~node _ -> got.(node) <- got.(node) + 1);
+      }
+    in
+    ignore
+      (with_injection (fun () ->
+           Drive.run ~engine ~graph:small
+             ~detection:Engine.No_collision_detection ~protocol
+             ~stop:(fun ~round:_ -> false)
+             ~max_rounds:rounds ()));
+    got
+  in
+  List.iter
+    (fun (name, engine) ->
+      Alcotest.(check (array int))
+        name
+        (Array.make (Graph.n small) (2 * rounds))
+        (receptions engine))
+    [ ("dense", Engine.Dense); ("sharded 2", Engine.Sharded 2) ]
+
 let registry_tests =
   [
     Alcotest.test_case "duplicate name rejected" `Quick (fun () ->
@@ -131,7 +212,11 @@ let () =
   Alcotest.run "contracts"
     [
       ("registry", registry_tests);
-      ("silence-injection", List.map injection_case (Registry.all ()));
+      ("engine-independence", List.map independence_case (Registry.all ()));
+      ( "silence-injection",
+        Alcotest.test_case "probe reaches every listener" `Quick
+          test_injection_reaches_listeners
+        :: List.map injection_case (Registry.all ()) );
       ( "validate",
         [
           expect_clean "dense accepts distinct ids" (dense distinct);

@@ -324,13 +324,11 @@ let test_decay_integration () =
       let graph =
         Topo.layered_random ~rng:(mk ()) ~depth:6 ~width:12 ~p:0.4
       in
-      let run domains =
-        Decay.broadcast ?domains ~rng:(mk ()) ~graph ~source:0 ()
-      in
-      let base = run None in
+      let run engine = Decay.broadcast ~engine ~rng:(mk ()) ~graph ~source:0 () in
+      let base = run Engine.Sparse in
       List.iter
         (fun d ->
-          let r = run (Some d) in
+          let r = run (Engine.Sharded d) in
           Alcotest.(check bool)
             (Printf.sprintf "seed=%d domains=%d ≡ serial" seed d)
             true

@@ -389,10 +389,18 @@ let test_single_node () =
   Alcotest.(check bool) "n=1 matches" true (same_observation_sparse a b)
 
 (* Wrapper-level equivalence: the protocol wrappers default to the sparse
-   engine, so each must give byte-identical results under [Engine.Dense]
-   and [Engine.Sparse] from the same seed — the per-node RNG streams must
-   advance exactly as under the full scan even though the sparse path
-   elides sleeping nodes' decides and fast-forwards silent stretches. *)
+   engine, so each must give byte-identical results under [Engine.Dense],
+   [Engine.Sparse] and [Engine.Sharded 2] from the same seed — the per-node
+   RNG streams must advance exactly as under the full scan even though the
+   sparse path elides sleeping nodes' decides and fast-forwards silent
+   stretches, and the sharded path runs callbacks on two lanes. *)
+
+let sharded = Engine.Sharded 2
+
+(* Same cap override as test_engine_sharded: the sharded inputs must run
+   on real worker domains, not degrade to the calling domain. *)
+let () =
+  Atomic.set Runner.Pool.size_cap (max 8 (Atomic.get Runner.Pool.size_cap))
 
 let test_wrapper_decay () =
   let rng = Rng.create ~seed:421 in
@@ -401,12 +409,16 @@ let test_wrapper_decay () =
     Rn_broadcast.Decay.broadcast ~engine ~rng:(Rng.create ~seed:7) ~graph:g
       ~source:0 ()
   in
-  let a = run Engine.Dense and b = run Engine.Sparse in
-  Alcotest.(check bool) "outcome" true (a.Rn_broadcast.Decay.outcome = b.Rn_broadcast.Decay.outcome);
-  Alcotest.(check (array int)) "received rounds"
-    a.Rn_broadcast.Decay.received_round b.Rn_broadcast.Decay.received_round;
-  Alcotest.(check bool) "stats" true
-    (a.Rn_broadcast.Decay.stats = b.Rn_broadcast.Decay.stats)
+  let a = run Engine.Dense in
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) "outcome" true
+        (a.Rn_broadcast.Decay.outcome = b.Rn_broadcast.Decay.outcome);
+      Alcotest.(check (array int)) "received rounds"
+        a.Rn_broadcast.Decay.received_round b.Rn_broadcast.Decay.received_round;
+      Alcotest.(check bool) "stats" true
+        (a.Rn_broadcast.Decay.stats = b.Rn_broadcast.Decay.stats))
+    [ run Engine.Sparse; run sharded ]
 
 let test_wrapper_cr () =
   let rng = Rng.create ~seed:422 in
@@ -415,12 +427,16 @@ let test_wrapper_cr () =
     Rn_broadcast.Baselines.cr_broadcast ~engine ~rng:(Rng.create ~seed:9)
       ~graph:g ~source:0 ~diameter:8 ()
   in
-  let a = run Engine.Dense and b = run Engine.Sparse in
-  Alcotest.(check bool) "outcome" true (a.Rn_broadcast.Decay.outcome = b.Rn_broadcast.Decay.outcome);
-  Alcotest.(check (array int)) "received rounds"
-    a.Rn_broadcast.Decay.received_round b.Rn_broadcast.Decay.received_round;
-  Alcotest.(check bool) "stats" true
-    (a.Rn_broadcast.Decay.stats = b.Rn_broadcast.Decay.stats)
+  let a = run Engine.Dense in
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) "outcome" true
+        (a.Rn_broadcast.Decay.outcome = b.Rn_broadcast.Decay.outcome);
+      Alcotest.(check (array int)) "received rounds"
+        a.Rn_broadcast.Decay.received_round b.Rn_broadcast.Decay.received_round;
+      Alcotest.(check bool) "stats" true
+        (a.Rn_broadcast.Decay.stats = b.Rn_broadcast.Decay.stats))
+    [ run Engine.Sparse; run sharded ]
 
 let test_wrapper_recruiting () =
   let rng = Rng.create ~seed:423 in
@@ -432,8 +448,9 @@ let test_wrapper_recruiting () =
     Rn_broadcast.Recruiting.run_standalone ~engine ~rng:(Rng.create ~seed:11)
       ~params:Rn_broadcast.Params.default ~graph:g ~reds ~blues ()
   in
-  let a = run Engine.Dense and b = run Engine.Sparse in
-  Alcotest.(check bool) "outcome record" true (a = b)
+  let a = run Engine.Dense in
+  Alcotest.(check bool) "outcome record" true (a = run Engine.Sparse);
+  Alcotest.(check bool) "sharded outcome record" true (a = run sharded)
 
 let test_wrapper_bipartite () =
   let rng = Rng.create ~seed:424 in
@@ -447,8 +464,9 @@ let test_wrapper_bipartite () =
       ~rng:(Rng.create ~seed:13) ~params:Rn_broadcast.Params.default ~graph:g
       ~reds ~blues ~blue_ranks ()
   in
-  let a = run Engine.Dense and b = run Engine.Sparse in
-  Alcotest.(check bool) "outcome record" true (a = b)
+  let a = run Engine.Dense in
+  Alcotest.(check bool) "outcome record" true (a = run Engine.Sparse);
+  Alcotest.(check bool) "sharded outcome record" true (a = run sharded)
 
 let test_wrapper_construct () =
   let rng = Rng.create ~seed:425 in
@@ -459,8 +477,9 @@ let test_wrapper_construct () =
         Rn_broadcast.Gst_distributed.construct ~mode ~learn_vd:true
           ~engine ~rng:(Rng.create ~seed:17) ~graph:g ~roots:[| 0 |] ()
       in
-      let a = run Engine.Dense and b = run Engine.Sparse in
-      Alcotest.(check bool) "whole result record" true (a = b))
+      let a = run Engine.Dense in
+      Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse);
+      Alcotest.(check bool) "sharded result record" true (a = run sharded))
     [ Rn_broadcast.Gst_distributed.Sequential;
       Rn_broadcast.Gst_distributed.Pipelined ]
 
@@ -471,8 +490,9 @@ let test_wrapper_single_broadcast () =
     Rn_broadcast.Single_broadcast.run ~engine ~rng:(Rng.create ~seed:19)
       ~graph:g ~source:0 ()
   in
-  let a = run Engine.Dense and b = run Engine.Sparse in
-  Alcotest.(check bool) "whole result record" true (a = b);
+  let a = run Engine.Dense in
+  Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse);
+  Alcotest.(check bool) "sharded result record" true (a = run sharded);
   Alcotest.(check bool) "delivered" true a.Rn_broadcast.Single_broadcast.delivered
 
 let test_wrapper_multi_broadcast () =
@@ -482,14 +502,16 @@ let test_wrapper_multi_broadcast () =
     Rn_broadcast.Multi_broadcast.unknown ~engine ~rng:(Rng.create ~seed:23)
       ~graph:g ~source:0 ~k:4 ()
   in
-  let a = run Engine.Dense and b = run Engine.Sparse in
-  Alcotest.(check bool) "whole result record" true (a = b);
+  let a = run Engine.Dense in
+  Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse);
+  Alcotest.(check bool) "sharded result record" true (a = run sharded);
   let runk engine =
     Rn_broadcast.Multi_broadcast.known ~engine ~rng:(Rng.create ~seed:29)
       ~graph:g ~source:0 ~k:4 ()
   in
-  let ka = runk Engine.Dense and kb = runk Engine.Sparse in
-  Alcotest.(check bool) "known result record" true (ka = kb)
+  let ka = runk Engine.Dense in
+  Alcotest.(check bool) "known result record" true (ka = runk Engine.Sparse);
+  Alcotest.(check bool) "known sharded result record" true (ka = runk sharded)
 
 let () =
   Alcotest.run "engine_sparse"

@@ -200,10 +200,10 @@ let export_fingerprint m =
         Export.phase_collisions_json m;
       ])
 
-let decay_fingerprint ?domains ~seed ~graph ~ladder () =
+let decay_fingerprint ?engine ~seed ~graph ~ladder () =
   let m = M.create ~phases:128 ~ring:4096 ~hist_bins:128 ~hist_width:ladder () in
   let rng = Rng.create ~seed in
-  ignore (Decay.broadcast ?domains ~ladder ~metrics:m ~rng ~graph ~source:0 ());
+  ignore (Decay.broadcast ?engine ~ladder ~metrics:m ~rng ~graph ~source:0 ());
   export_fingerprint m
 
 let domain_counts = [ 1; 2; 4 ]
@@ -225,7 +225,9 @@ let qcheck_tests =
         List.for_all
           (fun domains ->
             String.equal base
-              (decay_fingerprint ~domains ~seed ~graph ~ladder ()))
+              (decay_fingerprint
+                 ~engine:(Rn_radio.Engine.Sharded domains)
+                 ~seed ~graph ~ladder ()))
           domain_counts);
   ]
 
@@ -243,7 +245,9 @@ let test_decay_obs_layered () =
       Alcotest.(check string)
         (Printf.sprintf "domains=%d export" domains)
         base
-        (decay_fingerprint ~domains ~seed:42 ~graph ~ladder ()))
+        (decay_fingerprint
+           ~engine:(Rn_radio.Engine.Sharded domains)
+           ~seed:42 ~graph ~ladder ()))
     domain_counts;
   (* the registry saw real traffic — guard against a vacuous pass *)
   let m = M.create ~hist_width:ladder () in

@@ -276,9 +276,14 @@ let rng_op_of_key k =
    other Rng operation advances (or splits) the underlying stream state. *)
 let rng_consuming = function "create" | "copy" -> false | _ -> true
 
+(* [Drive] is listed beside the three engines so a pipeline driving
+   through the one entry point (Rn_radio.Drive.run) is seeded at its own
+   call site, without relying on the call graph to resolve Drive.run's
+   body in another library. *)
 let is_engine_run k =
   match List.rev k with
-  | "run" :: ("Engine" | "Engine_sparse" | "Engine_sharded") :: _ -> true
+  | "run" :: ("Drive" | "Engine" | "Engine_sparse" | "Engine_sharded") :: _ ->
+      true
   | _ -> false
 
 let is_registry_register k =
@@ -799,7 +804,7 @@ let r14_findings units =
     forward_closure ~seeds:register_seeds ~edge_ok:(fun _ -> true) units
   in
   (* Nodes that transitively drive an engine: backward reachability from
-     Engine/Engine_sparse/Engine_sharded run call sites. *)
+     Drive/Engine/Engine_sparse/Engine_sharded run call sites. *)
   let drives =
     propagate
       ~seed_iter:(fun mark ->
