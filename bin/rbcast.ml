@@ -140,29 +140,31 @@ let write_trace path m =
 let broadcast_cmd =
   let run graph proto seed trace =
     let e = entry_of proto in
-    let source = 0 in
-    Printf.printf "n=%d m=%d\n" (Graph.n graph) (Graph.m graph);
-    (* One metrics registry per traced run, sized to retain a full run;
-       the histogram bins first-receive rounds by the Decay phase length. *)
-    let metrics =
-      match trace with
-      | None -> None
-      | Some _ when not e.Registry.traceable ->
-          Printf.eprintf "rbcast: --trace is not supported for --proto %s\n%!"
-            e.Registry.name;
-          None
-      | Some _ ->
-          Some
-            (Rn_obs.Metrics.create ~phases:1024 ~ring:65536 ~hist_bins:1024
-               ~hist_width:(max 1 (Ilog.clog (Graph.n graph)))
-               ())
-    in
-    let r = e.Registry.run ?metrics ~seed ~graph ~source () in
-    print_result e.Registry.name r;
-    (match (trace, metrics) with
-    | Some path, Some m -> write_trace path m
-    | _ -> ());
-    0
+    match trace with
+    | Some _ when not e.Registry.traceable ->
+        (* Rejected before any simulation, so no partial FILE is left. *)
+        Printf.eprintf "rbcast: --trace is not supported for --proto %s\n%!"
+          e.Registry.name;
+        1
+    | _ ->
+        Printf.printf "n=%d m=%d\n" (Graph.n graph) (Graph.m graph);
+        (* One metrics registry per traced run, sized to retain a full run;
+           the histogram bins first-receive rounds by the Decay phase
+           length. *)
+        let metrics =
+          Option.map
+            (fun _ ->
+              Rn_obs.Metrics.create ~phases:1024 ~ring:65536 ~hist_bins:1024
+                ~hist_width:(max 1 (Ilog.clog (Graph.n graph)))
+                ())
+            trace
+        in
+        let r = e.Registry.run ?metrics ~seed ~graph ~source:0 () in
+        print_result e.Registry.name r;
+        (match (trace, metrics) with
+        | Some path, Some m -> write_trace path m
+        | _ -> ());
+        0
   in
   let proto = proto_arg ~multi:false ~default:"thm11" in
   let trace =
@@ -170,7 +172,8 @@ let broadcast_cmd =
            ~doc:"Write a per-round JSONL trace (round, phase, tx, deliveries, \
                  collisions; final line is the run summary) to $(docv). \
                  Supported for protocols whose registry entry is traceable \
-                 (decay, cr, gst).")
+                 (decay, cr, gst); any other $(b,--proto) is rejected \
+                 before running, with exit status 1.")
   in
   Cmd.v
     (Cmd.info "broadcast" ~doc:"Single-message broadcast from node 0.")

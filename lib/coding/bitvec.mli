@@ -16,12 +16,6 @@ val copy : t -> t
 val get : t -> int -> bool
 val set : t -> int -> bool -> unit
 
-val bits_per_word : int
-(** Bits stored per backing word (63 on a 64-bit platform).  Concurrent
-    writers that partition the index space must align their partition
-    boundaries to multiples of this so no two ever touch the same word —
-    {!Rn_graph.Graph.shard_cuts} takes it as [align]. *)
-
 val unsafe_get : t -> int -> bool
 
 val unsafe_set : t -> int -> unit

@@ -128,7 +128,7 @@ let routing_multi ?(params = Params.default) ?max_rounds ~rng ~graph ~source
   in
   let stats = Engine.fresh_stats () in
   let outcome =
-    Drive.run ~engine:Engine.Dense ~stats ~graph
+    Drive.run ~stats ~graph
       ~detection:Engine.No_collision_detection
       ~protocol:{ Engine.decide; deliver }
       ~stop:(fun ~round:_ -> Atomic.get missing = 0)

@@ -141,7 +141,7 @@ let mmv_broadcast ?(params = Params.default) ?(noising = true) ?max_rounds ~rng
   in
   let stats = Engine.fresh_stats () in
   let outcome =
-    Drive.run ~engine:Engine.Dense ~stats ~graph
+    Drive.run ~stats ~graph
       ~detection:Engine.No_collision_detection
       ~protocol:{ Engine.decide; deliver }
       ~stop:(fun ~round:_ -> Atomic.get missing = 0)

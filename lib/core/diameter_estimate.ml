@@ -56,7 +56,7 @@ let run_guess ~graph ~source ~t =
         end
   in
   ignore
-    (Drive.run ~engine:Engine.Dense ~graph
+    (Drive.run ~graph
        ~detection:Engine.Collision_detection
        ~protocol:{ Engine.decide; deliver }
        ~stop:(fun ~round:_ -> false)

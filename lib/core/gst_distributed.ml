@@ -526,8 +526,8 @@ let construct ?(mode = Pipelined) ?(layering = Decay_layering)
         in
         (r.Layering.levels, r.Layering.rounds)
     | Collision_wave_layering ->
-        (* The wave is D deterministic all-transmit rounds; it stays on the
-           dense reference engine (no sparsity to exploit). *)
+        (* The wave is D deterministic all-transmit rounds with no
+           sparsity to exploit, so it always runs on the default engine. *)
         let r = Layering.collision_wave ~graph ~sources:roots () in
         (r.Layering.levels, r.Layering.rounds)
   in

@@ -74,7 +74,7 @@ let collision_wave ?max_rounds ~graph ~sources () =
   in
   let stats = Engine.fresh_stats () in
   let outcome =
-    Drive.run ~engine:Engine.Dense ~stats ~graph
+    Drive.run ~stats ~graph
       ~detection:Engine.Collision_detection
       ~protocol:{ Engine.decide; deliver }
       ~stop:(fun ~round:_ -> Atomic.get labeled = n)

@@ -54,8 +54,9 @@ val run :
     handoffs all run on {!Rn_radio.Engine_sparse} with frontier active
     sets and silent-round skipping; pass [Dense] for the reference
     full-scan path.  Outcomes, round counts and statistics are identical
-    either way (DESIGN.md §12); only the collision wave stays dense (it
-    is [D] rounds with every awake node acting).
+    either way (DESIGN.md §12); only the collision wave ignores [engine]
+    and runs on the default (it is [D] rounds with every awake node
+    acting).
 
     With [estimate_diameter = true] the run starts with the footnote-2
     beep-wave estimator ({!Diameter_estimate}), sizes the rings from the

@@ -223,17 +223,8 @@ let induced_bipartite g ~left ~right =
     left;
   (create ~n:(nl + nr) ~edges:!es, back)
 
-(* The adjacency matrix of an undirected graph is symmetric, so the CSR
-   arrays are their own reverse-adjacency (CSC) view: the in-edges of [v]
-   are exactly its out-edges.  The sharded engine iterates these under the
-   gather-side name; exposing them as O(1) aliases documents the intent
-   without copying 2m ints. *)
-let csc_offsets t = t.off
-let csc_targets t = t.tgt
-
-let shard_cuts ?(align = 1) t ~parts =
+let shard_cuts t ~parts =
   if parts < 1 then invalid_arg "Graph.shard_cuts: parts must be >= 1";
-  if align < 1 then invalid_arg "Graph.shard_cuts: align must be >= 1";
   let nn = n t in
   let off = t.off in
   (* Weight of the node prefix [0, v): one unit per node plus its degree,
@@ -250,10 +241,9 @@ let shard_cuts ?(align = 1) t ~parts =
       let mid = (!lo + !hi) / 2 in
       if prefix mid >= target then hi := mid else lo := mid + 1
     done;
-    (* Rounding down to the alignment can only undershoot, so cuts stay in
-       [0, n]; the max keeps the sequence nondecreasing when several cuts
-       collapse onto the same aligned boundary (empty shards are legal). *)
-    cuts.(k) <- max (!lo / align * align) cuts.(k - 1)
+    (* The prefix targets are nondecreasing in [k], so the cuts are too;
+       several may coincide (empty shards are legal). *)
+    cuts.(k) <- !lo
   done;
   cuts
 

@@ -71,29 +71,15 @@ val offsets : t -> int array
 val targets : t -> int array
 (** The physical CSR targets array, length [2m] — do not mutate. *)
 
-val csc_offsets : t -> int array
-
-val csc_targets : t -> int array
-(** Reverse-adjacency (CSC) view: [csc_targets.(csc_offsets.(v)) ..
-    csc_targets.(csc_offsets.(v+1) - 1)] are the {e in}-neighbors of [v].
-    The graph is undirected, so its adjacency matrix is symmetric and the
-    CSR arrays are their own CSC — these are O(1) aliases of
-    {!offsets}/{!targets}, exposed under the gather-side name for readers
-    of pull-model loops (the sharded engine iterates the in-edges of its
-    own listeners so that every write stays shard-local).  Do not
-    mutate. *)
-
-val shard_cuts : ?align:int -> t -> parts:int -> int array
+val shard_cuts : t -> parts:int -> int array
 (** [shard_cuts t ~parts] partitions the node range into [parts] contiguous
     shards balanced by CSR edge count: the returned array [cuts] has length
     [parts + 1] with [cuts.(0) = 0], [cuts.(parts) = n], nondecreasing, and
     shard [k] owns nodes [\[cuts.(k), cuts.(k+1))].  Balance weights each
-    node as [1 + degree], matching a decide scan plus a gather sweep.
-    [align] (default 1) forces every interior cut onto a multiple of
-    [align] — the sharded engine aligns cuts to the bit-vector word size so
-    no two shards ever touch the same word.  Cuts may coincide (empty
-    shards) when [parts > n] or alignment collapses them.
-    @raise Invalid_argument if [parts < 1] or [align < 1]. *)
+    node as [1 + degree], matching a decide scan plus a spray sweep.  Cuts
+    may coincide (empty shards) when [parts > n] or one node's weight
+    spans several ideal cuts (a star's hub).
+    @raise Invalid_argument if [parts < 1]. *)
 
 val mem_edge : t -> int -> int -> bool
 (** Edge test in O(log deg). *)

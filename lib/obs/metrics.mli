@@ -43,8 +43,8 @@ val record_round :
   unit
 (** Record one simulated round under the current phase: bumps run totals,
     the current phase's aggregates, and appends to the ring buffer.
-    Called once per round by [Engine.run]/[Engine_sharded.run] when the
-    run is given [?metrics]. *)
+    Called once per round by each engine when the run is given
+    [?metrics]. *)
 
 val observe_receive_round : t -> int -> unit
 (** [observe_receive_round t r] adds one observation to the receive-round

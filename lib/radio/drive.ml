@@ -1,19 +1,19 @@
-(* The routing table of drive.mli, in code: Dense drops both fast paths,
-   Sharded drops the skip hint, Sparse takes everything. *)
-let run ?(engine = Engine.Sparse) ?stats ?metrics ?on_round ?after_round
-    ?decide_active ?next_busy_round ?validate ~graph ~detection ~protocol
-    ~stop ~max_rounds () =
+(* The routing table of drive.mli, in code: only Sparse takes the fast
+   paths; Dense and Sharded run the full scan. *)
+let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
+    ?next_busy_round ?validate ~graph ~detection ~protocol ~stop ~max_rounds
+    () =
   match engine with
   | Engine.Dense ->
-      Engine.run ?stats ?metrics ?on_round ?after_round ?validate ~graph
-        ~detection ~protocol ~stop ~max_rounds ()
+      Engine.run ?stats ?metrics ?after_round ~graph ~detection ~protocol ~stop
+        ~max_rounds ()
   | Engine.Sparse ->
-      Engine_sparse.run ?stats ?metrics ?on_round ?after_round ?decide_active
+      Engine_sparse.run ?stats ?metrics ?after_round ?decide_active
         ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
         ~max_rounds ()
   | Engine.Sharded domains ->
-      Engine_sharded.run ?stats ?metrics ?on_round ?after_round ?decide_active
-        ?validate ~domains ~graph ~detection ~protocol ~stop ~max_rounds ()
+      Engine_sharded.run ?stats ?metrics ?after_round ~domains ~graph
+        ~detection ~protocol ~stop ~max_rounds ()
 
 let serial = function Engine.Sharded _ -> Engine.Sparse | mode -> mode
 

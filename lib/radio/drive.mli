@@ -3,26 +3,27 @@
     {!Engine} cannot call {!Engine_sparse} or {!Engine_sharded} without a
     dependency cycle.
 
-    Routing rule — which protocol fast paths each mode consumes (all other
-    hooks reach every engine unchanged):
+    Routing rule — each engine has one role, and only [Sparse] consumes the
+    protocol fast paths (every other hook reaches every engine unchanged):
 
     {v
-    mode        decide_active  next_busy_round  engine
-    Dense       ignored        ignored          Engine.run (full scan)
-    Sparse      used           used             Engine_sparse.run
-    Sharded d   used           ignored          Engine_sharded.run ~domains:d
+    mode        decide_active  next_busy_round  validate  engine
+    Dense       ignored        ignored          ignored   Engine.run (full-scan oracle)
+    Sparse      used           used             used      Engine_sparse.run
+    Sharded d   ignored        ignored          ignored   Engine_sharded.run ~domains:d
     v}
 
-    [Dense] is the reference the fast paths are checked against, so it
-    never consumes them: a node outside the active set must [Sleep]
-    without side effects and a skipped round must be silent, hence
-    dropping either never changes a result.  [Sharded] has no skip path. *)
+    [Dense] is the reference the fast paths are checked against, and
+    [Sharded] parallelizes the same full scan.  A node outside the active
+    set must [Sleep] without side effects and a skipped round must be
+    silent, hence dropping either never changes a result.  Tracing
+    ([on_round]) is not routed: it exists only on {!Engine.run}, which
+    tracing callers invoke directly. *)
 
 val run :
   ?engine:Engine.mode ->
   ?stats:Engine.stats ->
   ?metrics:Rn_obs.Metrics.t ->
-  ?on_round:(round:int -> 'msg Engine.trace_event list -> unit) ->
   ?after_round:(round:int -> unit) ->
   ?decide_active:(round:int -> int array -> int) ->
   ?next_busy_round:(round:int -> int) ->

@@ -69,15 +69,15 @@ let inject_silence = Atomic.make false
    Invariant between rounds: [listening] is all-false, [tx_count] all-zero,
    [tx_act]/[out_act] all-[Sleep].  Each round re-establishes it by undoing
    only the entries it touched, so a quiet round on a huge graph costs only
-   the decide scan (or only the active set, under [decide_active]).
+   the decide scan.
 
    Ordering contract (kept bit-compatible with the original list-based
    engine, which consed nodes onto lists during an ascending scan and then
    iterated the lists head-first): transmitters spray and listeners are
    delivered in *descending* decide order, so the stacks are walked
    top-down. *)
-let run ?stats ?metrics ?on_round ?after_round ?decide_active
-    ?(validate = false) ~graph ~detection ~protocol ~stop ~max_rounds () =
+let run ?stats ?metrics ?on_round ?after_round ~graph ~detection ~protocol
+    ~stop ~max_rounds () =
   let n = Graph.n graph in
   let off = Graph.offsets graph and tgt = Graph.targets graph in
   (* CSR guard, once per run: every neighbour index the round loop reads
@@ -93,13 +93,7 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
   let transmitters = Array.make (max n 1) 0 in
   let listeners = Array.make (max n 1) 0 in
   let touched = Array.make (max n 1) 0 in
-  let active =
-    match decide_active with None -> [||] | Some _ -> Array.make (max n 1) 0
-  in
   let n_tx = ref 0 and n_ls = ref 0 and n_tc = ref 0 in
-  (* Round-stamped visit marks for the [validate] distinctness check;
-     allocated only when the check is on. *)
-  let seen = if validate then Array.make (max n 1) (-1) else [||] in
   let inject = Atomic.get inject_silence in
   let tracing = Option.is_some on_round in
   let events = ref [] in
@@ -126,27 +120,9 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
       Out_of_budget round
     end
     else begin
-      (match decide_active with
-      | None -> for v = 0 to n - 1 do decide_one round v done
-      | Some da ->
-          let k = da ~round active in
-          if k < 0 || k > n then
-            invalid_arg "Engine.run: decide_active returned a bad count";
-          for i = 0 to k - 1 do
-            let v = active.(i) in
-            if v < 0 || v >= n then
-              invalid_arg "Engine.run: decide_active wrote a bad node id";
-            if validate then begin
-              if seen.(v) = round then
-                invalid_arg
-                  (Printf.sprintf
-                     "Engine.run: decide_active repeated node id %d in round \
-                      %d (the transmit-buffer contract requires distinct ids)"
-                     v round);
-              seen.(v) <- round
-            end;
-            decide_one round v
-          done);
+      for v = 0 to n - 1 do
+        decide_one round v
+      done;
       let round_tx = !n_tx in
       let tx_happened = round_tx > 0 in
       let del0 = s.deliveries and col0 = s.collisions in

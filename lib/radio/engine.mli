@@ -89,15 +89,15 @@ val add_skipped_rounds : int -> unit
 (** Credit fast-forwarded rounds.  For engine front ends only. *)
 
 type mode =
-  | Dense  (** {!run}: the full-scan reference *)
+  | Dense  (** {!run}: the full-scan reference, the only tracing path *)
   | Sparse  (** {!Engine_sparse.run}: frontier delivery + silent-round skip *)
   | Sharded of int
       (** {!Engine_sharded.run} with that many shards ([>= 1]) *)
 (** Which round path a pipeline runs on.  Every wrapper forwards its
-    [?engine] to {!Drive.run}, which declares the [Sparse] default and
-    decides which protocol fast paths each mode consumes; all three modes
-    produce byte-identical results ([test/test_contracts.ml] checks every
-    registry entry under [Dense], [Sparse] and [Sharded 1/2/4]). *)
+    [?engine] to {!Drive.run}, which declares the [Sparse] default; only
+    [Sparse] consumes the protocol fast paths.  All three modes produce
+    byte-identical results ([test/test_contracts.ml] checks every registry
+    entry under [Dense], [Sparse] and [Sharded 1/2/4]). *)
 
 val inject_silence : bool Atomic.t
 (** Debug probe for the contracts suite: when set, all three engines
@@ -114,8 +114,6 @@ val run :
   ?metrics:Rn_obs.Metrics.t ->
   ?on_round:(round:int -> 'msg trace_event list -> unit) ->
   ?after_round:(round:int -> unit) ->
-  ?decide_active:(round:int -> int array -> int) ->
-  ?validate:bool ->
   graph:Rn_graph.Graph.t ->
   detection:detection ->
   protocol:'msg protocol ->
@@ -123,7 +121,11 @@ val run :
   max_rounds:int ->
   unit ->
   outcome
-(** [run ~graph ~detection ~protocol ~stop ~max_rounds ()] simulates rounds
+(** The full-scan reference engine, and the oracle the fast engines are
+    tested against: every round it calls [decide] on every node and
+    [deliver] on every listener, [Silence] included.
+
+    [run ~graph ~detection ~protocol ~stop ~max_rounds ()] simulates rounds
     until [stop ~round] holds (checked before each round) or [max_rounds]
     rounds have been simulated.  [metrics], when given, receives one
     [Rn_obs.Metrics.record_round] call at the end of every simulated round
@@ -132,28 +134,11 @@ val run :
     0-word budget still holds; protocols annotate phase boundaries from
     [after_round] (see [Rn_obs.Phase]).  [on_round], when given, receives every
     transmit/receive event of the round (including sleep-free listens that
-    heard silence) — intended for examples and debugging, not benchmarks.
+    heard silence) — intended for examples and debugging, not benchmarks;
+    this is the only engine that traces.
     [after_round] is a cheap per-round hook (no event capture) called after
     all deliveries of a round; protocol state machines use it to advance
     phase counters.
-
-    [validate] (default [false]) additionally enforces the documented
-    transmit-buffer contract of [decide_active] — the ids of a round must be
-    distinct — raising [Invalid_argument] naming the offending id and round.
-    The distinctness scan costs one array read/write per active id and one
-    length-[n] allocation per run, so it is reserved for tests (the QCheck
-    equivalence suites enable it); the in-range check below is always on.
-
-    [decide_active], when given, replaces the every-node decide scan: each
-    round the engine hands it a reusable buffer of length [n]; the protocol
-    writes the ids of the awake nodes into a prefix and returns the prefix
-    length, and [decide] is then called on exactly those nodes (in buffer
-    order) — every other node implicitly [Sleep]s that round.  The ids of a
-    round must be distinct and in [\[0, n)] (distinctness is the protocol's
-    obligation; a duplicated id would act twice).  This lets schedules where
-    only one layer or ring is awake — Decay waves, GST stretches — simulate
-    a round in O(|active|) instead of O(n).
-    @raise Invalid_argument on an out-of-range id or count.
 
     The engine allocates only its fixed per-run scratch (a few int arrays of
     length [n]); the round loop itself is allocation-free apart from the
@@ -164,6 +149,5 @@ val run :
     statically rejects list traversals inside the [@@zero_alloc_hot]-tagged
     loop.
 
-    Complexity per round: O(n) decide calls (or O(|active|) under
-    [decide_active]) plus O(Σ deg) over transmitters, so protocols that
-    [Sleep] inactive nodes simulate large round counts cheaply. *)
+    Complexity per round: O(n) decide calls plus O(Σ deg) over
+    transmitters. *)

@@ -1,92 +1,71 @@
 open Rn_graph
-module Bitvec = Rn_coding.Bitvec
 
 (* Deterministic sharded round loop — the parallel sibling of [Engine.run].
 
    The node range is cut into [domains] contiguous shards (balanced by CSR
-   edge count, cut points from [Graph.shard_cuts]); each round runs phases
-   separated by barriers:
+   edge count, cut points from [Graph.shard_cuts]); each round runs two
+   phases separated by a barrier:
 
-     P1 decide   each executor scans its own node ranges (or its slices of
-                 the active buffer) and records actions into its lanes;
-     P2 spray    full-scan mode: owner-filtered push.  Every lane walks
-       + deliver {e every} lane's transmitter stack, but for each
-                 transmitter binary-searches its sorted CSR neighbor slice
-                 for the lane's own [lo, hi) sub-slice and sprays only
-                 that — so each directed edge out of a transmitter is
-                 visited by exactly one lane, and every write (the
-                 saturating per-node reception byte, the first-sprayer
-                 [tx_act] slot) lands in lane-owned state.  Total work is
-                 the serial engine's spray cost plus one binary search per
+     P1 decide   each executor scans its own node ranges and records
+                 actions into its lanes;
+     P2 spray    owner-filtered push.  Every lane walks {e every} lane's
+       + deliver transmitter stack, but for each transmitter
+                 binary-searches its sorted CSR neighbor slice for the
+                 lane's own [lo, hi) sub-slice and sprays only that — so
+                 each directed edge out of a transmitter is visited by
+                 exactly one lane, and every write (the saturating
+                 per-node reception byte, the first-sprayer [tx_act] slot)
+                 lands in lane-owned state.  Total work is the serial
+                 engine's spray cost plus one binary search per
                  (transmitter, shard): crucially it scales with the
                  {e transmitter} set, not with the listener set — a pull
                  over listeners' in-edges re-scans the whole edge set every
                  busy round, a ~10x loss on Decay-like workloads where
                  almost everybody listens and few transmit.
-                 Active-set mode: pull.  Ownership follows the active-buffer
-                 slices, which cross node ranges, so push filtering by node
-                 range is unavailable; instead each lane scans the in-edges
-                 (CSC = CSR for an undirected graph) of its own listeners,
-                 whose count the protocol already pruned.
                  Delivery is fused into the same phase (descending within
                  the shard): a listener's reception is fully determined
-                 once the lane's spray (or its own in-scan) finishes.
-     P3 reset    (active-set mode only) each lane re-Sleeps the [out_act]
-                 entries it wrote.  In full-scan mode a lane owns the
-                 [out_act] segment of its node range, so the reset folds
-                 into the top of its next P1 and the round needs one less
-                 barrier.
+                 once the lane's spray finishes.
+   A lane owns the [out_act] segment of its node range, so re-Sleeping its
+   transmit marks folds into the top of its next P1.
 
    The coordinator (the calling domain) runs the serial protocol surface —
-   [stop], [decide_active], stats merging, [on_round]/[after_round] —
-   between rounds, so those callbacks execute exactly as under the serial
-   engine.
+   [stop], stats merging, [after_round] — between rounds, so those
+   callbacks execute exactly as under the serial engine.
 
    Determinism contract: for protocols whose [decide]/[deliver] touch only
-   per-node state, outcome, stats, traces, and every callback observation
-   are byte-identical to [Engine.run], for every [domains] value.  Why:
-   decide covers the same node sequence (concatenated ascending shards, or
-   the same active-buffer order sliced contiguously); a listener's
-   reception depends only on the {e set} of transmitting neighbors — the
-   (seen, collided) pair saturates, and [tx_act] is only read when exactly
-   one neighbor transmitted, in which case every spray order writes the
-   same value — never on any inter-node order; delivery order
-   reconstructed over shards (descending shard, descending within) is
-   exactly the serial descending order; and stats/events are merged in
-   fixed shard order by the coordinator.  The schedule depends only on the
-   shard count, never on how many pool workers execute the lanes — so a
-   busy pool degrades to fewer executors (or the calling domain alone)
-   without changing a single byte of output.
+   per-node state, outcome, stats, per-node deliveries and every callback
+   observation are byte-identical to [Engine.run], for every [domains]
+   value.  Why: decide covers the same node sequence (concatenated
+   ascending shards); a listener's reception depends only on the {e set}
+   of transmitting neighbors — the (seen, collided) pair saturates, and
+   [tx_act] is only read when exactly one neighbor transmitted, in which
+   case every spray order writes the same value — never on any inter-node
+   order; delivery order over shards (descending shard, descending within)
+   is exactly the serial descending order; and stats are merged in fixed
+   shard order by the coordinator.  The schedule depends only on the shard
+   count, never on how many pool workers execute the lanes — so a busy
+   pool degrades to fewer executors (or the calling domain alone) without
+   changing a single byte of output.
 
    Memory model: all cross-domain visibility is ordered by the barrier's
    mutex (coordinator writes round state before releasing a phase; lanes
    read it after crossing).  Within a phase every mutable location —
    lane scratch, [out_act] entry, reception byte — has exactly one
-   writer: lanes own disjoint node ranges, active-buffer ids are distinct
-   by the engine contract, and a [Bytes] element is its own location in
-   the OCaml memory model (byte stores never read neighbours back), so
-   adjacent shards can touch adjacent bytes without a word-level race.
-   Shard cuts are still word-aligned ([Bitvec.bits_per_word]) purely so
-   the cut positions stay stable relative to earlier revisions. *)
+   writer: lanes own disjoint node ranges, and a [Bytes] element is its
+   own location in the OCaml memory model (byte stores never read
+   neighbours back), so adjacent shards can touch adjacent bytes without
+   a word-level race. *)
 
-type 'msg lane = {
+type lane = {
   lo : int;  (* owned node range [lo, hi) *)
   hi : int;
   tx_stack : int array;
   ls_stack : int array;
   mutable n_tx : int;
   mutable n_ls : int;
-  mutable a_lo : int;  (* this round's slice of the active buffer *)
-  mutable a_hi : int;
   mutable deliveries : int;  (* per-round counters, drained by coordinator *)
   mutable collisions : int;
-  (* Gather scratch as fields rather than refs: a ref cell per listener
-     would allocate inside the hot loop. *)
-  mutable g_cnt : int;
-  mutable g_act : 'msg Engine.action;
   mutable exn_ : exn option;
-  mutable ev_tx : 'msg Engine.trace_event list;  (* consed; tracing only *)
-  mutable ev_rx : 'msg Engine.trace_event list;
 }
 
 (* A counting barrier on a mutex + condvar; [phase] increments at every
@@ -126,54 +105,40 @@ module Barrier = struct
     Mutex.unlock b.lock
 end
 
-let run ?stats ?metrics ?on_round ?after_round ?decide_active
-    ?(validate = false) ~domains ~graph ~detection ~protocol ~stop ~max_rounds
-    () =
+let run ?stats ?metrics ?after_round ~domains ~graph ~detection ~protocol
+    ~stop ~max_rounds () =
   if domains < 1 then invalid_arg "Engine_sharded.run: domains must be >= 1";
   let n = Graph.n graph in
-  let off = Graph.csc_offsets graph and tgt = Graph.csc_targets graph in
-  (* CSC guard, once per run, dominating every unchecked access below:
-     gather indices lie in [off.(v), off.(v+1)) ⊆ [0, off.(n)), and the
+  let off = Graph.offsets graph and tgt = Graph.targets graph in
+  (* CSR guard, once per run, dominating every unchecked access below:
+     spray indices lie in [off.(t), off.(t+1)) ⊆ [0, off.(n)), and the
      byte-table stores index by node id < n ≤ |st| (lane node ranges
      partition [0, n)). *)
   if off.(n) > Array.length tgt then
     invalid_arg "Engine_sharded.run: offsets exceed target array";
   let s = match stats with Some s -> s | None -> Engine.fresh_stats () in
-  (* Round-stamped visit marks for the [validate] distinctness check, read
-     and written only by the coordinator; allocated only when on. *)
-  let seen = if validate then Array.make (max n 1) (-1) else [||] in
   let shards = domains in
-  let full_scan = Option.is_none decide_active in
-  let cuts = Graph.shard_cuts ~align:Bitvec.bits_per_word graph ~parts:shards in
+  let cuts = Graph.shard_cuts graph ~parts:shards in
   let out_act = Array.make (max n 1) Engine.Sleep in
-  (* Full-scan-mode spray state, all owner-local by node range.  [st] packs
-     listening + the saturating 0/1/≥2 reception counter into one byte per
-     node: 255 = not listening this round, 0 = listening and silent so far,
-     1 = exactly one packet heard, 2 = collided (saturates).  One byte load
-     decides the whole spray step — measurably cheaper than a bitset pair,
-     whose div/mod-by-63 word addressing dominated the per-edge cost on
+  (* Spray state, all owner-local by node range.  [st] packs listening +
+     the saturating 0/1/≥2 reception counter into one byte per node: 255 =
+     not listening this round, 0 = listening and silent so far, 1 = exactly
+     one packet heard, 2 = collided (saturates).  One byte load decides the
+     whole spray step — measurably cheaper than a bitset pair, whose
+     div/mod-by-63 word addressing dominated the per-edge cost on
      dense-transmitter rounds.  [tx_act] holds the first sprayer's packet
      (only read when the counter is exactly 1).  The per-round reset undoes
      only the dirty bytes — the previous round's listeners — via the lane's
      [ls_stack], falling back to one [Bytes.fill] over the owned range when
-     the listener count approaches the range size.  Active-set mode leaves
-     these untouched — its decide slices cross node ranges, so it gathers
-     by pulling instead. *)
+     the listener count approaches the range size. *)
   let st = Bytes.make (max n 1) '\255' in
   let tx_act = Array.make (max n 1) Engine.Sleep in
-  let active =
-    match decide_active with None -> [||] | Some _ -> Array.make (max n 1) 0
-  in
-  let tracing = Option.is_some on_round in
   (* Read once per run, as in the serial engines. *)
   let inject = Atomic.get Engine.inject_silence in
-  (* A lane's stacks must hold its worst case: its full node range in
-     full-scan mode, the largest active-buffer slice otherwise. *)
-  let slice_cap = ((n + shards - 1) / shards) + 1 in
   let lanes =
     Array.init shards (fun j ->
         let lo = cuts.(j) and hi = cuts.(j + 1) in
-        let cap = max 1 (max (hi - lo) slice_cap) in
+        let cap = max 1 (hi - lo) in
         {
           lo;
           hi;
@@ -181,78 +146,58 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
           ls_stack = Array.make cap 0;
           n_tx = 0;
           n_ls = 0;
-          a_lo = 0;
-          a_hi = 0;
           deliveries = 0;
           collisions = 0;
-          g_cnt = 0;
-          g_act = Engine.Sleep;
           exn_ = None;
-          ev_tx = [];
-          ev_rx = [];
         })
   in
   (* Round state written by the coordinator before a phase release and read
      by lanes after the barrier crossing (mutex-ordered). *)
   let cur_round = ref 0 in
   let running = ref true in
-  let decide_one (lane : _ lane) round v =
+  let decide_one lane round v =
     match protocol.Engine.decide ~round ~node:v with
     | Engine.Sleep -> ()
     | Engine.Listen ->
-        if full_scan then Bytes.unsafe_set st v '\000';
+        Bytes.unsafe_set st v '\000';
         lane.ls_stack.(lane.n_ls) <- v;
         lane.n_ls <- lane.n_ls + 1
-    | Engine.Transmit msg as act ->
+    | Engine.Transmit _ as act ->
         out_act.(v) <- act;
         lane.tx_stack.(lane.n_tx) <- v;
-        lane.n_tx <- lane.n_tx + 1;
-        if tracing then
-          lane.ev_tx <- Engine.Ev_transmit { node = v; msg } :: lane.ev_tx
+        lane.n_tx <- lane.n_tx + 1
   in
-  (* P1.  Full-scan mode starts by undoing the previous round's marks — the
-     lane owns them all: its transmit writes lie in [lo, hi), and the
-     reception bytes reset with one fill of the owned range. *)
-  let do_decide (lane : _ lane) =
+  (* P1.  Starts by undoing the previous round's marks — the lane owns
+     them all: its transmit writes lie in [lo, hi), and the reception bytes
+     reset with one fill of the owned range. *)
+  let do_decide lane =
     let round = !cur_round in
-    if full_scan then begin
-      for i = 0 to lane.n_tx - 1 do
-        out_act.(lane.tx_stack.(i)) <- Engine.Sleep
+    for i = 0 to lane.n_tx - 1 do
+      out_act.(lane.tx_stack.(i)) <- Engine.Sleep
+    done;
+    (* [tx_act] keeps stale entries: it is only read under a counter this
+       round raised to 1, and the write raising it rewrites [tx_act]
+       first.  The dirty [st] bytes are exactly the previous round's
+       listeners: [decide_one] marks only them '\000', and [spray_slice]
+       only bumps bytes already below 2 — a deaf byte stays 255.  So the
+       undo walks [ls_stack] when it is sparse, and falls back to one
+       fill of the owned range once the listener count approaches it
+       (sequential memset beats scattered byte stores well before the
+       counts are equal). *)
+    if 4 * lane.n_ls >= lane.hi - lane.lo then begin
+      if lane.lo < lane.hi then Bytes.fill st lane.lo (lane.hi - lane.lo) '\255'
+    end
+    else
+      for i = 0 to lane.n_ls - 1 do
+        Bytes.unsafe_set st lane.ls_stack.(i) '\255'
       done;
-      (* [tx_act] keeps stale entries: it is only read under a counter this
-         round raised to 1, and the write raising it rewrites [tx_act]
-         first.  The dirty [st] bytes are exactly the previous round's
-         listeners: [decide_one] marks only them '\000', and [spray_slice]
-         only bumps bytes already below 2 — a deaf byte stays 255.  So the
-         undo walks [ls_stack] when it is sparse, and falls back to one
-         fill of the owned range once the listener count approaches it
-         (sequential memset beats scattered byte stores well before the
-         counts are equal). *)
-      if 4 * lane.n_ls >= lane.hi - lane.lo then begin
-        if lane.lo < lane.hi then
-          Bytes.fill st lane.lo (lane.hi - lane.lo) '\255'
-      end
-      else
-        for i = 0 to lane.n_ls - 1 do
-          Bytes.unsafe_set st lane.ls_stack.(i) '\255'
-        done
-    end;
     lane.n_tx <- 0;
     lane.n_ls <- 0;
     lane.deliveries <- 0;
     lane.collisions <- 0;
-    if tracing then begin
-      lane.ev_tx <- [];
-      lane.ev_rx <- []
-    end;
-    if full_scan then
-      for v = lane.lo to lane.hi - 1 do
-        decide_one lane round v
-      done
-    else
-      for i = lane.a_lo to lane.a_hi - 1 do
-        decide_one lane round active.(i)
-      done
+    for v = lane.lo to lane.hi - 1 do
+      decide_one lane round v
+    done
   [@@zero_alloc_hot]
   in
   (* Quiet-round test: every lane's transmit count is readable in P2
@@ -289,12 +234,12 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
       end
     end
   in
-  (* P2, full-scan mode: owner-filtered push spray, then fused deliver
-     descending within the shard.  Every lane walks every lane's
-     transmitter stack (readable after the P1 barrier) but sprays only the
-     [lo, hi) sub-slice of each neighbor list, so writes stay owner-local
-     and each edge is visited once across all lanes. *)
-  let do_gather_full (lane : _ lane) =
+  (* P2: owner-filtered push spray, then fused deliver descending within
+     the shard.  Every lane walks every lane's transmitter stack (readable
+     after the P1 barrier) but sprays only the [lo, hi) sub-slice of each
+     neighbor list, so writes stay owner-local and each edge is visited
+     once across all lanes. *)
+  let do_gather lane =
     let round = !cur_round in
     if lane.lo < lane.hi && some_lane_transmits 0 then
       for k = 0 to shards - 1 do
@@ -328,69 +273,11 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
           | Engine.No_collision_detection -> Engine.Silence
         end
       in
-      if tracing then
-        lane.ev_rx <- Engine.Ev_receive { node = v; reception } :: lane.ev_rx;
       protocol.Engine.deliver ~round ~node:v reception
     done
   [@@zero_alloc_hot]
   in
-  (* P2, active-set mode: pull — each lane scans the in-edges (CSC = CSR
-     for an undirected graph) of its own listeners, counting transmitting
-     neighbors in lane-local scratch.  The protocol already pruned the
-     listener set, so the scan is proportional to its choice. *)
-  let do_gather_active (lane : _ lane) =
-    let round = !cur_round in
-    (* If nobody transmitted this round, every listener hears silence and
-       the in-edge scans can be skipped wholesale. *)
-    let any_tx = some_lane_transmits 0 in
-    for i = lane.n_ls - 1 downto 0 do
-      let v = lane.ls_stack.(i) in
-      if inject then protocol.Engine.deliver ~round ~node:v Engine.Silence;
-      if any_tx then begin
-        lane.g_cnt <- 0;
-        for e = off.(v) to off.(v + 1) - 1 do
-          let u = Array.unsafe_get tgt e in
-          match Array.unsafe_get out_act u with
-          | Engine.Transmit _ as act ->
-              if lane.g_cnt = 0 then lane.g_act <- act;
-              lane.g_cnt <- lane.g_cnt + 1
-          | Engine.Sleep | Engine.Listen -> ()
-        done
-      end
-      else lane.g_cnt <- 0;
-      let reception =
-        match lane.g_cnt with
-        | 0 -> Engine.Silence
-        | 1 -> (
-            lane.deliveries <- lane.deliveries + 1;
-            match lane.g_act with
-            | Engine.Transmit m -> Engine.Received m
-            | _ -> assert false)
-        | _ -> (
-            lane.collisions <- lane.collisions + 1;
-            match detection with
-            | Engine.Collision_detection -> Engine.Collision
-            | Engine.No_collision_detection -> Engine.Silence)
-      in
-      if tracing then
-        lane.ev_rx <- Engine.Ev_receive { node = v; reception } :: lane.ev_rx;
-      protocol.Engine.deliver ~round ~node:v reception
-    done
-  [@@zero_alloc_hot]
-  in
-  let do_gather (lane : _ lane) =
-    if full_scan then do_gather_full lane else do_gather_active lane
-  in
-  (* P3 (active-set mode): re-Sleep this lane's transmit writes.  Runs
-     after every lane finished gathering; cannot fold into the next P1
-     because next round's slices may hand these nodes to another lane. *)
-  let do_reset (lane : _ lane) =
-    for i = 0 to lane.n_tx - 1 do
-      out_act.(lane.tx_stack.(i)) <- Engine.Sleep
-    done
-  [@@zero_alloc_hot]
-  in
-  let guarded f (lane : _ lane) =
+  let guarded f lane =
     try f lane
     with ex -> (
       match lane.exn_ with None -> lane.exn_ <- Some ex | Some _ -> ())
@@ -413,11 +300,7 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
     in
     phase do_decide;
     sync ();
-    phase do_gather;
-    if not full_scan then begin
-      sync ();
-      phase do_reset
-    end
+    phase do_gather
   in
   let worker_body e () =
     let live = ref true in
@@ -437,14 +320,9 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
     Array.iter (fun w -> Runner.Pool.await w |> ignore) workers;
     Runner.Pool.release workers
   in
-  let fail_shutdown ex =
-    shutdown ();
-    raise ex
-  in
   let merge_round round =
     (* Shard-order merge makes every observation identical to serial:
-       totals are order-independent sums; the event list is rebuilt in the
-       serial order (transmits ascending, then receptions descending). *)
+       totals are order-independent sums. *)
     let busy = ref false in
     let rtx = ref 0 and rdel = ref 0 and rcol = ref 0 in
     for j = 0 to shards - 1 do
@@ -468,18 +346,6 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
         Rn_obs.Metrics.record_round m ~round ~transmissions:!rtx
           ~deliveries:!rdel ~collisions:!rcol
     | None -> ());
-    (match on_round with
-    | Some f ->
-        (* Cold path, mirrors the serial engine's tracing reconstruction. *)
-        let evs = ref [] in
-        for j = 0 to shards - 1 do
-          evs := List.rev_append lanes.(j).ev_rx !evs
-        done;
-        for j = shards - 1 downto 0 do
-          evs := List.rev_append lanes.(j).ev_tx !evs
-        done;
-        f ~round !evs
-    | None -> ());
     match after_round with Some f -> f ~round | None -> ()
   in
   let first_exn () =
@@ -501,46 +367,14 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
       Engine.Out_of_budget round
     end
     else begin
-      (match decide_active with
-      | None -> ()
-      | Some da ->
-          let k =
-            match da ~round active with
-            | k -> k
-            | exception ex -> fail_shutdown ex
-          in
-          if k < 0 || k > n then
-            fail_shutdown
-              (Invalid_argument
-                 "Engine_sharded.run: decide_active returned a bad count");
-          for i = 0 to k - 1 do
-            let v = active.(i) in
-            if v < 0 || v >= n then
-              fail_shutdown
-                (Invalid_argument
-                   "Engine_sharded.run: decide_active wrote a bad node id");
-            if validate then begin
-              if seen.(v) = round then
-                fail_shutdown
-                  (Invalid_argument
-                     (Printf.sprintf
-                        "Engine_sharded.run: decide_active repeated node id \
-                         %d in round %d (the transmit-buffer contract \
-                         requires distinct ids)"
-                        v round));
-              seen.(v) <- round
-            end
-          done;
-          for j = 0 to shards - 1 do
-            lanes.(j).a_lo <- k * j / shards;
-            lanes.(j).a_hi <- k * (j + 1) / shards
-          done);
       cur_round := round;
       sync ();
       run_phases 0;
       sync ();
       (match first_exn () with
-      | Some ex -> fail_shutdown ex
+      | Some ex ->
+          shutdown ();
+          raise ex
       | None -> ());
       merge_round round;
       loop (round + 1)
@@ -549,7 +383,7 @@ let run ?stats ?metrics ?on_round ?after_round ?decide_active
   match loop 0 with
   | outcome -> outcome
   | exception ex ->
-      (* [stop]/[on_round]/[after_round]/merge raised in the serial
-         section; the workers are parked at the round-release barrier. *)
+      (* [stop]/[after_round]/merge raised in the serial section; the
+         workers are parked at the round-release barrier. *)
       if !running then shutdown ();
       raise ex

@@ -1,33 +1,31 @@
 (** Deterministic sharded (multi-domain) round engine.
 
     [run ~domains] simulates the same synchronous round structure as
-    {!Engine.run}, but cuts the node range into [domains] contiguous
-    shards (balanced by CSR edge count, cut points from
-    {!Rn_graph.Graph.shard_cuts}) and runs each round's phases on a pool
-    of worker domains separated by barriers:
+    {!Engine.run} — a full scan: every node decides every round — but
+    cuts the node range into [domains] contiguous shards (balanced by CSR
+    edge count, cut points from {!Rn_graph.Graph.shard_cuts}) and runs
+    each round's two phases on a pool of worker domains separated by a
+    barrier:
 
-    + {e decide} — each lane scans its own node range (or its contiguous
-      slice of the active buffer) and records actions lane-locally;
-    + {e spray + deliver} — in full-scan mode, owner-filtered push: each
-      lane walks every transmitter stack but binary-searches the sorted
-      CSR neighbor slice for its own [lo, hi) node range and sprays only
-      that sub-slice, accumulating receptions in a saturating per-node
-      byte (not-listening / silent / one packet / collided) — so the work
+    + {e decide} — each lane scans its own node range and records actions
+      lane-locally (re-Sleeping its previous round's transmit marks
+      first);
+    + {e spray + deliver} — owner-filtered push: each lane walks every
+      transmitter stack but binary-searches the sorted CSR neighbor slice
+      for its own [lo, hi) node range and sprays only that sub-slice,
+      accumulating receptions in a saturating per-node byte
+      (not-listening / silent / one packet / collided) — so the work
       scales with the transmitter set exactly as in the serial engine,
-      every edge is visited by one lane, and all writes are owner-local.  In active-set mode, pull:
-      each lane scans the in-edges (the CSC view — for an undirected
-      graph, the CSR arrays themselves) of its own listeners, whose count
-      the protocol already pruned.  Either way no lane ever writes another
-      lane's state, so the round needs zero atomics; listeners are then
-      delivered in the serial engine's descending order within the shard;
-    + {e reset} — transmit marks are re-Slept by the lane that wrote them
-      (folded into the next decide in full-scan mode).
+      every edge is visited by one lane, and all writes are owner-local.
+      No lane ever writes another lane's state, so the round needs zero
+      atomics; listeners are then delivered in the serial engine's
+      descending order within the shard.
 
     {b Determinism contract.}  For any protocol whose [decide]/[deliver]
     callbacks touch only per-node state — every protocol in this tree —
-    the outcome, stats, trace events, and each [on_round]/[after_round]
-    observation are byte-identical to {!Engine.run}, for every [domains]
-    value (enforced by the QCheck equivalence suite in
+    the outcome, stats, per-node deliveries, metrics and each
+    [after_round] observation are byte-identical to {!Engine.run}, for
+    every [domains] value (enforced by the QCheck equivalence suite in
     [test/test_engine_sharded.ml]).  The schedule depends only on the
     shard count: when the worker pool is busy (e.g. a sharded run inside a
     {!Runner.map} trial), lanes simply execute on fewer domains — possibly
@@ -40,17 +38,16 @@
     aggregates must be [Atomic.t] (see [Decay]'s missing-count) and their
     update order is unspecified within a round.
 
-    [stop], [decide_active], [on_round], and [after_round] always run in
-    the calling domain, between rounds, exactly as under the serial
+    [stop] and [after_round] always run in the calling domain, between
+    rounds, exactly as under the serial engine.  There is no tracing hook
+    and no protocol fast path: tracing callers use {!Engine.run}, and
+    {!Drive.run} drops [decide_active] and [next_busy_round] for this
     engine. *)
 
 val run :
   ?stats:Engine.stats ->
   ?metrics:Rn_obs.Metrics.t ->
-  ?on_round:(round:int -> 'msg Engine.trace_event list -> unit) ->
   ?after_round:(round:int -> unit) ->
-  ?decide_active:(round:int -> int array -> int) ->
-  ?validate:bool ->
   domains:int ->
   graph:Rn_graph.Graph.t ->
   detection:Engine.detection ->
@@ -59,9 +56,8 @@ val run :
   max_rounds:int ->
   unit ->
   Engine.outcome
-(** Same surface as {!Engine.run} ([validate] and the
-    {!Engine.inject_silence} probe included) plus [domains ≥ 1], the
-    shard count.
+(** [stats], [after_round] and the {!Engine.inject_silence} probe are as
+    at {!Engine.run}; [domains ≥ 1] is the shard count.
     [metrics] follows the determinism contract: the coordinator records
     each round from the shard-order sums of the owner-local lane counters
     at the post-barrier merge, so the registry (and any export of it) is
@@ -69,6 +65,4 @@ val run :
     [domains = 1] runs the sharded schedule inline in the calling domain
     (no pool, no barriers).  [domains] exceeding the node count leaves the
     extra shards empty, which is legal.
-    @raise Invalid_argument if [domains < 1], or on a bad
-    [decide_active] id/count (as {!Engine.run}; note the sharded engine
-    validates the whole prefix before any [decide] call of the round). *)
+    @raise Invalid_argument if [domains < 1]. *)

@@ -1,8 +1,15 @@
-(** Event-driven sparse round path.
+(** Event-driven sparse round path — the only engine that takes protocol
+    fast paths.
 
     Same model, protocol interface, and observable behavior as
-    {!Engine.run}, with two structural changes that make long, mostly-quiet
-    schedules (the Theorem 1.1 pipeline) cheap:
+    {!Engine.run}, with three structural changes that make long,
+    mostly-quiet schedules (the Theorem 1.1 pipeline) cheap:
+
+    - {b Active-set decides.}  An optional [decide_active] lets the
+      protocol enumerate the round's awake nodes; every other node
+      implicitly [Sleep]s without a [decide] call, so schedules where
+      only one layer or ring is awake — Decay waves, GST stretches —
+      simulate a round in O(|active|) instead of O(n).
 
     - {b Frontier delivery.}  Listeners are round-stamped instead of
       stacked; only listeners inside a transmitter's neighborhood (the
@@ -32,13 +39,13 @@
     Each listener still receives at most one reception per round, so
     protocols with per-node state — all of them here — observe identical
     behavior; the equivalence suite ([test/test_engine_sparse.ml]) pins
-    outcome, stats, per-node receive logs, traces, and metrics exports to
-    the dense reference. *)
+    outcome, stats, per-node receive logs and metrics exports to the
+    full-scan reference.  There is no tracing hook: a trace must contain
+    the elided [Silence] events, so tracing callers use {!Engine.run}. *)
 
 val run :
   ?stats:Engine.stats ->
   ?metrics:Rn_obs.Metrics.t ->
-  ?on_round:(round:int -> 'msg Engine.trace_event list -> unit) ->
   ?after_round:(round:int -> unit) ->
   ?decide_active:(round:int -> int array -> int) ->
   ?next_busy_round:(round:int -> int) ->
@@ -50,8 +57,25 @@ val run :
   max_rounds:int ->
   unit ->
   Engine.outcome
-(** Drop-in for {!Engine.run} (including [validate] and the
-    {!Engine.inject_silence} probe) plus [next_busy_round].
+(** [stats], [metrics], [after_round] and the {!Engine.inject_silence}
+    probe are as at {!Engine.run}.
+
+    [decide_active], when given, replaces the every-node decide scan: each
+    round the engine hands it a reusable buffer of length [n]; the protocol
+    writes the ids of the awake nodes into a prefix and returns the prefix
+    length, and [decide] is then called on exactly those nodes (in buffer
+    order) — every other node implicitly [Sleep]s that round.  The ids of a
+    round must be distinct and in [\[0, n)] (distinctness is the protocol's
+    obligation; a duplicated id would act twice).  A node left out must be
+    one whose [decide] would have been a side-effect-free [Sleep], so that
+    dropping the set (as {!Drive.run} does under [Dense] and [Sharded])
+    changes nothing.
+
+    [validate] (default [false]) additionally enforces the distinctness
+    half of that contract, raising [Invalid_argument] naming the offending
+    id and round.  The scan costs one array read/write per active id and
+    one length-[n] allocation per run, so it is reserved for tests; the
+    in-range check is always on.
 
     [next_busy_round ~round] returns the earliest round [>= round] in
     which some node {e may} transmit; every round strictly before it is
@@ -66,10 +90,6 @@ val run :
     Protocols whose transmissions are randomized every round (Decay,
     jammers) must not offer a hint — wrappers disable it when fault
     injection is active.
-
-    When [on_round] is set the call delegates to {!Engine.run} (traces
-    must include untouched listeners' [Silence] events); the hint is
-    ignored there.
 
     @raise Invalid_argument if [next_busy_round] returns [r < round], or
     on a bad [decide_active] id/count. *)

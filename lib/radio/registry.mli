@@ -46,8 +46,9 @@ type run =
     byte-identical record for [Dense], [Sparse] and every [Sharded d] —
     [test/test_contracts.ml] runs every entry under [Dense], [Sparse] and
     [Sharded 1/2/4] and compares.  Drivers whose callbacks must stay serial
-    map [Sharded] back to [Sparse] ({!Drive.serial}); drivers pinned to the
-    reference engine ignore the mode. *)
+    map [Sharded] back to [Sparse] ({!Drive.serial}).  The [mmv],
+    [estimate], [routing] and [sequential] entries ignore [?engine] and
+    always run on the default [Sparse]. *)
 
 type entry = {
   name : string;  (** unique CLI-friendly identifier, e.g. ["decay"] *)

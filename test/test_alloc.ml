@@ -24,15 +24,14 @@ let () =
 
 (* Minor-heap words allocated by [rounds] steady-state rounds, measured
    after [warmup] rounds so per-run scratch setup is excluded. *)
-let engine_round_words ?decide_active ?metrics ~graph ~protocol ~warmup
-    ~rounds () =
+let engine_round_words ?metrics ~graph ~protocol ~warmup ~rounds () =
   let marks = [| 0.0; 0.0 |] in
   let after_round ~round =
     if round = warmup then marks.(0) <- Gc.minor_words ()
     else if round = warmup + rounds then marks.(1) <- Gc.minor_words ()
   in
   let (_ : Engine.outcome) =
-    Engine.run ?decide_active ?metrics ~after_round ~graph
+    Engine.run ?metrics ~after_round ~graph
       ~detection:Engine.Collision_detection ~protocol
       ~stop:(fun ~round:_ -> false)
       ~max_rounds:(warmup + rounds + 2) ()
@@ -140,7 +139,25 @@ let test_round_loop_independent_of_n () =
     true
     (words <= budget)
 
-(* The same bound must hold under the [decide_active] fast path. *)
+(* Sparse engine: same marker trick, driving [Engine_sparse.run]. *)
+let sparse_round_words ?decide_active ?next_busy_round ?metrics ~graph
+    ~protocol ~warmup ~rounds () =
+  let marks = [| 0.0; 0.0 |] in
+  let after_round ~round =
+    if round = warmup then marks.(0) <- Gc.minor_words ()
+    else if round = warmup + rounds then marks.(1) <- Gc.minor_words ()
+  in
+  let (_ : Engine.outcome) =
+    Engine_sparse.run ?decide_active ?next_busy_round ?metrics ~after_round
+      ~graph ~detection:Engine.Collision_detection ~protocol
+      ~stop:(fun ~round:_ -> false)
+      ~max_rounds:(warmup + rounds + 2) ()
+  in
+  marks.(1) -. marks.(0)
+
+(* The O(active) bound under the [decide_active] fast path, which only the
+   sparse engine takes: two awake nodes inside a 2048-node star, the rest
+   never decided. *)
 let test_active_set_round_loop () =
   let n = 2048 in
   let graph = star n in
@@ -159,7 +176,7 @@ let test_active_set_round_loop () =
   in
   let rounds = 128 in
   let words =
-    engine_round_words ~decide_active ~graph ~protocol ~warmup:16 ~rounds ()
+    sparse_round_words ~decide_active ~graph ~protocol ~warmup:16 ~rounds ()
   in
   let budget = float_of_int (rounds * 16) in
   Alcotest.(check bool)
@@ -167,22 +184,6 @@ let test_active_set_round_loop () =
        budget)
     true
     (words <= budget)
-
-(* Sparse engine: same marker trick, driving [Engine_sparse.run]. *)
-let sparse_round_words ?decide_active ?next_busy_round ?metrics ~graph
-    ~protocol ~warmup ~rounds () =
-  let marks = [| 0.0; 0.0 |] in
-  let after_round ~round =
-    if round = warmup then marks.(0) <- Gc.minor_words ()
-    else if round = warmup + rounds then marks.(1) <- Gc.minor_words ()
-  in
-  let (_ : Engine.outcome) =
-    Engine_sparse.run ?decide_active ?next_busy_round ?metrics ~after_round
-      ~graph ~detection:Engine.Collision_detection ~protocol
-      ~stop:(fun ~round:_ -> false)
-      ~max_rounds:(warmup + rounds + 2) ()
-  in
-  marks.(1) -. marks.(0)
 
 (* Sparse quiet rounds — everyone listens, nobody transmits, Silence
    deliveries elided — must be exactly zero words per round even with the
@@ -254,17 +255,14 @@ let test_sparse_busy_budget () =
    (its executing domain's counter — lane j is pinned to executor j when
    the pool is idle) into its own row of a preallocated matrix at its first
    decide of every round.  The delta between consecutive rounds on the same
-   lane is the steady-state cost of one lane-round: two or three barrier
+   lane is the steady-state cost of one lane-round: three barrier
    crossings plus the phase loops, all of which must be allocation-free —
    the budget only has to absorb whatever the runtime's Mutex/Condition
    path spends. *)
 let test_sharded_lane_budget () =
   let n = 256 and domains = 2 in
   let graph = Gen.path n in
-  let cuts =
-    Graph.shard_cuts ~align:Rn_coding.Bitvec.bits_per_word graph
-      ~parts:domains
-  in
+  let cuts = Graph.shard_cuts graph ~parts:domains in
   Alcotest.(check bool)
     "both lanes nonempty" true
     (cuts.(1) > 0 && cuts.(2) > cuts.(1));

@@ -6,7 +6,10 @@
      [Sparse] and [Sharded 1/2/4] on two graphs and three seeds, and every
      mode must return a byte-identical result record — the routing rule of
      [Drive.run] (which fast paths each mode consumes) must never show in
-     a result, and R12's write locality must hold on real lanes.
+     a result, and R12's write locality must hold on real lanes.  The
+     [mmv], [estimate], [routing] and [sequential] entries ignore
+     [?engine] (they always run on the default [Sparse]), so for them the
+     check is trivially true.
    - R11 silence purity: each registered pipeline runs on the same
      (graph, seed) with [Engine.inject_silence] handing every listener a
      spurious [Silence] before its real reception, under the default
@@ -14,10 +17,11 @@
      produce byte-identical result records; entries that opted out with a
      reasoned [rblint:allow R11] (the GST self-test family, where silence
      means unsafe) must still run to completion.
-   - transmit-buffer contract: the engines' [?validate] debug flag must
-     stay quiet on a well-formed [decide_active] and raise — naming the
-     offending round — on one that repeats a node id, on all three round
-     paths. *)
+   - transmit-buffer contract: the sparse engine's [?validate] debug flag
+     must stay quiet on a well-formed [decide_active] and raise — naming
+     the offending round — on one that repeats a node id.  [Drive.run]
+     drops both the set and the flag under [Dense] and [Sharded], which
+     take no fast path. *)
 
 open Rn_graph
 open Rn_radio
@@ -102,7 +106,7 @@ let injection_case e =
         [ ("default", None); ("sharded 2", Some (Engine.Sharded 2)) ])
 
 (* --------------------------------------------------------------- *)
-(* ?validate: the transmit-buffer distinctness check                 *)
+(* ?validate: the transmit-buffer distinctness check (sparse only)   *)
 
 let null_protocol =
   {
@@ -142,23 +146,15 @@ let expect_clean name runner =
   Alcotest.test_case name `Quick (fun () ->
       ignore (runner () : Engine.outcome))
 
-let dense decide_active () =
-  Engine.run ~decide_active ~validate:true ~graph:small
+let driven engine decide_active () =
+  Drive.run ~engine ~decide_active ~validate:true ~graph:small
     ~detection:Engine.No_collision_detection ~protocol:null_protocol
     ~stop:(fun ~round:_ -> false)
     ~max_rounds:3 ()
 
-let sparse decide_active () =
-  Engine_sparse.run ~decide_active ~validate:true ~graph:small
-    ~detection:Engine.No_collision_detection ~protocol:null_protocol
-    ~stop:(fun ~round:_ -> false)
-    ~max_rounds:3 ()
-
-let sharded decide_active () =
-  Engine_sharded.run ~decide_active ~validate:true ~domains:2 ~graph:small
-    ~detection:Engine.No_collision_detection ~protocol:null_protocol
-    ~stop:(fun ~round:_ -> false)
-    ~max_rounds:3 ()
+let dense = driven Engine.Dense
+let sparse = driven Engine.Sparse
+let sharded = driven (Engine.Sharded 2)
 
 (* The probe itself: dense and sharded deliver the spurious [Silence] to
    every listener, so a listen-only round hands each node two receptions
@@ -222,8 +218,10 @@ let () =
           expect_clean "dense accepts distinct ids" (dense distinct);
           expect_clean "sparse accepts distinct ids" (sparse distinct);
           expect_clean "sharded accepts distinct ids" (sharded distinct);
-          expect_repeat "dense rejects a repeated id" (dense duplicated);
+          expect_clean "dense drops the set, repeats and all"
+            (dense duplicated);
           expect_repeat "sparse rejects a repeated id" (sparse duplicated);
-          expect_repeat "sharded rejects a repeated id" (sharded duplicated);
+          expect_clean "sharded drops the set, repeats and all"
+            (sharded duplicated);
         ] );
     ]

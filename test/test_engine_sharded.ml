@@ -1,9 +1,10 @@
-(* Equivalence of the sharded engine with the serial engine: same outcome,
-   same per-node deliver log, same traced events (order included), same
-   after_round sequence, same stats — for any graph, schedule, detection
-   mode, with and without decide_active, for every shard count.  The
-   deliver log is an array indexed by node (each lane appends only to its
-   own nodes' cells), so the observation itself respects the engine's
+(* Equivalence of the sharded engine with the full-scan serial engine:
+   same outcome, same per-node deliver log (order within each node
+   included), same after_round sequence, same stats — for any graph,
+   schedule and detection mode, for every shard count, and through
+   [Drive.run], which drops an active set under [Sharded].  The deliver
+   log is an array indexed by node (each lane appends only to its own
+   nodes' cells), so the observation itself respects the engine's
    per-node-state contract and works unchanged under parallel delivery. *)
 
 open Rn_util
@@ -31,14 +32,13 @@ let make_script ~rng ~n ~rounds =
 type 'msg observation = {
   obs_outcome : Engine.outcome;
   obs_logs : (int * 'msg Engine.reception) list array;  (* per node *)
-  obs_events : (int * 'msg Engine.trace_event list) list;
   obs_after : int list;
   obs_stats : Engine.stats;
 }
 
 let observing ~n ~script k =
   let logs = Array.make (max n 1) [] in
-  let events = ref [] and after = ref [] in
+  let after = ref [] in
   let stats = Engine.fresh_stats () in
   let decide ~round ~node =
     if round < Array.length script then script.(round).(node) else Engine.Listen
@@ -48,39 +48,35 @@ let observing ~n ~script k =
   in
   let outcome =
     k ~stats
-      ~on_round:(fun ~round evs -> events := (round, evs) :: !events)
       ~after_round:(fun ~round -> after := round :: !after)
       ~protocol:{ Engine.decide; deliver }
   in
   {
     obs_outcome = outcome;
     obs_logs = logs;
-    obs_events = !events;
     obs_after = !after;
     obs_stats = stats;
   }
 
-let observe_serial ?decide_active ~graph ~detection ~script ~max_rounds () =
-  observing ~n:(Graph.n graph) ~script
-    (fun ~stats ~on_round ~after_round ~protocol ->
-      Engine.run ~stats ~on_round ~after_round ?decide_active ~validate:true
-        ~graph ~detection ~protocol
+let observe_serial ~graph ~detection ~script ~max_rounds () =
+  observing ~n:(Graph.n graph) ~script (fun ~stats ~after_round ~protocol ->
+      Engine.run ~stats ~after_round ~graph ~detection ~protocol
         ~stop:(fun ~round:_ -> false)
         ~max_rounds ())
 
+(* Through [Drive.run], so a test may hand the sharded mode an active set
+   and check that dropping it changes nothing. *)
 let observe_sharded ?decide_active ~domains ~graph ~detection ~script
     ~max_rounds () =
-  observing ~n:(Graph.n graph) ~script
-    (fun ~stats ~on_round ~after_round ~protocol ->
-      Engine_sharded.run ~stats ~on_round ~after_round ?decide_active
-        ~validate:true ~domains ~graph ~detection ~protocol
+  observing ~n:(Graph.n graph) ~script (fun ~stats ~after_round ~protocol ->
+      Drive.run ~engine:(Engine.Sharded domains) ~stats ~after_round
+        ?decide_active ~graph ~detection ~protocol
         ~stop:(fun ~round:_ -> false)
         ~max_rounds ())
 
 let same_observation a b =
   a.obs_outcome = b.obs_outcome && a.obs_logs = b.obs_logs
-  && a.obs_events = b.obs_events && a.obs_after = b.obs_after
-  && a.obs_stats = b.obs_stats
+  && a.obs_after = b.obs_after && a.obs_stats = b.obs_stats
 
 let arb_case =
   QCheck.make
@@ -100,8 +96,8 @@ let setup (n, extra, rounds, seed, cd) =
   let script = make_script ~rng ~n ~rounds in
   (g, script, detection_of cd, rounds)
 
-(* Active set = exactly the non-Sleep nodes of the script, ascending — the
-   sharded engine slices this buffer contiguously across lanes. *)
+(* Active set = exactly the non-Sleep nodes of the script, ascending, so
+   [Drive.run] dropping it under [Sharded] must be invisible. *)
 let awake_set script n ~round (buf : int array) =
   let k = ref 0 in
   if round < Array.length script then
@@ -141,10 +137,7 @@ let qcheck_tests =
         let g, script, detection, rounds = setup case in
         let n = Graph.n g in
         let da = awake_set script n in
-        let a =
-          observe_serial ~decide_active:da ~graph:g ~detection ~script
-            ~max_rounds:rounds ()
-        in
+        let a = observe_serial ~graph:g ~detection ~script ~max_rounds:rounds () in
         List.for_all
           (fun domains ->
             same_observation a
@@ -152,7 +145,7 @@ let qcheck_tests =
                  ~script ~max_rounds:rounds ()))
           domain_counts);
     (* Degenerate sharding as a property: more shards than nodes — most
-       lanes own nothing (and in active mode most slices are empty). *)
+       lanes own nothing. *)
     Test.make ~name:"sharded ≡ serial with domains > n" ~count:80
       (pair arb_case (int_range 1 12))
       (fun (case, extra_domains) ->
@@ -172,14 +165,12 @@ let qcheck_tests =
 let listen_all_script rounds n =
   Array.init rounds (fun _ -> Array.make n Engine.Listen)
 
-let check_matches_serial ?decide_active ~graph ~detection ~script ~max_rounds
-    domains_list =
-  let a = observe_serial ?decide_active ~graph ~detection ~script ~max_rounds () in
+let check_matches_serial ~graph ~detection ~script ~max_rounds domains_list =
+  let a = observe_serial ~graph ~detection ~script ~max_rounds () in
   List.iter
     (fun domains ->
       let b =
-        observe_sharded ?decide_active ~domains ~graph ~detection ~script
-          ~max_rounds ()
+        observe_sharded ~domains ~graph ~detection ~script ~max_rounds ()
       in
       Alcotest.(check bool)
         (Printf.sprintf "domains=%d matches serial" domains)
@@ -203,7 +194,7 @@ let test_n_less_than_domains () =
     ~script ~max_rounds:6 [ 4; 7 ]
 
 let test_empty_shards_star () =
-  (* A star's edge mass sits on the hub, so word-aligned cuts collapse and
+  (* A star's edge mass sits on the hub, so the balanced cuts collapse and
      several interior shards own zero nodes; results must not care. *)
   let n = 100 in
   let g = Topo.star n in
@@ -211,18 +202,18 @@ let test_empty_shards_star () =
   let script = make_script ~rng ~n ~rounds:8 in
   check_matches_serial ~graph:g ~detection:Engine.Collision_detection ~script
     ~max_rounds:8 [ 2; 8; 64 ];
-  (* and the degenerate active set: empty every other round *)
-  let da ~round (buf : int array) =
-    if round mod 2 = 0 then 0
-    else begin
-      for v = 0 to n - 1 do
-        buf.(v) <- v
-      done;
-      n
-    end
+  (* and the degenerate awake set: everyone asleep every other round,
+     written into the script itself since the sharded engine always scans
+     every node *)
+  let script =
+    Array.mapi
+      (fun round acts ->
+        if round mod 2 = 0 then Array.map (fun _ -> Engine.Sleep) acts
+        else acts)
+      script
   in
-  check_matches_serial ~decide_active:da ~graph:g
-    ~detection:Engine.Collision_detection ~script ~max_rounds:8 [ 2; 8 ]
+  check_matches_serial ~graph:g ~detection:Engine.Collision_detection ~script
+    ~max_rounds:8 [ 2; 8 ]
 
 let test_domains_must_be_positive () =
   let g = Topo.path 3 in
@@ -237,48 +228,6 @@ let test_domains_must_be_positive () =
       ignore
         (Engine_sharded.run ~domains:0 ~graph:g
            ~detection:Engine.Collision_detection ~protocol:p
-           ~stop:(fun ~round:_ -> false)
-           ~max_rounds:1 ()))
-
-let test_active_set_bad_id () =
-  let g = Topo.path 3 in
-  let p =
-    {
-      Engine.decide = (fun ~round:_ ~node:_ -> Engine.Listen);
-      deliver = (fun ~round:_ ~node:_ _ -> ());
-    }
-  in
-  List.iter
-    (fun domains ->
-      Alcotest.check_raises
-        (Printf.sprintf "out-of-range id, domains=%d" domains)
-        (Invalid_argument "Engine_sharded.run: decide_active wrote a bad node id")
-        (fun () ->
-          ignore
-            (Engine_sharded.run ~domains ~graph:g
-               ~detection:Engine.Collision_detection ~protocol:p
-               ~decide_active:(fun ~round:_ buf ->
-                 buf.(0) <- 5;
-                 1)
-               ~stop:(fun ~round:_ -> false)
-               ~max_rounds:1 ())))
-    [ 1; 3 ]
-
-let test_active_set_bad_count () =
-  let g = Topo.path 3 in
-  let p =
-    {
-      Engine.decide = (fun ~round:_ ~node:_ -> Engine.Listen);
-      deliver = (fun ~round:_ ~node:_ _ -> ());
-    }
-  in
-  Alcotest.check_raises "count > n rejected"
-    (Invalid_argument "Engine_sharded.run: decide_active returned a bad count")
-    (fun () ->
-      ignore
-        (Engine_sharded.run ~domains:2 ~graph:g
-           ~detection:Engine.Collision_detection ~protocol:p
-           ~decide_active:(fun ~round:_ _ -> 17)
            ~stop:(fun ~round:_ -> false)
            ~max_rounds:1 ()))
 
@@ -349,10 +298,6 @@ let () =
             test_empty_shards_star;
           Alcotest.test_case "domains >= 1 enforced" `Quick
             test_domains_must_be_positive;
-          Alcotest.test_case "bad active id rejected" `Quick
-            test_active_set_bad_id;
-          Alcotest.test_case "bad active count rejected" `Quick
-            test_active_set_bad_count;
           Alcotest.test_case "lane exception propagates" `Quick
             test_lane_exception_propagates;
         ] );

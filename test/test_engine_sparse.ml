@@ -5,11 +5,12 @@
    sides — collision counts in stats pin the collided-Silence deliveries
    that both engines perform), same after_round sequence, and a
    byte-identical metrics export (per-round ring rows included).  The
-   tracing path must be *strictly* identical — it delegates to Engine.run —
-   so traced runs compare raw logs and event lists too.  The silent-round
-   skip is exercised with a hint derived from the script itself, and its
-   contract edges (lying hint, backwards hint, stop mid-stretch, decide
-   never called while skipping) are pinned as unit tests. *)
+   reference is the full-scan Engine.run, which takes no fast path: the
+   active set and the skip hint are exercised on the sparse side only.
+   The silent-round skip is exercised with a hint derived from the script
+   itself, and its contract edges (lying hint, backwards hint, stop
+   mid-stretch, decide never called while skipping) are pinned as unit
+   tests. *)
 
 open Rn_util
 open Rn_graph
@@ -42,7 +43,6 @@ let make_sparse_script ~rng ~n ~rounds =
 type 'msg observation = {
   obs_outcome : Engine.outcome;
   obs_logs : (int * 'msg Engine.reception) list array;  (* per node *)
-  obs_events : (int * 'msg Engine.trace_event list) list;
   obs_after : int list;
   obs_stats : Engine.stats;
   obs_export : string;  (* full metrics export, ring rows included *)
@@ -54,11 +54,11 @@ let export_fingerprint m =
     @ Rn_obs.Export.phases_jsonl m
     @ [ Rn_obs.Export.summary_json m ])
 
-let observe ?decide_active ?next_busy_round ~engine ~tracing ~graph ~detection
-    ~script ~max_rounds () =
+let observe ?decide_active ?next_busy_round ~engine ~graph ~detection ~script
+    ~max_rounds () =
   let n = Graph.n graph in
   let logs = Array.make (max n 1) [] in
-  let events = ref [] and after = ref [] in
+  let after = ref [] in
   let stats = Engine.fresh_stats () in
   let metrics = Rn_obs.Metrics.create ~ring:(max_rounds + 1) () in
   let decide ~round ~node =
@@ -68,26 +68,21 @@ let observe ?decide_active ?next_busy_round ~engine ~tracing ~graph ~detection
     logs.(node) <- (round, reception) :: logs.(node)
   in
   let protocol = { Engine.decide; deliver } in
-  let on_round =
-    if tracing then Some (fun ~round evs -> events := (round, evs) :: !events)
-    else None
-  in
   let after_round ~round = after := round :: !after in
   let stop ~round:_ = false in
   let outcome =
     match engine with
     | `Dense ->
-        Engine.run ~stats ~metrics ?on_round ~after_round ?decide_active
-          ~validate:true ~graph ~detection ~protocol ~stop ~max_rounds ()
+        Engine.run ~stats ~metrics ~after_round ~graph ~detection ~protocol
+          ~stop ~max_rounds ()
     | `Sparse ->
-        Engine_sparse.run ~stats ~metrics ?on_round ~after_round ?decide_active
+        Engine_sparse.run ~stats ~metrics ~after_round ?decide_active
           ?next_busy_round ~validate:true ~graph ~detection ~protocol ~stop
           ~max_rounds ()
   in
   {
     obs_outcome = outcome;
     obs_logs = logs;
-    obs_events = !events;
     obs_after = !after;
     obs_stats = stats;
     obs_export = export_fingerprint metrics;
@@ -98,19 +93,13 @@ let drop_silence logs =
     (List.filter (fun (_, r) -> r <> Engine.Silence))
     logs
 
-(* Non-tracing comparison: everything except raw logs, which are compared
-   modulo elided zero-transmitter Silence deliveries. *)
+(* Everything compared exactly except raw logs, which are compared modulo
+   elided zero-transmitter Silence deliveries. *)
 let same_observation_sparse a b =
   a.obs_outcome = b.obs_outcome
   && drop_silence a.obs_logs = drop_silence b.obs_logs
   && a.obs_after = b.obs_after && a.obs_stats = b.obs_stats
   && String.equal a.obs_export b.obs_export
-
-(* Tracing comparison: strict, raw logs and event stream included. *)
-let same_observation_strict a b =
-  a.obs_outcome = b.obs_outcome && a.obs_logs = b.obs_logs
-  && a.obs_events = b.obs_events && a.obs_after = b.obs_after
-  && a.obs_stats = b.obs_stats && String.equal a.obs_export b.obs_export
 
 (* A sound skip hint computed from the script: next round >= r with at
    least one Transmit action (max_rounds when the tail is all-silent). *)
@@ -173,11 +162,11 @@ let qcheck_tests =
       (fun case ->
         let g, script, detection, rounds = setup case in
         let a =
-          observe ~engine:`Dense ~tracing:false ~graph:g ~detection ~script
+          observe ~engine:`Dense ~graph:g ~detection ~script
             ~max_rounds:rounds ()
         in
         let b =
-          observe ~engine:`Sparse ~tracing:false ~graph:g ~detection ~script
+          observe ~engine:`Sparse ~graph:g ~detection ~script
             ~max_rounds:rounds ()
         in
         same_observation_sparse a b);
@@ -186,11 +175,11 @@ let qcheck_tests =
         let g, script, detection, rounds = setup case in
         let da = awake_set script (Graph.n g) in
         let a =
-          observe ~decide_active:da ~engine:`Dense ~tracing:false ~graph:g
-            ~detection ~script ~max_rounds:rounds ()
+          observe ~engine:`Dense ~graph:g ~detection ~script
+            ~max_rounds:rounds ()
         in
         let b =
-          observe ~decide_active:da ~engine:`Sparse ~tracing:false ~graph:g
+          observe ~decide_active:da ~engine:`Sparse ~graph:g
             ~detection ~script ~max_rounds:rounds ()
         in
         same_observation_sparse a b);
@@ -204,39 +193,26 @@ let qcheck_tests =
           if use_da then Some (awake_set script (Graph.n g)) else None
         in
         let a =
-          observe ?decide_active:da ~engine:`Dense ~tracing:false ~graph:g
-            ~detection ~script ~max_rounds:rounds ()
+          observe ~engine:`Dense ~graph:g ~detection ~script
+            ~max_rounds:rounds ()
         in
         let b =
           observe ?decide_active:da ~next_busy_round:hint ~engine:`Sparse
-            ~tracing:false ~graph:g ~detection ~script ~max_rounds:rounds ()
+            ~graph:g ~detection ~script ~max_rounds:rounds ()
         in
         same_observation_sparse a b);
-    Test.make ~name:"sparse tracing ≡ dense tracing (strict)" ~count:150
-      arb_case
-      (fun case ->
-        let g, script, detection, rounds = setup case in
-        let a =
-          observe ~engine:`Dense ~tracing:true ~graph:g ~detection ~script
-            ~max_rounds:rounds ()
-        in
-        let b =
-          observe ~engine:`Sparse ~tracing:true ~graph:g ~detection ~script
-            ~max_rounds:rounds ()
-        in
-        same_observation_strict a b);
     (* A "useless" hint (never promises silence) must change nothing. *)
     Test.make ~name:"sparse with hint=round ≡ sparse without" ~count:100
       arb_case
       (fun case ->
         let g, script, detection, rounds = setup case in
         let a =
-          observe ~engine:`Sparse ~tracing:false ~graph:g ~detection ~script
+          observe ~engine:`Sparse ~graph:g ~detection ~script
             ~max_rounds:rounds ()
         in
         let b =
           observe ~next_busy_round:(fun ~round -> round) ~engine:`Sparse
-            ~tracing:false ~graph:g ~detection ~script ~max_rounds:rounds ()
+            ~graph:g ~detection ~script ~max_rounds:rounds ()
         in
         same_observation_sparse a b);
   ]
@@ -379,11 +355,11 @@ let test_single_node () =
     [| [| Engine.Transmit 3 |]; [| Engine.Listen |]; [| Engine.Sleep |] |]
   in
   let a =
-    observe ~engine:`Dense ~tracing:false ~graph:g
+    observe ~engine:`Dense ~graph:g
       ~detection:Engine.Collision_detection ~script ~max_rounds:3 ()
   in
   let b =
-    observe ~engine:`Sparse ~tracing:false ~graph:g
+    observe ~engine:`Sparse ~graph:g
       ~detection:Engine.Collision_detection ~script ~max_rounds:3 ()
   in
   Alcotest.(check bool) "n=1 matches" true (same_observation_sparse a b)

@@ -243,55 +243,41 @@ let test_builder_growth () =
   Alcotest.(check bool) "grown builder ≡ create" true
     (same_graph (Graph.Builder.finish b) (Graph.create ~n ~edges:!edges))
 
-let test_csc_is_csr () =
-  let g = Topo.random_connected ~rng:(rng ()) ~n:20 ~extra:10 in
-  Alcotest.(check bool) "csc offsets alias" true
-    (Graph.csc_offsets g == Graph.offsets g);
-  Alcotest.(check bool) "csc targets alias" true
-    (Graph.csc_targets g == Graph.targets g)
-
-let check_cuts_shape ~n ~parts ~align cuts =
+let check_cuts_shape ~n ~parts cuts =
   Alcotest.(check int) "length" (parts + 1) (Array.length cuts);
   Alcotest.(check int) "first" 0 cuts.(0);
   Alcotest.(check int) "last" n cuts.(parts);
   for k = 1 to parts do
     Alcotest.(check bool) "nondecreasing" true (cuts.(k) >= cuts.(k - 1))
-  done;
-  for k = 1 to parts - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "cut %d aligned" k)
-      0
-      (cuts.(k) mod align)
   done
 
 let test_shard_cuts_shapes () =
   let cases =
     [
-      (Topo.path 256, 4, 63);
-      (Topo.star 100, 8, 63);
-      (Topo.path 2, 7, 63) (* parts > n *);
-      (Topo.path 1, 3, 1);
-      (Graph.create ~n:0 ~edges:[], 2, 63);
-      (Topo.complete 12, 5, 1);
+      (Topo.path 256, 4);
+      (Topo.star 100, 8);
+      (Topo.path 2, 7) (* parts > n *);
+      (Topo.path 1, 3);
+      (Graph.create ~n:0 ~edges:[], 2);
+      (Topo.complete 12, 5);
     ]
   in
   List.iter
-    (fun (g, parts, align) ->
-      check_cuts_shape ~n:(Graph.n g) ~parts ~align
-        (Graph.shard_cuts ~align g ~parts))
+    (fun (g, parts) ->
+      check_cuts_shape ~n:(Graph.n g) ~parts (Graph.shard_cuts g ~parts))
     cases;
   Alcotest.check_raises "parts < 1"
     (Invalid_argument "Graph.shard_cuts: parts must be >= 1") (fun () ->
       ignore (Graph.shard_cuts (Topo.path 3) ~parts:0))
 
 let test_shard_cuts_balance () =
-  (* On a uniform-degree shape, unaligned cuts land within one node-weight
-     of the ideal split. *)
+  (* On a uniform-degree shape, cuts land within one node-weight of the
+     ideal split. *)
   let n = 1000 in
   let g = Topo.cycle n in
   let parts = 4 in
   let cuts = Graph.shard_cuts g ~parts in
-  check_cuts_shape ~n ~parts ~align:1 cuts;
+  check_cuts_shape ~n ~parts cuts;
   for k = 1 to parts - 1 do
     let ideal = n * k / parts in
     Alcotest.(check bool)
@@ -371,18 +357,23 @@ let qcheck_tests =
         let b = Graph.Builder.create ~capacity:(1 + (seed mod 4)) ~n () in
         List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) edges;
         same_graph (Graph.Builder.finish b) (Graph.create ~n ~edges));
-    Test.make ~name:"shard_cuts covers, sorted, aligned" ~count:200
-      (pair arb_connected (pair (int_range 1 12) (int_range 1 64)))
-      (fun ((n, extra, seed), (parts, align)) ->
+    (* Balance: a shard weighs (nodes + degrees) at most one ideal share
+       plus one node's weight, since each cut is the first node whose
+       prefix weight reaches its target. *)
+    Test.make ~name:"shard_cuts covers, sorted, balanced" ~count:200
+      (pair arb_connected (int_range 1 12))
+      (fun ((n, extra, seed), parts) ->
         let g = Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra in
-        let cuts = Graph.shard_cuts ~align g ~parts in
+        let cuts = Graph.shard_cuts g ~parts in
+        let off = Graph.offsets g in
+        let prefix v = v + off.(v) in
+        let slack = Ilog.cdiv (prefix n) parts + 1 + Graph.max_degree g in
         let ok = ref (Array.length cuts = parts + 1) in
         if cuts.(0) <> 0 || cuts.(parts) <> n then ok := false;
         for k = 1 to parts do
           if cuts.(k) < cuts.(k - 1) then ok := false
-        done;
-        for k = 1 to parts - 1 do
-          if cuts.(k) mod align <> 0 then ok := false
+          else if prefix cuts.(k) - prefix cuts.(k - 1) > slack then
+            ok := false
         done;
         !ok);
     Test.make ~name:"layered_random levels = layers" ~count:50
@@ -421,7 +412,6 @@ let () =
           Alcotest.test_case "builder empty & bounds" `Quick
             test_builder_empty_and_bounds;
           Alcotest.test_case "builder growth" `Quick test_builder_growth;
-          Alcotest.test_case "csc aliases csr" `Quick test_csc_is_csr;
           Alcotest.test_case "shard_cuts shapes" `Quick test_shard_cuts_shapes;
           Alcotest.test_case "shard_cuts balance" `Quick
             test_shard_cuts_balance;
