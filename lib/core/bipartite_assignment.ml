@@ -41,7 +41,8 @@ type t = {
   temp_taken : bool array;
   offer_red : int array;
   offer_rank : int array;
-  mutable ranked_now : int list;
+  ranked_now : bool array;  (* reds ranked in this epoch's parts *)
+  mutable any_ranked : bool;
   mutable epoch : int;
   mutable epoch_hist : (int * int) list;
   mutable fixups : int;
@@ -128,7 +129,8 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
     temp_taken = mk_flag ();
     offer_red = Array.make n (-1);
     offer_rank = Array.make n (-1);
-    ranked_now = [];
+    ranked_now = mk_flag ();
+    any_ranked = false;
     epoch = 0;
     epoch_hist = [];
     fixups = 0;
@@ -139,7 +141,9 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
 (* ------------------------------------------------------------------ *)
 (* Stage transitions (run inside [advance]) *)
 
-let clear t a = Array.iter (fun v -> a.(v) <- false) (Array.append t.reds t.blues)
+let clear t a =
+  Array.iter (fun v -> a.(v) <- false) t.reds;
+  Array.iter (fun v -> a.(v) <- false) t.blues
 
 let reset_rank_state t =
   clear t t.active;
@@ -151,7 +155,8 @@ let reset_epoch_state t =
   clear t t.loner_parent;
   clear t t.brisk;
   clear t t.temp_taken;
-  t.ranked_now <- []
+  clear t t.ranked_now;
+  t.any_ranked <- false
 
 let enter t stage =
   t.stage <- stage;
@@ -177,11 +182,10 @@ let loner_inform_goal t =
     t.reds
 
 let stage3_goal t =
-  let marked = t.ranked_now in
   Array.for_all
     (fun b ->
       let has_marked_nbr () =
-        Graph.fold_neighbors t.graph b (fun acc v -> acc || List.mem v marked) false
+        Graph.fold_neighbors t.graph b (fun acc v -> acc || t.ranked_now.(v)) false
       in
       if is_secondary t b then not (has_marked_nbr ())
       else if t.is_blue.(b) && t.parents.(b) < 0 && t.ranks.(b) = 0 then
@@ -200,6 +204,10 @@ let part_reds t = function
 
 let part_blues t =
   unassigned_primaries t |> List.filter (fun b -> not t.temp_taken.(b))
+
+let mark_ranked t v =
+  t.ranked_now.(v) <- true;
+  t.any_ranked <- true
 
 let harvest_part t k (recr : Recruiting.t) =
   let bl = part_blues t in
@@ -239,13 +247,13 @@ let harvest_part t k (recr : Recruiting.t) =
           if k = 1 then begin
             t.ranks.(v) <- t.rank;
             t.excluded.(v) <- true;
-            t.ranked_now <- v :: t.ranked_now
+            mark_ranked t v
           end
           (* Parts 2/3 single recruits stay active with a temporary child. *)
       | Recruiting.Many ->
           t.ranks.(v) <- t.rank + 1;
           t.excluded.(v) <- true;
-          t.ranked_now <- v :: t.ranked_now)
+          mark_ranked t v)
     (part_reds t k)
 
 let rec next_rank t =
@@ -408,7 +416,7 @@ and enter_next_part t k =
     (* Brisk/lazy coins are per-epoch; after part 3 comes Stage III (skip
        straight to the epoch end when nobody was ranked and no secondary
        can attach). *)
-    match t.ranked_now with [] -> end_epoch t | _ :: _ -> enter t Stage3
+    if t.any_ranked then enter t Stage3 else end_epoch t
   end
   else begin
     if k = 1 then
@@ -451,7 +459,7 @@ let decide t ~node =
       else Engine.Sleep
   | Part (_, recr) -> Recruiting.decide recr ~node
   | Stage3 ->
-      if List.mem node t.ranked_now then begin
+      if t.ranked_now.(node) then begin
         if Rng.coin_pow2 (node_rng t node) (decay_exponent t t.stage_round) then
           Engine.Transmit (Cmsg.Marked { red = node; rank = t.ranks.(node) })
         else Engine.Listen
@@ -523,6 +531,8 @@ let finished t = match t.stage with Done -> true | _ -> false
 let current_rank t = if finished t then 0 else t.rank
 
 let waiting t = match t.stage with Waiting -> true | _ -> false
+
+let recruiting t = match t.stage with Part (_, recr) -> Some recr | _ -> None
 
 let rounds_used t = t.rounds
 

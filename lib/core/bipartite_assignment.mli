@@ -63,6 +63,11 @@ val current_rank : t -> int
 val waiting : t -> bool
 (** True while the instance idles on its [ready] dependency. *)
 
+val recruiting : t -> Recruiting.t option
+(** The live recruiting instance while the machine is in one of its three
+    recruiting parts: only its members can act until {!advance} moves the
+    machine on. *)
+
 (** {1 Instrumentation} *)
 
 val rounds_used : t -> int

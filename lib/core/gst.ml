@@ -202,18 +202,22 @@ let validate t =
 (* ------------------------------------------------------------------ *)
 (* Centralized construction                                            *)
 
+module Int_set = Hashtbl.Make (Int)
+
 let assign_level_pair ~graph ~reds ~blues ~blue_rank ~parents ~ranks =
-  let is_red = Hashtbl.create 64 and is_blue = Hashtbl.create 64 in
-  Array.iter (fun r -> Hashtbl.replace is_red r ()) reds;
-  Array.iter (fun b -> Hashtbl.replace is_blue b ()) blues;
+  (* Sized by the pair, not by n: the centralized build calls this once
+     per level pair. *)
+  let is_red = Int_set.create 64 and is_blue = Int_set.create 64 in
+  Array.iter (fun r -> Int_set.replace is_red r ()) reds;
+  Array.iter (fun b -> Int_set.replace is_blue b ()) blues;
   let red_nbrs b =
     Graph.fold_neighbors graph b
-      (fun acc v -> if Hashtbl.mem is_red v then v :: acc else acc)
+      (fun acc v -> if Int_set.mem is_red v then v :: acc else acc)
       []
   in
   let blue_nbrs r =
     Graph.fold_neighbors graph r
-      (fun acc v -> if Hashtbl.mem is_blue v then v :: acc else acc)
+      (fun acc v -> if Int_set.mem is_blue v then v :: acc else acc)
       []
   in
   let assigned b = parents.(b) >= 0 in

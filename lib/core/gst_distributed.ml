@@ -134,7 +134,16 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels () =
        that is one or two level pairs, not the whole graph.  The block
        wakes only inside [advance]/[settle] (after_round), never in
        decide, so dormancy observed at round start holds for the whole
-       round. *)
+       round.
+
+       Stage-exact narrowing: a live block in a recruiting part
+       ([Bipartite_assignment.recruiting] is [Some recr]) delegates decide
+       to [recr], whose members are fixed at [Recruiting.create] and which
+       answers every other node with a side-effect-free [Sleep].  Parts
+       are entered and left only in [advance]/[settle], so the instance
+       read at round start is the one that decides the whole round: waking
+       just its reds and blues — the part's reds and the part's unassigned
+       primaries — instead of both whole levels changes no action. *)
     let level_nodes = Array.init (depth + 1) at_level in
     let dormant l =
       let b = block l in
@@ -143,26 +152,27 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels () =
     let first_of_slot slot = if slot = 0 then 3 else slot in
     let decide_active ~round (buf : int array) =
       let k = ref 0 in
-      let put l =
-        let nodes = level_nodes.(l) in
+      let put nodes =
         let len = Array.length nodes in
         Array.blit nodes 0 buf !k len;
         k := !k + len
       in
+      let put_block l =
+        if not (dormant l) then
+          match Bipartite_assignment.recruiting (block l) with
+          | Some recr ->
+              put (Recruiting.reds recr);
+              put (Recruiting.blues recr)
+          | None ->
+              put level_nodes.(l - 1);
+              put level_nodes.(l)
+      in
       (match mode with
-      | Sequential ->
-          let c = !current in
-          if not (dormant c) then begin
-            put (c - 1);
-            put c
-          end
+      | Sequential -> put_block !current
       | Pipelined ->
           let l = ref (first_of_slot (round mod 3)) in
           while !l <= depth do
-            if not (dormant !l) then begin
-              put (!l - 1);
-              put !l
-            end;
+            put_block !l;
             l := !l + 3
           done);
       !k
@@ -363,15 +373,15 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
   in
   (* Stage-1 sweeps wake only a moving level pair; stage 2 wakes the
      forest nodes still relevant to the current distance.  Both reuse
-     these buffers. *)
+     these buffers, as does every sweep's [sweep_hit]. *)
   let depth_cap = depth + 2 in
   let level_nodes = Array.init (depth + 1) (fun l -> Bfs.nodes_at_level levels l) in
   let cand = Array.make (max n 1) 0 in
+  let sweep_hit = Array.make n false in
   while unlabeled_remain () && !d <= iter_cap do
     let dv = !d in
     (* Stage 1: label whole stretches hanging off F_dv, rank by rank. *)
     for r = 1 to max_rank do
-      let sweep_hit = Array.make n false in
       let heads_exist =
         let rec go v =
           v < n
@@ -382,6 +392,7 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
       if heads_exist || not params.Params.adaptive then begin
         (* Epoch 1 then epoch 2, each a D-round layer sweep. *)
         let epoch_len = depth + 1 in
+        Array.fill sweep_hit 0 n false;
         (* Per-level transmitter potential for the skip hint: epoch-0
            counts (qualifying heads per level) are static for the phase;
            epoch-1 counts grow as the sweep labels nodes (bumped in
@@ -454,16 +465,17 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
     done;
     (* Stage 2: Decay relaxation across ordinary G-edges. *)
     let budget = Params.whp_phases params ~n:scale_n * ladder in
+    let settled v =
+      (not (in_forest v))
+      || vd.(v) >= 0
+      || not
+           (Graph.fold_neighbors graph v
+              (fun acc u -> acc || (in_forest u && vd.(u) = dv))
+              false)
+    in
     let goal () =
-      Array.for_all
-        (fun v ->
-          (not (in_forest v))
-          || vd.(v) >= 0
-          || not
-               (Graph.fold_neighbors graph v
-                  (fun acc u -> acc || (in_forest u && vd.(u) = dv))
-                  false))
-        (Array.init n (fun i -> i))
+      let rec go v = v >= n || (settled v && go (v + 1)) in
+      go 0
     in
     let decide ~round ~node =
       if in_forest node && vd.(node) = dv then begin

@@ -2,61 +2,109 @@ open Rn_util
 open Rn_graph
 open Rn_radio
 
-type red_state = {
-  red_rng : Rng.t;
-  mutable coin : bool;
-  mutable claims : int list;  (* distinct unrecruited blues claiming me *)
-  mutable recruits : int;  (* saturating at 2 = "many" *)
-  mutable single : int;  (* the unique recruit when recruits = 1 *)
-}
-
-type blue_state = {
-  blue_rng : Rng.t;
-  mutable heard : int;  (* red heard in this iteration's announce round; -1 none *)
-  mutable parent : int;  (* -1 = not recruited *)
-  mutable many : bool;  (* belief about parent's class *)
-}
-
+(* Per-instance state lives in flat arrays indexed by a node's {e slot}
+   (its position in [reds] or [blues]); [keys]/[red_of]/[blue_of] map a
+   node id to its slots.  The map is open addressing with linear probing
+   over a power-of-two table at most half full: cell [h] holds node
+   [keys.(h)] (-1 = empty) with its red and blue slot (-1 = not one).  A
+   node listed twice keeps its last slot, and a node in both arrays acts
+   as a red in [decide]/[deliver]. *)
 type t = {
-  graph : Graph.t;
   params : Params.t;
   ladder : int;  (* ⌈log n⌉ *)
   iter_len : int;  (* 2 + ladder *)
   total_rounds : int;
   reds : int array;
   blues : int array;
-  red_st : (int, red_state) Hashtbl.t;
-  blue_st : (int, blue_state) Hashtbl.t;
+  keys : int array;
+  red_of : int array;
+  blue_of : int array;
+  (* red slots *)
+  red_rng : Rng.t array;
+  coin : bool array;
+  claims : int array;  (* distinct unrecruited blues claiming me, saturating at 2 *)
+  first_claim : int array;  (* the claimant when claims = 1 *)
+  recruits : int array;  (* saturating at 2 = "many" *)
+  single : int array;  (* the unique recruit when recruits = 1 *)
+  (* blue slots *)
+  blue_rng : Rng.t array;
+  heard : int array;  (* red heard in this iteration's announce round; -1 none *)
+  parent : int array;  (* -1 = not recruited *)
+  many : bool array;  (* belief about parent's class *)
+  coverable : int array;  (* blue slots with a red neighbour *)
   mutable round : int;
   mutable done_flag : bool;
 }
+
+let cell_of keys node =
+  (* Multiplicative hashing: middle bits of [node * ⌊2^62/φ⌋]. *)
+  let mask = Array.length keys - 1 in
+  let rec probe h =
+    let k = keys.(h) in
+    if k = node || k < 0 then h else probe ((h + 1) land mask)
+  in
+  probe (((node * 0x278DDE6E5FD29F05) lsr 20) land mask)
+
+let find keys slots node =
+  let h = cell_of keys node in
+  if keys.(h) = node then slots.(h) else -1
+
+let red_slot t node = find t.keys t.red_of node
+let blue_slot t node = find t.keys t.blue_of node
 
 let create ~rng ~params ~scale_n ~graph ~reds ~blues () =
   let ladder = Params.phase_len ~n:scale_n in
   let iter_len = 2 + ladder in
   let iters = Params.recruit_iterations params ~n:scale_n in
-  let red_st = Hashtbl.create (Array.length reds) in
-  Array.iter
-    (fun r ->
-      Hashtbl.replace red_st r
-        { red_rng = Rng.split rng; coin = false; claims = []; recruits = 0; single = -1 })
-    reds;
-  let blue_st = Hashtbl.create (Array.length blues) in
-  Array.iter
-    (fun b ->
-      Hashtbl.replace blue_st b
-        { blue_rng = Rng.split rng; heard = -1; parent = -1; many = false })
-    blues;
+  let nr = Array.length reds and nb = Array.length blues in
+  let cap = ref 2 in
+  while !cap < 2 * (nr + nb) do
+    cap := 2 * !cap
+  done;
+  let keys = Array.make !cap (-1) in
+  let red_of = Array.make !cap (-1) and blue_of = Array.make !cap (-1) in
+  let add slots i v =
+    let h = cell_of keys v in
+    keys.(h) <- v;
+    slots.(h) <- i
+  in
+  Array.iteri (add red_of) reds;
+  Array.iteri (add blue_of) blues;
+  let red_rng = Array.init nr (fun _ -> Rng.split rng) in
+  let blue_rng = Array.init nb (fun _ -> Rng.split rng) in
+  let coverable =
+    Array.of_list
+      (List.filter_map
+         (fun b ->
+           if
+             Graph.fold_neighbors graph b
+               (fun acc v -> acc || find keys red_of v >= 0)
+               false
+           then Some (find keys blue_of b)
+           else None)
+         (Array.to_list blues))
+  in
   {
-    graph;
     params;
     ladder;
     iter_len;
     total_rounds = iters * iter_len;
     reds;
     blues;
-    red_st;
-    blue_st;
+    keys;
+    red_of;
+    blue_of;
+    red_rng;
+    coin = Array.make nr false;
+    claims = Array.make nr 0;
+    first_claim = Array.make nr (-1);
+    recruits = Array.make nr 0;
+    single = Array.make nr (-1);
+    blue_rng;
+    heard = Array.make nb (-1);
+    parent = Array.make nb (-1);
+    many = Array.make nb false;
+    coverable;
     round = 0;
     done_flag = false;
   }
@@ -79,107 +127,109 @@ let announce_exponent t =
 let decide t ~node =
   if t.done_flag then Engine.Sleep
   else
-    match (Hashtbl.find_opt t.red_st node, slot t) with
-    | Some red, Announce ->
-        red.coin <- Rng.coin_pow2 red.red_rng (announce_exponent t);
-        red.claims <- [];
-        if red.coin then Engine.Transmit (Cmsg.Red_id node) else Engine.Listen
-    | Some _, Claiming _ -> Engine.Listen
-    | Some red, Verdict ->
-        if not red.coin then Engine.Listen
-        else begin
-          let n_claims = List.length red.claims in
-          let verdict =
-            if n_claims >= 2 then Cmsg.Sigma node
-            else if n_claims = 1 then begin
-              if red.recruits >= 1 then Cmsg.Sigma node
-              else Cmsg.Confirm { red = node; blue = List.hd red.claims }
-            end
-            else if
-              (* Echo the standing verdict for class consistency. *)
-              red.recruits >= 2
-            then Cmsg.Sigma node
-            else if red.recruits = 1 then
-              Cmsg.Confirm { red = node; blue = red.single }
-            else Cmsg.Beacon
-          in
-          Engine.Transmit verdict
-        end
-    | None, _ -> (
-        match (Hashtbl.find_opt t.blue_st node, slot t) with
-        | None, _ -> Engine.Sleep
-        | Some blue, Announce ->
-            blue.heard <- -1;
+    (* One probe serves both colours. *)
+    let h = cell_of t.keys node in
+    let r = if t.keys.(h) = node then t.red_of.(h) else -1 in
+    if r >= 0 then
+      match slot t with
+      | Announce ->
+          let c = Rng.coin_pow2 t.red_rng.(r) (announce_exponent t) in
+          t.coin.(r) <- c;
+          t.claims.(r) <- 0;
+          if c then Engine.Transmit (Cmsg.Red_id node) else Engine.Listen
+      | Claiming _ -> Engine.Listen
+      | Verdict ->
+          if not t.coin.(r) then Engine.Listen
+          else begin
+            let n_claims = t.claims.(r) and recruits = t.recruits.(r) in
+            let verdict =
+              if n_claims >= 2 then Cmsg.Sigma node
+              else if n_claims = 1 then begin
+                if recruits >= 1 then Cmsg.Sigma node
+                else Cmsg.Confirm { red = node; blue = t.first_claim.(r) }
+              end
+              else if
+                (* Echo the standing verdict for class consistency. *)
+                recruits >= 2
+              then Cmsg.Sigma node
+              else if recruits = 1 then
+                Cmsg.Confirm { red = node; blue = t.single.(r) }
+              else Cmsg.Beacon
+            in
+            Engine.Transmit verdict
+          end
+    else
+      let b = if t.keys.(h) = node then t.blue_of.(h) else -1 in
+      if b < 0 then Engine.Sleep
+      else
+        match slot t with
+        | Announce ->
+            t.heard.(b) <- -1;
             Engine.Listen
-        | Some blue, Claiming d ->
-            if blue.parent < 0 && blue.heard >= 0 then begin
-              if Rng.coin_pow2 blue.blue_rng d then
-                Engine.Transmit (Cmsg.Claim { blue = node; red = blue.heard })
+        | Claiming d ->
+            if t.parent.(b) < 0 && t.heard.(b) >= 0 then begin
+              if Rng.coin_pow2 t.blue_rng.(b) d then
+                Engine.Transmit (Cmsg.Claim { blue = node; red = t.heard.(b) })
               else Engine.Listen
             end
             else Engine.Listen
-        | Some _, Verdict -> Engine.Listen)
+        | Verdict -> Engine.Listen
 
-let commit_recruit red_state ~red:_ ~blue =
-  if red_state.recruits = 0 then begin
-    red_state.recruits <- 1;
-    red_state.single <- blue
+let commit_recruit t r ~blue =
+  if t.recruits.(r) = 0 then begin
+    t.recruits.(r) <- 1;
+    t.single.(r) <- blue
   end
-  else red_state.recruits <- 2
+  else t.recruits.(r) <- 2
 
 let deliver t ~node reception =
   if not t.done_flag then
     match reception with
     | Engine.Silence | Engine.Collision -> ()
     | Engine.Received msg -> (
-        match Hashtbl.find_opt t.red_st node with
-        | Some red -> (
+        let r = red_slot t node in
+        if r >= 0 then
+          match (msg, slot t) with
+          | Cmsg.Claim { blue; red = target }, Claiming _ when target = node ->
+              (* Only the count (saturating at 2) and a lone claimant are
+                 ever read. *)
+              if t.claims.(r) = 0 then begin
+                t.claims.(r) <- 1;
+                t.first_claim.(r) <- blue
+              end
+              else if t.claims.(r) = 1 && t.first_claim.(r) <> blue then
+                t.claims.(r) <- 2
+          | _ -> ()
+        else
+          let b = blue_slot t node in
+          if b >= 0 then
             match (msg, slot t) with
-            | Cmsg.Claim { blue; red = target }, Claiming _ when target = node ->
-                if not (List.mem blue red.claims) then
-                  red.claims <- blue :: red.claims
+            | Cmsg.Red_id r, Announce -> t.heard.(b) <- r
+            | Cmsg.Confirm { red; blue = target }, Verdict ->
+                if target = node && t.parent.(b) < 0 && t.heard.(b) = red then begin
+                  t.parent.(b) <- red;
+                  t.many.(b) <- false;
+                  commit_recruit t (red_slot t red) ~blue:node
+                end
+            | Cmsg.Sigma red, Verdict ->
+                if t.parent.(b) = red then t.many.(b) <- true
+                else if t.parent.(b) < 0 && t.heard.(b) = red then begin
+                  t.parent.(b) <- red;
+                  t.many.(b) <- true;
+                  (* The red might not have heard this blue; its class is
+                     already Many by construction of Sigma. *)
+                  let rs = red_slot t red in
+                  (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block: all three drivers of this deliver (Recruiting.run_standalone, Bipartite_assignment.run_standalone, Gst_distributed.run_assignment) map Sharded to Sparse with Drive.serial, so Engine_sharded never runs it. *)
+                  if t.recruits.(rs) < 2 then t.recruits.(rs) <- 2
+                end
             | _ -> ())
-        | None -> (
-            match Hashtbl.find_opt t.blue_st node with
-            | None -> ()
-            | Some blue -> (
-                match (msg, slot t) with
-                | Cmsg.Red_id r, Announce -> blue.heard <- r
-                | Cmsg.Confirm { red; blue = b }, Verdict ->
-                    if b = node && blue.parent < 0 && blue.heard = red then begin
-                      blue.parent <- red;
-                      blue.many <- false;
-                      commit_recruit (Hashtbl.find t.red_st red) ~red ~blue:node
-                    end
-                | Cmsg.Sigma red, Verdict ->
-                    if blue.parent = red then blue.many <- true
-                    else if blue.parent < 0 && blue.heard = red then begin
-                      blue.parent <- red;
-                      blue.many <- true;
-                      (* The red might not have heard this blue; its class is
-                         already Many by construction of Sigma. *)
-                      let rs = Hashtbl.find t.red_st red in
-                      (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block: all three drivers of this deliver (Recruiting.run_standalone, Bipartite_assignment.run_standalone, Gst_distributed.run_assignment) map Sharded to Sparse with Drive.serial, so Engine_sharded never runs it. *)
-                      if rs.recruits < 2 then rs.recruits <- 2
-                    end
-                | _ -> ())))
-
-let coverable_blues t =
-  Array.to_list t.blues
-  |> List.filter (fun b ->
-         Graph.fold_neighbors t.graph b
-           (fun acc v -> acc || Hashtbl.mem t.red_st v)
-           false)
 
 let goal_reached t =
-  List.for_all
+  Array.for_all
     (fun b ->
-      let bs = Hashtbl.find t.blue_st b in
-      bs.parent >= 0
-      &&
-      let rs = Hashtbl.find t.red_st bs.parent in
-      bs.many = (rs.recruits >= 2))
-    (coverable_blues t)
+      let p = t.parent.(b) in
+      p >= 0 && t.many.(b) = (t.recruits.(red_slot t p) >= 2))
+    t.coverable
 
 let advance t =
   if not t.done_flag then begin
@@ -194,25 +244,25 @@ let advance t =
 
 let finished t = t.done_flag
 
+let reds t = t.reds
+let blues t = t.blues
+
 type red_class = Zero | One of int | Many
 
 let parent_of t b =
-  match Hashtbl.find_opt t.blue_st b with
-  | Some bs when bs.parent >= 0 -> Some bs.parent
-  | Some _ | None -> None
+  let s = blue_slot t b in
+  if s >= 0 && t.parent.(s) >= 0 then Some t.parent.(s) else None
 
 let red_class t r =
-  match Hashtbl.find_opt t.red_st r with
-  | None -> Zero
-  | Some rs ->
-      if rs.recruits >= 2 then Many
-      else if rs.recruits = 1 then One rs.single
-      else Zero
+  let s = red_slot t r in
+  if s < 0 then Zero
+  else if t.recruits.(s) >= 2 then Many
+  else if t.recruits.(s) = 1 then One t.single.(s)
+  else Zero
 
 let blue_sees_many t b =
-  match Hashtbl.find_opt t.blue_st b with
-  | Some bs when bs.parent >= 0 -> Some bs.many
-  | Some _ | None -> None
+  let s = blue_slot t b in
+  if s >= 0 && t.parent.(s) >= 0 then Some t.many.(s) else None
 
 let rounds_used t = t.round
 
@@ -264,9 +314,7 @@ let run_standalone ?(detection = Engine.No_collision_detection) ?engine
     |> List.filter_map (fun b ->
            match parent_of t b with Some r -> Some (b, r) | None -> None)
   in
-  let all_covered =
-    List.for_all (fun b -> Option.is_some (parent_of t b)) (coverable_blues t)
-  in
+  let all_covered = Array.for_all (fun b -> t.parent.(b) >= 0) t.coverable in
   let classes_consistent =
     List.for_all
       (fun (b, r) ->

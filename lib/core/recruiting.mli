@@ -53,8 +53,8 @@ val create :
 (** {1 Scheduler interface} *)
 
 val decide : t -> node:int -> Cmsg.t Engine.action
-(** Action for one of the protocol's nodes in the current granted round.
-    Nodes not in [reds ∪ blues] must not be asked. *)
+(** Action for one of the protocol's nodes in the current granted round;
+    [Sleep], with no side effect, for a node not in [reds ∪ blues]. *)
 
 val deliver : t -> node:int -> Cmsg.t Engine.reception -> unit
 
@@ -66,6 +66,13 @@ val finished : t -> bool
 (** True once the iteration budget is exhausted, or (with
     [params.adaptive]) as soon as every coverable blue is recruited with
     consistent classes. *)
+
+val reds : t -> int array
+val blues : t -> int array
+(** The member arrays given to {!create} (not copies: do not mutate).
+    Fixed for the instance's lifetime; every other node gets a
+    side-effect-free [Sleep] from {!decide}, so an enclosing driver may
+    wake exactly these nodes. *)
 
 (** {1 Results} *)
 

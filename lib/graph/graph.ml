@@ -205,19 +205,21 @@ let max_degree t =
   done;
   !best
 
+module Int_tbl = Hashtbl.Make (Int)
+
 let induced_bipartite g ~left ~right =
   let nl = Array.length left and nr = Array.length right in
   let back = Array.append left right in
   (* Only right-side nodes need a forward mapping: edges inside a side are
      ignored, so a left endpoint that is absent from the table behaves the
      same as a non-member. *)
-  let fwd = Hashtbl.create (max nr 1) in
-  Array.iteri (fun j v -> Hashtbl.replace fwd v (nl + j)) right;
+  let fwd = Int_tbl.create (max nr 1) in
+  Array.iteri (fun j v -> Int_tbl.replace fwd v (nl + j)) right;
   let es = ref [] in
   Array.iteri
     (fun i u ->
       iter_neighbors g u (fun v ->
-          match Hashtbl.find_opt fwd v with
+          match Int_tbl.find_opt fwd v with
           | Some j -> es := (i, j) :: !es
           | None -> ()))
     left;

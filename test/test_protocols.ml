@@ -482,6 +482,174 @@ let test_baseline_cr () =
   Alcotest.(check bool) "completed" true (completed r.Decay.outcome)
 
 (* ------------------------------------------------------------------ *)
+(* Golden values *)
+
+(* The recruiting, bipartite-assignment and distributed-GST machines,
+   pinned draw for draw: each digest is the MD5 of a canonical rendering
+   of one run's outputs (3 graphs x 3 seeds per family).  How these
+   modules store their state, or which nodes the engine wakes each round,
+   must never show here. *)
+
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let int_pairs l =
+  String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) l)
+
+let bip_graphs =
+  List.map
+    (fun (name, seed, reds, blues, p) ->
+      (name, (reds, blues, Topo.bipartite_random ~rng:(rng seed) ~reds ~blues ~p)))
+    [
+      ("bip6x14", 1, 6, 14, 0.35);
+      ("bip10x30", 2, 10, 30, 0.2);
+      ("bip16x40", 3, 16, 40, 0.15);
+    ]
+
+let golden_graphs =
+  [
+    ("layered", Topo.layered_random ~rng:(rng 5) ~depth:6 ~width:6 ~p:0.3);
+    ("random", Topo.random_connected ~rng:(rng 9) ~n:40 ~extra:40);
+    ("grid", Topo.grid ~w:7 ~h:6);
+  ]
+
+let golden_recruiting ~seed (reds, blues, g) =
+  let o =
+    Recruiting.run_standalone ~rng:(rng seed) ~params:Params.default ~graph:g
+      ~reds:(Array.init reds Fun.id)
+      ~blues:(Array.init blues (fun i -> reds + i))
+      ()
+  in
+  Printf.sprintf "%d|%b|%b|%s" o.Recruiting.rounds o.Recruiting.all_covered
+    o.Recruiting.classes_consistent
+    (int_pairs o.Recruiting.recruited)
+
+let golden_assignment ~seed (reds, blues, g) =
+  let blue_ranks = Array.init (reds + blues) (fun v -> 1 + (v mod 3)) in
+  let o =
+    Bipartite_assignment.run_standalone ~rng:(rng seed) ~params:Params.default
+      ~graph:g
+      ~reds:(Array.init reds Fun.id)
+      ~blues:(Array.init blues (fun i -> reds + i))
+      ~blue_ranks ()
+  in
+  Printf.sprintf "%d|%s|%s|%s|%s" o.Bipartite_assignment.rounds
+    (ints o.Bipartite_assignment.parents)
+    (ints o.Bipartite_assignment.ranks)
+    (ints o.Bipartite_assignment.parent_rank)
+    (int_pairs o.Bipartite_assignment.epoch_history)
+
+let golden_sequential_gst ~seed g =
+  let r =
+    Gst_distributed.construct ~mode:Gst_distributed.Sequential ~rng:(rng seed)
+      ~graph:g ~roots:[| 0 |] ()
+  in
+  Printf.sprintf "%d|%d|%s|%s|%s" r.Gst_distributed.total_rounds
+    r.Gst_distributed.assignment_rounds
+    (ints r.Gst_distributed.gst.Gst.parents)
+    (ints r.Gst_distributed.gst.Gst.ranks)
+    (ints r.Gst_distributed.parent_rank)
+
+let golden_entry name ~seed g =
+  Protocols.ensure_registered ();
+  match Registry.find name with
+  | None -> Alcotest.fail ("unregistered " ^ name)
+  | Some e ->
+      let r = e.Registry.run ~seed ~graph:g ~source:0 () in
+      Printf.sprintf "%d|%b|%s" r.Registry.rounds r.Registry.delivered
+        (String.concat ";"
+           (List.map (fun (k, v) -> k ^ "=" ^ v) r.Registry.details))
+
+let golden_runs family graphs run =
+  List.concat_map
+    (fun (gname, g) ->
+      List.map
+        (fun seed ->
+          ( Printf.sprintf "%s %s seed=%d" family gname seed,
+            fun () -> run ~seed g ))
+        [ 1; 2; 3 ])
+    graphs
+
+let golden_families =
+  [
+    ("recruiting", golden_runs "recruiting" bip_graphs golden_recruiting);
+    ("assignment", golden_runs "assignment" bip_graphs golden_assignment);
+    ( "sequential gst",
+      golden_runs "sequential-gst" golden_graphs golden_sequential_gst );
+    ("gst-dist", golden_runs "gst-dist" golden_graphs (golden_entry "gst-dist"));
+    ("thm11", golden_runs "thm11" golden_graphs (golden_entry "thm11"));
+    ("unknown", golden_runs "unknown" golden_graphs (golden_entry "unknown"));
+  ]
+
+let golden =
+  [
+    ("recruiting bip6x14 seed=1", "82f5872a3114c67f6816df6cffd6f4f3");
+    ("recruiting bip6x14 seed=2", "0bd56bcf19a74770b76c639564d2a033");
+    ("recruiting bip6x14 seed=3", "97e289367aef888d03681231fc850554");
+    ("recruiting bip10x30 seed=1", "6e43eb142fe91bcd1842504167397378");
+    ("recruiting bip10x30 seed=2", "52882cd736397ffa6a33eae71b0dc10a");
+    ("recruiting bip10x30 seed=3", "9a82b93fdbbda300c3f0c076f287bd25");
+    ("recruiting bip16x40 seed=1", "482da3253526227e832b994ce2146b91");
+    ("recruiting bip16x40 seed=2", "0f4f4039c9b2661c12307787e6b92c6e");
+    ("recruiting bip16x40 seed=3", "c404a9c0add8c002bf2bd961c77811cb");
+    ("assignment bip6x14 seed=1", "f3c9bc66dbc77b11877e34c07e625d6a");
+    ("assignment bip6x14 seed=2", "6b39b4e7dfe137aed0929b07157edc0e");
+    ("assignment bip6x14 seed=3", "28b4cbb33cc12e2fba52974978d09622");
+    ("assignment bip10x30 seed=1", "8898b31834cc7d42f2a76f76c8764e42");
+    ("assignment bip10x30 seed=2", "498080895fbf8a7b7e24da9052e841b7");
+    ("assignment bip10x30 seed=3", "4905578b42cb2fc0a4e4a7d028e485ad");
+    ("assignment bip16x40 seed=1", "19febade2235097a2b915952e137f7cd");
+    ("assignment bip16x40 seed=2", "580f99ef036de2ce6056e84e389c3a86");
+    ("assignment bip16x40 seed=3", "8609ccf2f2bdcfb7c50b26b7f9bf3517");
+    ("sequential-gst layered seed=1", "1cdbfbdf1738907f45437525f6d84630");
+    ("sequential-gst layered seed=2", "72add6e5313f6bbe2b26e6491eac75e8");
+    ("sequential-gst layered seed=3", "61843173a7a207780b1b4423671a590e");
+    ("sequential-gst random seed=1", "fbb5234c7121ec569c023a8cf4ef81a2");
+    ("sequential-gst random seed=2", "e137237e65a25fdf9d733291569f267f");
+    ("sequential-gst random seed=3", "aee5a4caa8f8a3d76de41a057ced42d9");
+    ("sequential-gst grid seed=1", "e7ac5eca72ac47fb4ba1c19b523c3f8c");
+    ("sequential-gst grid seed=2", "2a5ac3f15a3afad3411e2b62a2210e83");
+    ("sequential-gst grid seed=3", "a849624643fa611d94e4016a76def02a");
+    ("gst-dist layered seed=1", "407e08d96fe15740af35c5e1eb88be48");
+    ("gst-dist layered seed=2", "3f7dfe6e37977f1acf6b410f7c848546");
+    ("gst-dist layered seed=3", "3c424a2211a8894c3d9df5b0965168ad");
+    ("gst-dist random seed=1", "2e8a3bbe5d11b3666f41eef9363de6d7");
+    ("gst-dist random seed=2", "732134dedd00833828fd2e0175ef360e");
+    ("gst-dist random seed=3", "813cb46cc7d7640d50324db32dc5aea8");
+    ("gst-dist grid seed=1", "fa313fb92dc64089477389d8d47e6e7d");
+    ("gst-dist grid seed=2", "e11506634875cef4e4fbbfa15858a710");
+    ("gst-dist grid seed=3", "6107460dd5304a3d8966a3eaa3950f4f");
+    ("thm11 layered seed=1", "56ac9f833ebaa37e346dfe6f643aec28");
+    ("thm11 layered seed=2", "def81d5264cc30b31046240582928ee4");
+    ("thm11 layered seed=3", "33dab6b9364c46d62950b608df0ac7a7");
+    ("thm11 random seed=1", "5fbd2ced995f912cb7212df3b70fd87b");
+    ("thm11 random seed=2", "d16b924d4a27f36e71da863e57a905ac");
+    ("thm11 random seed=3", "c3fb1f2b82831186e0f4a9ef88f03345");
+    ("thm11 grid seed=1", "e1b982c0fe8f3712ea6d3048f6a7dcb8");
+    ("thm11 grid seed=2", "250f8be7968110fb3517725f3797aa13");
+    ("thm11 grid seed=3", "8c029146553d11f82e8a25913d9299d7");
+    ("unknown layered seed=1", "51121013df13a2cc356d8be34d698a45");
+    ("unknown layered seed=2", "54ddb5d59545d1b6ce2209dff827c9e3");
+    ("unknown layered seed=3", "0db9996ba1933f2816e49ce82fccac0d");
+    ("unknown random seed=1", "10a403b2c8eab59206481a36620ff6f2");
+    ("unknown random seed=2", "7dcb8fa44f7127a9eb5c36a8a84ad1f1");
+    ("unknown random seed=3", "aec27164e0274dc0505fd3e45514e7b0");
+    ("unknown grid seed=1", "99f582fd47b2c51cae9356264b45adf0");
+    ("unknown grid seed=2", "518efc7b94d45001e761480d32591c96");
+    ("unknown grid seed=3", "0ee5354b0782558b70d60ba295026735");
+  ]
+
+let golden_case (family, runs) =
+  Alcotest.test_case family `Quick (fun () ->
+      List.iter
+        (fun (key, render) ->
+          match List.assoc_opt key golden with
+          | None -> Alcotest.fail ("no golden value for " ^ key)
+          | Some want ->
+              Alcotest.(check string) key want
+                (Digest.to_hex (Digest.string (render ()))))
+        runs)
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
 let arb_graph =
@@ -613,5 +781,6 @@ let () =
           Alcotest.test_case "sequential baseline" `Quick test_baseline_sequential;
           Alcotest.test_case "CR baseline" `Quick test_baseline_cr;
         ] );
+      ("golden", List.map golden_case golden_families);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -11,7 +11,9 @@
          flow through the seeded SplitMix64 [Rng] so every trial replays
          from one integer seed.
      R2  no polymorphic comparison inside lib/util, lib/graph, lib/core,
-         lib/radio: bare [compare], [Hashtbl.hash], comparison operators
+         lib/radio, lib/obs: bare [compare], [Hashtbl.hash], the generic
+         [Hashtbl] lookups/updates and [List.mem]/[assoc]/[mem_assoc]
+         (polymorphic hash or compare inside), comparison operators
          used as values, and — now that operand *types* are visible — any
          [=]/[<]/… whose operands are not of a type the compiler
          specializes (int, char, bool, unit, float, string, bytes,
@@ -709,6 +711,21 @@ let analyze ~path ~modname str =
               (Int.compare, Float.compare, ...)"
        | [ "Stdlib"; "Hashtbl"; "hash" ] ->
            emit loc "R2" "polymorphic Hashtbl.hash: hash a concrete key type"
+       | [ "Stdlib"; "Hashtbl";
+           (("find" | "find_opt" | "mem" | "replace" | "add" | "remove") as fn) ]
+         ->
+           emit loc "R2"
+             ("generic Hashtbl." ^ fn
+            ^ " hashes and compares keys polymorphically (caml_hash + \
+               caml_compare): use a Hashtbl.Make instance or an array \
+               indexed by node")
+       | [ "Stdlib"; "List";
+           (("mem" | "assoc" | "assoc_opt" | "mem_assoc" | "remove_assoc") as fn) ]
+         ->
+           emit loc "R2"
+             ("List." ^ fn
+            ^ " compares with polymorphic equality: use List.exists with a \
+               monomorphic equal, or a mark array")
        | _ -> ());
     if in_r4 then begin
       (match parts with

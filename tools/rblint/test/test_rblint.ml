@@ -103,6 +103,19 @@ let test_r2_minmax () =
   let fs = lint_as ~path:"bench/bad_r2_minmax.ml" "bad_r2_minmax.ml" in
   Alcotest.(check int) "bench exempt" 0 (count "R2" fs)
 
+let test_r2_generic () =
+  (* Generic Hashtbl lookups/updates and List.mem/assoc hide caml_hash and
+     caml_compare behind a call, whatever the key type; the monomorphic
+     replacements stay clean. *)
+  let fs = lint_as ~path:"lib/core/bad_r2_generic.ml" "bad_r2_generic.ml" in
+  check_rules "R2 only" [ "R2" ] fs;
+  Alcotest.(check int) "six Hashtbl, five List, one as a value" 12
+    (count "R2" fs);
+  let fs = lint_as ~path:"bench/bad_r2_generic.ml" "bad_r2_generic.ml" in
+  Alcotest.(check int) "bench exempt" 0 (count "R2" fs);
+  let fs = lint_as ~path:"lib/core/ok_r2_generic.ml" "ok_r2_generic.ml" in
+  check_rules "monomorphic replacements clean" [] fs
+
 let test_r3 () =
   let fs = lint_as ~path:"examples/bad_r3.ml" "bad_r3.ml" in
   check_rules "R3 only" [ "R3" ] fs;
@@ -496,6 +509,7 @@ let () =
         [
           Alcotest.test_case "R1 randomness" `Quick test_r1;
           Alcotest.test_case "R2 polymorphic compare" `Quick test_r2;
+          Alcotest.test_case "R2 generic Hashtbl/List" `Quick test_r2_generic;
           Alcotest.test_case "R2 typed operands (v1 blind spot)" `Quick
             test_r2_typed;
           Alcotest.test_case "R2 min/max immediate-only" `Quick test_r2_minmax;
