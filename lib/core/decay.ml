@@ -30,10 +30,10 @@ let broadcast ?(params = Params.default) ?ladder
   let node_rng = Rng.split_n rng n in
   let received_round = Array.make n (-1) in
   received_round.(source) <- 0;
-  (* The only cross-node aggregate; atomic so the sharded engine's
-     parallel deliver phase may decrement it from any lane.  Everything
-     else the callbacks touch is per-node (own RNG stream, own
-     received_round cell), which is exactly the Engine_sharded contract. *)
+  (* The only cross-node aggregate; atomic so the parallel deliver phase
+     of a [Sharded d] run may decrement it from any lane.  Everything else
+     the callbacks touch is per-node (own RNG stream, own received_round
+     cell), which is exactly the lane contract of Engine_sparse.run. *)
   let missing = Atomic.make (n - 1) in
   let decide ~round ~node =
     if received_round.(node) >= 0 then begin

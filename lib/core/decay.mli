@@ -57,12 +57,12 @@ val broadcast :
     [No_collision_detection] as in [2].
 
     [engine] (default [Sparse]) picks the round path via {!Drive.run}:
-    [Sparse] elides the per-round silence deliveries (Decay ignores them),
-    [Dense] is the {!Engine.run} reference, and [Sharded d] runs the
-    round loop on {!Engine_sharded} with [d] shards — the E-scale workload
-    (the callbacks touch only per-node state; the completion count is
-    atomic).  Identical results under every mode; no skip hint is offered
-    because informed nodes draw a coin every round.
+    [Sparse] runs {!Engine_sparse.run} on one lane, eliding the per-round
+    silence deliveries (Decay ignores them), [Dense] is the {!Engine.run}
+    reference, and [Sharded d] runs the same fast kernel on [d] lanes — the
+    E-scale workload (the callbacks touch only per-node state; the
+    completion count is atomic).  Identical results under every mode; no
+    skip hint is offered because informed nodes draw a coin every round.
 
     [metrics], when given, records every round into the registry with the
     phase annotation [round / ladder] (Lemma 2.2's unit — set from

@@ -219,7 +219,7 @@ let deliver t ~node reception =
                   (* The red might not have heard this blue; its class is
                      already Many by construction of Sigma. *)
                   let rs = red_slot t red in
-                  (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block: all three drivers of this deliver (Recruiting.run_standalone, Bipartite_assignment.run_standalone, Gst_distributed.run_assignment) map Sharded to Sparse with Drive.serial, so Engine_sharded never runs it. *)
+                  (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block: all three drivers of this deliver (Recruiting.run_standalone, Bipartite_assignment.run_standalone, Gst_distributed.run_assignment) map Sharded to Sparse with Drive.serial, so no Sharded d lane ever runs it. *)
                   if t.recruits.(rs) < 2 then t.recruits.(rs) <- 2
                 end
             | _ -> ())

@@ -3,8 +3,8 @@
    recruiting iteration, bipartite epoch).
 
    Annotation must happen from coordinator-serial code — protocol [decide]
-   and [deliver] callbacks run inside shard lanes under Engine_sharded, so
-   phase changes belong in [after_round] hooks (serial in both engines) or
+   and [deliver] callbacks run inside parallel lanes under [Sharded d], so
+   phase changes belong in [after_round] hooks (serial in every mode) or
    between runs.  All annotators in lib/core follow this rule; it is what
    keeps exported output byte-identical across domain counts. *)
 

@@ -4,7 +4,7 @@
     recruiting iteration, bipartite epoch) so counters aggregate per paper
     phase.  Annotate only from coordinator-serial code — [after_round]
     hooks or between runs, never from [decide]/[deliver] (those run inside
-    shard lanes under [Engine_sharded] and would break the byte-identity
+    parallel lanes under [Sharded d] and would break the byte-identity
     contract). *)
 
 val enter : Metrics.t -> int -> unit

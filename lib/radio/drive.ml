@@ -1,5 +1,5 @@
 (* The routing table of drive.mli, in code: only Sparse takes the fast
-   paths; Dense and Sharded run the full scan. *)
+   paths; Dense runs the full scan, Sharded the d-lane fast engine. *)
 let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
     ?next_busy_round ?validate ~graph ~detection ~protocol ~stop ~max_rounds
     () =
@@ -12,7 +12,7 @@ let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
         ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
         ~max_rounds ()
   | Engine.Sharded domains ->
-      Engine_sharded.run ?stats ?metrics ?after_round ~domains ~graph
+      Engine_sparse.run ?stats ?metrics ?after_round ~domains ~graph
         ~detection ~protocol ~stop ~max_rounds ()
 
 let serial = function Engine.Sharded _ -> Engine.Sparse | mode -> mode

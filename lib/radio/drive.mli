@@ -1,7 +1,6 @@
 (** The one engine entry point: every pipeline in [lib/core] runs its
-    rounds through {!run}.  It lives above the three engines because
-    {!Engine} cannot call {!Engine_sparse} or {!Engine_sharded} without a
-    dependency cycle.
+    rounds through {!run}.  It lives above the two engines because
+    {!Engine} cannot call {!Engine_sparse} without a dependency cycle.
 
     Routing rule — each engine has one role, and only [Sparse] consumes the
     protocol fast paths (every other hook reaches every engine unchanged):
@@ -9,14 +8,14 @@
     {v
     mode        decide_active  next_busy_round  validate  engine
     Dense       ignored        ignored          ignored   Engine.run (full-scan oracle)
-    Sparse      used           used             used      Engine_sparse.run
-    Sharded d   ignored        ignored          ignored   Engine_sharded.run ~domains:d
+    Sparse      used           used             used      Engine_sparse.run ~domains:1
+    Sharded d   ignored        ignored          ignored   Engine_sparse.run ~domains:d
     v}
 
     [Dense] is the reference the fast paths are checked against, and
-    [Sharded] parallelizes the same full scan.  A node outside the active
-    set must [Sleep] without side effects and a skipped round must be
-    silent, hence dropping either never changes a result.  Tracing
+    [Sharded] runs the fast kernel of [Sparse] on [d] lanes.  A node
+    outside the active set must [Sleep] without side effects and a skipped
+    round must be silent, hence dropping either never changes a result.  Tracing
     ([on_round]) is not routed: it exists only on {!Engine.run}, which
     tracing callers invoke directly. *)
 

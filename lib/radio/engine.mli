@@ -73,8 +73,8 @@ val total_simulated_rounds : unit -> int
     the delta around an experiment to report rounds/sec. *)
 
 val add_simulated_rounds : int -> unit
-(** Credit rounds to the process-wide tally.  For alternate engine front
-    ends ({!Engine_sharded}) that simulate rounds without going through
+(** Credit rounds to the process-wide tally.  For the fast engine
+    ({!Engine_sparse}), which simulates rounds without going through
     [run]; protocols and benches never call this. *)
 
 val total_skipped_rounds : unit -> int
@@ -90,9 +90,12 @@ val add_skipped_rounds : int -> unit
 
 type mode =
   | Dense  (** {!run}: the full-scan reference, the only tracing path *)
-  | Sparse  (** {!Engine_sparse.run}: frontier delivery + silent-round skip *)
+  | Sparse
+      (** {!Engine_sparse.run} on one lane, with the protocol fast paths
+          (active set, silent-round skip) *)
   | Sharded of int
-      (** {!Engine_sharded.run} with that many shards ([>= 1]) *)
+      (** {!Engine_sparse.run} on that many lanes ([>= 1]), without the
+          fast paths *)
 (** Which round path a pipeline runs on.  Every wrapper forwards its
     [?engine] to {!Drive.run}, which declares the [Sparse] default; only
     [Sparse] consumes the protocol fast paths.  All three modes produce
@@ -100,10 +103,10 @@ type mode =
     entry under [Dense], [Sparse] and [Sharded 1/2/4]). *)
 
 val inject_silence : bool Atomic.t
-(** Debug probe for the contracts suite: when set, all three engines
-    ({!run}, {!Engine_sparse.run}, {!Engine_sharded.run}) deliver one
-    spurious [Silence] to every listener they deliver to, before its real
-    reception of the round.  A protocol honouring the R11
+(** Debug probe for the contracts suite: when set, both engines ({!run}
+    and {!Engine_sparse.run}, under every mode) deliver one spurious
+    [Silence] to every listener they deliver to, before its real reception
+    of the round.  A protocol honouring the R11
     silence-purity contract (DESIGN.md §13) produces byte-identical results
     either way — [test/test_contracts.ml] asserts exactly that for every
     registered pipeline.  Read once per run; defaults to [false], in which

@@ -1,28 +1,34 @@
-(** Event-driven sparse round path — the only engine that takes protocol
-    fast paths.
+(** The fast round path: one spray/deliver kernel, on one lane or on
+    [domains] parallel lanes — the only engine that takes protocol fast
+    paths.
 
     Same model, protocol interface, and observable behavior as
-    {!Engine.run}, with three structural changes that make long,
+    {!Engine.run}.  Each round has two phases: every lane decides its own
+    node range (a contiguous shard, balanced by CSR edge count), then
+    sprays each transmitter's packet into the part of its neighbor list
+    that the lane owns — one saturating byte per node records
+    not-listening / silent / one packet / collided — and delivers its
+    listeners in descending decide order.  On one lane that is
+    {!Engine.run}'s order whenever the decide order is ascending (no
+    active set, or an ascending one).  Three structural changes make long,
     mostly-quiet schedules (the Theorem 1.1 pipeline) cheap:
 
-    - {b Active-set decides.}  An optional [decide_active] lets the
-      protocol enumerate the round's awake nodes; every other node
-      implicitly [Sleep]s without a [decide] call, so schedules where
-      only one layer or ring is awake — Decay waves, GST stretches —
-      simulate a round in O(|active|) instead of O(n).
+    - {b Active-set decides} (one lane only).  An optional
+      [decide_active] lets the protocol enumerate the round's awake nodes;
+      every other node implicitly [Sleep]s without a [decide] call, so
+      schedules where only one layer or ring is awake — Decay waves, GST
+      stretches — simulate a round in O(|active|) instead of O(n).
 
-    - {b Frontier delivery.}  Listeners are round-stamped instead of
-      stacked; only listeners inside a transmitter's neighborhood (the
-      {e touched} set) receive a [deliver] call.  An untouched listener
-      would have heard [Silence]; the engine relies on the {b silence
-      no-op contract}: delivering [Silence] must not change protocol
-      state.  Every protocol in this repository satisfies it (silence
-      arms are [()] or absent).  A protocol that reacts to silence — e.g.
-      counting quiet rounds inside [deliver] — must use {!Engine.run}, or
-      move the reaction to [after_round].  Note: under
+    - {b Silence elision.}  A listener with no transmitting neighbour
+      receives no [deliver] call.  It would have heard [Silence]; the
+      engine relies on the {b silence no-op contract} (R11 silence purity,
+      DESIGN.md §13): delivering [Silence] must not change protocol state.
+      Every registered protocol satisfies it.  A protocol that reacts to
+      silence — e.g. counting quiet rounds inside [deliver] — must use
+      {!Engine.run}, or move the reaction to [after_round].  Under
       [No_collision_detection] a collided listener hears [Silence] too;
-      {e those} deliveries still happen (the node is touched), so the
-      contract only concerns zero-transmitter silence.
+      {e those} deliveries still happen, so the contract only concerns
+      zero-transmitter silence.
 
     - {b Silent-round skip.}  An optional [next_busy_round] hint lets the
       protocol promise that no node transmits before a given round; the
@@ -34,12 +40,21 @@
       are credited to {!Engine.total_skipped_rounds}, not
       {!Engine.total_simulated_rounds}.
 
-    Deliveries within a round arrive in a different order than
-    {!Engine.run} (descending touch order vs descending decide order).
-    Each listener still receives at most one reception per round, so
-    protocols with per-node state — all of them here — observe identical
-    behavior; the equivalence suite ([test/test_engine_sparse.ml]) pins
-    outcome, stats, per-node receive logs and metrics exports to the
+    {b Lanes.}  With [domains > 1] the lanes run on borrowed
+    {!Runner.Pool} workers separated by a barrier; no lane writes another
+    lane's state, so a round needs no atomics.  For protocols whose
+    [decide]/[deliver] touch only per-node state, the outcome, stats,
+    per-node deliveries, metrics and every [after_round] observation are
+    byte-identical for every [domains] value, and the schedule depends only
+    on [domains] — a busy pool runs the lanes on fewer domains (possibly
+    just the caller's) with unchanged results.  Callbacks that share
+    mutable state {e across} nodes would race; cross-node aggregates must be
+    [Atomic.t] (see [Decay]'s missing-count).  [stop], [next_busy_round]
+    and [after_round] always run in the calling domain, between rounds.
+
+    The equivalence suites ([test/test_engine_sparse.ml],
+    [test/test_engine_sharded.ml]) pin outcome, stats, per-node receive
+    logs, metrics exports and the one-lane deliver sequence to the
     full-scan reference.  There is no tracing hook: a trace must contain
     the elided [Silence] events, so tracing callers use {!Engine.run}. *)
 
@@ -50,6 +65,7 @@ val run :
   ?decide_active:(round:int -> int array -> int) ->
   ?next_busy_round:(round:int -> int) ->
   ?validate:bool ->
+  ?domains:int ->
   graph:Rn_graph.Graph.t ->
   detection:Engine.detection ->
   protocol:'msg Engine.protocol ->
@@ -58,7 +74,8 @@ val run :
   unit ->
   Engine.outcome
 (** [stats], [metrics], [after_round] and the {!Engine.inject_silence}
-    probe are as at {!Engine.run}.
+    probe are as at {!Engine.run}; [metrics] and [stats] are fed from the
+    shard-order sums of the lanes' counters.
 
     [decide_active], when given, replaces the every-node decide scan: each
     round the engine hands it a reusable buffer of length [n]; the protocol
@@ -91,5 +108,13 @@ val run :
     jammers) must not offer a hint — wrappers disable it when fault
     injection is active.
 
-    @raise Invalid_argument if [next_busy_round] returns [r < round], or
-    on a bad [decide_active] id/count. *)
+    [domains] (default [1]) is the lane count.  [domains = 1] runs inline
+    in the calling domain (no pool, no barriers); [domains] exceeding the
+    node count leaves the extra lanes empty, which is legal.  A callback's
+    exception propagates at once on one lane; on [d > 1] lanes it
+    resurfaces in the caller after the round's lanes finish, the
+    lowest-numbered lane's first.
+
+    @raise Invalid_argument if [domains < 1], if [decide_active] is given
+    with [domains > 1], if [next_busy_round] returns [r < round], or on a
+    bad [decide_active] id/count. *)

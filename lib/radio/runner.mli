@@ -38,12 +38,12 @@ val map_seeds : ?domains:int -> seeds:int list -> (seed:int -> 'a) -> 'a list
     per-seed trial loop in [bench/main.ml]. *)
 
 (** The process-wide pool of reusable worker domains behind [map] and
-    {!Engine_sharded.run}.
+    the lanes of {!Engine_sparse.run}.
 
     Workers park on a condition variable between jobs, so borrowing is
     cheap enough for round-granularity use.  [borrow] reuses idle workers
     freely but {e spawns} new domains only when no worker is busy: a nested
-    parallel region (a sharded run inside a [map] trial, or vice versa)
+    parallel region (a d-lane engine run inside a [map] trial, or vice versa)
     gets zero workers and runs in its calling domain, bounding the live
     domain count to one level of parallelism.  Callers must treat a short
     allocation as normal, not an error — every parallel entry point here
@@ -59,7 +59,7 @@ module Pool : sig
       plus a full pool then exactly saturate the hardware.  CPU-bound lanes
       gain nothing from more executors than cores and lose badly (every
       barrier crossing becomes a scheduler round-trip), and by the
-      determinism contracts of {!map} and {!Engine_sharded.run} the
+      determinism contracts of {!map} and {!Engine_sparse.run} the
       executor count never affects results, so requests beyond the cap
       simply degrade toward the calling domain.  Tests raise it to force
       true multi-domain execution on small machines. *)

@@ -251,7 +251,7 @@ let test_sparse_busy_budget () =
     true
     (words <= budget)
 
-(* Sharded engine, per-shard-lane budget: each lane writes Gc.minor_words
+(* d-lane fast engine, per-shard-lane budget: each lane writes Gc.minor_words
    (its executing domain's counter — lane j is pinned to executor j when
    the pool is idle) into its own row of a preallocated matrix at its first
    decide of every round.  The delta between consecutive rounds on the same
@@ -281,7 +281,7 @@ let test_sharded_lane_budget () =
     }
   in
   let (_ : Engine.outcome) =
-    Engine_sharded.run ~domains ~graph
+    Engine_sparse.run ~domains ~graph
       ~detection:Engine.Collision_detection ~protocol
       ~after_round:(fun ~round -> round_no := round)
       ~stop:(fun ~round:_ -> false)

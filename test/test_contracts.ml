@@ -156,17 +156,20 @@ let dense = driven Engine.Dense
 let sparse = driven Engine.Sparse
 let sharded = driven (Engine.Sharded 2)
 
-(* The probe itself: dense and sharded deliver the spurious [Silence] to
-   every listener, so a listen-only round hands each node two receptions
-   (the sparse engine delivers only to touched listeners). *)
+(* The probe itself: every engine delivers the spurious [Silence] to every
+   listener it delivers to.  On a listen-only round only [Dense] delivers
+   at all (the fast engine elides zero-transmitter [Silence]); on the
+   alternating schedule below every listener has a transmitting
+   neighbour, so every engine delivers to every listener and each node
+   counts two receptions per listening round. *)
 let test_injection_reaches_listeners () =
-  let rounds = 3 in
-  let receptions engine =
+  let rounds = 4 in
+  let receptions ~decide engine =
     let got = Array.make (Graph.n small) 0 in
     let protocol =
       {
-        null_protocol with
-        Engine.deliver = (fun ~round:_ ~node _ -> got.(node) <- got.(node) + 1);
+        Engine.decide;
+        deliver = (fun ~round:_ ~node _ -> got.(node) <- got.(node) + 1);
       }
     in
     ignore
@@ -177,13 +180,23 @@ let test_injection_reaches_listeners () =
              ~max_rounds:rounds ()));
     got
   in
+  Alcotest.(check (array int))
+    "dense, listen-only"
+    (Array.make (Graph.n small) (2 * rounds))
+    (receptions ~decide:null_protocol.Engine.decide Engine.Dense);
+  (* Path 0-1-2-3: nodes of one parity transmit while the others listen,
+     so each listener hears one packet or a collision. *)
+  let alternating ~round ~node =
+    if (round + node) mod 2 = 0 then Engine.Transmit node else Engine.Listen
+  in
   List.iter
     (fun (name, engine) ->
       Alcotest.(check (array int))
         name
-        (Array.make (Graph.n small) (2 * rounds))
-        (receptions engine))
-    [ ("dense", Engine.Dense); ("sharded 2", Engine.Sharded 2) ]
+        (Array.make (Graph.n small) rounds)
+        (receptions ~decide:alternating engine))
+    [ ("dense", Engine.Dense); ("sparse", Engine.Sparse);
+      ("sharded 2", Engine.Sharded 2) ]
 
 let registry_tests =
   [

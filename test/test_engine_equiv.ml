@@ -166,9 +166,10 @@ let same_observation a b =
   && a.obs_stats = b.obs_stats
 
 (* Active set vs full scan: the sparse engine elides zero-transmitter
-   Silence deliveries and delivers in touch order, so the logs are
-   compared with Silence dropped and in (round, node) order — each node
-   hears at most one reception per round.  Collision counts in the stats
+   Silence deliveries and delivers in descending decide order, which
+   follows the active set's buffer order rather than node order, so the
+   logs are compared with Silence dropped and in (round, node) order —
+   each node hears at most one reception per round.  Collision counts in the stats
    pin the collided-Silence deliveries both engines perform. *)
 let canonical_log log =
   List.sort compare (List.filter (fun (_, _, r) -> r <> Engine.Silence) log)

@@ -1,11 +1,17 @@
-(* Equivalence of the sharded engine with the full-scan serial engine:
-   same outcome, same per-node deliver log (order within each node
+(* Equivalence of the d-lane fast engine ([Engine_sparse.run ~domains],
+   reached as [Drive.run ~engine:(Sharded d)]) with the full-scan serial
+   engine: same outcome, same per-node deliver log (order within each node
    included), same after_round sequence, same stats — for any graph,
-   schedule and detection mode, for every shard count, and through
-   [Drive.run], which drops an active set under [Sharded].  The deliver
-   log is an array indexed by node (each lane appends only to its own
-   nodes' cells), so the observation itself respects the engine's
-   per-node-state contract and works unchanged under parallel delivery. *)
+   schedule and detection mode, for every lane count, and through
+   [Drive.run], which drops an active set under [Sharded].  Like the
+   one-lane path, every lane elides the [Silence] delivery of a listener
+   with no transmitting neighbour (the R11 silence-purity contract), so
+   logs are compared with [Silence] filtered from both sides, exactly as
+   in test_engine_sparse; the collision counts in stats pin the
+   collided-Silence deliveries both engines perform.  The deliver log is
+   an array indexed by node (each lane appends only to its own nodes'
+   cells), so the observation itself respects the engine's per-node-state
+   contract and works unchanged under parallel delivery. *)
 
 open Rn_util
 open Rn_graph
@@ -74,8 +80,12 @@ let observe_sharded ?decide_active ~domains ~graph ~detection ~script
         ~stop:(fun ~round:_ -> false)
         ~max_rounds ())
 
+let drop_silence logs =
+  Array.map (List.filter (fun (_, r) -> r <> Engine.Silence)) logs
+
 let same_observation a b =
-  a.obs_outcome = b.obs_outcome && a.obs_logs = b.obs_logs
+  a.obs_outcome = b.obs_outcome
+  && drop_silence a.obs_logs = drop_silence b.obs_logs
   && a.obs_after = b.obs_after && a.obs_stats = b.obs_stats
 
 let arb_case =
@@ -203,7 +213,7 @@ let test_empty_shards_star () =
   check_matches_serial ~graph:g ~detection:Engine.Collision_detection ~script
     ~max_rounds:8 [ 2; 8; 64 ];
   (* and the degenerate awake set: everyone asleep every other round,
-     written into the script itself since the sharded engine always scans
+     written into the script itself since the d-lane engine always scans
      every node *)
   let script =
     Array.mapi
@@ -224,10 +234,32 @@ let test_domains_must_be_positive () =
     }
   in
   Alcotest.check_raises "domains = 0 rejected"
-    (Invalid_argument "Engine_sharded.run: domains must be >= 1") (fun () ->
+    (Invalid_argument "Engine_sparse.run: domains must be >= 1") (fun () ->
       ignore
-        (Engine_sharded.run ~domains:0 ~graph:g
+        (Engine_sparse.run ~domains:0 ~graph:g
            ~detection:Engine.Collision_detection ~protocol:p
+           ~stop:(fun ~round:_ -> false)
+           ~max_rounds:1 ()))
+
+(* The active set is a one-lane fast path: lanes own node ranges, and an
+   arbitrary id set would cross them. *)
+let test_active_set_needs_one_lane () =
+  let g = Topo.path 3 in
+  let p =
+    {
+      Engine.decide = (fun ~round:_ ~node:_ -> Engine.Listen);
+      deliver = (fun ~round:_ ~node:_ _ -> ());
+    }
+  in
+  Alcotest.check_raises "domains = 2 with decide_active rejected"
+    (Invalid_argument "Engine_sparse.run: decide_active needs domains = 1")
+    (fun () ->
+      ignore
+        (Engine_sparse.run ~domains:2
+           ~decide_active:(fun ~round:_ buf ->
+             buf.(0) <- 0;
+             1)
+           ~graph:g ~detection:Engine.Collision_detection ~protocol:p
            ~stop:(fun ~round:_ -> false)
            ~max_rounds:1 ()))
 
@@ -249,7 +281,7 @@ let test_lane_exception_propagates () =
   List.iter
     (fun domains ->
       match
-        Engine_sharded.run ~domains ~graph:g
+        Engine_sparse.run ~domains ~graph:g
           ~detection:Engine.Collision_detection ~protocol:p
           ~stop:(fun ~round:_ -> false)
           ~max_rounds:10 ()
@@ -263,7 +295,7 @@ let test_lane_exception_propagates () =
   check_matches_serial ~graph:g2 ~detection:Engine.Collision_detection
     ~script ~max_rounds:3 [ 4 ]
 
-(* Decay end-to-end: the protocol the sharded engine was built for, with
+(* Decay end-to-end: the protocol the d-lane engine was built for, with
    its atomic completion count, across detection modes and shard counts. *)
 let test_decay_integration () =
   let open Rn_broadcast in
@@ -298,6 +330,8 @@ let () =
             test_empty_shards_star;
           Alcotest.test_case "domains >= 1 enforced" `Quick
             test_domains_must_be_positive;
+          Alcotest.test_case "decide_active needs one lane" `Quick
+            test_active_set_needs_one_lane;
           Alcotest.test_case "lane exception propagates" `Quick
             test_lane_exception_propagates;
         ] );

@@ -155,9 +155,50 @@ let awake_set script n ~round (buf : int array) =
     done;
   !k
 
+(* The whole round's deliver sequence, across all nodes, in call order
+   with [Silence] dropped.  The sparse run gets the full scan or an
+   ascending active set, the decide orders under which its descending
+   delivery is the dense engine's. *)
+let deliver_sequence ?decide_active ~engine ~graph ~detection ~script
+    ~max_rounds () =
+  let seq = ref [] in
+  let protocol =
+    {
+      Engine.decide =
+        (fun ~round ~node ->
+          if round < Array.length script then script.(round).(node)
+          else Engine.Listen);
+      deliver =
+        (fun ~round ~node reception ->
+          if reception <> Engine.Silence then
+            seq := (round, node, reception) :: !seq);
+    }
+  in
+  let stop ~round:_ = false in
+  let (_ : Engine.outcome) =
+    match engine with
+    | `Dense -> Engine.run ~graph ~detection ~protocol ~stop ~max_rounds ()
+    | `Sparse ->
+        Engine_sparse.run ?decide_active ~graph ~detection ~protocol ~stop
+          ~max_rounds ()
+  in
+  List.rev !seq
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"sparse deliver order ≡ dense (±ascending active set)"
+      ~count:200
+      (pair arb_case bool)
+      (fun (case, use_da) ->
+        let g, script, detection, rounds = setup case in
+        let da =
+          if use_da then Some (awake_set script (Graph.n g)) else None
+        in
+        deliver_sequence ~engine:`Dense ~graph:g ~detection ~script
+          ~max_rounds:rounds ()
+        = deliver_sequence ?decide_active:da ~engine:`Sparse ~graph:g
+            ~detection ~script ~max_rounds:rounds ());
     Test.make ~name:"sparse ≡ dense (full scan)" ~count:300 arb_case
       (fun case ->
         let g, script, detection, rounds = setup case in

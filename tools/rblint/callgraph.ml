@@ -30,8 +30,8 @@
          Rng on a [Silence] delivery (Engine_sparse skips silent rounds).
      R12 write locality — every write reachable from a protocol's
          [decide]/[deliver] must target node-derived state, node-local
-         scratch, or an [Atomic.t] (Engine_sharded races callbacks of
-         different nodes otherwise); Rng draws must come from a
+         scratch, or an [Atomic.t] (the [Sharded d] lanes race callbacks
+         of different nodes otherwise); Rng draws must come from a
          node-derived stream.
      R13 hint determinism — [~next_busy_round] closures must be pure
          functions of the round and data they can only read: any write,
@@ -276,14 +276,13 @@ let rng_op_of_key k =
    other Rng operation advances (or splits) the underlying stream state. *)
 let rng_consuming = function "create" | "copy" -> false | _ -> true
 
-(* [Drive] is listed beside the three engines so a pipeline driving
+(* [Drive] is listed beside the two engines so a pipeline driving
    through the one entry point (Rn_radio.Drive.run) is seeded at its own
    call site, without relying on the call graph to resolve Drive.run's
    body in another library. *)
 let is_engine_run k =
   match List.rev k with
-  | "run" :: ("Drive" | "Engine" | "Engine_sparse" | "Engine_sharded") :: _ ->
-      true
+  | "run" :: ("Drive" | "Engine" | "Engine_sparse") :: _ -> true
   | _ -> false
 
 let is_registry_register k =
@@ -629,7 +628,7 @@ let r12_findings units =
     forward_closure ~seeds:callbacks ~edge_ok:(fun c -> not c.c_fwd) units
   in
   let advice =
-    " — Engine_sharded runs callbacks for different nodes on different \
+    " — Sharded d lanes run callbacks for different nodes on different \
      domains, so cross-node or shared-accumulator writes race; index \
      through the callback's ~node argument, use node-local scratch, make \
      shared aggregates Atomic.t, or add a reasoned rblint:allow R12"
@@ -804,7 +803,7 @@ let r14_findings units =
     forward_closure ~seeds:register_seeds ~edge_ok:(fun _ -> true) units
   in
   (* Nodes that transitively drive an engine: backward reachability from
-     Drive/Engine/Engine_sparse/Engine_sharded run call sites. *)
+     Drive/Engine/Engine_sparse run call sites. *)
   let drives =
     propagate
       ~seed_iter:(fun mark ->

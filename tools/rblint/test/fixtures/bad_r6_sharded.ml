@@ -1,5 +1,5 @@
 (* Fixture: R6 in the sharded-engine shape — per-run lane state hoisted to
-   the top level of a spawning module.  [Engine_sharded.run] keeps
+   the top level of a spawning module.  [Engine_sparse.run] keeps
    [out_act] and the shard cuts inside [run] so every invocation owns
    fresh state; hoisting them makes concurrent runs race through the
    module.  The rounds tally mirrors the sanctioned Atomic pattern and

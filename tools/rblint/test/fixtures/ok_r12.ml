@@ -1,6 +1,6 @@
 (* R12 clean fixture: every callback write is node-local — indexed through
    the callback's ~node argument, or a shared aggregate made Atomic — so
-   Engine_sharded can run callbacks for different nodes on different
+   the Sharded d lanes can run callbacks for different nodes on different
    domains without racing. *)
 
 module Engine = struct
