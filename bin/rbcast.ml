@@ -316,8 +316,7 @@ let read_lines path =
 let mono_now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let campaign_cmd =
-  let run spec_path out journal_path resume domains no_cache static kill_after
-      quiet =
+  let run spec_path out journal_path resume domains kill_after quiet =
     match Rn_campaign.Spec.parse (read_file spec_path) with
     | Error msg ->
         Printf.eprintf "rbcast campaign: %s\n%!" msg;
@@ -333,20 +332,24 @@ let campaign_cmd =
           if resume && Sys.file_exists journal_path then read_lines journal_path
           else []
         in
-        (* The journal is append-only and flushed per line, so a SIGKILL
-           loses at most the line being written — which resume ignores.
-           The output file is rewritten from scratch each run (resume
-           re-emits the replayed prefix), keeping it byte-identical to an
+        (* The journal is flushed per line, so a SIGKILL loses at most the
+           line being written — which resume ignores.  A resumed run
+           appends to it; any other run starts it afresh.  The output
+           file is rewritten from scratch each run (resume re-emits the
+           replayed prefix), keeping it byte-identical to an
            uninterrupted run. *)
-        let jc = open_out_gen [ Open_append; Open_creat ] 0o644 journal_path in
+        let jc =
+          open_out_gen
+            [
+              Open_wronly; Open_creat;
+              (if resume then Open_append else Open_trunc);
+            ]
+            0o644 journal_path
+        in
         let oc = match out with Some p -> open_out p | None -> stdout in
         let t0 = mono_now () in
         let stats =
           Rn_campaign.Campaign.run ?domains
-            ~schedule:
-              (if static then Rn_campaign.Campaign.Static
-               else Rn_campaign.Campaign.Stealing)
-            ~cache:(not no_cache)
             ~journal:(fun line ->
               output_string jc line;
               output_char jc '\n';
@@ -410,9 +413,9 @@ let campaign_cmd =
       & opt (some string) None
       & info [ "journal" ] ~docv:"FILE"
           ~doc:
-            "Append-only checkpoint journal (default $(b,OUT).journal).  \
-             Every finished cell is flushed here immediately; $(b,--resume) \
-             replays it.")
+            "Checkpoint journal (default $(b,OUT).journal).  Every finished \
+             cell is flushed here immediately; $(b,--resume) replays it and \
+             appends, any other run truncates it first.")
   in
   let resume =
     Arg.(
@@ -432,23 +435,6 @@ let campaign_cmd =
             "Scheduler lane count (default: recommended domain count).  \
              Results never depend on it.")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Regenerate each cell's topology instead of building every \
-             distinct topology once (same results, for benchmarking the \
-             cache).")
-  in
-  let static =
-    Arg.(
-      value & flag
-      & info [ "static" ]
-          ~doc:
-            "Disable work stealing: each lane runs exactly its strided share \
-             (same results, for benchmarking the scheduler).")
-  in
   let kill_after =
     Arg.(
       value
@@ -467,8 +453,7 @@ let campaign_cmd =
          "Run a sweep campaign: topology cache, work-stealing scheduler, \
           checkpoint/resume.")
     Term.(
-      const run $ spec $ out $ journal $ resume $ domains $ no_cache $ static
-      $ kill_after $ quiet)
+      const run $ spec $ out $ journal $ resume $ domains $ kill_after $ quiet)
 
 (* ------------------------------------------------------------------ *)
 (* campaign-worker — one shard of a distributed campaign.

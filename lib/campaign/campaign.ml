@@ -1,7 +1,5 @@
 open Rn_radio
 
-type schedule = Static | Stealing
-
 type stats = {
   cells : int;
   executed : int;
@@ -33,9 +31,8 @@ type lane_queue = {
    very buffer. *)
 type buffer = { block : Mutex.t; mutable items : (int * string) list }
 
-let run ?domains ?(schedule = Stealing) ?(cache = true) ?journal
-    ?(resume_lines = []) ?select ?abort_after ?on_cell ?(clock = fun () -> 0.)
-    ~emit spec =
+let run ?domains ?journal ?(resume_lines = []) ?select ?abort_after ?on_cell
+    ?(clock = fun () -> 0.) ~emit spec =
   let instances = Spec.instances spec in
   let cells = Spec.cells spec in
   let ncells = Array.length cells in
@@ -102,15 +99,13 @@ let run ?domains ?(schedule = Stealing) ?(cache = true) ?journal
         | None -> needed.(c.topo) <- true
         | Some _ -> ())
     cells;
-  let t_cache0 = clock () in
+  let t_gen0 = clock () in
   let topo_cache =
-    if cache then
-      Array.mapi
-        (fun i inst -> if needed.(i) then Some (Spec.build inst) else None)
-        instances
-    else Array.make (Array.length instances) None
+    Array.mapi
+      (fun i inst -> if needed.(i) then Some (Spec.build inst) else None)
+      instances
   in
-  let cache_gen_s = clock () -. t_cache0 in
+  let gen_s = clock () -. t_gen0 in
   (* --- per-lane queues over the still-pending cells ------------------ *)
   let queues =
     Array.init d (fun l ->
@@ -170,16 +165,15 @@ let run ?domains ?(schedule = Stealing) ?(cache = true) ?journal
   let buffers =
     Array.init execs (fun _ -> { block = Mutex.create (); items = [] })
   in
-  let gen_acc = Array.make execs 0.0 in
   let run_acc = Array.make execs 0.0 in
   let steal_acc = Array.make execs 0 in
   let exec_acc = Array.make execs 0 in
   let cell_wall = Array.make ncells 0.0 in
   (* Executor [e] owns lanes e, e+execs, … (all of them when running
-     solo); when its lanes are dry and stealing is on, it takes one cell
-     from the back of the most loaded lane.  Single-cell steals keep the
-     residual work stealable by others, which is what bounds the tail on
-     heavy-tailed cell mixes. *)
+     solo); when its lanes are dry, it takes one cell from the back of
+     the most loaded lane.  Single-cell steals keep the residual work
+     stealable by others, which is what bounds the tail on heavy-tailed
+     cell mixes. *)
   let rec next_cell e =
     let rec own l =
       if l >= d then -1
@@ -190,42 +184,33 @@ let run ?domains ?(schedule = Stealing) ?(cache = true) ?journal
     let i = own e in
     if i >= 0 then i
     else
-      match schedule with
-      | Static -> -1
-      | Stealing ->
-          let best = ref (-1) and best_rem = ref 0 in
-          for l = 0 to d - 1 do
-            let r = remaining queues.(l) in
-            if r > !best_rem then (
-              best_rem := r;
-              best := l)
-          done;
-          if !best < 0 then -1
-          else
-            let i = steal_back queues.(!best) in
-            if i >= 0 then (
-              steal_acc.(e) <- steal_acc.(e) + 1;
-              i)
-            else next_cell e (* lost the race; rescan *)
+      let best = ref (-1) and best_rem = ref 0 in
+      for l = 0 to d - 1 do
+        let r = remaining queues.(l) in
+        if r > !best_rem then (
+          best_rem := r;
+          best := l)
+      done;
+      if !best < 0 then -1
+      else
+        let i = steal_back queues.(!best) in
+        if i >= 0 then (
+          steal_acc.(e) <- steal_acc.(e) + 1;
+          i)
+        else next_cell e (* lost the race; rescan *)
   in
   let exec_cell e idx =
     let c = cells.(idx) in
-    let t0 = clock () in
-    let g =
-      match topo_cache.(c.topo) with
-      | Some g -> g
-      | None -> Spec.build instances.(c.topo)
-    in
-    let t1 = clock () in
+    let g = Option.get topo_cache.(c.topo) in
     let entry = Option.get entry_of.(idx) in
+    let t0 = clock () in
     let { Registry.rounds; delivered; details } =
       entry.Registry.run ?k:c.k ~seed:c.run_seed ~graph:g ~source:0 ()
     in
-    let t2 = clock () in
-    gen_acc.(e) <- gen_acc.(e) +. (t1 -. t0);
-    run_acc.(e) <- run_acc.(e) +. (t2 -. t1);
+    let t1 = clock () in
+    run_acc.(e) <- run_acc.(e) +. (t1 -. t0);
     exec_acc.(e) <- exec_acc.(e) + 1;
-    cell_wall.(idx) <- t2 -. t0;
+    cell_wall.(idx) <- t1 -. t0;
     cell_rounds.(idx) <- rounds;
     let line =
       Journal.line ~idx ~key:c.key ~cell:c.label ~rounds ~delivered ~details
@@ -333,7 +318,7 @@ let run ?domains ?(schedule = Stealing) ?(cache = true) ?journal
     replayed = !replayed;
     aborted = !aborted;
     steals = sumi steal_acc;
-    gen_s = cache_gen_s +. sumf gen_acc;
+    gen_s;
     run_s = sumf run_acc;
     drain_s = !drain_s;
     cell_wall;

@@ -5,8 +5,8 @@
     [run] expands nothing itself — it executes the cells of a parsed
     {!Spec.t} and streams one {!Journal} line per cell, in cell-index
     order, through [emit].  The emitted bytes are a pure function of the
-    spec: independent of [domains], [schedule], [cache], pool worker
-    availability, resume, and abort history.  Everything nondeterministic
+    spec: independent of [domains], pool worker availability, work
+    stealing, resume, and abort history.  Everything nondeterministic
     (wall-clock, journal file order, the steal count) stays out of the
     emitted lines and is reported only through {!stats}.
 
@@ -15,23 +15,18 @@
     only through the injected [clock] — which is what keeps the library
     inside rblint's R4/R8 determinism envelope. *)
 
-type schedule =
-  | Static  (** each lane runs exactly its strided share; no stealing *)
-  | Stealing
-      (** idle executors steal single cells from the most loaded lane —
-          the default; results are identical either way *)
-
 type stats = {
   cells : int;  (** total cells in the spec *)
   executed : int;  (** cells actually run this session *)
   replayed : int;  (** cells restored verbatim from [resume_lines] *)
   aborted : bool;  (** true when [abort_after] cut the run short *)
   steals : int;  (** cells executed off their initial lane *)
-  gen_s : float;  (** clock time attributed to topology generation *)
+  gen_s : float;  (** clock time spent building the topology cache *)
   run_s : float;  (** clock time attributed to protocol execution *)
   drain_s : float;  (** coordinator time in journal/emit drains *)
   cell_wall : float array;
-      (** per-cell clock seconds (generation + run); 0 for replayed cells *)
+      (** per-cell clock seconds of the protocol run; 0 for replayed
+          cells *)
   cell_rounds : int array;
       (** per-cell simulated rounds; parsed from the journal line for
           replayed cells, so totals survive a resume *)
@@ -39,8 +34,6 @@ type stats = {
 
 val run :
   ?domains:int ->
-  ?schedule:schedule ->
-  ?cache:bool ->
   ?journal:(string -> unit) ->
   ?resume_lines:string list ->
   ?select:int array ->
@@ -55,12 +48,11 @@ val run :
     - [domains] is the lane count (default {!Rn_radio.Runner.default_domains});
       executors are pool workers plus the calling domain, at most one per
       lane.  Lane assignment is static and strided (cell [i] starts on
-      lane [i mod domains]); under [Stealing] an executor whose lanes are
-      dry takes one cell at a time from the back of the most loaded lane.
-    - [cache] (default true) pre-builds every distinct topology once into
-      an immutable array shared read-only by all executors; when false
-      each cell regenerates its graph (same bytes — generators are pure
-      functions of the instance descriptor).
+      lane [i mod domains]); an executor whose lanes are dry steals one
+      cell at a time from the back of the most loaded lane.  Every
+      distinct topology a pending cell needs is built once, before any
+      executor starts, into an immutable array shared read-only by all
+      executors.
     - [journal] is called with each finished cell's line as it is
       drained, in completion order — append it to a file and flush to
       checkpoint.  [resume_lines] replays a previous journal: lines whose
@@ -79,8 +71,8 @@ val run :
     - [on_cell] fires after each journaled cell with this session's
       completion count (the CLI's [--kill-after] hook).
     - [clock] (default [fun () -> 0.]) timestamps the profile fields in
-      {!stats}; bin/rbcast and bench/main pass a monotonic clock
-      (bechamel's [Monotonic_clock], in seconds).
+      {!stats}; bin/rbcast and rbbench (bench/e2e) pass a monotonic
+      clock (bechamel's [Monotonic_clock], in seconds).
     - [emit] receives every cell line exactly once, in cell-index order,
       as soon as the index-order prefix is complete (streaming).
 

@@ -61,19 +61,3 @@ let summary_json m =
     (Metrics.collisions m)
     (Metrics.phases_used m)
     (Metrics.hist_count m)
-
-(* Compact JSON int-array of a per-phase aggregate, e.g. "[12,8,3]" — the
-   shape bench/main.ml embeds as per-phase fields in BENCH_engine.json and
-   benchdiff compares exactly.  One shared emitter (Rn_util.Jsons) serves
-   every JSON writer in the tree. *)
-let json_int_array = Rn_util.Jsons.int_array
-
-let phase_deliveries_json m =
-  json_int_array (List.init (Metrics.phases_used m) (Metrics.phase_deliveries m))
-
-let phase_tx_json m =
-  json_int_array
-    (List.init (Metrics.phases_used m) (Metrics.phase_transmissions m))
-
-let phase_collisions_json m =
-  json_int_array (List.init (Metrics.phases_used m) (Metrics.phase_collisions m))

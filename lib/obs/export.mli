@@ -28,13 +28,3 @@ val hist_csv : Metrics.t -> string list
 val summary_json : Metrics.t -> string
 (** Single-object run summary (totals + used-phase and observation
     counts). *)
-
-val json_int_array : int list -> string
-(** ["[1,2,3]"] — compact JSON int array. *)
-
-val phase_deliveries_json : Metrics.t -> string
-val phase_tx_json : Metrics.t -> string
-val phase_collisions_json : Metrics.t -> string
-(** Per-phase aggregates as compact JSON int arrays — the per-phase fields
-    bench/main.ml embeds in BENCH_engine.json and tools/benchdiff gates
-    on. *)

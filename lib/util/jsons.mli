@@ -1,14 +1,13 @@
-(** Minimal JSON helpers shared by every emitter in the tree (the
-    observability exporters, the bench perf record, the rblint JSON
-    reports) and, since the campaign runner, the line-oriented readers
-    (the campaign journal, campaign spec files, benchdiff).  Pure string
-    functions — callers own the channel.
+(** Minimal JSON helpers shared by the emitters in the tree (the campaign
+    journal, the rblint JSON reports, the rbbench specs and results) and
+    the line-oriented readers (the campaign journal, campaign spec
+    files).  Pure string functions — callers own the channel.
 
     The dialect is deliberately tiny: one flat object per line whose
     values are scalars (null, bool, int, float, string) or arrays of
     integers.  That is exactly what the emitters below produce and what
-    the journal and benchdiff need; nesting or mixed arrays are a parse
-    error, never a silent guess. *)
+    the journal and spec readers need; nesting or mixed arrays are a
+    parse error, never a silent guess. *)
 
 (** {1 Construction} *)
 
@@ -26,8 +25,7 @@ val quote : string -> string
 
 val int_array : int list -> string
 (** [int_array xs] is the compact JSON array of [xs], e.g. [[12,8,3]] —
-    the shape bench/main.ml embeds as per-phase fields in
-    BENCH_engine.json and benchdiff compares exactly. *)
+    the shape of a spec's [seeds] line. *)
 
 val obj : (string * string) list -> string
 (** [obj fields] is the compact one-line JSON object whose keys are the
@@ -55,8 +53,8 @@ type value =
 val parse_obj : string -> ((string * value) list, string) result
 (** [parse_obj line] parses one JSON object from [line], returning its
     fields in source order.  Accepts arbitrary surrounding whitespace
-    and tolerates one trailing [','] (the record separator inside
-    BENCH_engine.json's [experiments] block); any other trailing bytes,
+    and tolerates one trailing [','] (a record separator, as when each
+    element of a JSON array sits on its own line); any other trailing bytes,
     nesting, or non-integer array elements yield [Error msg] with a byte
     offset.  Deterministic: the result depends only on [line].
 

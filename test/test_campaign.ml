@@ -167,11 +167,10 @@ let test_journal_truncated_but_valid_json () =
 
 (* --- campaign runs --------------------------------------------------- *)
 
-let run_collect ?domains ?schedule ?cache ?journal ?resume_lines ?abort_after
-    spec =
+let run_collect ?domains ?journal ?resume_lines ?abort_after spec =
   let buf = Buffer.create 4096 in
   let stats =
-    Campaign.run ?domains ?schedule ?cache ?journal ?resume_lines ?abort_after
+    Campaign.run ?domains ?journal ?resume_lines ?abort_after
       ~emit:(fun line ->
         Buffer.add_string buf line;
         Buffer.add_char buf '\n')
@@ -202,21 +201,14 @@ let test_run_schedule_independent () =
   let spec = parse_ok small_spec in
   let reference, _ = run_collect ~domains:1 spec in
   List.iter
-    (fun (domains, schedule, cache) ->
-      let out, stats = run_collect ~domains ~schedule ~cache spec in
+    (fun domains ->
+      let out, stats = run_collect ~domains spec in
       Alcotest.(check string)
-        (Printf.sprintf "bytes at domains=%d cache=%b" domains cache)
+        (Printf.sprintf "bytes at domains=%d" domains)
         reference out;
       Alcotest.(check int)
         "executed all" 18 stats.Campaign.executed)
-    [
-      (1, Campaign.Static, false);
-      (2, Campaign.Stealing, true);
-      (2, Campaign.Static, true);
-      (4, Campaign.Stealing, false);
-      (4, Campaign.Stealing, true);
-      (8, Campaign.Stealing, true);
-    ]
+    [ 1; 2; 4; 8 ]
 
 let test_abort_zero () =
   let spec = parse_ok small_spec in

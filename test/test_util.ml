@@ -427,7 +427,7 @@ let test_jsons_parse_obj () =
   rejects "lone high surrogate" "{\"s\":\"\\ud83d\"}";
   rejects "lone low surrogate" "{\"s\":\"\\ude00\"}";
   rejects "swapped surrogate pair" "{\"s\":\"\\ude00\\ud83d\"}";
-  (* benchdiff's line shape: an experiments record mid-file *)
+  (* one record of a one-per-line JSON array: trailing comma tolerated *)
   Alcotest.check fields "bench record line"
     (Ok
        [
