@@ -5,10 +5,10 @@
      rbcast multi      k-message broadcast (Theorems 1.2 / 1.3, baselines)
      rbcast gst        build a GST (centralized or distributed) and report
      rbcast topo       describe or export a generated topology
-     rbcast campaign   run a sweep campaign (cache, stealing, resume)
-     rbcast campaign-dist    distributed campaign: supervised worker fan-out
-     rbcast campaign-worker  one shard of a distributed campaign (internal)
-     rbcast campaign-merge   merge shard journals into campaign output *)
+     rbcast campaign   run a sweep campaign in this process (--workers 0)
+                       or over W supervised worker processes (--workers W)
+     rbcast campaign-dist    campaign with --workers defaulting to 2
+     rbcast campaign-worker  one shard of a fan-out campaign (internal) *)
 
 open Cmdliner
 open Rn_util
@@ -288,25 +288,20 @@ let topo_cmd =
     Term.(const run $ topo_args $ dot)
 
 (* ------------------------------------------------------------------ *)
-(* campaign *)
+(* campaign — one front end, two modes.
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+   [--workers 0] (the default) runs [Campaign.run] in this process.
+   [--workers W >= 1] runs [Dist.run] over W supervised campaign-worker
+   children, one shard journal each, and merges the shard journals; a
+   [--resume] over complete shard journals spawns nothing and is the
+   merge on its own.  Spec parsing, usage checks, the output channel and
+   the stderr summary are shared by both modes. *)
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  go []
+module Campaign = Rn_campaign.Campaign
+module Dist = Rn_campaign.Dist
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let read_lines path = In_channel.with_open_text path In_channel.input_lines
 
 (* Monotonic clock for campaign timing and worker supervision: wall
    clock steps (NTP, suspend) must not corrupt heartbeat timeouts or
@@ -315,97 +310,290 @@ let read_lines path =
    CLOCK_MONOTONIC stub, nanoseconds since an arbitrary origin. *)
 let mono_now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let campaign_cmd =
-  let run spec_path out journal_path resume domains kill_after quiet =
-    match Rn_campaign.Spec.parse (read_file spec_path) with
-    | Error msg ->
-        Printf.eprintf "rbcast campaign: %s\n%!" msg;
-        1
-    | Ok spec ->
-        let journal_path =
-          match journal_path with
-          | Some p -> p
-          | None -> (
-              match out with Some o -> o ^ ".journal" | None -> spec_path ^ ".journal")
-        in
-        let resume_lines =
-          if resume && Sys.file_exists journal_path then read_lines journal_path
-          else []
-        in
-        (* The journal is flushed per line, so a SIGKILL loses at most the
-           line being written — which resume ignores.  A resumed run
-           appends to it; any other run starts it afresh.  The output
-           file is rewritten from scratch each run (resume re-emits the
-           replayed prefix), keeping it byte-identical to an
-           uninterrupted run. *)
-        let jc =
-          open_out_gen
-            [
-              Open_wronly; Open_creat;
-              (if resume then Open_append else Open_trunc);
-            ]
-            0o644 journal_path
-        in
-        let oc = match out with Some p -> open_out p | None -> stdout in
-        let t0 = mono_now () in
-        let stats =
-          Rn_campaign.Campaign.run ?domains
-            ~journal:(fun line ->
-              output_string jc line;
-              output_char jc '\n';
-              flush jc)
-            ~resume_lines
-            ?on_cell:
-              (match kill_after with
-              | None -> None
-              | Some n ->
-                  Some
-                    (fun ~completed ~total:_ ->
-                      if completed >= n then (
-                        (* a real, unhandled kill: what CI's crash test
-                           relies on to interrupt mid-flight *)
-                        flush jc;
-                        Unix.kill (Unix.getpid ()) Sys.sigkill)))
-            ~clock:mono_now
-            ~emit:(fun line ->
-              output_string oc line;
-              output_char oc '\n';
-              flush oc)
-            spec
-        in
-        let wall = mono_now () -. t0 in
-        flush jc;
-        close_out jc;
-        (match out with Some _ -> close_out oc | None -> flush oc);
-        if not quiet then begin
-          let open Rn_campaign.Campaign in
-          Printf.eprintf
-            "campaign: %d cells (%d run, %d replayed) in %.2fs — %.1f \
-             cells/s, %d steals; gen %.2fs run %.2fs drain %.2fs\n%!"
-            stats.cells stats.executed stats.replayed wall
-            (float_of_int stats.executed /. max 1e-9 wall)
-            stats.steals stats.gen_s stats.run_s stats.drain_s
-        end;
-        0
+(* The in-process path, also the body of campaign-worker.  The journal
+   is flushed per line, so a SIGKILL loses at most the line being
+   written — which resume ignores.  A resumed run appends to it; any
+   other run starts it afresh.  [kill_after n] SIGKILLs this process
+   right after the n-th line journaled this session: a real, unhandled
+   kill for the crash half of the crash/resume test. *)
+let run_local ?domains ?select ?kill_after ~resume ~journal_path ~emit spec =
+  let resume_lines =
+    if resume && Sys.file_exists journal_path then read_lines journal_path
+    else []
   in
-  let spec =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "spec" ] ~docv:"FILE"
-          ~doc:
-            "Campaign spec: JSONL lines {\"topo\":…}, {\"proto\":…}, \
-             {\"seeds\":[…]} (see DESIGN.md §14).  Cells are the cross \
-             product, each with a stable job key.")
+  let jc =
+    open_out_gen
+      [ Open_wronly; Open_creat; (if resume then Open_append else Open_trunc) ]
+      0o644 journal_path
   in
+  let journaled = ref 0 in
+  let journal line =
+    output_string jc line;
+    output_char jc '\n';
+    flush jc;
+    incr journaled;
+    match kill_after with
+    | Some n when !journaled >= n -> Unix.kill (Unix.getpid ()) Sys.sigkill
+    | _ -> ()
+  in
+  Fun.protect ~finally:(fun () -> close_out jc) @@ fun () ->
+  Campaign.run ?domains ?select ~journal ~resume_lines ~clock:mono_now ~emit spec
+
+(* The real [Dist.io]: slot [s]'s child is the process [argv ~slot
+   ~cells], journaling to [shard s].  SIGINT/SIGTERM take the children
+   down too, then exit with the conventional 128+signal code; shard
+   journals survive for a later --resume. *)
+let process_io ~workers ~shard ~argv =
+  let pids = Array.make workers (-1) in
+  let last = Array.make workers (Dist.Exited 0) in
+  let kill ~slot =
+    if pids.(slot) >= 0 then
+      try Unix.kill pids.(slot) Sys.sigkill with Unix.Unix_error _ -> ()
+  in
+  let forward sg =
+    Array.iteri (fun slot _ -> kill ~slot) pids;
+    exit (128 + sg)
+  in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> forward 2));
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> forward 15));
+  (* Reap the slot's child if it has terminated; [[]] blocks until it
+     has. *)
+  let wait flags slot =
+    if pids.(slot) >= 0 then
+      match Unix.waitpid flags pids.(slot) with
+      | 0, _ | _, Unix.WSTOPPED _ -> ()
+      | _, Unix.WEXITED c ->
+          pids.(slot) <- -1;
+          last.(slot) <- Dist.Exited c
+      | _, Unix.WSIGNALED sg ->
+          pids.(slot) <- -1;
+          last.(slot) <- Dist.Signaled sg
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> pids.(slot) <- -1
+  in
+  {
+    Dist.spawn =
+      (fun ~slot ~attempt:_ ~cells ->
+        wait [] slot;
+        let argv = argv ~slot ~cells in
+        pids.(slot) <-
+          Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr);
+    status =
+      (fun ~slot ->
+        wait [ Unix.WNOHANG ] slot;
+        if pids.(slot) >= 0 then Dist.Running else last.(slot));
+    kill;
+    journal_lines =
+      (fun ~slot ->
+        let p = shard slot in
+        if Sys.file_exists p then read_lines p else []);
+    clock = mono_now;
+    sleep = Unix.sleepf;
+  }
+
+(* --chaos: fault injection around a real [io].  A quarter of spawns are
+   delayed.  On one supervisor tick a live worker — preferably one that
+   has started journaling, so the kill lands mid-flight — is SIGKILLed,
+   and half the time a few bytes are torn off its shard journal.  Live
+   means spawned and not yet reported gone by [status]: a victim that
+   already exited unobserved is turned into a crash by the torn tail. *)
+let chaos ~seed ~workers ~shard (io : Dist.io) =
+  let rng = Rng.create ~seed in
+  let armed = ref true and ticks = ref 0 in
+  let alive = Array.make workers false in
+  let tear path =
+    match (Unix.stat path).Unix.st_size with
+    | size when size > 2 ->
+        let cut = 1 + Rng.int rng (min 40 (size - 1)) in
+        Unix.truncate path (size - cut);
+        Printf.eprintf "chaos: tore %d bytes off %s\n%!" cut path
+    | _ | (exception Unix.Unix_error _) -> ()
+  in
+  let spawn ~slot ~attempt ~cells =
+    if Rng.bernoulli rng 0.25 then begin
+      Printf.eprintf "chaos: delaying spawn of slot %d\n%!" slot;
+      Unix.sleepf (Rng.float rng 0.2)
+    end;
+    io.spawn ~slot ~attempt ~cells;
+    alive.(slot) <- true
+  in
+  let status ~slot =
+    let st = io.status ~slot in
+    (match st with Dist.Running -> () | _ -> alive.(slot) <- false);
+    st
+  in
+  let sleep dt =
+    incr ticks;
+    if !armed then begin
+      let live = List.filter (Array.get alive) (List.init workers Fun.id) in
+      let journaled = List.filter (fun s -> Sys.file_exists (shard s)) live in
+      let pool = if journaled <> [] then journaled else live in
+      if pool <> [] && (journaled <> [] || !ticks > 5) then begin
+        let victim = List.nth pool (Rng.int rng (List.length pool)) in
+        armed := false;
+        Printf.eprintf "chaos: SIGKILL slot %d\n%!" victim;
+        io.kill ~slot:victim;
+        if Rng.bool rng then tear (shard victim)
+      end
+    end;
+    io.sleep dt
+  in
+  { io with spawn; status; sleep }
+
+let print_event ev =
+  prerr_endline
+    ("dist: "
+    ^
+    match ev with
+    | Dist.Spawn { slot; attempt; cells } ->
+        Printf.sprintf "spawn slot=%d attempt=%d cells=%d" slot attempt cells
+    | Dist.Progress { slot; completed; total } ->
+        Printf.sprintf "progress %d/%d (slot %d)" completed total slot
+    | Dist.Stall { slot; idle } -> Printf.sprintf "slot %d stalled %.1fs" slot idle
+    | Dist.Kill { slot } -> Printf.sprintf "kill slot=%d" slot
+    | Dist.Crash { slot; attempt; reason } ->
+        Printf.sprintf "crash slot=%d attempt=%d (%s)" slot attempt reason
+    | Dist.Backoff { slot; attempt; delay } ->
+        Printf.sprintf "backoff slot=%d attempt=%d %.2fs" slot attempt delay
+    | Dist.Retire { slot } -> Printf.sprintf "retire slot=%d" slot
+    | Dist.Death { slot; orphans } ->
+        Printf.sprintf "slot %d dead, %d cells orphaned" slot orphans
+    | Dist.Reassign { slot; cells } ->
+        Printf.sprintf "reassign %d cells -> slot %d" cells slot)
+
+type outcome = Local of Campaign.stats | Fanout of Dist.stats
+
+let summary ~workers wall = function
+  | Local s ->
+      Printf.sprintf
+        "campaign: %d cells (%d run, %d replayed) in %.2fs — %.1f cells/s, %d \
+         steals; gen %.2fs run %.2fs drain %.2fs"
+        s.cells s.executed s.replayed wall
+        (float_of_int s.executed /. max 1e-9 wall)
+        s.steals s.gen_s s.run_s s.drain_s
+  | Fanout s ->
+      Printf.sprintf
+        "campaign: %d cells via %d workers in %.2fs — %d spawns, %d crashes, \
+         %d killed, %d reassigned; merge: %d lines (%d torn, %d stale, %d \
+         duplicate, %d conflicting)"
+        s.cells workers wall s.sup.spawns s.sup.crashes s.sup.kills
+        s.sup.reassigned s.merge.lines_in s.merge.torn s.merge.stale
+        s.merge.duplicates s.merge.conflicts
+
+let campaign_run (spec_path, spec) out journal resume domains kill_after quiet
+    workers (r_flag, retries) (h_flag, heartbeat) (b_flag, backoff)
+    (p_flag, poll) chaos_seed =
+  (* Usage errors: out-of-range counts, and flags the chosen mode would
+     otherwise silently ignore.  Checked before any journal is touched or
+     any output opened. *)
+  let below flag min = function
+    | Some v when v < min -> [ Printf.sprintf "%s must be >= %d" flag min ]
+    | _ -> []
+  in
+  let given flag o = if Option.is_some o then [ flag ] else [] in
+  let misplaced, needs =
+    if workers > 0 then
+      (given "--journal" journal @ given "--kill-after" kill_after, "--workers 0")
+    else
+      (r_flag @ h_flag @ b_flag @ p_flag @ given "--chaos" chaos_seed,
+       "--workers >= 1")
+  in
+  match
+    below "--workers" 0 (Some workers)
+    @ below "--domains" 1 domains @ below "--retries" 0 (Some retries)
+    @ below "--kill-after" 1 kill_after
+    @ List.map (fun f -> Printf.sprintf "%s needs %s" f needs) misplaced
+  with
+  | msg :: _ ->
+      Printf.eprintf "rbcast campaign: %s\n%!" msg;
+      Cmd.Exit.cli_error
+  | [] -> (
+      let prefix = Option.value out ~default:spec_path in
+      (* Opened on the first line, so a run that fails before emitting
+         anything leaves an earlier FILE as it was. *)
+      let oc = lazy (match out with Some p -> open_out p | None -> stdout) in
+      let emit line =
+        let oc = Lazy.force oc in
+        output_string oc line;
+        output_char oc '\n';
+        (* in-process lines stream out as the in-order prefix grows *)
+        if workers = 0 then flush oc
+      in
+      let t0 = mono_now () in
+      let result =
+        if workers = 0 then
+          let journal_path = Option.value journal ~default:(prefix ^ ".journal") in
+          Ok (Local (run_local ?domains ?kill_after ~resume ~journal_path ~emit spec))
+        else begin
+          let shard s = Printf.sprintf "%s.shard%d.journal" prefix s in
+          if not resume then
+            for s = 0 to workers - 1 do
+              if Sys.file_exists (shard s) then Sys.remove (shard s)
+            done;
+          let domains = Option.value domains ~default:1 in
+          let argv ~slot ~cells =
+            [|
+              Sys.executable_name; "campaign-worker"; "--spec"; spec_path;
+              "--journal"; shard slot; "--cells"; Dist.cells_to_string cells;
+              "--domains"; string_of_int domains;
+            |]
+          in
+          let io = process_io ~workers ~shard ~argv in
+          let io =
+            match chaos_seed with
+            | Some seed -> chaos ~seed ~workers ~shard io
+            | None -> io
+          in
+          let config =
+            {
+              Dist.workers; retries; heartbeat_timeout = heartbeat;
+              backoff_base = backoff; poll_interval = poll;
+            }
+          in
+          Dist.run
+            ~on_event:(if quiet then ignore else print_event)
+            ~config ~io ~emit spec
+          |> Result.map (fun s -> Fanout s)
+        end
+      in
+      match result with
+      | Error msg ->
+          Printf.eprintf "rbcast campaign: %s\n%!" msg;
+          1
+      | Ok outcome ->
+          let oc = Lazy.force oc in
+          if Option.is_some out then close_out oc else flush oc;
+          if not quiet then prerr_endline (summary ~workers (mono_now () -. t0) outcome);
+          0)
+
+let spec_arg =
+  let parse path =
+    match Rn_campaign.Spec.parse (read_file path) with
+    | Ok spec -> Ok (path, spec)
+    | Error msg | (exception Sys_error msg) -> Error (`Msg msg)
+  in
+  let print ppf (path, _) = Format.pp_print_string ppf path in
+  Arg.(
+    required
+    & opt (some (conv (parse, print))) None
+    & info [ "spec" ] ~docv:"FILE"
+        ~doc:
+          "Campaign spec: JSONL lines {\"topo\":…}, {\"proto\":…}, \
+           {\"seeds\":[…]} (see DESIGN.md §14).  Cells are the cross product, \
+           each with a stable job key.")
+
+let domains_arg ~doc =
+  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D" ~doc)
+
+let campaign_term ~workers =
   let out =
     Arg.(
       value
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE"
           ~doc:
-            "Write result JSONL here (default stdout), one line per cell in \
-             spec order, streamed as the in-order prefix completes.")
+            "Result JSONL (default stdout), one line per cell in spec order, \
+             the same bytes in either mode; a failed fan-out leaves it as it \
+             was.  Journals default to $(docv).journal or $(docv).shardN.journal.")
   in
   let journal =
     Arg.(
@@ -413,27 +601,24 @@ let campaign_cmd =
       & opt (some string) None
       & info [ "journal" ] ~docv:"FILE"
           ~doc:
-            "Checkpoint journal (default $(b,OUT).journal).  Every finished \
-             cell is flushed here immediately; $(b,--resume) replays it and \
-             appends, any other run truncates it first.")
+            "In-process checkpoint journal (default $(b,OUT).journal).  Every \
+             finished cell is flushed here immediately; $(b,--resume) replays \
+             it and appends, any other run truncates it first.")
   in
   let resume =
     Arg.(
       value & flag
       & info [ "resume" ]
           ~doc:
-            "Replay the journal before running: journaled cells are not \
-             re-run, and the output is byte-identical to an uninterrupted \
-             run.")
+            "Replay the journal (or shard journals) first: journaled cells are \
+             not re-run, and the output is byte-identical to an uninterrupted \
+             run.  Over complete shard journals this only merges.")
   in
   let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Scheduler lane count (default: recommended domain count).  \
-             Results never depend on it.")
+    domains_arg
+      ~doc:
+        "Scheduler lanes per process (default: the recommended domain count \
+         in-process, 1 per worker).  Results never depend on it."
   in
   let kill_after =
     Arg.(
@@ -441,359 +626,50 @@ let campaign_cmd =
       & opt (some int) None
       & info [ "kill-after" ] ~docv:"N"
           ~doc:
-            "SIGKILL this process after N cells have been journaled — the \
-             crash half of CI's crash/resume smoke test.")
+            "SIGKILL this process right after journaling the N-th cell (N >= \
+             1): the crash half of a crash/resume test.")
   in
   let quiet =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the stderr summary.")
-  in
-  Cmd.v
-    (Cmd.info "campaign"
-       ~doc:
-         "Run a sweep campaign: topology cache, work-stealing scheduler, \
-          checkpoint/resume.")
-    Term.(
-      const run $ spec $ out $ journal $ resume $ domains $ kill_after $ quiet)
-
-(* ------------------------------------------------------------------ *)
-(* campaign-worker — one shard of a distributed campaign.
-
-   Spawned by campaign-dist with an explicit cell list; runs exactly
-   those cells and appends their journal lines (flushed per line) to its
-   own shard journal.  It re-reads that journal on start, so a respawn
-   after a crash replays instead of re-running.  It emits nothing — the
-   coordinator's merge is the only output path. *)
-
-module Dist = Rn_campaign.Dist
-
-let campaign_worker_cmd =
-  let run spec_path journal_path cells_str domains =
-    match Rn_campaign.Spec.parse (read_file spec_path) with
-    | Error msg ->
-        Printf.eprintf "rbcast campaign-worker: %s\n%!" msg;
-        1
-    | Ok spec -> (
-        match Dist.cells_of_string cells_str with
-        | exception Invalid_argument msg ->
-            Printf.eprintf "rbcast campaign-worker: %s\n%!" msg;
-            2
-        | select ->
-            let resume_lines =
-              if Sys.file_exists journal_path then read_lines journal_path
-              else []
-            in
-            let jc =
-              open_out_gen [ Open_append; Open_creat ] 0o644 journal_path
-            in
-            let (_ : Rn_campaign.Campaign.stats) =
-              Rn_campaign.Campaign.run ~domains ~select ~resume_lines
-                ~journal:(fun line ->
-                  output_string jc line;
-                  output_char jc '\n';
-                  flush jc)
-                ~clock:mono_now
-                ~emit:(fun _ -> ())
-                spec
-            in
-            flush jc;
-            close_out jc;
-            0)
-  in
-  let spec =
     Arg.(
-      required
-      & opt (some file) None
-      & info [ "spec" ] ~docv:"FILE" ~doc:"Campaign spec (same file as the coordinator's).")
-  in
-  let journal =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"This shard's append-only journal; replayed on respawn.")
-  in
-  let cells =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "cells" ] ~docv:"RANGES"
-          ~doc:"Cell indices to run, as compact ranges (e.g. $(b,0-24,31)).")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"D"
-          ~doc:"Scheduler lanes inside this worker (default 1).")
-  in
-  Cmd.v
-    (Cmd.info "campaign-worker"
-       ~doc:
-         "Run one shard of a distributed campaign (spawned by \
-          $(b,campaign-dist); not normally invoked by hand).")
-    Term.(const run $ spec $ journal $ cells $ domains)
-
-(* ------------------------------------------------------------------ *)
-(* campaign-dist — coordinator: fan out, supervise, merge. *)
-
-let campaign_dist_cmd =
-  let run spec_path out workers retries heartbeat backoff poll worker_domains
-      resume chaos chaos_kills quiet =
-    match Rn_campaign.Spec.parse (read_file spec_path) with
-    | Error msg ->
-        Printf.eprintf "rbcast campaign-dist: %s\n%!" msg;
-        1
-    | Ok spec ->
-        let prefix = match out with Some o -> o | None -> spec_path in
-        let shard_path s = Printf.sprintf "%s.shard%d.journal" prefix s in
-        if not resume then
-          for s = 0 to workers - 1 do
-            if Sys.file_exists (shard_path s) then Sys.remove (shard_path s)
-          done;
-        let pids = Array.make workers (-1) in
-        let last_status = Array.make workers (Dist.Exited 0) in
-        (* SIGINT/SIGTERM: take the workers down with us, then die with
-           the conventional 128+signal code.  Shard journals survive for
-           a later --resume. *)
-        let forward sg =
-          Array.iter
-            (fun pid ->
-              if pid >= 0 then
-                try Unix.kill pid Sys.sigkill
-                with Unix.Unix_error _ -> ())
-            pids;
-          exit (128 + sg)
-        in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> forward 2));
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> forward 15));
-        let reap s =
-          if pids.(s) >= 0 then begin
-            (match Unix.waitpid [] pids.(s) with
-            | _, Unix.WEXITED c -> last_status.(s) <- Dist.Exited c
-            | _, Unix.WSIGNALED sg -> last_status.(s) <- Dist.Signaled sg
-            | _, Unix.WSTOPPED _ -> ()
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                last_status.(s) <- Dist.Exited 0);
-            pids.(s) <- -1
-          end
-        in
-        let chaos_rng = Option.map (fun seed -> Rng.create ~seed) chaos in
-        let chaos_kills_left = ref chaos_kills in
-        let ticks = ref 0 in
-        let spawn ~slot ~attempt:_ ~cells =
-          reap slot;
-          (match chaos_rng with
-          | Some rng when Rng.bernoulli rng 0.25 ->
-              Printf.eprintf "chaos: delaying spawn of slot %d\n%!" slot;
-              Unix.sleepf (Rng.float rng 0.2)
-          | _ -> ());
-          let argv =
-            [|
-              Sys.executable_name; "campaign-worker"; "--spec"; spec_path;
-              "--journal"; shard_path slot; "--cells";
-              Dist.cells_to_string cells; "--domains";
-              string_of_int worker_domains;
-            |]
-          in
-          pids.(slot) <-
-            Unix.create_process Sys.executable_name argv Unix.stdin
-              Unix.stdout Unix.stderr
-        in
-        let status ~slot =
-          if pids.(slot) < 0 then last_status.(slot)
-          else
-            match Unix.waitpid [ Unix.WNOHANG ] pids.(slot) with
-            | 0, _ -> Dist.Running
-            | _, Unix.WEXITED c ->
-                pids.(slot) <- -1;
-                last_status.(slot) <- Dist.Exited c;
-                last_status.(slot)
-            | _, Unix.WSIGNALED sg ->
-                pids.(slot) <- -1;
-                last_status.(slot) <- Dist.Signaled sg;
-                last_status.(slot)
-            | _, Unix.WSTOPPED _ -> Dist.Running
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                pids.(slot) <- -1;
-                last_status.(slot)
-        in
-        let kill ~slot =
-          if pids.(slot) >= 0 then
-            try Unix.kill pids.(slot) Sys.sigkill
-            with Unix.Unix_error _ -> ()
-        in
-        let journal_lines ~slot =
-          let p = shard_path slot in
-          if Sys.file_exists p then read_lines p else []
-        in
-        (* Chaos fault injection rides the supervisor's sleep tick:
-           SIGKILL a random live worker (preferring one that has already
-           journaled, so the kill lands mid-flight), and half the time
-           tear a few bytes off its shard journal — a torn final line
-           the merge must survive. *)
-        let tear rng path =
-          match (Unix.stat path).Unix.st_size with
-          | size when size > 2 ->
-              let cut = 1 + Rng.int rng (min 40 (size - 1)) in
-              let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-              Unix.ftruncate fd (size - cut);
-              Unix.close fd;
-              Printf.eprintf "chaos: tore %d bytes off %s\n%!" cut path
-          | _ | (exception Unix.Unix_error _) -> ()
-        in
-        let sleep dt =
-          incr ticks;
-          (match chaos_rng with
-          | Some rng when !chaos_kills_left > 0 ->
-              let live =
-                List.filter
-                  (fun s -> pids.(s) >= 0)
-                  (List.init workers (fun s -> s))
-              in
-              let journaled =
-                List.filter
-                  (fun s -> Sys.file_exists (shard_path s))
-                  live
-              in
-              let pool = if journaled <> [] then journaled else live in
-              if pool <> [] && (journaled <> [] || !ticks > 5) then begin
-                let victim = List.nth pool (Rng.int rng (List.length pool)) in
-                decr chaos_kills_left;
-                Printf.eprintf "chaos: SIGKILL slot %d (pid %d)\n%!" victim
-                  pids.(victim);
-                (try Unix.kill pids.(victim) Sys.sigkill
-                 with Unix.Unix_error _ -> ());
-                if Rng.bool rng && Sys.file_exists (shard_path victim) then
-                  tear rng (shard_path victim)
-              end
-          | _ -> ());
-          Unix.sleepf dt
-        in
-        let io =
-          {
-            Dist.spawn; status; kill; journal_lines; clock = mono_now; sleep;
-          }
-        in
-        let config =
-          {
-            Dist.workers; retries; heartbeat_timeout = heartbeat;
-            backoff_base = backoff; poll_interval = poll;
-          }
-        in
-        let on_event ev =
-          if not quiet then
-            match ev with
-            | Dist.Spawn { slot; attempt; cells } ->
-                Printf.eprintf "dist: spawn slot=%d attempt=%d cells=%d\n%!"
-                  slot attempt cells
-            | Dist.Progress { slot; completed; total } ->
-                Printf.eprintf "dist: progress %d/%d (slot %d)\n%!" completed
-                  total slot
-            | Dist.Stall { slot; idle } ->
-                Printf.eprintf "dist: slot %d stalled %.1fs\n%!" slot idle
-            | Dist.Kill { slot } ->
-                Printf.eprintf "dist: kill slot=%d\n%!" slot
-            | Dist.Crash { slot; attempt; reason } ->
-                Printf.eprintf "dist: crash slot=%d attempt=%d (%s)\n%!" slot
-                  attempt reason
-            | Dist.Backoff { slot; attempt; delay } ->
-                Printf.eprintf "dist: backoff slot=%d attempt=%d %.2fs\n%!"
-                  slot attempt delay
-            | Dist.Retire { slot } ->
-                Printf.eprintf "dist: retire slot=%d\n%!" slot
-            | Dist.Death { slot; orphans } ->
-                Printf.eprintf "dist: slot %d dead, %d cells orphaned\n%!"
-                  slot orphans
-            | Dist.Reassign { slot; cells } ->
-                Printf.eprintf "dist: reassign %d cells -> slot %d\n%!" cells
-                  slot
-        in
-        let t0 = mono_now () in
-        let oc = match out with Some p -> open_out p | None -> stdout in
-        let emit line =
-          output_string oc line;
-          output_char oc '\n'
-        in
-        let r = Dist.run ~on_event ~config ~io ~emit spec in
-        (match out with Some _ -> close_out oc | None -> flush oc);
-        (match r with
-        | Error msg ->
-            Printf.eprintf "rbcast campaign-dist: %s\n%!" msg;
-            1
-        | Ok stats ->
-            if not quiet then begin
-              let open Dist in
-              Printf.eprintf
-                "campaign-dist: %d cells via %d workers in %.2fs — %d \
-                 spawns, %d crashes, %d killed, %d reassigned; merge: %d \
-                 lines (%d torn, %d stale, %d duplicate, %d conflicting)\n%!"
-                stats.cells workers
-                (mono_now () -. t0)
-                stats.sup.spawns stats.sup.crashes stats.sup.kills
-                stats.sup.reassigned stats.merge.lines_in stats.merge.torn
-                stats.merge.stale stats.merge.duplicates stats.merge.conflicts
-            end;
-            0)
-  in
-  let spec =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "spec" ] ~docv:"FILE" ~doc:"Campaign spec (see $(b,campaign)).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Merged result JSONL (default stdout) — byte-identical to a \
-             single-process $(b,campaign) run over the same spec.  Shard \
-             journals are written next to it as $(docv).shardN.journal.")
+      value & flag
+      & info [ "quiet"; "q" ]
+          ~doc:"Suppress the stderr summary and supervisor events.")
   in
   let workers =
     Arg.(
-      value & opt int 2
+      value & opt int workers
       & info [ "workers"; "w" ] ~docv:"W"
-          ~doc:"Worker processes to fan out to.")
+          ~doc:
+            "Worker processes: 0 runs the campaign in this process; W >= 1 \
+             fans its cells out to W supervised $(b,campaign-worker) \
+             children and merges their shard journals.")
+  in
+  (* A supervisor setting: its flag if given (an in-process run rejects
+     it rather than ignoring it), and its value. *)
+  let setting kind long ~default ~docv ~doc =
+    let pick v =
+      (Option.fold v ~none:[] ~some:(fun _ -> [ "--" ^ long ]),
+       Option.value v ~default)
+    in
+    Term.(
+      const pick
+      $ Arg.(value & opt (some' ~none:default kind) None & info [ long ] ~docv ~doc))
   in
   let retries =
-    Arg.(
-      value & opt int 2
-      & info [ "retries" ] ~docv:"R"
-          ~doc:"Respawns allowed per worker slot before it is given up on.")
+    setting Arg.int "retries" ~default:2 ~docv:"R"
+      ~doc:"Respawns allowed per worker slot before it is given up on."
   in
   let heartbeat =
-    Arg.(
-      value & opt float 60.0
-      & info [ "heartbeat-timeout" ] ~docv:"SECS"
-          ~doc:
-            "Kill a worker whose shard journal has not grown for $(docv) \
-             seconds.")
+    setting Arg.float "heartbeat-timeout" ~default:60. ~docv:"SECS"
+      ~doc:"Kill a worker whose shard journal has not grown for $(docv) seconds."
   in
   let backoff =
-    Arg.(
-      value & opt float 0.5
-      & info [ "backoff" ] ~docv:"SECS"
-          ~doc:"Respawn delay after the first crash; doubles per attempt.")
+    setting Arg.float "backoff" ~default:0.5 ~docv:"SECS"
+      ~doc:"Respawn delay after the first crash; doubles per attempt."
   in
   let poll =
-    Arg.(
-      value & opt float 0.1
-      & info [ "poll" ] ~docv:"SECS" ~doc:"Supervisor tick interval.")
-  in
-  let worker_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "worker-domains" ] ~docv:"D"
-          ~doc:"Scheduler lanes inside each worker (default 1).")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Keep existing shard journals and resume from them (default: \
-             start fresh).")
+    setting Arg.float "poll" ~default:0.1 ~docv:"SECS"
+      ~doc:"Supervisor tick interval."
   in
   let chaos =
     Arg.(
@@ -801,106 +677,52 @@ let campaign_dist_cmd =
       & opt (some int) None
       & info [ "chaos" ] ~docv:"SEED"
           ~doc:
-            "Fault injection: randomly SIGKILL workers mid-flight, delay \
-             spawns, and tear shard-journal tails, driven by $(docv).  The \
-             merged output must still be byte-identical to a clean run.")
+            "Fault injection driven by $(docv): delay spawns, SIGKILL one \
+             worker mid-flight and maybe tear its shard-journal tail.  The \
+             output must still be byte-identical to a clean run.")
   in
-  let chaos_kills =
-    Arg.(
-      value & opt int 1
-      & info [ "chaos-kills" ] ~docv:"N"
-          ~doc:"Number of worker SIGKILLs to inject (with $(b,--chaos)).")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress stderr logging.")
-  in
-  Cmd.v
-    (Cmd.info "campaign-dist"
-       ~doc:
-         "Distributed campaign: fan out to supervised worker processes, \
-          merge their shard journals deterministically.")
-    Term.(
-      const run $ spec $ out $ workers $ retries $ heartbeat $ backoff $ poll
-      $ worker_domains $ resume $ chaos $ chaos_kills $ quiet)
+  Term.(
+    const campaign_run $ spec_arg $ out $ journal $ resume $ domains
+    $ kill_after $ quiet $ workers $ retries $ heartbeat $ backoff $ poll
+    $ chaos)
 
-(* ------------------------------------------------------------------ *)
-(* campaign-merge — standalone shard-journal merge. *)
+let campaign_cmd name ~workers ~doc =
+  Cmd.v (Cmd.info name ~doc) (campaign_term ~workers)
 
-let campaign_merge_cmd =
-  let run spec_path out shard_paths allow_partial quiet =
-    match Rn_campaign.Spec.parse (read_file spec_path) with
-    | Error msg ->
-        Printf.eprintf "rbcast campaign-merge: %s\n%!" msg;
-        1
-    | Ok spec ->
-        let shards =
-          List.map
-            (fun p -> if Sys.file_exists p then read_lines p else [])
-            shard_paths
+(* campaign-worker — one shard of a fan-out run: the in-process path over
+   an explicit cell list, always resuming from (and appending to) its own
+   shard journal, emitting nothing. *)
+let campaign_worker_cmd =
+  let run (_, spec) journal_path cells domains =
+    match Dist.cells_of_string cells with
+    | exception Invalid_argument msg ->
+        Printf.eprintf "rbcast campaign-worker: %s\n%!" msg;
+        2
+    | select ->
+        let (_ : Campaign.stats) =
+          run_local ~domains:(Option.value domains ~default:1) ~select
+            ~resume:true ~journal_path ~emit:ignore spec
         in
-        let lines, m = Dist.merge spec shards in
-        let oc = match out with Some p -> open_out p | None -> stdout in
-        List.iter
-          (fun line ->
-            output_string oc line;
-            output_char oc '\n')
-          lines;
-        (match out with Some _ -> close_out oc | None -> flush oc);
-        if not quiet then
-          Printf.eprintf
-            "campaign-merge: %d/%d cells from %d shards — %d lines (%d \
-             torn, %d stale, %d duplicate, %d conflicting)\n%!"
-            (List.length lines)
-            (Array.length (Rn_campaign.Spec.cells spec))
-            m.Dist.shards m.Dist.lines_in m.Dist.torn m.Dist.stale
-            m.Dist.duplicates m.Dist.conflicts;
-        (match m.Dist.missing with
-        | [] -> 0
-        | missing when allow_partial ->
-            if not quiet then
-              Printf.eprintf "campaign-merge: %d cells missing (allowed)\n%!"
-                (List.length missing);
-            0
-        | missing ->
-            Printf.eprintf
-              "rbcast campaign-merge: %d cells missing from shard journals\n%!"
-              (List.length missing);
-            1)
+        0
   in
-  let spec =
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "spec" ] ~docv:"FILE"
-          ~doc:"Campaign spec the shards were executed against.")
+  let required_string name ~docv ~doc =
+    Arg.(required & opt (some string) None & info [ name ] ~docv ~doc)
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Merged result JSONL (default stdout).")
+  let journal =
+    required_string "journal" ~docv:"FILE"
+      ~doc:"This shard's append-only journal; replayed on respawn."
   in
-  let shard_files =
-    Arg.(
-      non_empty & pos_all string []
-      & info [] ~docv:"SHARD" ~doc:"Shard journal files to merge.")
+  let cells =
+    required_string "cells" ~docv:"RANGES"
+      ~doc:"Cell indices to run, as compact ranges (e.g. $(b,0-24,31))."
   in
-  let allow_partial =
-    Arg.(
-      value & flag
-      & info [ "allow-partial" ]
-          ~doc:"Exit 0 even when some cells have no journal line.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the stderr summary.")
-  in
+  let domains = domains_arg ~doc:"Scheduler lanes in this worker (default 1)." in
   Cmd.v
-    (Cmd.info "campaign-merge"
+    (Cmd.info "campaign-worker"
        ~doc:
-         "Deterministically merge shard journals into campaign output \
-          (what $(b,campaign-dist) does after supervision).")
-    Term.(const run $ spec $ out $ shard_files $ allow_partial $ quiet)
+         "Run one shard of a fan-out campaign (spawned by $(b,campaign \
+          --workers); not normally invoked by hand).")
+    Term.(const run $ spec_arg $ journal $ cells $ domains)
 
 let () =
   let info =
@@ -912,6 +734,12 @@ let () =
        (Cmd.group info
           [
             broadcast_cmd; multi_cmd; gst_cmd; estimate_cmd; topo_cmd;
-            campaign_cmd; campaign_worker_cmd; campaign_dist_cmd;
-            campaign_merge_cmd;
+            campaign_cmd "campaign" ~workers:0
+              ~doc:
+                "Run a sweep campaign: topology cache, work-stealing \
+                 scheduler, checkpoint/resume, in this process or over \
+                 supervised workers.";
+            campaign_cmd "campaign-dist" ~workers:2
+              ~doc:"$(b,campaign) with $(b,--workers) defaulting to 2.";
+            campaign_worker_cmd;
           ]))

@@ -31,7 +31,7 @@ type lane_queue = {
    very buffer. *)
 type buffer = { block : Mutex.t; mutable items : (int * string) list }
 
-let run ?domains ?journal ?(resume_lines = []) ?select ?abort_after ?on_cell
+let run ?domains ?journal ?(resume_lines = []) ?select ?abort_after
     ?(clock = fun () -> 0.) ~emit spec =
   let instances = Spec.instances spec in
   let cells = Spec.cells spec in
@@ -256,10 +256,7 @@ let run ?domains ?journal ?(resume_lines = []) ?select ?abort_after ?on_cell
             if not !aborted then begin
               (match journal with Some j -> j line | None -> ());
               slots.(idx) <- Some line;
-              incr completed;
-              match on_cell with
-              | Some cb -> cb ~completed:!completed ~total:ncells
-              | None -> ()
+              incr completed
             end
           end)
         (List.rev got)

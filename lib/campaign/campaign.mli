@@ -38,7 +38,6 @@ val run :
   ?resume_lines:string list ->
   ?select:int array ->
   ?abort_after:int ->
-  ?on_cell:(completed:int -> total:int -> unit) ->
   ?clock:(unit -> float) ->
   emit:(string -> unit) ->
   Spec.t ->
@@ -55,7 +54,8 @@ val run :
       executors.
     - [journal] is called with each finished cell's line as it is
       drained, in completion order — append it to a file and flush to
-      checkpoint.  [resume_lines] replays a previous journal: lines whose
+      checkpoint (the CLI's [--kill-after] counts these calls).
+      [resume_lines] replays a previous journal: lines whose
       job key matches the spec's cell are restored without re-running
       (malformed or stale lines are ignored), and are re-emitted — but
       not re-journaled — so the output stream is complete.
@@ -68,8 +68,6 @@ val run :
       journaled this session the run stops draining, workers wind down,
       and [aborted] is reported — buffered-but-undrained results are
       dropped exactly as a real SIGKILL would drop them.
-    - [on_cell] fires after each journaled cell with this session's
-      completion count (the CLI's [--kill-after] hook).
     - [clock] (default [fun () -> 0.]) timestamps the profile fields in
       {!stats}; bin/rbcast and rbbench (bench/e2e) pass a monotonic
       clock (bechamel's [Monotonic_clock], in seconds).

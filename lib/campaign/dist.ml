@@ -210,8 +210,8 @@ let supervise ?(on_event = fun _ -> ()) ~config ~io spec =
   let failure () =
     Error
       (Printf.sprintf
-         "campaign-dist: retry budget exhausted with %d of %d cells \
-          incomplete; shard journals preserved for resume"
+         "retry budget exhausted with %d of %d cells incomplete; shard \
+          journals preserved for resume"
          (n - !ndone) n)
   in
   let result = ref None in
@@ -397,7 +397,7 @@ let run ?on_event ~config ~io ~emit spec =
       | _ :: _ ->
           Error
             (Printf.sprintf
-               "campaign-merge: %d cells missing from shard journals"
+               "merge: %d cells missing from shard journals"
                (List.length m.missing))
       | [] ->
           List.iter emit out;

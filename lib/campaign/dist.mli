@@ -139,4 +139,6 @@ val run :
   (stats, string) result
 (** {!supervise}, then {!merge} over every slot's journal, then [emit]
     each merged line in cell-index order.  [Error] if supervision gave
-    up or the merge is missing cells; nothing is emitted on error. *)
+    up or the merge is missing cells; nothing is emitted on error.  Over
+    complete shard journals nothing is spawned: this is the merge on its
+    own. *)

@@ -281,7 +281,18 @@ let test_retry_exhaustion_then_resume () =
   Alcotest.(check string) "resumed bytes" reference out;
   Alcotest.(check int) "journaled cells not re-run" (total - 3)
     (Array.fold_left ( + ) 0 h2.exec_count);
-  Alcotest.(check int) "no crashes after resume" 0 stats.Dist.sup.crashes
+  Alcotest.(check int) "no crashes after resume" 0 stats.Dist.sup.crashes;
+  (* resume over the now complete shard journal: the merge on its own *)
+  let r3, out3, _, h3, _ =
+    run_dist ~workers:1
+      ~initial_journals:[| List.rev h2.journals.(0) |]
+      ~fault_of:no_fault spec
+  in
+  let stats = check_ok r3 in
+  Alcotest.(check string) "merge-only bytes" reference out3;
+  Alcotest.(check int) "merge-only spawns nothing" 0 stats.Dist.sup.spawns;
+  Alcotest.(check int) "merge-only runs nothing" 0
+    (Array.fold_left ( + ) 0 h3.exec_count)
 
 (* a slot that dies hands its unfinished cells to a retired survivor *)
 let test_orphan_reassignment () =
