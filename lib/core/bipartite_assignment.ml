@@ -470,6 +470,38 @@ let decide t ~node =
       then Engine.Listen
       else Engine.Sleep
 
+(* Whether [decide t ~node:v] is not [Sleep], outside the recruiting parts. *)
+let wakes t v =
+  match t.stage with
+  | Identify -> is_primary t v || (red_eligible t v && not t.active.(v))
+  | Loner_probe -> (t.is_red.(v) && t.active.(v)) || is_primary t v
+  | Loner_inform ->
+      (is_primary t v && t.loner.(v)) || (t.is_red.(v) && t.active.(v))
+  | Stage3 ->
+      t.ranked_now.(v) || is_secondary t v
+      || (t.is_blue.(v) && t.parents.(v) < 0 && t.ranks.(v) = 0)
+  | Done | Waiting | Part _ -> false
+
+let rec awake_scan t nodes i buf k =
+  if i >= Array.length nodes then k
+  else begin
+    let v = nodes.(i) in
+    if wakes t v then begin
+      buf.(k) <- v;
+      awake_scan t nodes (i + 1) buf (k + 1)
+    end
+    else awake_scan t nodes (i + 1) buf k
+  end
+[@@zero_alloc_hot]
+
+let awake t buf k =
+  match t.stage with
+  | Done | Waiting -> k
+  | Part (_, recr) -> Recruiting.awake recr buf k
+  | Identify | Loner_probe | Loner_inform | Stage3 ->
+      awake_scan t t.blues 0 buf (awake_scan t t.reds 0 buf k)
+[@@zero_alloc_hot]
+
 let deliver t ~node reception =
   match t.stage with
   | Identify -> (
@@ -531,8 +563,6 @@ let finished t = match t.stage with Done -> true | _ -> false
 let current_rank t = if finished t then 0 else t.rank
 
 let waiting t = match t.stage with Waiting -> true | _ -> false
-
-let recruiting t = match t.stage with Part (_, recr) -> Some recr | _ -> None
 
 let rounds_used t = t.rounds
 

@@ -63,10 +63,17 @@ val current_rank : t -> int
 val waiting : t -> bool
 (** True while the instance idles on its [ready] dependency. *)
 
-val recruiting : t -> Recruiting.t option
-(** The live recruiting instance while the machine is in one of its three
-    recruiting parts: only its members can act until {!advance} moves the
-    machine on. *)
+val awake : t -> int array -> int -> int
+(** [awake t buf k] writes the current round's actors into [buf] from
+    position [k] and returns the new fill, reds before blues, each in its
+    {!create} order.  In a recruiting part these are
+    {!Recruiting.awake}'s; in every other stage, exactly the members whose
+    {!decide} is not [Sleep]; nobody while [Waiting] or finished.  A node
+    left out gets a side-effect-free [Sleep] from {!decide}, or (in a
+    recruiting part) a side-effect-free [Listen] whose {!deliver} is a
+    no-op for every reception possible that round — see
+    {!Recruiting.awake} for what that costs a driver.  Allocates
+    nothing. *)
 
 (** {1 Instrumentation} *)
 

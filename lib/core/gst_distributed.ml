@@ -127,55 +127,28 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels () =
       params.Params.max_round_factor * ((depth + 2) * Ilog.pow ladder 5)
       + 10_000
     in
-    (* Frontier: a block whose machine is [Waiting] (gated by [ready_for])
-       or [Done] returns a side-effect-free [Sleep] for every node it
-       owns, so the awake set of a round is the level pairs of the
-       *live* blocks in the round's slot — in steady pipelined state
-       that is one or two level pairs, not the whole graph.  The block
-       wakes only inside [advance]/[settle] (after_round), never in
-       decide, so dormancy observed at round start holds for the whole
-       round.
-
-       Stage-exact narrowing: a live block in a recruiting part
-       ([Bipartite_assignment.recruiting] is [Some recr]) delegates decide
-       to [recr], whose members are fixed at [Recruiting.create] and which
-       answers every other node with a side-effect-free [Sleep].  Parts
-       are entered and left only in [advance]/[settle], so the instance
-       read at round start is the one that decides the whole round: waking
-       just its reds and blues — the part's reds and the part's unassigned
-       primaries — instead of both whole levels changes no action. *)
-    let level_nodes = Array.init (depth + 1) at_level in
+    (* Frontier: the awake set of a round is the actors
+       ([Bipartite_assignment.awake]) of the blocks in the round's slot.
+       A [Waiting] (gated by [ready_for]) or [Done] block has none: it
+       returns a side-effect-free [Sleep] for every node it owns.  Blocks
+       change stage only inside [advance]/[settle] (after_round), never
+       in decide, so the actors read at round start are those of the
+       whole round.  The recruiting parts also leave out listeners whose
+       deliveries are no-ops, so this run must not forward
+       [?stats]/[?metrics]. *)
     let dormant l =
       let b = block l in
       Bipartite_assignment.finished b || Bipartite_assignment.waiting b
     in
     let first_of_slot slot = if slot = 0 then 3 else slot in
+    let rec put_slot l buf k =
+      if l > depth then k
+      else put_slot (l + 3) buf (Bipartite_assignment.awake (block l) buf k)
+    in
     let decide_active ~round (buf : int array) =
-      let k = ref 0 in
-      let put nodes =
-        let len = Array.length nodes in
-        Array.blit nodes 0 buf !k len;
-        k := !k + len
-      in
-      let put_block l =
-        if not (dormant l) then
-          match Bipartite_assignment.recruiting (block l) with
-          | Some recr ->
-              put (Recruiting.reds recr);
-              put (Recruiting.blues recr)
-          | None ->
-              put level_nodes.(l - 1);
-              put level_nodes.(l)
-      in
-      (match mode with
-      | Sequential -> put_block !current
-      | Pipelined ->
-          let l = ref (first_of_slot (round mod 3)) in
-          while !l <= depth do
-            put_block !l;
-            l := !l + 3
-          done);
-      !k
+      match mode with
+      | Sequential -> Bipartite_assignment.awake (block !current) buf 0
+      | Pipelined -> put_slot (first_of_slot (round mod 3)) buf 0
     in
     (* Skip hint, re-queried every round so it only ever promises rounds
        whose silence follows from *current* machine state: a slot with no

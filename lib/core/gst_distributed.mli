@@ -73,16 +73,19 @@ val construct :
     with [Collision_detection] for the Theorem 1.1 pipeline).
 
     [engine] (default [Sparse]) selects the round path for every phase.
-    Under [Sparse] the assignment phase wakes only the level pairs of
-    live bipartite blocks (a dormant — [Waiting] or finished — block's
-    nodes all sleep) and fast-forwards rounds whose mod-3 slot has no
-    live block; the self-test wakes one rank group per round and skips
-    empty (rank, layer-class) slices; vd-learning wakes the sweeping
-    level pair (stage 1, skipping levels with no potential transmitter)
-    or the relaxation candidates (stage 2).  Results are identical to
-    [Dense]: every excluded node's decide is a side-effect-free [Sleep],
-    and every skipped round is provably silent — per-node RNG streams
-    advance exactly as under the full scan (DESIGN.md §12).  Under
+    Under [Sparse] the assignment phase wakes only the current stage's
+    actors in live bipartite blocks ({!Bipartite_assignment.awake}; a
+    dormant — [Waiting] or finished — block's nodes all sleep) and
+    fast-forwards rounds whose mod-3 slot has no live block; the
+    self-test wakes one rank group per round and skips empty
+    (rank, layer-class) slices; vd-learning wakes the sweeping level
+    pair (stage 1, skipping levels with no potential transmitter) or the
+    relaxation candidates (stage 2).  Results are identical to [Dense]:
+    every excluded node's decide is a side-effect-free [Sleep], or, in a
+    recruiting part, a side-effect-free [Listen] whose deliver is a
+    no-op that round, and every skipped round is provably silent —
+    per-node RNG streams advance exactly as under the full scan
+    (DESIGN.md §12).  Under
     [Sharded d] the assignment phase still runs on [Sparse]: its Recruiting
     callbacks write across nodes ({!Rn_radio.Drive.serial}).
     @raise Failure if a phase exhausts its round budget. *)

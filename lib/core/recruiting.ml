@@ -32,6 +32,10 @@ type t = {
   parent : int array;  (* -1 = not recruited *)
   many : bool array;  (* belief about parent's class *)
   coverable : int array;  (* blue slots with a red neighbour *)
+  (* This iteration's claim or verdict actors (node ids), refilled by
+     [advance] on entering each of those slots; see [awake]. *)
+  acts : int array;
+  mutable n_acts : int;
   mutable round : int;
   mutable done_flag : bool;
 }
@@ -105,6 +109,8 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues () =
     parent = Array.make nb (-1);
     many = Array.make nb false;
     coverable;
+    acts = Array.make (nr + nb) 0;
+    n_acts = 0;
     round = 0;
     done_flag = false;
   }
@@ -231,6 +237,33 @@ let goal_reached t =
       p >= 0 && t.many.(b) = (t.recruits.(red_slot t p) >= 2))
     t.coverable
 
+let push_act t v =
+  t.acts.(t.n_acts) <- v;
+  t.n_acts <- t.n_acts + 1
+
+(* The actors of the slot just entered: the reds that announced, then the
+   blues that may claim ([~claim:true]) or may act on a verdict.  A slot
+   with nobody to transmit (no eligible blue, no announcing red) gets no
+   actors at all.  Slot [i] holds [reds.(i)]/[blues.(i)] because members
+   are distinct ([awake]'s precondition). *)
+let fill_acts t ~claim =
+  t.n_acts <- 0;
+  for i = 0 to Array.length t.reds - 1 do
+    if t.coin.(i) then push_act t t.reds.(i)
+  done;
+  let n_reds = t.n_acts in
+  if n_reds > 0 || claim then begin
+    for b = 0 to Array.length t.blues - 1 do
+      let acts =
+        if claim then t.parent.(b) < 0 && t.heard.(b) >= 0
+        else t.heard.(b) >= 0 || t.parent.(b) >= 0
+      in
+      if acts then push_act t t.blues.(b)
+    done;
+    if claim && t.n_acts = n_reds then t.n_acts <- 0
+  end
+[@@zero_alloc_hot]
+
 let advance t =
   if not t.done_flag then begin
     t.round <- t.round + 1;
@@ -240,12 +273,25 @@ let advance t =
       && t.round mod t.iter_len = 0
       && goal_reached t
     then t.done_flag <- true
+    else
+      let r = t.round mod t.iter_len in
+      if r = 1 then fill_acts t ~claim:true
+      else if r = t.ladder + 1 then fill_acts t ~claim:false
   end
 
 let finished t = t.done_flag
 
-let reds t = t.reds
-let blues t = t.blues
+let blit_into buf k src len =
+  Array.blit src 0 buf k len;
+  k + len
+
+let awake t buf k =
+  if t.done_flag then k
+  else if t.round mod t.iter_len = 0 then
+    let k = blit_into buf k t.reds (Array.length t.reds) in
+    blit_into buf k t.blues (Array.length t.blues)
+  else blit_into buf k t.acts t.n_acts
+[@@zero_alloc_hot]
 
 type red_class = Zero | One of int | Many
 

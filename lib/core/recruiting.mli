@@ -67,12 +67,25 @@ val finished : t -> bool
     [params.adaptive]) as soon as every coverable blue is recruited with
     consistent classes. *)
 
-val reds : t -> int array
-val blues : t -> int array
-(** The member arrays given to {!create} (not copies: do not mutate).
-    Fixed for the instance's lifetime; every other node gets a
-    side-effect-free [Sleep] from {!decide}, so an enclosing driver may
-    wake exactly these nodes. *)
+val awake : t -> int array -> int -> int
+(** [awake t buf k] writes the current round's {e actors} into [buf]
+    from position [k] and returns the new fill: the nodes that may
+    transmit this round or act on what they hear, reds before blues, each
+    in its {!create} order.  An announce round wakes every member; a claim
+    round the reds that announced and the blues that may claim; a verdict
+    round the reds that announced and the blues that heard a red or have
+    a parent; a slot in which nobody would transmit wakes nobody, as does
+    a finished instance.
+
+    Every node left out gets from {!decide} either a side-effect-free
+    [Sleep] (non-members) or a side-effect-free [Listen] whose {!deliver}
+    is a no-op for every reception possible in that round, so an
+    enclosing driver may pass these ids as its [decide_active] set as
+    long as it forwards no [?stats]/[?metrics]: the skipped listeners'
+    deliveries and collisions would be missing from the engine's tallies.
+    Requires [reds] and [blues] to be duplicate-free and disjoint.  The
+    claim and verdict sets are computed once per slot in {!advance}, so a
+    call allocates nothing. *)
 
 (** {1 Results} *)
 

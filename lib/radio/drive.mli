@@ -14,8 +14,13 @@
 
     [Dense] is the reference the fast paths are checked against, and
     [Sharded] runs the fast kernel of [Sparse] on [d] lanes.  A node
-    outside the active set must [Sleep] without side effects and a skipped
-    round must be silent, hence dropping either never changes a result.  Tracing
+    outside the active set must [Sleep] without side effects, or [Listen]
+    without side effects to a [deliver] that is a no-op for every
+    reception possible that round, and a skipped round must be silent,
+    hence dropping either never changes a protocol result.  The
+    [Listen] case leaves those listeners' deliveries and collisions out
+    of [stats]/[metrics], so a caller that forwards either must not use
+    it ({!Engine_sparse.run}).  Tracing
     ([on_round]) is not routed: it exists only on {!Engine.run}, which
     tracing callers invoke directly. *)
 

@@ -84,9 +84,15 @@ val run :
     order) — every other node implicitly [Sleep]s that round.  The ids of a
     round must be distinct and in [\[0, n)] (distinctness is the protocol's
     obligation; a duplicated id would act twice).  A node left out must be
-    one whose [decide] would have been a side-effect-free [Sleep], so that
-    dropping the set (as {!Drive.run} does under [Dense] and [Sharded])
-    changes nothing.
+    one whose [decide] would have been either
+    - a side-effect-free [Sleep], or
+    - a side-effect-free [Listen] whose [deliver] is a no-op for every
+      reception possible that round,
+    so that dropping the set (as {!Drive.run} does under [Dense] and
+    [Sharded]) changes no protocol state.  The second case has a cost:
+    the left-out listeners' deliveries and collisions are missing from
+    [stats] and [metrics], which then differ from the [Dense] scan's, so
+    a driver that forwards [?stats]/[?metrics] must use only the first.
 
     [validate] (default [false]) additionally enforces the distinctness
     half of that contract, raising [Invalid_argument] naming the offending

@@ -6,8 +6,9 @@
    [Transmit] packets are the protocol's own, counted against it).  The
    Runner's shard loop must allocate O(1) words per item, independent of
    both the item count and the graph size.  On the protocol's side, coin
-   draws allocate nothing and a whole Decay broadcast stays within its
-   setup plus the delivery wrappers.  All are measured with
+   draws allocate nothing, a whole Decay broadcast stays within its
+   setup plus the delivery wrappers, and the GST assignment phase's
+   awake-set enumeration allocates nothing.  All are measured with
    [Gc.minor_words] deltas captured into preallocated float arrays, so the
    measurement itself allocates nothing between the marks. *)
 
@@ -435,6 +436,78 @@ let test_decay_broadcast_budget () =
        n words budget)
     true (words <= budget)
 
+(* The GST assignment phase's awake-set enumeration: one small level pair
+   stepped through every stage by its own [decide]/[deliver]/[advance]
+   under a full-scan mini driver (no collision detection), with each
+   [awake] call bracketed by [Gc.minor_words].  The stepping also checks
+   that every transmitter was in the enumerated set. *)
+let test_assignment_awake_zero_alloc () =
+  let graph =
+    Gen.layered_random ~rng:(Rng.create ~seed:11) ~depth:2 ~width:12 ~p:0.4
+  in
+  let n = Graph.n graph in
+  let reds = Array.init 12 (fun i -> 1 + i) in
+  let blues = Array.init 12 (fun i -> 13 + i) in
+  let parents = Array.make n (-1) and parent_rank = Array.make n (-1) in
+  let ranks = Array.make n 0 in
+  Array.iter (fun b -> ranks.(b) <- 1) blues;
+  let module B = Rn_broadcast.Bipartite_assignment in
+  let t =
+    B.create ~rng:(Rng.create ~seed:13) ~params:Rn_broadcast.Params.default
+      ~scale_n:n ~graph ~reds ~blues ~parents ~ranks ~parent_rank
+      ~ready:(fun ~rank:_ -> true)
+      ()
+  in
+  let buf = Array.make n 0 and in_set = Array.make n false in
+  let acts = Array.make n Engine.Sleep in
+  let marks = [| 0.0; 0.0 |] and words = [| 0.0 |] in
+  let rounds = ref 0 and awake_rounds = ref 0 and missed = ref 0 in
+  while (not (B.finished t)) && !rounds < 1_000_000 do
+    marks.(0) <- Gc.minor_words ();
+    let k = B.awake t buf 0 in
+    marks.(1) <- Gc.minor_words ();
+    words.(0) <- words.(0) +. (marks.(1) -. marks.(0));
+    if k > 0 then incr awake_rounds;
+    Array.fill in_set 0 n false;
+    for i = 0 to k - 1 do
+      in_set.(buf.(i)) <- true
+    done;
+    for v = 0 to n - 1 do
+      acts.(v) <- B.decide t ~node:v;
+      match acts.(v) with
+      | Engine.Transmit _ when not in_set.(v) -> incr missed
+      | _ -> ()
+    done;
+    for v = 0 to n - 1 do
+      match acts.(v) with
+      | Engine.Sleep | Engine.Transmit _ -> ()
+      | Engine.Listen ->
+          let heard =
+            Graph.fold_neighbors graph v
+              (fun acc u ->
+                match (acts.(u), acc) with
+                | Engine.Transmit m, None -> Some (Some m)
+                | Engine.Transmit _, Some _ -> Some None
+                | _ -> acc)
+              None
+          in
+          B.deliver t ~node:v
+            (match heard with
+            | Some (Some m) -> Engine.Received m
+            | Some None | None -> Engine.Silence)
+    done;
+    B.advance t;
+    incr rounds
+  done;
+  Alcotest.(check bool) "assignment finished" true (B.finished t);
+  Alcotest.(check bool) "every blue has a parent" true
+    (Array.for_all (fun b -> parents.(b) >= 0) blues);
+  Alcotest.(check int) "transmitters outside the awake set" 0 !missed;
+  Alcotest.(check bool) "some rounds wake nodes" true (!awake_rounds > 0);
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "awake over %d rounds allocates 0 words" !rounds)
+    0.0 words.(0)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -471,6 +544,8 @@ let () =
             test_coin_draws_zero_alloc;
           Alcotest.test_case "Decay.broadcast budget" `Quick
             test_decay_broadcast_budget;
+          Alcotest.test_case "assignment awake sets zero-alloc" `Quick
+            test_assignment_awake_zero_alloc;
         ] );
       ( "runner",
         [

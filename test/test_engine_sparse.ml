@@ -500,6 +500,38 @@ let test_wrapper_construct () =
     [ Rn_broadcast.Gst_distributed.Sequential;
       Rn_broadcast.Gst_distributed.Pipelined ]
 
+(* The same whole-record check over random layered graphs, every mode and
+   both collision models.  The assignment phase's sparse run wakes only
+   each stage's actors (leaving out listeners whose deliveries are
+   no-ops), so any actor the enumeration misses shows up as a different
+   GST, rank, parent rank or vd. *)
+let construct_differential =
+  let open QCheck in
+  Test.make ~name:"GST construct sparse ≡ dense (layered, modes × detection)"
+    ~count:25
+    (make
+       ~print:(fun (depth, width, p, seed) ->
+         Printf.sprintf "(depth=%d,width=%d,p=%.3f,seed=%d)" depth width p seed)
+       Gen.(
+         quad (int_range 2 8) (int_range 2 10) (float_range 0.2 0.6)
+           (int_range 0 100_000)))
+    (fun (depth, width, p, seed) ->
+      let g = Topo.layered_random ~rng:(Rng.create ~seed) ~depth ~width ~p in
+      List.for_all
+        (fun (mode, detection) ->
+          let run engine =
+            Rn_broadcast.Gst_distributed.construct ~mode ~detection
+              ~learn_vd:true ~engine ~rng:(Rng.create ~seed:(seed + 1))
+              ~graph:g ~roots:[| 0 |] ()
+          in
+          run Engine.Dense = run Engine.Sparse)
+        [
+          (Rn_broadcast.Gst_distributed.Sequential, Engine.No_collision_detection);
+          (Rn_broadcast.Gst_distributed.Sequential, Engine.Collision_detection);
+          (Rn_broadcast.Gst_distributed.Pipelined, Engine.No_collision_detection);
+          (Rn_broadcast.Gst_distributed.Pipelined, Engine.Collision_detection);
+        ])
+
 let test_wrapper_single_broadcast () =
   let rng = Rng.create ~seed:426 in
   let g = Topo.random_connected ~rng ~n:50 ~extra:40 in
@@ -562,5 +594,7 @@ let () =
           Alcotest.test_case "Thm 1.3 pipeline dense ≡ sparse" `Quick
             test_wrapper_multi_broadcast;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          (qcheck_tests @ [ construct_differential ]) );
     ]
