@@ -484,11 +484,11 @@ let test_baseline_cr () =
 (* ------------------------------------------------------------------ *)
 (* Golden values *)
 
-(* The recruiting, bipartite-assignment and distributed-GST machines,
-   pinned draw for draw: each digest is the MD5 of a canonical rendering
-   of one run's outputs (3 graphs x 3 seeds per family).  How these
-   modules store their state, or which nodes the engine wakes each round,
-   must never show here. *)
+(* The Decay and CR baselines and the recruiting, bipartite-assignment
+   and distributed-GST machines, pinned draw for draw: each digest is the
+   MD5 of a canonical rendering of one run's outputs (3 graphs x 3 seeds
+   per family).  How these modules store their state, or which nodes the
+   engine wakes each round, must never show here. *)
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
@@ -511,6 +511,24 @@ let golden_graphs =
     ("random", Topo.random_connected ~rng:(rng 9) ~n:40 ~extra:40);
     ("grid", Topo.grid ~w:7 ~h:6);
   ]
+
+let render_decay (r : Decay.result) =
+  let s = r.Decay.stats in
+  Printf.sprintf "%d|%d|%d|%d|%d|%s" s.Engine.rounds s.Engine.transmissions
+    s.Engine.deliveries s.Engine.collisions s.Engine.busy_rounds
+    (ints r.Decay.received_round)
+
+let golden_decay ~seed g =
+  render_decay (Decay.broadcast ~rng:(rng seed) ~graph:g ~source:0 ())
+
+(* CR also pins its metrics phases: one phase per truncated³+full cycle. *)
+let golden_cr ~seed g =
+  let m = Rn_obs.Metrics.create () in
+  let r =
+    Baselines.cr_broadcast ~metrics:m ~rng:(rng seed) ~graph:g ~source:0
+      ~diameter:(Bfs.eccentricity g 0) ()
+  in
+  String.concat "\n" (render_decay r :: Rn_obs.Export.phases_jsonl m)
 
 let golden_recruiting ~seed (reds, blues, g) =
   let o =
@@ -571,6 +589,8 @@ let golden_runs family graphs run =
 
 let golden_families =
   [
+    ("decay", golden_runs "decay" golden_graphs golden_decay);
+    ("cr", golden_runs "cr" golden_graphs golden_cr);
     ("recruiting", golden_runs "recruiting" bip_graphs golden_recruiting);
     ("assignment", golden_runs "assignment" bip_graphs golden_assignment);
     ( "sequential gst",
@@ -582,6 +602,24 @@ let golden_families =
 
 let golden =
   [
+    ("decay layered seed=1", "35e945a5e78f4cbf7b62f4f237adce41");
+    ("decay layered seed=2", "66f086873b8f9fe37541c3943b96ae52");
+    ("decay layered seed=3", "ded09458b329662ba4f62f658ee73566");
+    ("decay random seed=1", "a560854c16509828c2774b8d4f6b0e2e");
+    ("decay random seed=2", "747db4b00a7499d345dc5804a51e12f0");
+    ("decay random seed=3", "ea6463536377da19d12fcb69584e30c6");
+    ("decay grid seed=1", "980dd8d39f1571e050c0dba654311a4b");
+    ("decay grid seed=2", "a09ffba64d162192c1162bbf714f931d");
+    ("decay grid seed=3", "0a6da78a77b8512d639906358a66c35b");
+    ("cr layered seed=1", "20745afafbcc99c28ca63926a22e2068");
+    ("cr layered seed=2", "06a9b19e45ea454f7525df93e6a3bf55");
+    ("cr layered seed=3", "670decba644c2508f67b605de7652e3b");
+    ("cr random seed=1", "de83bcc263a47518718b3d7a7b0fbc9d");
+    ("cr random seed=2", "ffc8b7311b33b9631b5a85e2af1540f5");
+    ("cr random seed=3", "e27eeb1ec538d090955fdf97c07bab98");
+    ("cr grid seed=1", "4a745fae2768550835422e273fe4ee21");
+    ("cr grid seed=2", "e2b8df15191750b51136dc1baa6b89ce");
+    ("cr grid seed=3", "19420700f96ea9d63fa12d408cb82fab");
     ("recruiting bip6x14 seed=1", "82f5872a3114c67f6816df6cffd6f4f3");
     ("recruiting bip6x14 seed=2", "0bd56bcf19a74770b76c639564d2a033");
     ("recruiting bip6x14 seed=3", "97e289367aef888d03681231fc850554");
