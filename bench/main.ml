@@ -125,8 +125,8 @@ let e1 () =
       assert r.Single_broadcast.delivered;
       let d = Decay.broadcast ~rng:(Rng.split rng) ~graph:g ~source:0 () in
       let c =
-        Baselines.cr_broadcast ~rng:(Rng.split rng) ~graph:g ~source:0
-          ~diameter:depth ()
+        Decay.broadcast ~diameter:depth ~rng:(Rng.split rng) ~graph:g
+          ~source:0 ()
       in
       ( r.Single_broadcast.rounds_total,
         r.Single_broadcast.rounds_layering + r.Single_broadcast.rounds_broadcast,
@@ -228,9 +228,8 @@ let e1 () =
         let g = layered ~seed ~depth ~width in
         let ladder = Ilog.clog (Graph.n g) in
         let r =
-          Decay.broadcast ~ladder
-            ~rng:(Rng.create ~seed:(seed * 211))
-            ~graph:g ~source:0 ()
+          Decay.broadcast ~rng:(Rng.create ~seed:(seed * 211)) ~graph:g
+            ~source:0 ()
         in
         Rn_obs.Analysis.decay_phases ~offsets:(Graph.offsets g)
           ~targets:(Graph.targets g) ~received_round:r.Decay.received_round

@@ -26,7 +26,7 @@ let () =
   assert cd.Single_broadcast.delivered;
 
   (* Baseline: BGI Decay, no collision detection. *)
-  let decay = Baselines.decay_broadcast ~rng:(Rng.split rng) ~graph ~source () in
+  let decay = Decay.broadcast ~rng:(Rng.split rng) ~graph ~source () in
   Printf.printf "Decay baseline (no CD):                  %d rounds\n"
     (Rn_radio.Engine.rounds_of_outcome decay.Decay.outcome);
 

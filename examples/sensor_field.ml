@@ -22,12 +22,12 @@ let () =
     (Graph.n graph) (Graph.m graph) ecc;
 
   (* 1. Plain Decay flooding. *)
-  let decay = Baselines.decay_broadcast ~rng:(Rng.split rng) ~graph ~source () in
+  let decay = Decay.broadcast ~rng:(Rng.split rng) ~graph ~source () in
   let decay_rounds = Rn_radio.Engine.rounds_of_outcome decay.Decay.outcome in
 
   (* 2. The truncated-ladder (Czumaj-Rytter-style) variant. *)
   let cr =
-    Baselines.cr_broadcast ~rng:(Rng.split rng) ~graph ~source ~diameter:ecc ()
+    Decay.broadcast ~diameter:ecc ~rng:(Rng.split rng) ~graph ~source ()
   in
   let cr_rounds = Rn_radio.Engine.rounds_of_outcome cr.Decay.outcome in
 

@@ -2,71 +2,6 @@ open Rn_util
 open Rn_graph
 open Rn_radio
 
-let decay_broadcast ?(params = Params.default) ?metrics ~rng ~graph ~source () =
-  Decay.broadcast ~params ?metrics ~rng ~graph ~source ()
-
-let cr_broadcast ?(params = Params.default) ?metrics ?engine ~rng ~graph
-    ~source ~diameter () =
-  let n = Graph.n graph in
-  if source < 0 || source >= n then invalid_arg "Baselines.cr_broadcast";
-  let full = Params.phase_len ~n in
-  let short = min full (Decay.cr_ladder ~n ~diameter) in
-  (* Cycle: three truncated phases (fast progress at per-layer degrees
-     <= n/D) then one full phase (resolves dense neighborhoods). *)
-  let cycle = (3 * short) + full in
-  let exponent round =
-    let r = round mod cycle in
-    if r < 3 * short then (r mod short) + 1 else r - (3 * short) + 1
-  in
-  let max_rounds = params.Params.max_round_factor * (n + 1) * full in
-  let node_rng = Rng.split_n rng n in
-  let received_round = Array.make n (-1) in
-  received_round.(source) <- 0;
-  let missing = Atomic.make (n - 1) in
-  let decide ~round ~node =
-    if received_round.(node) >= 0 then begin
-      if Rng.coin_pow2 node_rng.(node) (exponent round) then
-        Engine.Transmit Cmsg.Probe
-      else Engine.Listen
-    end
-    else Engine.Listen
-  in
-  let deliver ~round ~node reception =
-    match reception with
-    | Engine.Received Cmsg.Probe ->
-        if received_round.(node) < 0 then begin
-          received_round.(node) <- round;
-          Atomic.decr missing
-        end
-    | Engine.Received _ | Engine.Silence | Engine.Collision -> ()
-  in
-  let stats = Engine.fresh_stats () in
-  (* Phase annotation: one full short³+full cycle per phase id. *)
-  let after_round =
-    match metrics with
-    | None -> None
-    | Some m ->
-        Rn_obs.Phase.enter m 0;
-        Some
-          (fun ~round -> Rn_obs.Phase.enter_of_round m ~len:cycle ~round:(round + 1))
-  in
-  (* No active set or hint: every node may receive in any round, and the
-     holders' probability ladder draws a coin every round. *)
-  let outcome =
-    Drive.run ?engine ?metrics ?after_round ~stats ~graph
-      ~detection:Engine.No_collision_detection
-      ~protocol:{ Engine.decide; deliver }
-      ~stop:(fun ~round:_ -> Atomic.get missing = 0)
-      ~max_rounds ()
-  in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      for v = 0 to n - 1 do
-        if v <> source then Rn_obs.Metrics.observe_receive_round m received_round.(v)
-      done);
-  { Decay.outcome; received_round; stats }
-
 type multi_result = {
   rounds : int;
   delivered : bool;

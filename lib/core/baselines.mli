@@ -1,16 +1,9 @@
-(** Baseline algorithms the paper compares against (§1.3).
+(** Multi-message baselines the paper compares against (§1.3).
 
-    - {!decay_broadcast}: the BGI Decay broadcast [2],
-      [O(D log n + log² n)] rounds — re-exported from {!Decay} for
-      discoverability.
-    - {!cr_broadcast}: the Czumaj–Rytter / Kowalski–Pelc-shaped
-      [O(D log(n/D) + log² n)] baseline.  The original algorithms build on
-      selective families; per DESIGN.md §4 we use the standard
-      truncated-ladder stand-in: Decay whose probability ladder stops at
-      [2^{-(⌈log(n/D)⌉+1)}], interleaved with periodic full-range phases so
-      dense neighborhoods still resolve.  On workloads whose per-layer
-      degrees are [O(n/D)] this exhibits the [D log(n/D)] growth the
-      comparison needs.
+    The single-message baselines — BGI Decay [2] and the Czumaj–Rytter /
+    Kowalski–Pelc-shaped [O(D log(n/D) + log² n)] schedule — are both
+    {!Decay.broadcast} (the latter with [~diameter]).
+
     - {!routing_multi}: store-and-forward multi-message broadcast — every
       holder, when its Decay coin fires, transmits one {e uncoded} message
       chosen uniformly from those it holds.  The coding-vs-routing
@@ -20,34 +13,6 @@
 
 open Rn_util
 open Rn_radio
-
-val decay_broadcast :
-  ?params:Params.t ->
-  ?metrics:Rn_obs.Metrics.t ->
-  rng:Rng.t ->
-  graph:Rn_graph.Graph.t ->
-  source:int ->
-  unit ->
-  Decay.result
-
-val cr_broadcast :
-  ?params:Params.t ->
-  ?metrics:Rn_obs.Metrics.t ->
-  ?engine:Engine.mode ->
-  rng:Rng.t ->
-  graph:Rn_graph.Graph.t ->
-  source:int ->
-  diameter:int ->
-  unit ->
-  Decay.result
-(** [diameter] is the constant-factor estimate of [D] the model grants
-    every node (§1.1).  [metrics], when given, records every round with
-    one short³+full schedule cycle per phase id and folds first-receive
-    rounds into the histogram after the run.  [engine] (default [Sparse])
-    selects the round path; the sparse engine elides silent-round
-    delivery sweeps but uses no active set or skip hint (every node may
-    receive, and holders draw a ladder coin each round), and results are
-    identical to [Dense]. *)
 
 type multi_result = {
   rounds : int;

@@ -15,18 +15,29 @@ type result = {
 
 type msg = Payload | Noise
 
-let broadcast ?(params = Params.default) ?ladder
-    ?(detection = Engine.No_collision_detection) ?max_rounds ?faults ?engine
-    ?metrics ~rng ~graph ~source () =
+let cr_ladder ~n ~diameter =
+  if n < 1 || diameter < 0 then invalid_arg "Decay.cr_ladder";
+  let ratio = max 2 (Ilog.cdiv n (max 1 diameter)) in
+  Ilog.clog ratio + 1
+
+let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
+    ~rng ~graph ~source () =
   let n = Graph.n graph in
   if source < 0 || source >= n then invalid_arg "Decay.broadcast: bad source";
-  let ladder = match ladder with Some l -> l | None -> Params.phase_len ~n in
-  if ladder < 1 then invalid_arg "Decay.broadcast: ladder";
-  let max_rounds =
-    match max_rounds with
-    | Some m -> m
-    | None -> params.Params.max_round_factor * (n + 1) * Params.phase_len ~n
+  let full = Params.phase_len ~n in
+  (* The exponent cycle: three truncated phases 1 … [short] ([truncated]
+     rounds; fast progress at per-layer degrees <= n/D), then one full
+     phase 1 … [full] (resolves dense neighborhoods).  Classic Decay is
+     the cycle with no truncated part. *)
+  let short, truncated =
+    match diameter with
+    | None -> (full, 0)
+    | Some diameter ->
+        let short = min full (cr_ladder ~n ~diameter) in
+        (short, 3 * short)
   in
+  let cycle = truncated + full in
+  let max_rounds = params.Params.max_round_factor * (n + 1) * full in
   let node_rng = Rng.split_n rng n in
   let received_round = Array.make n (-1) in
   received_round.(source) <- 0;
@@ -37,8 +48,9 @@ let broadcast ?(params = Params.default) ?ladder
   let missing = Atomic.make (n - 1) in
   let decide ~round ~node =
     if received_round.(node) >= 0 then begin
-      if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
-        Engine.Transmit Payload
+      let r = round mod cycle in
+      let e = if r < truncated then (r mod short) + 1 else r - truncated + 1 in
+      if Rng.coin_pow2 node_rng.(node) e then Engine.Transmit Payload
       else Engine.Listen
     end
     else Engine.Listen
@@ -64,7 +76,8 @@ let broadcast ?(params = Params.default) ?ladder
   let stop ~round:_ = Atomic.get missing = 0 in
   (* Phase annotation runs in [after_round] — coordinator-serial under both
      engines — so per-phase aggregation never touches the parallel deliver
-     phase.  Round r belongs to Decay phase r/ladder (Lemma 2.2's unit). *)
+     phase.  Round r belongs to phase r/cycle: Lemma 2.2's unit for
+     classic Decay, one whole schedule cycle with a diameter. *)
   let after_round =
     match metrics with
     | None -> None
@@ -72,15 +85,15 @@ let broadcast ?(params = Params.default) ?ladder
         Rn_obs.Phase.enter m 0;
         Some
           (fun ~round ->
-            Rn_obs.Phase.enter_of_round m ~len:ladder ~round:(round + 1))
+            Rn_obs.Phase.enter_of_round m ~len:cycle ~round:(round + 1))
   in
   (* No skip hint: an informed node draws its coin every round, so no
      round is statically silent; the sparse win is the elided silence
      deliveries and listener resets.  Decay's deliver ignores Silence,
      satisfying the sparse no-op contract. *)
   let outcome =
-    Drive.run ?engine ~stats ?metrics ?after_round ~graph ~detection ~protocol
-      ~stop ~max_rounds ()
+    Drive.run ?engine ~stats ?metrics ?after_round ~graph
+      ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds ()
   in
   (match metrics with
   | None -> ()
@@ -92,11 +105,6 @@ let broadcast ?(params = Params.default) ?ladder
           Rn_obs.Metrics.observe_receive_round m received_round.(v)
       done);
   { outcome; received_round; stats }
-
-let cr_ladder ~n ~diameter =
-  if n < 1 || diameter < 0 then invalid_arg "Decay.cr_ladder";
-  let ratio = max 2 (Ilog.cdiv n (max 1 diameter)) in
-  Ilog.clog ratio + 1
 
 let mmv_broadcast ?(params = Params.default) ?(noising = true) ?max_rounds ~rng
     ~graph ~levels ~source () =

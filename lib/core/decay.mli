@@ -10,10 +10,11 @@
     This module provides
     - the probability ladder used as a building block by every construction
       in the paper,
-    - the classic single-message Decay broadcast
-      (the [O(D log n + log² n)] baseline of §1.3),
-    - a truncated-ladder variant that serves as the Czumaj–Rytter /
-      Kowalski–Pelc [O(D log(n/D) + log² n)] stand-in (see DESIGN.md §4),
+    - the single-message Decay broadcast: classic
+      (the [O(D log n + log² n)] baseline of §1.3), or, given a diameter
+      estimate, on the truncated-ladder schedule that serves as the
+      Czumaj–Rytter / Kowalski–Pelc [O(D log(n/D) + log² n)] stand-in
+      (see DESIGN.md §4),
     - the multi-message-viable Decay schedule of §3.1 (Lemma 3.2), in which
       prompted nodes that do not yet have the message transmit noise. *)
 
@@ -36,11 +37,13 @@ type result = {
   stats : Engine.stats;
 }
 
+val cr_ladder : n:int -> diameter:int -> int
+(** The truncated ladder [⌈log(n/D)⌉ + 1] of the Czumaj–Rytter-style
+    schedule. *)
+
 val broadcast :
   ?params:Params.t ->
-  ?ladder:int ->
-  ?detection:Engine.detection ->
-  ?max_rounds:int ->
+  ?diameter:int ->
   ?faults:Faults.spec ->
   ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
@@ -49,12 +52,21 @@ val broadcast :
   source:int ->
   unit ->
   result
-(** Classic Decay broadcast: every node holding the message participates in
-    every phase; delivery to all nodes w.h.p. in [O(D log n + log² n)]
-    rounds.  [ladder] defaults to [⌈log n⌉]; passing a smaller ladder gives
-    the truncated variant (progress [O(log(n/D))] per hop when layer degrees
-    are ≤ n/D).  Collision detection is irrelevant to Decay; the default is
-    [No_collision_detection] as in [2].
+(** Decay broadcast: every node holding the message participates in every
+    round, drawing its coin on the round's exponent.  Collision detection
+    is irrelevant to Decay; the run uses [No_collision_detection] as in
+    [2].
+
+    Without [diameter] this is classic Decay: phases of [⌈log n⌉] rounds
+    with exponents 1 … [⌈log n⌉], delivering to all nodes w.h.p. in
+    [O(D log n + log² n)] rounds.  [diameter] is the constant-factor
+    estimate of [D] the model grants every node (§1.1); with it the run
+    is the Czumaj–Rytter / Kowalski–Pelc-shaped baseline.  The original
+    algorithms build on selective families; per DESIGN.md §4 we use the
+    standard truncated-ladder stand-in: a cycle of three truncated phases
+    with exponents 1 … [min ⌈log n⌉ (cr_ladder ~n ~diameter)] (progress
+    [O(log(n/D))] per hop when layer degrees are ≤ n/D), then one full
+    phase so dense neighborhoods still resolve.
 
     [engine] (default [Sparse]) picks the round path via {!Drive.run}:
     [Sparse] runs {!Engine_sparse.run} on one lane, eliding the per-round
@@ -65,16 +77,14 @@ val broadcast :
     skip hint is offered because informed nodes draw a coin every round.
 
     [metrics], when given, records every round into the registry with the
-    phase annotation [round / ladder] (Lemma 2.2's unit — set from
-    [after_round], never from the parallel deliver phase) and, after the
-    run, folds each non-source node's first-receive round into the
-    registry's histogram — create the registry with
-    [~hist_width:ladder] to make the histogram a per-phase first-receive
-    count.  Identical registry contents under every [engine]. *)
-
-val cr_ladder : n:int -> diameter:int -> int
-(** The truncated ladder [⌈log(n/D)⌉ + 1] used by the Czumaj–Rytter-style
-    baseline. *)
+    phase annotation [round / cycle], where the cycle is one classic phase
+    of [⌈log n⌉] rounds (Lemma 2.2's unit) or one whole truncated³+full
+    schedule cycle (set from [after_round], never from the parallel
+    deliver phase), and, after the run, folds each non-source node's
+    first-receive round into the registry's histogram — create the
+    registry with [~hist_width:⌈log n⌉] to make a classic run's histogram
+    a per-phase first-receive count.  Identical registry contents under
+    every [engine]. *)
 
 val mmv_broadcast :
   ?params:Params.t ->

@@ -12,16 +12,14 @@ type known_result = {
   payloads_ok : bool;
 }
 
-let known ?(params = Params.default) ?(msg_len = 32)
-    ?(slow_key = Gst_broadcast.By_virtual_distance) ?engine ~rng ~graph
-    ~source ~k () =
+let known ?(params = Params.default) ?engine ~rng ~graph ~source ~k () =
   if k < 1 then invalid_arg "Multi_broadcast.known: k must be >= 1";
   let gst = Gst.build_centralized ~graph ~roots:[| source |] () in
   let vd = Gst.virtual_distances gst in
-  let msgs = random_messages rng ~k ~msg_len in
+  let msgs = random_messages rng ~k ~msg_len:32 in
   let r =
-    Gst_broadcast.run ~params ~slow_key ?engine ~rng:(Rng.split rng) ~gst ~vd
-      ~msgs ~sources:[| source |] ()
+    Gst_broadcast.run ~params ?engine ~rng:(Rng.split rng) ~gst ~vd ~msgs
+      ~sources:[| source |] ()
   in
   {
     rounds = r.Gst_broadcast.rounds;
@@ -45,8 +43,7 @@ type unknown_result = {
   payloads_ok : bool;
 }
 
-let unknown ?(params = Params.default) ?(msg_len = 32)
-    ?(rings = Single_broadcast.Auto) ?batch_size ?(estimate_diameter = false)
+let unknown ?(params = Params.default) ?rings ?batch_size ?estimate_diameter
     ?engine ~rng ~graph ~source ~k () =
   if k < 1 then invalid_arg "Multi_broadcast.unknown: k must be >= 1";
   let n = Graph.n graph in
@@ -57,48 +54,15 @@ let unknown ?(params = Params.default) ?(msg_len = 32)
         b
     | None -> Ilog.clog (max 2 n)
   in
-  (* Phase 1: collision-detection layering, optionally via the footnote-2
-     estimator so no D knowledge is assumed. *)
-  let levels, layering_rounds, depth_bound =
-    if estimate_diameter then begin
-      let e = Diameter_estimate.run ~graph ~source () in
-      ( e.Diameter_estimate.levels,
-        e.Diameter_estimate.rounds,
-        e.Diameter_estimate.estimate )
-    end
-    else begin
-      let wave = Layering.collision_wave ~graph ~sources:[| source |] () in
-      ( wave.Layering.levels,
-        wave.Layering.rounds,
-        Bfs.max_level wave.Layering.levels )
-    end
+  let { Single_broadcast.rings = rings_t; rounds_layering; ring_gsts;
+        rounds_construction } =
+    Single_broadcast.front ?rings ~params ?estimate_diameter ?engine ~rng
+      ~graph ~source ()
   in
-  let width =
-    match rings with
-    | Single_broadcast.Ring_width w -> max 1 w
-    | Single_broadcast.Ring_count c ->
-        max 1 (Ilog.cdiv (depth_bound + 1) (max 1 c))
-    | Single_broadcast.Auto ->
-        let count = max 1 (Ilog.isqrt (max 1 depth_bound)) in
-        max 1 (Ilog.cdiv (depth_bound + 1) count)
-  in
-  let rings_t = Rings.decompose ~levels ~width in
-  let rcount = rings_t.Rings.count in
-  (* Phase 2: parallel per-ring construction with virtual distances. *)
-  let ring_gsts =
-    List.init rcount (fun j ->
-        Gst_distributed.construct ~mode:Gst_distributed.Pipelined
-          ~layering:(Gst_distributed.Given_layering (Rings.ring_levels rings_t j))
-          ~learn_vd:true ~params ?engine ~rng:(Rng.split rng) ~graph
-          ~roots:(Rings.roots rings_t j) ())
-  in
-  let rounds_construction =
-    Rings.charged_parallel_rounds
-      (List.map (fun r -> r.Gst_distributed.total_rounds) ring_gsts)
-  in
+  let levels = rings_t.Rings.levels and rcount = rings_t.Rings.count in
   let ring_gsts = Array.of_list ring_gsts in
-  (* Phase 3: batches pipeline through the rings. *)
-  let msgs = random_messages rng ~k ~msg_len in
+  (* Batches pipeline through the rings. *)
+  let msgs = random_messages rng ~k ~msg_len:32 in
   let bcount = Ilog.cdiv k batch_size in
   let batch b =
     Array.sub msgs (b * batch_size) (min batch_size (k - (b * batch_size)))
@@ -169,8 +133,8 @@ let unknown ?(params = Params.default) ?(msg_len = 32)
      rings alternate rounds). *)
   let rounds_dissemination = epochs * 2 * !max_stage in
   {
-    rounds_total = layering_rounds + rounds_construction + rounds_dissemination;
-    rounds_layering = layering_rounds;
+    rounds_total = rounds_layering + rounds_construction + rounds_dissemination;
+    rounds_layering;
     rounds_construction;
     rounds_dissemination;
     ring_count = rcount;

@@ -9,7 +9,8 @@
 
     {!unknown}: with unknown topology but collision detection (§3.4): a
     collision wave layers the graph, rings are decomposed and per-ring
-    GSTs (with learned virtual distances) built in parallel, the messages
+    GSTs (with learned virtual distances) built in parallel — Theorem
+    1.1's {!Single_broadcast.front}, shared — then the messages
     are split into batches of Θ(log n) — which also keeps RLNC coefficient
     headers at O(log n) bits — and batches pipeline through the rings:
     RLNC inside each ring, FEC across ring boundaries.  One batch crosses
@@ -29,8 +30,6 @@ type known_result = {
 
 val known :
   ?params:Params.t ->
-  ?msg_len:int ->
-  ?slow_key:Gst_broadcast.slow_key ->
   ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
@@ -38,8 +37,7 @@ val known :
   k:int ->
   unit ->
   known_result
-(** Theorem 1.2.  [msg_len] defaults to 32 bits of random payload per
-    message.  [engine] (default [Sparse]) selects the round path of the
+(** Theorem 1.2, with 32 bits of random payload per message.  [engine] (default [Sparse]) selects the round path of the
     GST dissemination (see {!Gst_broadcast.run}); results are identical
     either way. *)
 
@@ -57,7 +55,6 @@ type unknown_result = {
 
 val unknown :
   ?params:Params.t ->
-  ?msg_len:int ->
   ?rings:Single_broadcast.ring_choice ->
   ?batch_size:int ->
   ?estimate_diameter:bool ->
@@ -68,7 +65,9 @@ val unknown :
   k:int ->
   unit ->
   unknown_result
-(** Theorem 1.3.  [batch_size] defaults to [⌈log n⌉];
+(** Theorem 1.3, with 32 bits of random payload per message.
+    [rings] defaults to [Auto] and raises [Invalid_argument] below 1, as
+    in {!Single_broadcast.run}.  [batch_size] defaults to [⌈log n⌉];
     [estimate_diameter = true] sizes rings from the footnote-2 beep-wave
     2-approximation instead of the exact depth (no knowledge of [D]
     assumed).  [engine] (default [Sparse]) selects the round path of

@@ -52,7 +52,7 @@ let cr_entry =
         let rng = Rng.create ~seed in
         let diameter = Bfs.eccentricity graph source in
         let r =
-          Baselines.cr_broadcast ?engine ?metrics ~rng ~graph ~source ~diameter ()
+          Decay.broadcast ~diameter ?engine ?metrics ~rng ~graph ~source ()
         in
         {
           Registry.rounds = Engine.rounds_of_outcome r.Decay.outcome;

@@ -28,15 +28,20 @@ let ring_width_of ~depth = function
       let count = max 1 (Ilog.isqrt (max 1 depth)) in
       max 1 (Ilog.cdiv (depth + 1) count)
 
-let run ?(rings = Auto) ?(params = Params.default)
-    ?(construction_mode = Gst_distributed.Pipelined)
+type front = {
+  rings : Rings.t;
+  rounds_layering : int;
+  ring_gsts : Gst_distributed.result list;
+  rounds_construction : int;
+}
+
+let front ?(rings = Auto) ?(params = Params.default)
     ?(estimate_diameter = false) ?engine ~rng ~graph ~source () =
-  let n = Graph.n graph in
-  if n = 0 then invalid_arg "Single_broadcast.run: empty graph";
-  (* Phase 1: collision-detection layering — either the D-round wave alone
-     (when a constant-factor D bound is assumed known, the model default)
-     or the footnote-2 estimator, which costs O(D) and also layers. *)
-  let levels, layering_rounds, depth_bound =
+  if Graph.n graph = 0 then invalid_arg "Single_broadcast.front: empty graph";
+  (* Collision-detection layering — either the D-round wave alone (when a
+     constant-factor D bound is assumed known, the model default) or the
+     footnote-2 estimator, which costs O(D) and also layers. *)
+  let levels, rounds_layering, depth_bound =
     if estimate_diameter then begin
       let e = Diameter_estimate.run ~graph ~source () in
       (e.Diameter_estimate.levels, e.Diameter_estimate.rounds,
@@ -48,23 +53,34 @@ let run ?(rings = Auto) ?(params = Params.default)
        Bfs.max_level wave.Layering.levels)
     end
   in
-  let width = ring_width_of ~depth:depth_bound rings in
-  let rings_t = Rings.decompose ~levels ~width in
-  let count = rings_t.Rings.count in
-  (* Phase 2: per-ring GST construction, rings in parallel. *)
-  let ring_results =
-    List.init count (fun j ->
-        let roots = Rings.roots rings_t j in
-        let local = Rings.ring_levels rings_t j in
-        Gst_distributed.construct ~mode:construction_mode
-          ~layering:(Gst_distributed.Given_layering local) ~learn_vd:true
-          ~params ?engine ~rng:(Rng.split rng) ~graph ~roots ())
+  let rings_t =
+    Rings.decompose ~levels ~width:(ring_width_of ~depth:depth_bound rings)
+  in
+  (* Per-ring GST construction with learned virtual distances, rings in
+     parallel. *)
+  let ring_gsts =
+    List.init rings_t.Rings.count (fun j ->
+        Gst_distributed.construct ~mode:Gst_distributed.Pipelined
+          ~layering:(Gst_distributed.Given_layering (Rings.ring_levels rings_t j))
+          ~learn_vd:true ~params ?engine ~rng:(Rng.split rng) ~graph
+          ~roots:(Rings.roots rings_t j) ())
   in
   let rounds_construction =
     Rings.charged_parallel_rounds
-      (List.map (fun r -> r.Gst_distributed.total_rounds) ring_results)
+      (List.map (fun r -> r.Gst_distributed.total_rounds) ring_gsts)
   in
-  (* Phase 3: ring-by-ring dissemination. *)
+  { rings = rings_t; rounds_layering; ring_gsts; rounds_construction }
+
+let run ?rings ?(params = Params.default) ?estimate_diameter ?engine ~rng
+    ~graph ~source () =
+  (* Destructured, so no record keeps the GST list reachable: each ring's
+     GST becomes garbage once the spread below has passed it. *)
+  let { rings = rings_t; rounds_layering; ring_gsts; rounds_construction } =
+    front ?rings ~params ?estimate_diameter ?engine ~rng ~graph ~source ()
+  in
+  let n = Graph.n graph in
+  let count = rings_t.Rings.count in
+  (* Ring-by-ring dissemination. *)
   let msg = [| Bitvec.random rng 32 |] in
   let received = Array.make n false in
   received.(source) <- true;
@@ -102,15 +118,15 @@ let run ?(rings = Auto) ?(params = Params.default)
           end
         end
       end)
-    ring_results;
+    ring_gsts;
   let delivered = !ok && Array.for_all (fun b -> b) received in
   {
     delivered;
-    rounds_total = layering_rounds + rounds_construction + !rounds_broadcast;
-    rounds_layering = layering_rounds;
+    rounds_total = rounds_layering + rounds_construction + !rounds_broadcast;
+    rounds_layering;
     rounds_construction;
     rounds_broadcast = !rounds_broadcast;
     ring_count = count;
-    ring_width = width;
+    ring_width = rings_t.Rings.width;
     received;
   }

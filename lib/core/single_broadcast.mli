@@ -15,10 +15,15 @@
     The ring count trades construction cost (∝ width) against handoff
     cost (∝ count); the paper picks [log⁴ n] rings so both sides are
     [O(D) + polylog].  At simulation scale the hidden constants differ, so
-    [`Auto] balances the measured costs with [√D] rings; the benchmark E1
-    sweeps this choice.  Either way the total stays [c·D + polylog(n)] —
-    the additive-in-[D] shape that separates this algorithm from the
-    [D·log] baselines. *)
+    [Auto] picks [√D] rings.  That is not the paper's additive
+    construction: construction cost grows with ring width, so [Auto] pays
+    [√D·polylog(n)] for it, while a fixed polylog width ([Ring_width w])
+    pays a fixed construction fee plus a per-ring handoff in the spread.
+    No benchmark sweeps this choice; the test-suite runs all three ring
+    choices.
+
+    Steps 1–3 are {!front}, which Theorem 1.3's {!Multi_broadcast.unknown}
+    shares; only step 4 is this module's own. *)
 
 open Rn_util
 
@@ -35,10 +40,43 @@ type result = {
   received : bool array;
 }
 
+type front = {
+  rings : Rings.t;  (** the layering and its ring decomposition *)
+  rounds_layering : int;
+  ring_gsts : Gst_distributed.result list;
+      (** per-ring GST forests with learned virtual distances, ring 0
+          first *)
+  rounds_construction : int;  (** charged parallel cost, 2 × slowest ring *)
+}
+
+val front :
+  ?rings:ring_choice ->
+  ?params:Params.t ->
+  ?estimate_diameter:bool ->
+  ?engine:Rn_radio.Engine.mode ->
+  rng:Rng.t ->
+  graph:Rn_graph.Graph.t ->
+  source:int ->
+  unit ->
+  front
+(** The layering → rings → per-ring GST stage shared by {!run} (Theorem
+    1.1) and {!Multi_broadcast.unknown} (Theorem 1.3): layer the graph,
+    cut it into rings of the chosen width, and build every ring's GST
+    forest with {!Gst_distributed.construct} in [Pipelined] mode,
+    learning virtual distances.  [rings] defaults to [Auto]; [engine] and
+    [estimate_diameter] are as for {!run}.  Draws one [Rng.split rng] per
+    ring, in ring order.
+
+    The forests come as a list: a caller that walks it once, as {!run}
+    does, lets each ring's forest be collected once the walk has passed
+    it.
+
+    @raise Invalid_argument on an empty graph, or a [Ring_width] or
+    [Ring_count] below 1. *)
+
 val run :
   ?rings:ring_choice ->
   ?params:Params.t ->
-  ?construction_mode:Gst_distributed.mode ->
   ?estimate_diameter:bool ->
   ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->

@@ -441,8 +441,8 @@ let test_wrapper_cr () =
   let rng = Rng.create ~seed:422 in
   let g = Topo.random_connected ~rng ~n:60 ~extra:30 in
   let run engine =
-    Rn_broadcast.Baselines.cr_broadcast ~engine ~rng:(Rng.create ~seed:9)
-      ~graph:g ~source:0 ~diameter:8 ()
+    Rn_broadcast.Decay.broadcast ~diameter:8 ~engine ~rng:(Rng.create ~seed:9)
+      ~graph:g ~source:0 ()
   in
   let a = run Engine.Dense in
   List.iter

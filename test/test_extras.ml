@@ -330,6 +330,14 @@ let test_invalid_arguments () =
          Multi_broadcast.known ~rng:(rng 1) ~graph:g ~source:0 ~k:0 ()));
   Alcotest.(check bool) "rings width 0" true
     (raises_invalid (fun () -> Rings.decompose ~levels:[| 0; 1 |] ~width:0));
+  Alcotest.(check bool) "multi unknown ring width 0" true
+    (raises_invalid (fun () ->
+         Multi_broadcast.unknown ~rings:(Single_broadcast.Ring_width 0)
+           ~rng:(rng 1) ~graph:g ~source:0 ~k:2 ()));
+  Alcotest.(check bool) "multi unknown ring count 0" true
+    (raises_invalid (fun () ->
+         Multi_broadcast.unknown ~rings:(Single_broadcast.Ring_count 0)
+           ~rng:(rng 1) ~graph:g ~source:0 ~k:2 ()));
   Alcotest.(check bool) "barbell bad" true
     (raises_invalid (fun () -> Topo.barbell ~clique:0 ~bridge:1));
   Alcotest.(check bool) "gst make length" true

@@ -191,7 +191,7 @@ let export_fingerprint m =
 let decay_fingerprint ?engine ~seed ~graph ~ladder () =
   let m = M.create ~phases:128 ~ring:4096 ~hist_bins:128 ~hist_width:ladder () in
   let rng = Rng.create ~seed in
-  ignore (Decay.broadcast ?engine ~ladder ~metrics:m ~rng ~graph ~source:0 ());
+  ignore (Decay.broadcast ?engine ~metrics:m ~rng ~graph ~source:0 ());
   export_fingerprint m
 
 let domain_counts = [ 1; 2; 4 ]
@@ -240,8 +240,7 @@ let test_decay_obs_layered () =
   (* the registry saw real traffic — guard against a vacuous pass *)
   let m = M.create ~hist_width:ladder () in
   let r =
-    Decay.broadcast ~ladder ~metrics:m ~rng:(Rng.create ~seed:42) ~graph
-      ~source:0 ()
+    Decay.broadcast ~metrics:m ~rng:(Rng.create ~seed:42) ~graph ~source:0 ()
   in
   (match r.Decay.outcome with
   | Rn_radio.Engine.Completed _ -> ()

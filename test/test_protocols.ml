@@ -478,7 +478,7 @@ let test_baseline_sequential () =
 
 let test_baseline_cr () =
   let g = Topo.path 32 in
-  let r = Baselines.cr_broadcast ~rng:(rng 92) ~graph:g ~source:0 ~diameter:31 () in
+  let r = Decay.broadcast ~diameter:31 ~rng:(rng 92) ~graph:g ~source:0 () in
   Alcotest.(check bool) "completed" true (completed r.Decay.outcome)
 
 (* ------------------------------------------------------------------ *)
@@ -525,8 +525,8 @@ let golden_decay ~seed g =
 let golden_cr ~seed g =
   let m = Rn_obs.Metrics.create () in
   let r =
-    Baselines.cr_broadcast ~metrics:m ~rng:(rng seed) ~graph:g ~source:0
-      ~diameter:(Bfs.eccentricity g 0) ()
+    Decay.broadcast ~diameter:(Bfs.eccentricity g 0) ~metrics:m
+      ~rng:(rng seed) ~graph:g ~source:0 ()
   in
   String.concat "\n" (render_decay r :: Rn_obs.Export.phases_jsonl m)
 
