@@ -215,8 +215,18 @@ let supervise ?(on_event = fun _ -> ()) ~config ~io spec =
          (n - !ndone) n)
   in
   let result = ref None in
+  let polled = Array.make config.workers Running in
   while Option.is_none !result do
-    (* 1. journal growth is the heartbeat *)
+    (* 1. child status, polled before the journals are read: a child seen
+       exited has flushed its last line, so step 2 reads it and step 3
+       judges the exit on the complete journal *)
+    Array.iter
+      (fun s ->
+        match s.st with
+        | Live _ -> polled.(s.id) <- io.status ~slot:s.id
+        | _ -> ())
+      slots;
+    (* 2. journal growth is the heartbeat *)
     Array.iter
       (fun s ->
         match s.st with
@@ -232,14 +242,14 @@ let supervise ?(on_event = fun _ -> ()) ~config ~io spec =
             end
         | _ -> ())
       slots;
-    (* 2. child status + stall detection *)
+    (* 3. exits + stall detection *)
     Array.iter
       (fun s ->
         match s.st with
         | Live l -> (
             let rem = remaining l.cells in
             let unfinished = Array.length rem in
-            match io.status ~slot:s.id with
+            match polled.(s.id) with
             | Exited 0 ->
                 if unfinished = 0 then retire s
                 else
@@ -266,7 +276,7 @@ let supervise ?(on_event = fun _ -> ()) ~config ~io spec =
                 end)
         | _ -> ())
       slots;
-    (* 3. expired backoffs respawn on their remaining cells *)
+    (* 4. expired backoffs respawn on their remaining cells *)
     Array.iter
       (fun s ->
         match s.st with
@@ -275,7 +285,7 @@ let supervise ?(on_event = fun _ -> ()) ~config ~io spec =
             if Array.length rem = 0 then retire s else do_spawn s rem
         | _ -> ())
       slots;
-    (* 4. orphaned cells of dead slots go to a retired survivor *)
+    (* 5. orphaned cells of dead slots go to a retired survivor *)
     (if Array.length !orphans > 0 then
        let eligible s =
          match s.st with
@@ -292,7 +302,7 @@ let supervise ?(on_event = fun _ -> ()) ~config ~io spec =
              do_spawn s cs
            end
        | None -> ());
-    (* 5. termination *)
+    (* 6. termination *)
     if !ndone = n then begin
       Array.iter
         (fun s ->

@@ -41,7 +41,10 @@ type io = {
           previous child of this slot has already exited or been killed;
           the implementation reaps it before starting the new one. *)
   status : slot:int -> status;
-      (** poll the slot's most recently spawned child (non-blocking). *)
+      (** poll the slot's most recently spawned child (non-blocking).
+          Each tick polls every live slot before it reads their
+          journals, so the read that follows an observed exit holds
+          everything the child wrote. *)
   kill : slot:int -> unit;  (** force-terminate the slot's child *)
   journal_lines : slot:int -> string list;
       (** current contents of the slot's shard journal, one element per

@@ -11,6 +11,13 @@ type stage =
   | Stage3
   | Done
 
+(* Per-node state lives in arrays indexed by a member's {e slot}: a red's
+   index in [reds], or [Array.length reds] plus a blue's index in
+   [blues].  [pos] maps a node to its index in its own array; it is
+   shared with the other instances of a construction (a node's index
+   within its level is the same whether the level is red or blue), so an
+   instance's own arrays are sized by its members, not by [n].  [v] is
+   a member only if [pos] points back at it. *)
 type t = {
   rng : Rng.t;
   params : Params.t;
@@ -18,15 +25,15 @@ type t = {
   graph : Graph.t;
   reds : int array;
   blues : int array;
-  is_red : bool array;
-  is_blue : bool array;
+  pos : int array;
+  nr : int;  (* Array.length reds: the first blue slot *)
   parents : int array;
   ranks : int array;
   parent_rank : int array;
   ready : rank:int -> bool;
   ladder : int;
   decay_budget : int;
-  node_rng : Rng.t option array;
+  node_rng : Rng.t array;
   (* rank-phase state *)
   mutable rank : int;
   mutable stage : stage;
@@ -52,54 +59,66 @@ type t = {
 
 let decay_exponent t r = (r mod t.ladder) + 1
 
-let node_rng t v =
-  match t.node_rng.(v) with
-  | Some r -> r
-  | None -> invalid_arg "Bipartite_assignment: foreign node"
+(* Member slot of [v], or -1 for a non-member.  The hot [decide],
+   [wakes] and [deliver] look it up once per call. *)
+let slot t v =
+  let p = t.pos.(v) in
+  if p < 0 then -1
+  else if p < t.nr && t.reds.(p) = v then p
+  else if p < Array.length t.blues && t.blues.(p) = v then t.nr + p
+  else -1
 
-let is_primary t b =
-  t.is_blue.(b) && t.parents.(b) < 0 && t.ranks.(b) = t.rank
+let is_red t v =
+  let s = slot t v in
+  s >= 0 && s < t.nr
 
-let is_secondary t b =
-  t.is_blue.(b) && t.parents.(b) < 0 && t.ranks.(b) < t.rank && t.ranks.(b) >= 1
+let is_blue t v = slot t v >= t.nr
 
-let red_eligible t v = t.is_red.(v) && t.ranks.(v) = 0 && not t.excluded.(v)
+(* Slots of a node known to be a red / a blue. *)
+let rs t v = t.pos.(v)
+let bs t v = t.nr + t.pos.(v)
+
+(* The rank-phase roles of a node known to be a blue. *)
+let primary t b = t.parents.(b) < 0 && t.ranks.(b) = t.rank
+let secondary t b = t.parents.(b) < 0 && t.ranks.(b) < t.rank && t.ranks.(b) >= 1
+let is_primary t b = is_blue t b && primary t b
+
+let red_eligible t v =
+  is_red t v && t.ranks.(v) = 0 && not t.excluded.(rs t v)
 
 (* A blue that heard a Stage III announcement before knowing its own rank
    buffered the offer; attach as soon as the rank is known (pipelined mode
    learns blue ranks while shallower phases are already running). *)
 let apply_offers t =
-  Array.iter
-    (fun b ->
+  Array.iteri
+    (fun i b ->
+      let s = t.nr + i in
       if
         t.parents.(b) < 0
-        && t.offer_red.(b) >= 0
+        && t.offer_red.(s) >= 0
         && t.ranks.(b) >= 1
-        && t.ranks.(b) < t.offer_rank.(b)
+        && t.ranks.(b) < t.offer_rank.(s)
       then begin
-        t.parents.(b) <- t.offer_red.(b);
-        t.parent_rank.(b) <- t.offer_rank.(b)
+        t.parents.(b) <- t.offer_red.(s);
+        t.parent_rank.(b) <- t.offer_rank.(s)
       end)
     t.blues
 
 let unassigned_primaries t =
-  Array.to_list t.blues |> List.filter (fun b -> is_primary t b)
+  Array.to_list t.blues |> List.filter (fun b -> primary t b)
 
-let exists_unassigned_primary t = Array.exists (fun b -> is_primary t b) t.blues
+let exists_unassigned_primary t = Array.exists (fun b -> primary t b) t.blues
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
+let create ~rng ~params ~scale_n ~graph ~reds ~blues ~pos ~parents ~ranks
     ~parent_rank ~ready () =
-  let n = Graph.n graph in
-  let mk_flag () = Array.make n false in
-  let is_red = mk_flag () and is_blue = mk_flag () in
-  Array.iter (fun v -> is_red.(v) <- true) reds;
-  Array.iter (fun v -> is_blue.(v) <- true) blues;
-  let node_rng = Array.make n None in
-  Array.iter (fun v -> node_rng.(v) <- Some (Rng.split rng)) reds;
-  Array.iter (fun v -> node_rng.(v) <- Some (Rng.split rng)) blues;
+  let nr = Array.length reds in
+  let m = nr + Array.length blues in
+  let mk_flag () = Array.make m false in
+  (* One coin stream per member, split in slot order: reds, then blues. *)
+  let node_rng = Array.init m (fun _ -> Rng.split rng) in
   let ladder = Params.phase_len ~n:scale_n in
   {
     rng;
@@ -108,8 +127,8 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
     graph;
     reds;
     blues;
-    is_red;
-    is_blue;
+    pos;
+    nr;
     parents;
     ranks;
     parent_rank;
@@ -127,8 +146,8 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
     loner_parent = mk_flag ();
     brisk = mk_flag ();
     temp_taken = mk_flag ();
-    offer_red = Array.make n (-1);
-    offer_rank = Array.make n (-1);
+    offer_red = Array.make m (-1);
+    offer_rank = Array.make m (-1);
     ranked_now = mk_flag ();
     any_ranked = false;
     epoch = 0;
@@ -141,21 +160,19 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~parents ~ranks
 (* ------------------------------------------------------------------ *)
 (* Stage transitions (run inside [advance]) *)
 
-let clear t a =
-  Array.iter (fun v -> a.(v) <- false) t.reds;
-  Array.iter (fun v -> a.(v) <- false) t.blues
+let clear a = Array.fill a 0 (Array.length a) false
 
 let reset_rank_state t =
-  clear t t.active;
-  clear t t.excluded;
+  clear t.active;
+  clear t.excluded;
   t.epoch <- 0
 
 let reset_epoch_state t =
-  clear t t.loner;
-  clear t t.loner_parent;
-  clear t t.brisk;
-  clear t t.temp_taken;
-  clear t t.ranked_now;
+  clear t.loner;
+  clear t.loner_parent;
+  clear t.brisk;
+  clear t.temp_taken;
+  clear t.ranked_now;
   t.any_ranked <- false
 
 let enter t stage =
@@ -167,17 +184,18 @@ let identify_goal t =
   Array.for_all
     (fun v ->
       (not (red_eligible t v))
-      || t.active.(v)
+      || t.active.(rs t v)
       || not (Graph.fold_neighbors t.graph v (fun acc b -> acc || is_primary t b) false))
     t.reds
 
 let loner_inform_goal t =
   Array.for_all
     (fun v ->
-      (not (t.active.(v) && not t.loner_parent.(v)))
+      let s = rs t v in
+      (not (t.active.(s) && not t.loner_parent.(s)))
       || not
            (Graph.fold_neighbors t.graph v
-              (fun acc b -> acc || (t.loner.(b) && is_primary t b))
+              (fun acc b -> acc || (is_primary t b && t.loner.(bs t b)))
               false))
     t.reds
 
@@ -185,28 +203,31 @@ let stage3_goal t =
   Array.for_all
     (fun b ->
       let has_marked_nbr () =
-        Graph.fold_neighbors t.graph b (fun acc v -> acc || t.ranked_now.(v)) false
+        Graph.fold_neighbors t.graph b
+          (fun acc v -> acc || (is_red t v && t.ranked_now.(rs t v)))
+          false
       in
-      if is_secondary t b then not (has_marked_nbr ())
-      else if t.is_blue.(b) && t.parents.(b) < 0 && t.ranks.(b) = 0 then
-        t.offer_red.(b) >= 0 || not (has_marked_nbr ())
+      if secondary t b then not (has_marked_nbr ())
+      else if t.parents.(b) < 0 && t.ranks.(b) = 0 then
+        t.offer_red.(bs t b) >= 0 || not (has_marked_nbr ())
       else true)
     t.blues
 
-let part_reds t = function
-  | 1 -> Array.to_list t.reds |> List.filter (fun v -> t.active.(v) && t.loner_parent.(v))
-  | 2 -> Array.to_list t.reds |> List.filter (fun v -> t.active.(v) && t.brisk.(v))
-  | 3 ->
-      Array.to_list t.reds
-      |> List.filter (fun v ->
-             t.active.(v) && (not t.loner_parent.(v)) && not t.brisk.(v))
-  | _ -> assert false
+let part_reds t k =
+  let keep s =
+    match k with
+    | 1 -> t.active.(s) && t.loner_parent.(s)
+    | 2 -> t.active.(s) && t.brisk.(s)
+    | 3 -> t.active.(s) && (not t.loner_parent.(s)) && not t.brisk.(s)
+    | _ -> assert false
+  in
+  Array.to_list t.reds |> List.filteri (fun s _ -> keep s)
 
 let part_blues t =
-  unassigned_primaries t |> List.filter (fun b -> not t.temp_taken.(b))
+  unassigned_primaries t |> List.filter (fun b -> not t.temp_taken.(bs t b))
 
 let mark_ranked t v =
-  t.ranked_now.(v) <- true;
+  t.ranked_now.(rs t v) <- true;
   t.any_ranked <- true
 
 let harvest_part t k (recr : Recruiting.t) =
@@ -236,23 +257,23 @@ let harvest_part t k (recr : Recruiting.t) =
             t.parents.(b) <- v;
             t.parent_rank.(b) <- t.rank + 1
           end
-          else t.temp_taken.(b) <- true)
+          else t.temp_taken.(bs t b) <- true)
     bl;
   (* Reds: marking and ranking. *)
   List.iter
     (fun v ->
       match Recruiting.red_class recr v with
-      | Recruiting.Zero -> if k >= 2 then t.excluded.(v) <- true
+      | Recruiting.Zero -> if k >= 2 then t.excluded.(rs t v) <- true
       | Recruiting.One _ ->
           if k = 1 then begin
             t.ranks.(v) <- t.rank;
-            t.excluded.(v) <- true;
+            t.excluded.(rs t v) <- true;
             mark_ranked t v
           end
           (* Parts 2/3 single recruits stay active with a temporary child. *)
       | Recruiting.Many ->
           t.ranks.(v) <- t.rank + 1;
-          t.excluded.(v) <- true;
+          t.excluded.(rs t v) <- true;
           mark_ranked t v)
     (part_reds t k)
 
@@ -271,8 +292,9 @@ let begin_epoch t =
   if t.epoch > 4 * Params.max_epochs t.params ~n:t.scale_n then
     failwith "Bipartite_assignment: epoch budget blown (protocol stalled)";
   reset_epoch_state t;
+  (* Only red slots are ever active. *)
   let count =
-    Array.fold_left (fun acc v -> if t.active.(v) then acc + 1 else acc) 0 t.reds
+    Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.active
   in
   t.epoch_hist <- (t.rank, count) :: t.epoch_hist;
   enter t Loner_probe
@@ -291,7 +313,7 @@ let enter_part t k =
        recruits zero, so (Stage III) it is marked and leaves the rank
        phase.  Skipping without marking would let a red hold a temporary
        child epoch after epoch and stall the shrinkage of Lemma 2.4. *)
-    if k >= 2 then List.iter (fun v -> t.excluded.(v) <- true) rl;
+    if k >= 2 then List.iter (fun v -> t.excluded.(rs t v) <- true) rl;
     None
   end
   | _ :: _, _ :: _ ->
@@ -302,8 +324,10 @@ let enter_part t k =
 
 let end_epoch t =
   (* Temporaries dissolve; marked reds leave the rank phase. *)
-  clear t t.temp_taken;
-  Array.iter (fun v -> if t.excluded.(v) then t.active.(v) <- false) t.reds;
+  clear t.temp_taken;
+  for s = 0 to t.nr - 1 do
+    if t.excluded.(s) then t.active.(s) <- false
+  done;
   if exists_unassigned_primary t then begin
     (* Last-resort net for a w.h.p. failure: a primary whose upper
        neighbors are all permanently ranked can still attach to one of
@@ -314,14 +338,14 @@ let end_epoch t =
       (fun b ->
         let has_unranked =
           Graph.fold_neighbors t.graph b
-            (fun acc v -> acc || (t.is_red.(v) && t.ranks.(v) = 0))
+            (fun acc v -> acc || (is_red t v && t.ranks.(v) = 0))
             false
         in
         if not has_unranked then begin
           let higher =
             Graph.fold_neighbors t.graph b
               (fun acc v ->
-                if t.is_red.(v) && t.ranks.(v) > t.ranks.(b) then v :: acc
+                if is_red t v && t.ranks.(v) > t.ranks.(b) then v :: acc
                 else acc)
               []
           in
@@ -341,7 +365,7 @@ let end_epoch t =
         (fun b ->
           not
             (Graph.fold_neighbors t.graph b
-               (fun acc v -> acc || (t.is_red.(v) && t.active.(v)))
+               (fun acc v -> acc || (is_red t v && t.active.(rs t v)))
                false))
         (unassigned_primaries t)
     in
@@ -349,8 +373,10 @@ let end_epoch t =
       (* Robustness fallback: let unranked marked reds rejoin and
          re-identify the active set. *)
       t.fallbacks <- t.fallbacks + 1;
-      Array.iter (fun v -> if t.ranks.(v) = 0 then t.excluded.(v) <- false) t.reds;
-      clear t t.active;
+      Array.iteri
+        (fun s v -> if t.ranks.(v) = 0 then t.excluded.(s) <- false)
+        t.reds;
+      clear t.active;
       enter t Identify
     end
     else begin_epoch t
@@ -421,11 +447,10 @@ and enter_next_part t k =
   else begin
     if k = 1 then
       (* Flip the brisk/lazy coins now that loner-parents are known. *)
-      Array.iter
-        (fun v ->
-          if t.active.(v) && not t.loner_parent.(v) then
-            t.brisk.(v) <- Rng.bool (node_rng t v))
-        t.reds;
+      for s = 0 to t.nr - 1 do
+        if t.active.(s) && not t.loner_parent.(s) then
+          t.brisk.(s) <- Rng.bool t.node_rng.(s)
+      done;
     match enter_part t (k + 1) with
     | Some r -> enter t (Part (k + 1, r))
     | None -> enter_next_part t (k + 1)
@@ -434,63 +459,80 @@ and enter_next_part t k =
 (* ------------------------------------------------------------------ *)
 (* Scheduler interface *)
 
+let coin t s = Rng.coin_pow2 t.node_rng.(s) (decay_exponent t t.stage_round)
+
+(* Outside the recruiting parts, the red [v] in slot [s] and the blue
+   [b] in slot [s]. *)
+let decide_red t s v =
+  match t.stage with
+  | Identify ->
+      if t.ranks.(v) = 0 && (not t.excluded.(s)) && not t.active.(s) then
+        Engine.Listen
+      else Engine.Sleep
+  | Loner_probe -> if t.active.(s) then Engine.Transmit Cmsg.Beacon else Engine.Sleep
+  | Loner_inform -> if t.active.(s) then Engine.Listen else Engine.Sleep
+  | Stage3 ->
+      if t.ranked_now.(s) then begin
+        if coin t s then
+          Engine.Transmit (Cmsg.Marked { red = v; rank = t.ranks.(v) })
+        else Engine.Listen
+      end
+      else Engine.Sleep
+  | Done | Waiting | Part _ -> Engine.Sleep
+
+let decide_blue t s b =
+  match t.stage with
+  | Identify ->
+      if primary t b then
+        if coin t s then Engine.Transmit Cmsg.Blue_here else Engine.Listen
+      else Engine.Sleep
+  | Loner_probe -> if primary t b then Engine.Listen else Engine.Sleep
+  | Loner_inform ->
+      if primary t b && t.loner.(s) then
+        if coin t s then Engine.Transmit Cmsg.Loner_here else Engine.Listen
+      else Engine.Sleep
+  | Stage3 ->
+      if secondary t b || (t.parents.(b) < 0 && t.ranks.(b) = 0) then
+        Engine.Listen
+      else Engine.Sleep
+  | Done | Waiting | Part _ -> Engine.Sleep
+
 let decide t ~node =
   match t.stage with
   | Done | Waiting -> Engine.Sleep
-  | Identify ->
-      if is_primary t node then begin
-        if Rng.coin_pow2 (node_rng t node) (decay_exponent t t.stage_round) then
-          Engine.Transmit Cmsg.Blue_here
-        else Engine.Listen
-      end
-      else if red_eligible t node && not t.active.(node) then Engine.Listen
-      else Engine.Sleep
-  | Loner_probe ->
-      if t.is_red.(node) && t.active.(node) then Engine.Transmit Cmsg.Beacon
-      else if is_primary t node then Engine.Listen
-      else Engine.Sleep
-  | Loner_inform ->
-      if is_primary t node && t.loner.(node) then begin
-        if Rng.coin_pow2 (node_rng t node) (decay_exponent t t.stage_round) then
-          Engine.Transmit Cmsg.Loner_here
-        else Engine.Listen
-      end
-      else if t.is_red.(node) && t.active.(node) then Engine.Listen
-      else Engine.Sleep
   | Part (_, recr) -> Recruiting.decide recr ~node
-  | Stage3 ->
-      if t.ranked_now.(node) then begin
-        if Rng.coin_pow2 (node_rng t node) (decay_exponent t t.stage_round) then
-          Engine.Transmit (Cmsg.Marked { red = node; rank = t.ranks.(node) })
-        else Engine.Listen
-      end
-      else if
-        is_secondary t node
-        || (t.is_blue.(node) && t.parents.(node) < 0 && t.ranks.(node) = 0)
-      then Engine.Listen
-      else Engine.Sleep
+  | Identify | Loner_probe | Loner_inform | Stage3 ->
+      let s = slot t node in
+      if s < 0 then Engine.Sleep
+      else if s < t.nr then decide_red t s node
+      else decide_blue t s node
 
-(* Whether [decide t ~node:v] is not [Sleep], outside the recruiting parts. *)
-let wakes t v =
-  match t.stage with
-  | Identify -> is_primary t v || (red_eligible t v && not t.active.(v))
-  | Loner_probe -> (t.is_red.(v) && t.active.(v)) || is_primary t v
-  | Loner_inform ->
-      (is_primary t v && t.loner.(v)) || (t.is_red.(v) && t.active.(v))
-  | Stage3 ->
-      t.ranked_now.(v) || is_secondary t v
-      || (t.is_blue.(v) && t.parents.(v) < 0 && t.ranks.(v) = 0)
-  | Done | Waiting | Part _ -> false
+(* Whether [decide] is not [Sleep] for the member [v] in slot [s],
+   outside the recruiting parts. *)
+let wakes t s v =
+  if s < t.nr then
+    match t.stage with
+    | Identify -> t.ranks.(v) = 0 && (not t.excluded.(s)) && not t.active.(s)
+    | Loner_probe | Loner_inform -> t.active.(s)
+    | Stage3 -> t.ranked_now.(s)
+    | Done | Waiting | Part _ -> false
+  else
+    match t.stage with
+    | Identify | Loner_probe -> primary t v
+    | Loner_inform -> primary t v && t.loner.(s)
+    | Stage3 -> secondary t v || (t.parents.(v) < 0 && t.ranks.(v) = 0)
+    | Done | Waiting | Part _ -> false
 
-let rec awake_scan t nodes i buf k =
+(* [nodes.(i)] is in slot [first + i]. *)
+let rec awake_scan t nodes first i buf k =
   if i >= Array.length nodes then k
   else begin
     let v = nodes.(i) in
-    if wakes t v then begin
+    if wakes t (first + i) v then begin
       buf.(k) <- v;
-      awake_scan t nodes (i + 1) buf (k + 1)
+      awake_scan t nodes first (i + 1) buf (k + 1)
     end
-    else awake_scan t nodes (i + 1) buf k
+    else awake_scan t nodes first (i + 1) buf k
   end
 [@@zero_alloc_hot]
 
@@ -499,7 +541,7 @@ let awake t buf k =
   | Done | Waiting -> k
   | Part (_, recr) -> Recruiting.awake recr buf k
   | Identify | Loner_probe | Loner_inform | Stage3 ->
-      awake_scan t t.blues 0 buf (awake_scan t t.reds 0 buf k)
+      awake_scan t t.blues t.nr 0 buf (awake_scan t t.reds 0 0 buf k)
 [@@zero_alloc_hot]
 
 let deliver t ~node reception =
@@ -507,33 +549,38 @@ let deliver t ~node reception =
   | Identify -> (
       match reception with
       | Engine.Received Cmsg.Blue_here ->
-          if red_eligible t node then t.active.(node) <- true
+          let s = slot t node in
+          if s >= 0 && s < t.nr && t.ranks.(node) = 0 && not t.excluded.(s)
+          then t.active.(s) <- true
       | _ -> ())
   | Loner_probe -> (
       match reception with
       | Engine.Received Cmsg.Beacon ->
-          if is_primary t node then t.loner.(node) <- true
+          let s = slot t node in
+          if s >= t.nr && primary t node then t.loner.(s) <- true
       | _ -> ())
   | Loner_inform -> (
       match reception with
       | Engine.Received Cmsg.Loner_here ->
-          if t.is_red.(node) && t.active.(node) then t.loner_parent.(node) <- true
+          let s = slot t node in
+          if s >= 0 && s < t.nr && t.active.(s) then t.loner_parent.(s) <- true
       | _ -> ())
   | Part (_, recr) -> Recruiting.deliver recr ~node reception
   | Stage3 -> (
       match reception with
       | Engine.Received (Cmsg.Marked { red; rank }) ->
-          if is_secondary t node then begin
-            t.parents.(node) <- red;
-            t.parent_rank.(node) <- rank
-          end
-          else if
-            t.is_blue.(node) && t.parents.(node) < 0 && t.ranks.(node) = 0
-            && t.offer_red.(node) < 0
-          then begin
-            t.offer_red.(node) <- red;
-            t.offer_rank.(node) <- rank
-          end
+          let s = slot t node in
+          if s >= t.nr then
+            if secondary t node then begin
+              t.parents.(node) <- red;
+              t.parent_rank.(node) <- rank
+            end
+            else if
+              t.parents.(node) < 0 && t.ranks.(node) = 0 && t.offer_red.(s) < 0
+            then begin
+              t.offer_red.(s) <- red;
+              t.offer_rank.(s) <- rank
+            end
       | _ -> ())
   | Done | Waiting -> ()
 
@@ -546,7 +593,8 @@ let advance t =
       t.stage_round <- t.stage_round + 1;
       if
         t.params.Params.adaptive
-        && not (Array.exists (fun b -> is_primary t b && t.loner.(b)) t.blues)
+        && not
+             (Array.exists (fun b -> primary t b && t.loner.(bs t b)) t.blues)
       then begin
         (* No loners: skip the inform stage. *)
         match enter_part t 1 with
@@ -592,8 +640,11 @@ let run_standalone ?(detection = Engine.No_collision_detection) ?engine
   let ranks = Array.make n 0 in
   let parent_rank = Array.make n (-1) in
   Array.iter (fun b -> ranks.(b) <- blue_ranks.(b)) blues;
+  let pos = Array.make n (-1) in
+  Array.iteri (fun i v -> pos.(v) <- i) reds;
+  Array.iteri (fun i v -> pos.(v) <- i) blues;
   let t =
-    create ~rng ~params ~scale_n:n ~graph ~reds ~blues ~parents ~ranks
+    create ~rng ~params ~scale_n:n ~graph ~reds ~blues ~pos ~parents ~ranks
       ~parent_rank
       ~ready:(fun ~rank:_ -> true)
       ()

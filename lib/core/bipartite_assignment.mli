@@ -39,6 +39,7 @@ val create :
   graph:Rn_graph.Graph.t ->
   reds:int array ->
   blues:int array ->
+  pos:int array ->
   parents:int array ->
   ranks:int array ->
   parent_rank:int array ->
@@ -48,7 +49,14 @@ val create :
 (** [parents], [ranks] and [parent_rank] are shared result arrays indexed
     by node id, written in place ([-1] / [0] / [-1] when unknown): the
     orchestrator passes the same arrays to every level's instance so that
-    blue ranks are visible to the pair below as soon as they are final. *)
+    blue ranks are visible to the pair below as soon as they are final.
+
+    [pos] maps a node id to its index in [reds] (for a red) or in
+    [blues] (for a blue); its other entries may hold anything.  [reds]
+    and [blues] must be disjoint.  A layering's level-index map serves
+    every level pair at once, so an instance allocates O(|reds| + |blues|)
+    words of its own, whatever [n] is.  Each member's coin stream is
+    split off [rng] in [reds] order, then [blues] order. *)
 
 (** {1 Scheduler interface} *)
 

@@ -38,7 +38,11 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels () =
     (parents, ranks, parent_rank, 0, 0, 0)
   end
   else begin
-    let at_level l = Bfs.nodes_at_level levels l in
+    let level_nodes = Bfs.by_level levels in
+    let at_level l = level_nodes.(l) in
+    (* Every block shares one node -> index-within-level map. *)
+    let pos = Array.make n (-1) in
+    Array.iter (Array.iteri (fun i v -> pos.(v) <- i)) level_nodes;
     (* Deepest level: all leaves. *)
     Array.iter (fun v -> ranks.(v) <- 1) (at_level depth);
     let leaf_inited = Array.make (depth + 1) false in
@@ -67,7 +71,7 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels () =
       blocks.(l) <-
         Some
           (Bipartite_assignment.create ~rng:(Rng.split rng) ~params ~scale_n
-             ~graph ~reds:(at_level (l - 1)) ~blues:(at_level l) ~parents
+             ~graph ~reds:(at_level (l - 1)) ~blues:(at_level l) ~pos ~parents
              ~ranks ~parent_rank ~ready:(ready_for l) ())
     done;
     let current = ref depth (* sequential cursor *) in
@@ -348,7 +352,7 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
      forest nodes still relevant to the current distance.  Both reuse
      these buffers, as does every sweep's [sweep_hit]. *)
   let depth_cap = depth + 2 in
-  let level_nodes = Array.init (depth + 1) (fun l -> Bfs.nodes_at_level levels l) in
+  let level_nodes = Bfs.by_level levels in
   let cand = Array.make (max n 1) 0 in
   let sweep_hit = Array.make n false in
   while unlabeled_remain () && !d <= iter_cap do

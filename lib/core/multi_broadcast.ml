@@ -54,13 +54,18 @@ let unknown ?(params = Params.default) ?rings ?batch_size ?estimate_diameter
         b
     | None -> Ilog.clog (max 2 n)
   in
-  let { Single_broadcast.rings = rings_t; rounds_layering; ring_gsts;
-        rounds_construction } =
+  let { Single_broadcast.rings = rings_t; rounds_layering; build } =
     Single_broadcast.front ?rings ~params ?estimate_diameter ?engine ~rng
       ~graph ~source ()
   in
   let levels = rings_t.Rings.levels and rcount = rings_t.Rings.count in
-  let ring_gsts = Array.of_list ring_gsts in
+  (* Every batch crosses every ring, so all forests stay live. *)
+  let ring_gsts = Array.init rcount build in
+  let rounds_construction =
+    Rings.charged_parallel_rounds
+      (Array.to_list
+         (Array.map (fun r -> r.Gst_distributed.total_rounds) ring_gsts))
+  in
   (* Batches pipeline through the rings. *)
   let msgs = random_messages rng ~k ~msg_len:32 in
   let bcount = Ilog.cdiv k batch_size in

@@ -31,8 +31,7 @@ let ring_width_of ~depth = function
 type front = {
   rings : Rings.t;
   rounds_layering : int;
-  ring_gsts : Gst_distributed.result list;
-  rounds_construction : int;
+  build : int -> Gst_distributed.result;
 }
 
 let front ?(rings = Auto) ?(params = Params.default)
@@ -56,69 +55,72 @@ let front ?(rings = Auto) ?(params = Params.default)
   let rings_t =
     Rings.decompose ~levels ~width:(ring_width_of ~depth:depth_bound rings)
   in
-  (* Per-ring GST construction with learned virtual distances, rings in
-     parallel. *)
-  let ring_gsts =
-    List.init rings_t.Rings.count (fun j ->
-        Gst_distributed.construct ~mode:Gst_distributed.Pipelined
-          ~layering:(Gst_distributed.Given_layering (Rings.ring_levels rings_t j))
-          ~learn_vd:true ~params ?engine ~rng:(Rng.split rng) ~graph
-          ~roots:(Rings.roots rings_t j) ())
+  (* Per-ring GST construction with learned virtual distances.  Every
+     ring's stream is split here, in ring order, so [rng] advances the
+     same however the rings are later built; [build] works on a copy, so
+     building a ring twice gives the same forest. *)
+  let ring_rngs = Array.init rings_t.Rings.count (fun _ -> Rng.split rng) in
+  let build j =
+    Gst_distributed.construct ~mode:Gst_distributed.Pipelined
+      ~layering:(Gst_distributed.Given_layering (Rings.ring_levels rings_t j))
+      ~learn_vd:true ~params ?engine ~rng:(Rng.copy ring_rngs.(j)) ~graph
+      ~roots:(Rings.roots rings_t j) ()
   in
-  let rounds_construction =
-    Rings.charged_parallel_rounds
-      (List.map (fun r -> r.Gst_distributed.total_rounds) ring_gsts)
-  in
-  { rings = rings_t; rounds_layering; ring_gsts; rounds_construction }
+  { rings = rings_t; rounds_layering; build }
 
 let run ?rings ?(params = Params.default) ?estimate_diameter ?engine ~rng
     ~graph ~source () =
-  (* Destructured, so no record keeps the GST list reachable: each ring's
-     GST becomes garbage once the spread below has passed it. *)
-  let { rings = rings_t; rounds_layering; ring_gsts; rounds_construction } =
+  let { rings = rings_t; rounds_layering; build } =
     front ?rings ~params ?estimate_diameter ?engine ~rng ~graph ~source ()
   in
   let n = Graph.n graph in
   let count = rings_t.Rings.count in
-  (* Ring-by-ring dissemination. *)
+  (* Ring by ring: build ring j, spread across it and hand off to ring
+     j+1, then drop its forest, so at most one ring's forest is live.
+     The rings are built in parallel in the charged accounting, whose
+     2 × max runs over every ring, so rings past a failed spread are
+     still built for their round counts. *)
   let msg = [| Bitvec.random rng 32 |] in
   let received = Array.make n false in
   received.(source) <- true;
   let rounds_broadcast = ref 0 in
+  let ring_rounds = ref [] in
   let ok = ref true in
-  List.iteri
-    (fun j r ->
-      if !ok then begin
-        let roots = Rings.roots rings_t j in
-        if not (Array.for_all (fun v -> received.(v)) roots) then ok := false
-        else begin
-          let gst = r.Gst_distributed.gst in
-          let b =
-            Gst_broadcast.run ~params ?engine ~rng:(Rng.split rng) ~gst
-              ~vd:r.Gst_distributed.vd ~msgs:msg ~sources:roots ()
+  for j = 0 to count - 1 do
+    let r = build j in
+    ring_rounds := r.Gst_distributed.total_rounds :: !ring_rounds;
+    if !ok then begin
+      let roots = Rings.roots rings_t j in
+      if not (Array.for_all (fun v -> received.(v)) roots) then ok := false
+      else begin
+        let b =
+          Gst_broadcast.run ~params ?engine ~rng:(Rng.split rng)
+            ~gst:r.Gst_distributed.gst ~vd:r.Gst_distributed.vd ~msgs:msg
+            ~sources:roots ()
+        in
+        rounds_broadcast := !rounds_broadcast + b.Gst_broadcast.rounds;
+        (match b.Gst_broadcast.outcome with
+        | Rn_radio.Engine.Completed _ ->
+            Array.iteri
+              (fun v dr -> if dr >= 0 then received.(v) <- true)
+              b.Gst_broadcast.decode_round
+        | Rn_radio.Engine.Out_of_budget _ -> ok := false);
+        if !ok && j + 1 < count then begin
+          let holders = Rings.outer_boundary rings_t j in
+          let receivers = Rings.roots rings_t (j + 1) in
+          let h =
+            Rings.handoff_single ~params ?engine ~rng:(Rng.split rng) ~graph
+              ~holders ~receivers ()
           in
-          rounds_broadcast := !rounds_broadcast + b.Gst_broadcast.rounds;
-          (match b.Gst_broadcast.outcome with
-          | Rn_radio.Engine.Completed _ ->
-              Array.iteri
-                (fun v dr -> if dr >= 0 then received.(v) <- true)
-                b.Gst_broadcast.decode_round
-          | Rn_radio.Engine.Out_of_budget _ -> ok := false);
-          if !ok && j + 1 < count then begin
-            let holders = Rings.outer_boundary rings_t j in
-            let receivers = Rings.roots rings_t (j + 1) in
-            let h =
-              Rings.handoff_single ~params ?engine ~rng:(Rng.split rng) ~graph
-                ~holders ~receivers ()
-            in
-            rounds_broadcast := !rounds_broadcast + h.Rings.rounds;
-            if h.Rings.delivered then
-              Array.iter (fun v -> received.(v) <- true) receivers
-            else ok := false
-          end
+          rounds_broadcast := !rounds_broadcast + h.Rings.rounds;
+          if h.Rings.delivered then
+            Array.iter (fun v -> received.(v) <- true) receivers
+          else ok := false
         end
-      end)
-    ring_gsts;
+      end
+    end
+  done;
+  let rounds_construction = Rings.charged_parallel_rounds !ring_rounds in
   let delivered = !ok && Array.for_all (fun b -> b) received in
   {
     delivered;

@@ -22,8 +22,10 @@
     No benchmark sweeps this choice; the test-suite runs all three ring
     choices.
 
-    Steps 1–3 are {!front}, which Theorem 1.3's {!Multi_broadcast.unknown}
-    shares; only step 4 is this module's own. *)
+    Steps 1–2, and a builder for each ring's step 3, are {!front}, which
+    Theorem 1.3's {!Multi_broadcast.unknown} shares; {!run} builds each
+    ring just before step 4 reaches it and drops it after, so a run
+    holds [O(n)] words plus one ring's forest, not every ring's. *)
 
 open Rn_util
 
@@ -43,10 +45,10 @@ type result = {
 type front = {
   rings : Rings.t;  (** the layering and its ring decomposition *)
   rounds_layering : int;
-  ring_gsts : Gst_distributed.result list;
-      (** per-ring GST forests with learned virtual distances, ring 0
-          first *)
-  rounds_construction : int;  (** charged parallel cost, 2 × slowest ring *)
+  build : int -> Gst_distributed.result;
+      (** [build j] builds ring [j]'s GST forest, learning virtual
+          distances; its [total_rounds] is the ring's construction
+          cost *)
 }
 
 val front :
@@ -61,15 +63,21 @@ val front :
   front
 (** The layering → rings → per-ring GST stage shared by {!run} (Theorem
     1.1) and {!Multi_broadcast.unknown} (Theorem 1.3): layer the graph,
-    cut it into rings of the chosen width, and build every ring's GST
-    forest with {!Gst_distributed.construct} in [Pipelined] mode,
-    learning virtual distances.  [rings] defaults to [Auto]; [engine] and
-    [estimate_diameter] are as for {!run}.  Draws one [Rng.split rng] per
-    ring, in ring order.
+    cut it into rings of the chosen width, and return a builder for each
+    ring's GST forest ({!Gst_distributed.construct} in [Pipelined] mode,
+    learning virtual distances).  [rings] defaults to [Auto]; [engine]
+    and [estimate_diameter] are as for {!run}.
 
-    The forests come as a list: a caller that walks it once, as {!run}
-    does, lets each ring's forest be collected once the walk has passed
-    it.
+    [front] draws one [Rng.split rng] per ring, in ring order, before it
+    returns; [build] never touches [rng].  [build j] runs on a copy of
+    ring [j]'s stream, so it may be called at any time, in any order, and
+    more than once: every call returns the same forest.  It is meant to
+    be called once per ring, since each call pays a whole construction.
+    Which rings are live at a time is up to the caller: {!run} builds
+    ring [j] just before its spread and drops it after, so it holds one
+    ring's forest at a time; {!Multi_broadcast.unknown} keeps them all.
+    The charged construction cost of §2.3 is
+    {!Rings.charged_parallel_rounds} over every ring's [total_rounds].
 
     @raise Invalid_argument on an empty graph, or a [Ring_width] or
     [Ring_count] below 1. *)

@@ -76,3 +76,17 @@ let nodes_at_level (levels : int array) (l : int) =
   Array.of_list (List.rev !acc)
 
 let max_level levels = Array.fold_left max (-1) levels
+
+let by_level levels =
+  let count = Array.make (max_level levels + 1) 0 in
+  Array.iter (fun l -> if l >= 0 then count.(l) <- count.(l) + 1) levels;
+  let out = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 (Array.length count) 0;
+  Array.iteri
+    (fun v l ->
+      if l >= 0 then begin
+        out.(l).(count.(l)) <- v;
+        count.(l) <- count.(l) + 1
+      end)
+    levels;
+  out

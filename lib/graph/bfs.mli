@@ -33,6 +33,11 @@ val nodes_at_level : int array -> int -> int array
 (** [nodes_at_level levels l] lists the nodes [v] with [levels.(v) = l], in
     increasing id order. *)
 
+val by_level : int array -> int array array
+(** [by_level levels] lists the nodes of every level [0 .. max_level],
+    each in increasing id order: [(by_level levels).(l)] is
+    [nodes_at_level levels l], in one [O(n + depth)] pass. *)
+
 val max_level : int array -> int
 (** Largest entry of a level array (the depth of the layering); [-1] when
     empty. *)

@@ -436,6 +436,14 @@ let test_decay_broadcast_budget () =
        n words budget)
     true (words <= budget)
 
+(* The level-index map a layered construction shares among its
+   Bipartite_assignment blocks, for one red and one blue level. *)
+let level_pos ~n ~reds ~blues =
+  let pos = Array.make n (-1) in
+  Array.iteri (fun i v -> pos.(v) <- i) reds;
+  Array.iteri (fun i v -> pos.(v) <- i) blues;
+  pos
+
 (* The GST assignment phase's awake-set enumeration: one small level pair
    stepped through every stage by its own [decide]/[deliver]/[advance]
    under a full-scan mini driver (no collision detection), with each
@@ -454,7 +462,8 @@ let test_assignment_awake_zero_alloc () =
   let module B = Rn_broadcast.Bipartite_assignment in
   let t =
     B.create ~rng:(Rng.create ~seed:13) ~params:Rn_broadcast.Params.default
-      ~scale_n:n ~graph ~reds ~blues ~parents ~ranks ~parent_rank
+      ~scale_n:n ~graph ~reds ~blues ~pos:(level_pos ~n ~reds ~blues)
+      ~parents ~ranks ~parent_rank
       ~ready:(fun ~rank:_ -> true)
       ()
   in
@@ -508,6 +517,47 @@ let test_assignment_awake_zero_alloc () =
     (Printf.sprintf "awake over %d rounds allocates 0 words" !rounds)
     0.0 words.(0)
 
+(* A bipartite block sizes its per-node state by its members: with the
+   level-index map built once outside, a 2-red, 3-blue block inside a
+   10⁵-node graph allocates a few hundred words, where node-indexed
+   state would cost 12 n-sized arrays (1.2M words).  Arrays above 256
+   words bypass the minor heap, so this counts the words allocated
+   directly in the major heap too, not only minor words. *)
+let test_assignment_create_member_sized () =
+  let n = 100_000 in
+  let reds = [| 10; 20 |] and blues = [| 30; 40; 50 |] in
+  let graph =
+    Graph.create ~n ~edges:[ (10, 30); (10, 40); (20, 40); (20, 50) ]
+  in
+  let pos = level_pos ~n ~reds ~blues in
+  let parents = Array.make n (-1) and parent_rank = Array.make n (-1) in
+  let ranks = Array.make n 0 in
+  let rng = Rng.create ~seed:17 and ready ~rank:_ = true in
+  let marks = [| 0.0; 0.0 |] in
+  let before = Gc.quick_stat () in
+  marks.(0) <- Gc.minor_words ();
+  let t =
+    Rn_broadcast.Bipartite_assignment.create ~rng
+      ~params:Rn_broadcast.Params.default ~scale_n:n ~graph ~reds ~blues ~pos
+      ~parents ~ranks ~parent_rank ~ready ()
+  in
+  marks.(1) <- Gc.minor_words ();
+  let after = Gc.quick_stat () in
+  ignore (Sys.opaque_identity t);
+  (* Words promoted by a minor collection inside the window are counted
+     once, as minor words. *)
+  let words =
+    marks.(1) -. marks.(0)
+    +. (after.Gc.major_words -. before.Gc.major_words)
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+  in
+  let budget = 400.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "create with 5 members in n=%d allocates <= %.0f words (%.0f)" n
+       budget words)
+    true (words <= budget)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -546,6 +596,8 @@ let () =
             test_decay_broadcast_budget;
           Alcotest.test_case "assignment awake sets zero-alloc" `Quick
             test_assignment_awake_zero_alloc;
+          Alcotest.test_case "assignment block sized by members" `Quick
+            test_assignment_create_member_sized;
         ] );
       ( "runner",
         [

@@ -44,6 +44,10 @@ type fault =
          flush and exit) *)
   | Exit0_after of int  (* exit 0 with work unfinished — a lying worker *)
   | Hang_after of int  (* stop progressing but stay alive *)
+  | Finish_on_poll
+      (* run every remaining cell and exit 0 at the moment the
+         supervisor polls its status: a healthy worker whose last lines
+         land between the supervisor's journal read and its status poll *)
 
 type proc = Alive | Dead_exit of int | Dead_signal of int
 
@@ -82,7 +86,7 @@ let make_harness ~workers ~fault_of ?(initial_journals = [||]) ~lines () =
     | Alive -> (
         let fire =
           match w.fault with
-          | Clean -> `Run
+          | Clean | Finish_on_poll -> `Run
           | Crash_after k when w.ran >= k -> `Crash
           | Sigkill_after (k, tear) when w.ran >= k -> `Sig tear
           | Exit0_after k when w.ran >= k -> `Exit0
@@ -127,7 +131,14 @@ let make_harness ~workers ~fault_of ?(initial_journals = [||]) ~lines () =
           w.proc <- Alive);
       status =
         (fun ~slot ->
-          match sims.(slot).proc with
+          let w = sims.(slot) in
+          (match (w.fault, w.proc) with
+          | Finish_on_poll, Alive ->
+              while w.proc = Alive do
+                step slot w
+              done
+          | _ -> ());
+          match w.proc with
           | Alive -> Dist.Running
           | Dead_exit c -> Dist.Exited c
           | Dead_signal sg -> Dist.Signaled sg);
@@ -309,6 +320,31 @@ let test_orphan_reassignment () =
     (List.exists (function Dist.Reassign { slot = 1; _ } -> true | _ -> false) events);
   Alcotest.(check bool) "reassigned count" true (stats.Dist.sup.reassigned > 0)
 
+(* a worker that journals its last cells and exits between the
+   supervisor's journal read and its status poll finished its work: no
+   crash, no backoff, no respawn *)
+let test_finish_on_poll () =
+  let spec = parse_ok small_spec in
+  List.iter
+    (fun workers ->
+      let r, out, reference, h, events =
+        run_dist ~workers ~fault_of:(fun ~slot:_ ~attempt:_ -> Finish_on_poll)
+          spec
+      in
+      let stats = check_ok r in
+      Alcotest.(check string)
+        (Printf.sprintf "bytes at %d workers" workers)
+        reference out;
+      Alcotest.(check int) "no crashes" 0 stats.Dist.sup.crashes;
+      Alcotest.(check bool) "no Crash event" true
+        (List.for_all (function Dist.Crash _ -> false | _ -> true) events);
+      Alcotest.(check int) "one spawn per busy slot"
+        (min workers (Array.length (Spec.cells spec)))
+        stats.Dist.sup.spawns;
+      Alcotest.(check bool) "every cell ran once" true
+        (Array.for_all (fun c -> c = 1) h.exec_count))
+    [ 1; 2; 4 ]
+
 (* a hung worker (alive, journal not growing) is killed and respawned *)
 let test_hang_heartbeat () =
   let spec = parse_ok small_spec in
@@ -486,6 +522,8 @@ let () =
             test_orphan_reassignment;
           Alcotest.test_case "hung worker killed by heartbeat" `Quick
             test_hang_heartbeat;
+          Alcotest.test_case "exit between journal read and poll retires"
+            `Quick test_finish_on_poll;
         ] );
       ( "merge",
         [

@@ -699,9 +699,103 @@ let arb_graph =
 let graph_of (n, extra, seed) =
   Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra
 
+(* The eager Theorem 1.1 reference: build every ring's forest through
+   [front] first, then spread ring by ring.  [Single_broadcast.run]
+   builds each ring just before its spread; the records must agree. *)
+let eager_single_broadcast ~rings ~params ~seed ~graph =
+  let rng = Rng.create ~seed in
+  let f = Single_broadcast.front ~rings ~params ~rng ~graph ~source:0 () in
+  let rings_t = f.Single_broadcast.rings in
+  let count = rings_t.Rings.count in
+  let built = List.init count f.Single_broadcast.build in
+  let msg = [| Rn_coding.Bitvec.random rng 32 |] in
+  let received = Array.make (Graph.n graph) false in
+  received.(0) <- true;
+  let rounds_broadcast = ref 0 and ok = ref true in
+  List.iteri
+    (fun j (r : Gst_distributed.result) ->
+      let roots = Rings.roots rings_t j in
+      if !ok && not (Array.for_all (fun v -> received.(v)) roots) then
+        ok := false;
+      if !ok then begin
+        let b =
+          Gst_broadcast.run ~params ~rng:(Rng.split rng) ~gst:r.gst ~vd:r.vd
+            ~msgs:msg ~sources:roots ()
+        in
+        rounds_broadcast := !rounds_broadcast + b.Gst_broadcast.rounds;
+        if completed b.Gst_broadcast.outcome then
+          Array.iteri
+            (fun v dr -> if dr >= 0 then received.(v) <- true)
+            b.Gst_broadcast.decode_round
+        else ok := false;
+        if !ok && j + 1 < count then begin
+          let receivers = Rings.roots rings_t (j + 1) in
+          let h =
+            Rings.handoff_single ~params ~rng:(Rng.split rng) ~graph
+              ~holders:(Rings.outer_boundary rings_t j) ~receivers ()
+          in
+          rounds_broadcast := !rounds_broadcast + h.Rings.rounds;
+          if h.Rings.delivered then
+            Array.iter (fun v -> received.(v) <- true) receivers
+          else ok := false
+        end
+      end)
+    built;
+  let slowest =
+    List.fold_left (fun m (r : Gst_distributed.result) -> max m r.total_rounds)
+      0 built
+  in
+  let rounds_layering = f.Single_broadcast.rounds_layering in
+  {
+    Single_broadcast.delivered = !ok && Array.for_all Fun.id received;
+    rounds_total = rounds_layering + (2 * slowest) + !rounds_broadcast;
+    rounds_layering;
+    rounds_construction = 2 * slowest;
+    rounds_broadcast = !rounds_broadcast;
+    ring_count = count;
+    ring_width = rings_t.Rings.width;
+    received;
+  }
+
+(* Random layered graphs under every ring choice, with the default
+   budgets and with [max_round_factor = 0], under which the first in-ring
+   spread runs out of budget: the later rings are still built and still
+   count towards the charged construction cost. *)
+let ring_by_ring_matches_eager =
+  QCheck.Test.make ~name:"Theorem 1.1 ring by ring = eager rings" ~count:12
+    QCheck.(
+      quad (int_range 1 12) (int_range 1 4) (int_range 0 1000) bool)
+    (fun (depth, width, seed, tight) ->
+      let graph =
+        Topo.layered_random ~rng:(rng seed) ~depth ~width ~p:0.3
+      in
+      let params =
+        if tight then { Params.default with Params.max_round_factor = 0 }
+        else Params.default
+      in
+      List.for_all
+        (fun rings ->
+          let r =
+            Single_broadcast.run ~rings ~params ~rng:(rng (seed + 1)) ~graph
+              ~source:0 ()
+          in
+          let e = eager_single_broadcast ~rings ~params ~seed:(seed + 1) ~graph in
+          if r <> e then
+            QCheck.Test.fail_reportf
+              "depth %d width %d seed %d tight %b: rounds %d/%d vs eager \
+               %d/%d, delivered %b vs %b"
+              depth width seed tight r.Single_broadcast.rounds_total
+              r.Single_broadcast.rounds_construction
+              e.Single_broadcast.rounds_total
+              e.Single_broadcast.rounds_construction
+              r.Single_broadcast.delivered e.Single_broadcast.delivered;
+          r.Single_broadcast.delivered = not tight)
+        Single_broadcast.[ Auto; Ring_width 1; Ring_width (depth + 1) ])
+
 let qcheck_tests =
   let open QCheck in
   [
+    ring_by_ring_matches_eager;
     Test.make ~name:"decay broadcast always delivers" ~count:60 arb_graph
       (fun spec ->
         let g = graph_of spec in
