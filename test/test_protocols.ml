@@ -484,8 +484,9 @@ let test_baseline_cr () =
 (* ------------------------------------------------------------------ *)
 (* Golden values *)
 
-(* The Decay and CR baselines and the recruiting, bipartite-assignment
-   and distributed-GST machines, pinned draw for draw: each digest is the
+(* The Decay and CR baselines, the recruiting, bipartite-assignment
+   and distributed-GST machines, and the registry entries over the
+   centralized and distributed GST, pinned draw for draw: each digest is the
    MD5 of a canonical rendering of one run's outputs (3 graphs x 3 seeds
    per family).  How these modules store their state, or which nodes the
    engine wakes each round, must never show here. *)
@@ -595,6 +596,8 @@ let golden_families =
     ("assignment", golden_runs "assignment" bip_graphs golden_assignment);
     ( "sequential gst",
       golden_runs "sequential-gst" golden_graphs golden_sequential_gst );
+    ("gst", golden_runs "gst" golden_graphs (golden_entry "gst"));
+    ("known", golden_runs "known" golden_graphs (golden_entry "known"));
     ("gst-dist", golden_runs "gst-dist" golden_graphs (golden_entry "gst-dist"));
     ("thm11", golden_runs "thm11" golden_graphs (golden_entry "thm11"));
     ("unknown", golden_runs "unknown" golden_graphs (golden_entry "unknown"));
@@ -647,6 +650,24 @@ let golden =
     ("sequential-gst grid seed=1", "e7ac5eca72ac47fb4ba1c19b523c3f8c");
     ("sequential-gst grid seed=2", "2a5ac3f15a3afad3411e2b62a2210e83");
     ("sequential-gst grid seed=3", "a849624643fa611d94e4016a76def02a");
+    ("gst layered seed=1", "39673c415e7455840b9b79184b935892");
+    ("gst layered seed=2", "090544211fb247171c290ab05cef5285");
+    ("gst layered seed=3", "6a943e66ce85053b52b758dd11e038ca");
+    ("gst random seed=1", "cf991a9698de4d1fe88aeb9c05a6fadb");
+    ("gst random seed=2", "d88b9e2023630ef2f55ee321fea8883b");
+    ("gst random seed=3", "33334b25eee2c50263391e715554762c");
+    ("gst grid seed=1", "cd1e59933bf9d41c412fd6fb35532953");
+    ("gst grid seed=2", "34449abb3ebdebcba79c7869db12786b");
+    ("gst grid seed=3", "5cb81a0477801134c1b907bb99d4379a");
+    ("known layered seed=1", "f044a557e7554c386cef46756aea162e");
+    ("known layered seed=2", "4165f4f21903620536368abf27e48fbb");
+    ("known layered seed=3", "0695c092e9ce6e56f05c36641d1b0158");
+    ("known random seed=1", "372f99bfd3bbd1cb8a8d692ccfcaccac");
+    ("known random seed=2", "1b00a98d553f3e5c7246b18103a80815");
+    ("known random seed=3", "c02aa036216be10c04ae5b2c2b9f1479");
+    ("known grid seed=1", "69e7cd8fd8227b2d395b9f1119c92f62");
+    ("known grid seed=2", "d3423a1675bd5039b81d0a23c4c38dab");
+    ("known grid seed=3", "a9e33510b4cc9cfc99a54156e7cae2ad");
     ("gst-dist layered seed=1", "407e08d96fe15740af35c5e1eb88be48");
     ("gst-dist layered seed=2", "3f7dfe6e37977f1acf6b410f7c848546");
     ("gst-dist layered seed=3", "3c424a2211a8894c3d9df5b0965168ad");
