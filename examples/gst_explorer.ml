@@ -22,16 +22,16 @@ let figure_graph () =
 
 let show_tree title ~levels ~parents ~ranks g =
   Printf.printf "%s\n" title;
-  let depth = Bfs.max_level levels in
-  for l = 0 to depth do
-    Printf.printf "  level %d: " l;
-    Array.iter
-      (fun v ->
-        if parents.(v) < 0 then Printf.printf "[%d r%d] " v ranks.(v)
-        else Printf.printf "[%d r%d <-%d] " v ranks.(v) parents.(v))
-      (Bfs.nodes_at_level levels l);
-    print_newline ()
-  done;
+  Array.iteri
+    (fun l nodes ->
+      Printf.printf "  level %d: " l;
+      Array.iter
+        (fun v ->
+          if parents.(v) < 0 then Printf.printf "[%d r%d] " v ranks.(v)
+          else Printf.printf "[%d r%d <-%d] " v ranks.(v) parents.(v))
+        nodes;
+      print_newline ())
+    (Bfs.by_level levels);
   ignore g
 
 let () =

@@ -75,10 +75,8 @@ let run ?domains ?journal ?(resume_lines = []) ?select ?abort_after
   let replayed = ref 0 in
   List.iter
     (fun line ->
-      match Journal.parse_line line with
-      | Some (idx, key, rounds)
-        when idx >= 0 && idx < ncells && selected.(idx)
-             && String.equal key cells.(idx).key -> (
+      match Journal.classify cells line with
+      | Journal.Cell { idx; rounds } when selected.(idx) -> (
           match slots.(idx) with
           | None ->
               slots.(idx) <- Some line;

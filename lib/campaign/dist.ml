@@ -129,15 +129,14 @@ let supervise ?(on_event = fun _ -> ()) ~config ~io spec =
   let done_ = Array.make n false in
   let ndone = ref 0 in
   let mark line =
-    match Journal.parse_line line with
-    | Some (idx, key, _)
-      when idx >= 0 && idx < n && String.equal key cells.(idx).Spec.key ->
+    match Journal.classify cells line with
+    | Journal.Cell { idx; rounds = _ } ->
         if not done_.(idx) then begin
           done_.(idx) <- true;
           incr ndone
         end;
         true
-    | _ -> false
+    | Journal.Torn | Journal.Stale -> false
   in
   let spawns = ref 0
   and kills = ref 0
@@ -356,24 +355,20 @@ let merge spec shards =
         (fun line ->
           if not (String.equal (String.trim line) "") then begin
             incr lines_in;
-            match Journal.parse_line line with
-            | None -> incr torn
-            | Some (idx, key, _) -> (
-                if
-                  idx < 0 || idx >= n
-                  || not (String.equal key cells.(idx).Spec.key)
-                then incr stale
-                else
-                  match best.(idx) with
-                  | None -> best.(idx) <- Some line
-                  | Some prev when String.equal prev line -> incr duplicates
-                  | Some prev ->
-                      (* corrupt-but-sealed twins: keep the lexicographic
-                         least so the choice is independent of shard and
-                         arrival order *)
-                      incr conflicts;
-                      if String.compare line prev < 0 then
-                        best.(idx) <- Some line)
+            match Journal.classify cells line with
+            | Journal.Torn -> incr torn
+            | Journal.Stale -> incr stale
+            | Journal.Cell { idx; rounds = _ } -> (
+                match best.(idx) with
+                | None -> best.(idx) <- Some line
+                | Some prev when String.equal prev line -> incr duplicates
+                | Some prev ->
+                    (* corrupt-but-sealed twins: keep the lexicographic
+                       least so the choice is independent of shard and
+                       arrival order *)
+                    incr conflicts;
+                    if String.compare line prev < 0 then
+                      best.(idx) <- Some line)
           end)
         lines)
     shards;

@@ -51,3 +51,15 @@ let parse_line s =
         | Some idx, Some key, Some rounds, Some _, Some _ ->
             Some (idx, key, rounds)
         | _ -> None)
+
+type verdict = Torn | Stale | Cell of { idx : int; rounds : int }
+
+let classify (cells : Spec.cell array) s =
+  match parse_line s with
+  | None -> Torn
+  | Some (idx, key, rounds) ->
+      if
+        idx >= 0 && idx < Array.length cells
+        && String.equal key cells.(idx).Spec.key
+      then Cell { idx; rounds }
+      else Stale

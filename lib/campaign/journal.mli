@@ -42,3 +42,15 @@ val parse_line : string -> (int * string * int) option
     inside the details that still happens to close as valid JSON — or
     two torn halves glued together by an [O_APPEND] respawn — therefore
     cannot be mistaken for a finished cell by the shard-journal merge. *)
+
+type verdict =
+  | Torn  (** not a complete, sealed line ({!parse_line} is [None]) *)
+  | Stale  (** sealed, but its index or key names no cell of the spec *)
+  | Cell of { idx : int; rounds : int }
+      (** the finished cell [idx], with its simulated rounds *)
+
+val classify : Spec.cell array -> string -> verdict
+(** [classify cells s] checks one journal line against a spec's cells:
+    it is the cell's line only when it is sealed, its index is in range,
+    and its key equals [cells.(idx).key].  Resume, the supervisor's
+    progress count and the shard merge all read lines through it. *)

@@ -72,6 +72,3 @@ val build : instance -> Rn_graph.Graph.t
     their [Rng] from the instance's topology seed, so repeated builds are
     byte-identical — which is what lets the topology cache and the
     cache-off path produce identical results. *)
-
-val generator_names : string list
-(** Supported ["topo"] values, for error messages and docs. *)

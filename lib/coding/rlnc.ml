@@ -115,7 +115,3 @@ let infected t mu =
 let seed_with_sources t ~msgs =
   if Array.length msgs <> t.k then invalid_arg "Rlnc.seed_with_sources";
   Array.iteri (fun i _ -> ignore (receive t (source_packet ~msgs i))) msgs
-
-let basis_coeffs t =
-  Array.to_list t.rows
-  |> List.filter_map (function Some r -> Some (Bitvec.copy r.coeffs) | None -> None)

@@ -61,6 +61,3 @@ val infected : t -> Bitvec.t -> bool
 
 val seed_with_sources : t -> msgs:Bitvec.t array -> unit
 (** Give a node (the source) all [k] messages at once. *)
-
-val basis_coeffs : t -> Bitvec.t list
-(** Current row-reduced basis of the coefficient space (for tests). *)

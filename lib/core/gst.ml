@@ -313,16 +313,15 @@ let build_centralized ~graph ?levels ~roots () =
   if Array.length levels <> n then invalid_arg "Gst.build_centralized: levels";
   let parents = Array.make n (-1) in
   let ranks = Array.make n 0 in
-  let depth = Array.fold_left max (-1) levels in
-  let at_level l = Bfs.nodes_at_level levels l in
-  for l = depth downto 1 do
-    let blues = at_level l and reds = at_level (l - 1) in
+  let level_nodes = Bfs.by_level levels in
+  let leaf b = if ranks.(b) = 0 then ranks.(b) <- 1 in
+  for l = Array.length level_nodes - 1 downto 1 do
+    let blues = level_nodes.(l) and reds = level_nodes.(l - 1) in
     (* Blues still unranked at their own pair are leaves: rank 1. *)
-    Array.iter (fun b -> if ranks.(b) = 0 then ranks.(b) <- 1) blues;
+    Array.iter leaf blues;
     assign_level_pair ~graph ~reds ~blues ~blue_rank:(fun b -> ranks.(b))
       ~parents ~ranks
   done;
-  Array.iter (fun r -> if levels.(r) = 0 && ranks.(r) = 0 then ranks.(r) <- 1)
-    (at_level 0);
+  if Array.length level_nodes > 0 then Array.iter leaf level_nodes.(0);
   let t = make ~graph ~levels ~parents ~ranks () in
   repair_wave_safety t

@@ -25,10 +25,11 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Phase 2: level-pair assignments *)
 
-let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels () =
+let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
+    ~level_nodes () =
   let n = Graph.n graph in
   let scale_n = n in
-  let depth = Bfs.max_level levels in
+  let depth = Array.length level_nodes - 1 in
   let parents = Array.make n (-1) in
   let ranks = Array.make n 0 in
   let parent_rank = Array.make n (-1) in
@@ -38,7 +39,6 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels () =
     (parents, ranks, parent_rank, 0, 0, 0)
   end
   else begin
-    let level_nodes = Bfs.by_level levels in
     let at_level l = level_nodes.(l) in
     (* Every block shares one node -> index-within-level map. *)
     let pos = Array.make n (-1) in
@@ -265,21 +265,12 @@ let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
      (rank, class) slice holds no node have no transmitters and therefore
      no listeners either (a listener's parent would populate the slice),
      so they can be fast-forwarded from a static table. *)
-  let rank_count = Array.make (max_rank + 1) 0 in
-  Array.iteri
-    (fun v l -> if l >= 0 && ranks.(v) >= 1 then
-        rank_count.(ranks.(v)) <- rank_count.(ranks.(v)) + 1)
-    levels;
-  let rank_nodes = Array.map (fun c -> Array.make (max c 1) 0) rank_count in
-  let fill = Array.make (max_rank + 1) 0 in
-  Array.iteri
-    (fun v l ->
-      if l >= 0 && ranks.(v) >= 1 then begin
-        let r = ranks.(v) in
-        rank_nodes.(r).(fill.(r)) <- v;
-        fill.(r) <- fill.(r) + 1
-      end)
-    levels;
+  let rank_nodes =
+    Bfs.by_level
+      (Array.mapi
+         (fun v l -> if l >= 0 && ranks.(v) >= 1 then ranks.(v) else -1)
+         levels)
+  in
   let slice_count = Array.make (max (3 * (max_rank + 1)) 1) 0 in
   Array.iteri
     (fun v l ->
@@ -289,10 +280,9 @@ let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
       end)
     levels;
   let decide_active ~round (buf : int array) =
-    let r = (round / 3) + 1 in
-    let nodes = rank_nodes.(r) and count = rank_count.(r) in
-    Array.blit nodes 0 buf 0 count;
-    count
+    let nodes = rank_nodes.((round / 3) + 1) in
+    Array.blit nodes 0 buf 0 (Array.length nodes);
+    Array.length nodes
   in
   let next_busy_round ~round =
     let rec go r =
@@ -312,12 +302,12 @@ let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
 (* ------------------------------------------------------------------ *)
 (* Phase 4: virtual-distance learning (Lemma 3.10) *)
 
-let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
-    ~parent_rank ~head_override () =
+let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
+    ~parents ~ranks ~parent_rank ~head_override () =
   let n = Graph.n graph in
   let scale_n = n in
   let ladder = Params.phase_len ~n:scale_n in
-  let depth = Bfs.max_level levels in
+  let depth = Array.length level_nodes - 1 in
   let max_rank = Array.fold_left max 0 ranks in
   let vd = Array.make n (-1) in
   Array.iteri
@@ -352,7 +342,6 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
      forest nodes still relevant to the current distance.  Both reuse
      these buffers, as does every sweep's [sweep_hit]. *)
   let depth_cap = depth + 2 in
-  let level_nodes = Bfs.by_level levels in
   let cand = Array.make (max n 1) 0 in
   let sweep_hit = Array.make n false in
   while unlabeled_remain () && !d <= iter_cap do
@@ -520,17 +509,19 @@ let construct ?(mode = Pipelined) ?(layering = Decay_layering)
         let r = Layering.collision_wave ~graph ~sources:roots () in
         (r.Layering.levels, r.Layering.rounds)
   in
+  let level_nodes = Bfs.by_level levels in
   let parents, ranks, parent_rank, assignment_rounds, class_fixups,
       fallback_reactivations =
-    run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels ()
+    run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
+      ~level_nodes ()
   in
   let head_override, selftest_rounds =
     run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks ()
   in
   let vd, vd_rounds =
     if learn_vd then
-      run_vd ?engine ~params ~detection ~rng ~graph ~levels ~parents ~ranks
-        ~parent_rank ~head_override ()
+      run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
+        ~parents ~ranks ~parent_rank ~head_override ()
     else (Array.make n (-1), 0)
   in
   let gst = Gst.make ~graph ~levels ~parents ~ranks ~head_override () in

@@ -1,3 +1,5 @@
+open Rn_graph
+
 let children_lists ~parents =
   let n = Array.length parents in
   let children = Array.make n [] in
@@ -10,12 +12,6 @@ let children_lists ~parents =
     parents;
   children
 
-let order_by_level_desc ~levels =
-  let n = Array.length levels in
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int.compare levels.(b) levels.(a)) order;
-  order
-
 let ranks ~parents ~levels =
   let n = Array.length parents in
   if Array.length levels <> n then invalid_arg "Ranked_bfs.ranks";
@@ -26,20 +22,21 @@ let ranks ~parents ~levels =
     parents;
   let children = children_lists ~parents in
   let rank = Array.make n 0 in
-  let order = order_by_level_desc ~levels in
-  (* Deepest levels first, so children are ranked before their parent. *)
-  Array.iter
-    (fun v ->
-      if levels.(v) >= 0 then begin
+  let level_nodes = Bfs.by_level levels in
+  (* Deepest levels first, so children (one level deeper) are ranked
+     before their parent; order within a level does not matter. *)
+  for l = Array.length level_nodes - 1 downto 0 do
+    Array.iter
+      (fun v ->
         let in_tree = List.filter (fun c -> levels.(c) >= 0) children.(v) in
         match in_tree with
         | [] -> rank.(v) <- 1
         | cs ->
             let rmax = List.fold_left (fun acc c -> max acc rank.(c)) 0 cs in
             let count = List.length (List.filter (fun c -> rank.(c) = rmax) cs) in
-            rank.(v) <- (if count >= 2 then rmax + 1 else rmax)
-      end)
-    order;
+            rank.(v) <- (if count >= 2 then rmax + 1 else rmax))
+      level_nodes.(l)
+  done;
   rank
 
 let max_rank ranks = Array.fold_left max 0 ranks

@@ -7,32 +7,29 @@ type t = {
   levels : int array;
   width : int;
   count : int;
-  ring_of : int array;
+  by_level : int array array;
 }
 
 let decompose ~levels ~width =
   if width < 1 then invalid_arg "Rings.decompose: width must be >= 1";
-  let depth = Bfs.max_level levels in
-  let count = if depth < 0 then 0 else (depth / width) + 1 in
-  let ring_of =
-    Array.map (fun l -> if l < 0 then -1 else l / width) levels
-  in
-  { levels; width; count; ring_of }
+  let by_level = Bfs.by_level levels in
+  (* ⌈layers / width⌉ rings *)
+  let count = (Array.length by_level + width - 1) / width in
+  { levels; width; count; by_level }
+
+let layer t l = if l < Array.length t.by_level then t.by_level.(l) else [||]
 
 let ring_levels t j =
-  Array.mapi
-    (fun v l -> if t.ring_of.(v) = j then l - (j * t.width) else -1)
-    t.levels
+  let local = Array.make (Array.length t.levels) (-1) in
+  let first = j * t.width in
+  for l = first to min (first + t.width) (Array.length t.by_level) - 1 do
+    Array.iter (fun v -> local.(v) <- l - first) t.by_level.(l)
+  done;
+  local
 
-let nodes_with t f =
-  let acc = ref [] in
-  Array.iteri (fun v _ -> if f v then acc := v :: !acc) t.levels;
-  Array.of_list (List.rev !acc)
+let roots t j = layer t (j * t.width)
 
-let roots t j = nodes_with t (fun v -> t.ring_of.(v) = j && t.levels.(v) = j * t.width)
-
-let outer_boundary t j =
-  nodes_with t (fun v -> t.levels.(v) = (((j + 1) * t.width) - 1))
+let outer_boundary t j = layer t (((j + 1) * t.width) - 1)
 
 let charged_parallel_rounds rounds =
   match rounds with [] -> 0 | l -> 2 * List.fold_left max 0 l

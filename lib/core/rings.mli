@@ -20,21 +20,25 @@ type t = {
   levels : int array;  (** the global BFS layering *)
   width : int;
   count : int;
-  ring_of : int array;  (** ring index per node; [-1] if unreachable *)
+  by_level : int array array;
+      (** [Bfs.by_level levels]: the nodes of each global layer *)
 }
 
 val decompose : levels:int array -> width:int -> t
 (** [width ≥ 1]; rings are [\[j·width, (j+1)·width)] layer bands. *)
 
 val ring_levels : t -> int -> int array
-(** Ring-local levels for ring [j] ([-1] outside the ring). *)
+(** Ring-local levels for ring [j] ([-1] outside the ring): an n-sized
+    array, filled from the ring's own layers only. *)
 
 val roots : t -> int -> int array
-(** Inner-boundary nodes of ring [j] (its GST forest roots). *)
+(** Inner-boundary nodes of ring [j] (its GST forest roots): layer
+    [j·width], read from [by_level] (shared, not copied). *)
 
 val outer_boundary : t -> int -> int array
-(** Nodes of the last layer of ring [j] (empty if the ring is shallower
-    than [width], i.e. the outermost ring). *)
+(** Nodes of the last layer of ring [j], [(j+1)·width − 1], read from
+    [by_level] (shared, not copied); empty if the ring is shallower than
+    [width], i.e. the outermost ring. *)
 
 val charged_parallel_rounds : int list -> int
 (** Wall-clock rounds for running the listed per-ring round counts in

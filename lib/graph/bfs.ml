@@ -70,11 +70,6 @@ let diameter g =
     !best
   end
 
-let nodes_at_level (levels : int array) (l : int) =
-  let acc = ref [] in
-  Array.iteri (fun v lv -> if lv = l then acc := v :: !acc) levels;
-  Array.of_list (List.rev !acc)
-
 let max_level levels = Array.fold_left max (-1) levels
 
 let by_level levels =

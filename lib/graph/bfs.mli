@@ -29,14 +29,12 @@ val diameter : Graph.t -> int
 val is_connected : Graph.t -> bool
 (** A graph with no nodes counts as connected. *)
 
-val nodes_at_level : int array -> int -> int array
-(** [nodes_at_level levels l] lists the nodes [v] with [levels.(v) = l], in
-    increasing id order. *)
-
 val by_level : int array -> int array array
-(** [by_level levels] lists the nodes of every level [0 .. max_level],
-    each in increasing id order: [(by_level levels).(l)] is
-    [nodes_at_level levels l], in one [O(n + depth)] pass. *)
+(** [by_level keys] groups node ids by key in one [O(n + max key)] pass:
+    [(by_level keys).(k)] lists the nodes [v] with [keys.(v) = k], in
+    increasing id order, for every [k] in [0 .. max_level keys].  A key
+    may be any non-negative int (a BFS level, a rank); [-1] means absent,
+    and such a node is in no bucket. *)
 
 val max_level : int array -> int
 (** Largest entry of a level array (the depth of the layering); [-1] when

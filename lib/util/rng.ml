@@ -79,10 +79,6 @@ let coin_pow2 t e =
   else if e <= 52 then bits53 t lsr (53 - e) = 0
   else bits53 t = 0
 
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

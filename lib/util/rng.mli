@@ -55,10 +55,6 @@ val coin_pow2 : t -> int -> bool
     draw [r], [r /. 2^53 < 2^-e] iff [r < 2^(53-e)].
     @raise Invalid_argument if [e < 0]. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array.  @raise Invalid_argument on
-    an empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

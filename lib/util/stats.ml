@@ -159,5 +159,3 @@ let ratio_spread pts =
       let mn = Array.fold_left fmin r0 arr
       and mx = Array.fold_left fmax r0 arr in
       (mean arr, if mn = 0.0 then infinity else mx /. mn)
-
-let of_ints a = Array.map float_of_int a

@@ -47,5 +47,3 @@ val ratio_spread : (float * float) list -> float * float
 (** [ratio_spread pts] returns [(mean, max/min)] of the per-point ratios
     [y/x]; a small spread indicates y ∝ x.  Points with [x = 0] are
     skipped. *)
-
-val of_ints : int array -> float array

@@ -165,6 +165,32 @@ let test_journal_truncated_but_valid_json () =
   Alcotest.(check (option (triple int string int)))
     "seal not last field rejected" None (Journal.parse_line padded)
 
+(* One verdict for resume, the supervisor and the merge: a line is its
+   cell's only when sealed, in range and keyed to that cell. *)
+let test_journal_classify () =
+  let cells = Spec.cells (parse_ok small_spec) in
+  let c = cells.(2) in
+  let line ~idx ~key =
+    Journal.line ~idx ~key ~cell:c.Spec.label ~rounds:7 ~delivered:true
+      ~details:[]
+  in
+  let verdict l =
+    match Journal.classify cells l with
+    | Journal.Torn -> "torn"
+    | Journal.Stale -> "stale"
+    | Journal.Cell { idx; rounds } -> Printf.sprintf "cell %d rounds %d" idx rounds
+  in
+  let ok = line ~idx:2 ~key:c.Spec.key in
+  Alcotest.(check string) "own cell" "cell 2 rounds 7" (verdict ok);
+  Alcotest.(check string) "torn" "torn"
+    (verdict (String.sub ok 0 (String.length ok - 2)));
+  Alcotest.(check string) "other cell's key" "stale"
+    (verdict (line ~idx:2 ~key:cells.(3).Spec.key));
+  Alcotest.(check string) "index past the spec" "stale"
+    (verdict (line ~idx:(Array.length cells) ~key:c.Spec.key));
+  Alcotest.(check string) "negative index" "stale"
+    (verdict (line ~idx:(-1) ~key:c.Spec.key))
+
 (* --- campaign runs --------------------------------------------------- *)
 
 let run_collect ?domains ?journal ?resume_lines ?abort_after spec =
@@ -355,6 +381,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_journal_roundtrip;
           Alcotest.test_case "truncated-but-valid-JSON line rejected" `Quick
             test_journal_truncated_but_valid_json;
+          Alcotest.test_case "classify torn, stale, cell" `Quick
+            test_journal_classify;
         ] );
       ( "run",
         [

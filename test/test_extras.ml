@@ -139,7 +139,10 @@ let test_rings_width_larger_than_depth () =
 let test_rings_unreachable_nodes () =
   let levels = [| 0; 1; -1; 2 |] in
   let t = Rings.decompose ~levels ~width:2 in
-  Alcotest.(check int) "unreachable ring -1" (-1) t.Rings.ring_of.(2);
+  for j = 0 to t.Rings.count - 1 do
+    Alcotest.(check int) "unreachable node outside every ring" (-1)
+      (Rings.ring_levels t j).(2)
+  done;
   Alcotest.(check int) "count from max level" 2 t.Rings.count
 
 let test_single_broadcast_one_node () =

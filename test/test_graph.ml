@@ -128,15 +128,17 @@ let test_diameter_shapes () =
 let test_nodes_at_level () =
   let g = Topo.star 5 in
   let levels = Bfs.levels g ~src:0 in
-  Alcotest.(check (array int)) "level 0" [| 0 |] (Bfs.nodes_at_level levels 0);
-  Alcotest.(check (array int)) "level 1" [| 1; 2; 3; 4 |]
-    (Bfs.nodes_at_level levels 1);
+  Alcotest.(check (array (array int))) "star levels"
+    [| [| 0 |]; [| 1; 2; 3; 4 |] |]
+    (Bfs.by_level levels);
   Alcotest.(check int) "max level" 1 (Bfs.max_level levels);
   (* by_level buckets every level at once, unreachable (-1) nodes left out *)
-  let levels = [| 2; 0; -1; 1; 2; 0; 2 |] in
   Alcotest.(check (array (array int))) "by_level"
-    (Array.init 3 (Bfs.nodes_at_level levels))
-    (Bfs.by_level levels);
+    [| [| 1; 5 |]; [| 3 |]; [| 0; 4; 6 |] |]
+    (Bfs.by_level [| 2; 0; -1; 1; 2; 0; 2 |]);
+  Alcotest.(check (array (array int))) "empty bucket kept"
+    [| [| 1 |]; [||]; [| 0 |] |]
+    (Bfs.by_level [| 2; 0 |]);
   Alcotest.(check int) "by_level of nothing" 0
     (Array.length (Bfs.by_level [| -1; -1 |]))
 

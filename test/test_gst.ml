@@ -227,9 +227,79 @@ let arb_graph =
 let graph_of (n, extra, seed) =
   Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra
 
+(* The bucket consumers (rings, ranks, rank buckets) against the scan
+   they replaced: [scan keys k] filters all n nodes for key [k]. *)
+let scan keys k =
+  List.init (Array.length keys) Fun.id
+  |> List.filter (fun v -> keys.(v) = k)
+  |> Array.of_list
+
+(* Rank rule by recursion over scanned children. *)
+let scan_ranks ~parents ~levels =
+  let rec rank v =
+    match
+      List.filter
+        (fun c -> parents.(c) = v && levels.(c) >= 0)
+        (List.init (Array.length levels) Fun.id)
+    with
+    | [] -> 1
+    | cs ->
+        let rs = List.map rank cs in
+        let rmax = List.fold_left max 0 rs in
+        if List.length (List.filter (( = ) rmax) rs) >= 2 then rmax + 1
+        else rmax
+  in
+  Array.mapi (fun v l -> if l < 0 then 0 else rank v) levels
+
+let arb_layering =
+  QCheck.make
+    ~print:(fun (n, depth, seed) ->
+      Printf.sprintf "(n=%d,depth=%d,seed=%d)" n depth seed)
+    QCheck.Gen.(triple (int_range 0 40) (int_range 0 10) (int_range 0 10_000))
+
+(* Levels in [-1, depth] with -1 = absent and possibly empty levels; each
+   node of level l >= 1 hangs off a random node of level l - 1 when there
+   is one (else it is a root); the ring width runs to depth + 2, past the
+   deepest level, and mostly leaves the last ring shallower than it. *)
+let layering_of (n, depth, seed) =
+  let r = rng seed in
+  let levels = Array.init n (fun _ -> Rng.int r (depth + 2) - 1) in
+  let parents =
+    Array.map
+      (fun l ->
+        let above = if l < 1 then [||] else scan levels (l - 1) in
+        if Array.length above = 0 then -1
+        else above.(Rng.int r (Array.length above)))
+      levels
+  in
+  (levels, parents, 1 + Rng.int r (depth + 2))
+
+let buckets_match_scans spec =
+  let levels, parents, width = layering_of spec in
+  let depth = Array.fold_left max (-1) levels in
+  let t = Rings.decompose ~levels ~width in
+  let ring_ok j =
+    Rings.roots t j = scan levels (j * width)
+    && Rings.outer_boundary t j = scan levels (((j + 1) * width) - 1)
+    && Rings.ring_levels t j
+       = Array.map
+           (fun l -> if l >= 0 && l / width = j then l - (j * width) else -1)
+           levels
+  in
+  let ranks = Ranked_bfs.ranks ~parents ~levels in
+  let key = Array.mapi (fun v l -> if l >= 0 then ranks.(v) else -1) levels in
+  t.Rings.count = (if depth < 0 then 0 else (depth / width) + 1)
+  (* one ring past the last, whose layers are all empty *)
+  && List.for_all ring_ok (List.init (t.Rings.count + 1) Fun.id)
+  && ranks = scan_ranks ~parents ~levels
+  && Bfs.by_level key
+     = Array.init (Array.fold_left max (-1) key + 1) (scan key)
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"layer buckets = per-key scans" ~count:500 arb_layering
+      buckets_match_scans;
     Test.make ~name:"centralized GST validates" ~count:300 arb_graph (fun spec ->
         let g = graph_of spec in
         let t = Gst.build_centralized ~graph:g ~roots:[| 0 |] () in
