@@ -44,7 +44,7 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
   (* The only cross-node aggregate; atomic so the parallel deliver phase
      of a [Sharded d] run may decrement it from any lane.  Everything else
      the callbacks touch is per-node (own RNG stream, own received_round
-     cell), which is exactly the lane contract of Engine_sparse.run. *)
+     cell), which is exactly the lane contract of the sharded engine. *)
   let missing = Atomic.make (n - 1) in
   let decide ~round ~node =
     if received_round.(node) >= 0 then begin

@@ -13,7 +13,8 @@ type result = {
 let run_guess ~graph ~source ~t =
   let n = Graph.n graph in
   let level = Array.make n (-1) in
-  level.(source) <- 0;
+  let front = Layering.wave ~graph ~levels:level ~sources:[| source |] in
+  let by_level = ref [||] in
   let boundary_hit = Array.make n false in
   let echo = Array.make n false in
   let source_heard_echo = Atomic.make false in
@@ -55,10 +56,36 @@ let run_guess ~graph ~source ~t =
           end
         end
   in
+  (* Awake sets: the wave's front in the forward rounds, everyone in the
+     probe, and the two level buckets an echo slot reads, grouped once
+     when the forward wave ends.  Every other node sleeps in [decide]. *)
+  let after_round ~round =
+    if round < t - 1 then Layering.wave_advance front
+    else if round = t - 1 then by_level := Bfs.by_level level
+  in
+  let bucket l buf k =
+    if l < 0 || l >= Array.length !by_level then k
+    else begin
+      let nodes = !by_level.(l) in
+      Array.blit nodes 0 buf k (Array.length nodes);
+      k + Array.length nodes
+    end
+  in
+  let decide_active ~round (buf : int array) =
+    if round < t then Layering.wave_awake front buf
+    else if round = t then begin
+      for v = 0 to n - 1 do
+        buf.(v) <- v
+      done;
+      n
+    end
+    else bucket ((2 * t) - round) buf (bucket ((2 * t) + 1 - round) buf 0)
+  in
   ignore
     (Drive.run ~graph
        ~detection:Engine.Collision_detection
        ~protocol:{ Engine.decide; deliver }
+       ~after_round ~decide_active
        ~stop:(fun ~round:_ -> false)
        ~max_rounds:((2 * t) + 2)
        ());

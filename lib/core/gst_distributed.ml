@@ -504,8 +504,9 @@ let construct ?(mode = Pipelined) ?(layering = Decay_layering)
         in
         (r.Layering.levels, r.Layering.rounds)
     | Collision_wave_layering ->
-        (* The wave is D deterministic all-transmit rounds with no
-           sparsity to exploit, so it always runs on the default engine. *)
+        (* Deterministic and front-only (each node beeps once, in the
+           round of its level), so it always runs on the default engine,
+           where it costs the front per round rather than n. *)
         let r = Layering.collision_wave ~graph ~sources:roots () in
         (r.Layering.levels, r.Layering.rounds)
   in

@@ -46,10 +46,17 @@ let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
   let node_rng = Rng.split_n rng n in
   let is_holder = Array.make n false in
   Array.iter (fun v -> is_holder.(v) <- true) holders;
+  (* [missing] counts distinct receivers: one satisfied receiver
+     decrements it once, however often the caller listed it. *)
   let is_receiver = Array.make n false in
-  Array.iter (fun v -> is_receiver.(v) <- true) receivers;
   let missing = Atomic.make 0 in
-  Array.iter (fun v -> if not (satisfied v) then Atomic.incr missing) receivers;
+  Array.iter
+    (fun v ->
+      if not is_receiver.(v) then begin
+        is_receiver.(v) <- true;
+        if not (satisfied v) then Atomic.incr missing
+      end)
+    receivers;
   let decide ~round ~node =
     if is_holder.(node) then begin
       if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then

@@ -16,7 +16,8 @@
     [Sharded] runs the fast kernel of [Sparse] on [d] lanes.  A node
     outside the active set must [Sleep] without side effects, or [Listen]
     without side effects to a [deliver] that is a no-op for every
-    reception possible that round, and a skipped round must be silent,
+    reception possible that round (or affect only state nothing reads
+    again, {!Engine_sparse.run}), and a skipped round must be silent,
     hence dropping either never changes a protocol result.  The
     [Listen] case leaves those listeners' deliveries and collisions out
     of [stats]/[metrics], so a caller that forwards either must not use

@@ -88,7 +88,9 @@ val run :
     - a side-effect-free [Sleep], or
     - a side-effect-free [Listen] whose [deliver] is a no-op for every
       reception possible that round,
-    so that dropping the set (as {!Drive.run} does under [Dense] and
+    or one whose only effect would be on state nothing reads again and
+    whose transmission no [deliver] would act on (a retired
+    [Layering.decay_bfs] relay, DESIGN.md §12), so that dropping the set (as {!Drive.run} does under [Dense] and
     [Sharded]) changes no protocol state.  The second case has a cost:
     the left-out listeners' deliveries and collisions are missing from
     [stats] and [metrics], which then differ from the [Dense] scan's, so

@@ -231,6 +231,242 @@ let test_decay_bfs_multi_source () =
     (Bfs.multi_levels g ~sources:[| 0; 8 |])
     res.Layering.levels
 
+let test_layering_duplicate_sources () =
+  (* A repeated source counts once: it must not bring [stop] forward while
+     node 4 is still unlabeled. *)
+  let g = Topo.path 5 in
+  let sources = [| 0; 0 |] in
+  let w = Layering.collision_wave ~graph:g ~sources () in
+  Alcotest.(check (array int)) "wave levels" [| 0; 1; 2; 3; 4 |] w.Layering.levels;
+  Alcotest.(check int) "wave rounds" 4 w.Layering.rounds;
+  let d = Layering.decay_bfs ~rng:(rng 3) ~graph:g ~sources () in
+  Alcotest.(check (array int)) "decay BFS levels" [| 0; 1; 2; 3; 4 |]
+    d.Layering.levels
+
+(* The all-node layerings, as they were before each wave woke only its
+   front; the differential property below holds the front-only code to
+   them. *)
+module Reference = struct
+  let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
+      ~sources () =
+    let n = Graph.n graph in
+    let ladder = Params.phase_len ~n in
+    let epoch_len = Params.whp_phases params ~n * ladder in
+    let max_rounds =
+      match max_rounds with
+      | Some m -> m
+      | None -> params.Params.max_round_factor * (n + 2) * epoch_len
+    in
+    let node_rng = Rng.split_n rng n in
+    let levels = Array.make n (-1) in
+    Array.iter (fun s -> levels.(s) <- 0) sources;
+    let labeled = Atomic.make (Array.length sources) in
+    let epoch_of round = round / epoch_len in
+    let decide ~round ~node =
+      let lvl = levels.(node) in
+      if lvl >= 0 && lvl <= epoch_of round then begin
+        if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
+          Engine.Transmit Cmsg.Probe
+        else Engine.Listen
+      end
+      else if lvl < 0 then Engine.Listen
+      else Engine.Sleep
+    in
+    let deliver ~round ~node reception =
+      match reception with
+      | Engine.Received Cmsg.Probe ->
+          if levels.(node) < 0 then begin
+            levels.(node) <- epoch_of round + 1;
+            Atomic.incr labeled
+          end
+      | Engine.Received _ | Engine.Silence | Engine.Collision -> ()
+    in
+    let protocol = { Engine.decide; deliver } in
+    let stop ~round = Atomic.get labeled = n && round mod epoch_len = 0 in
+    let outcome =
+      Drive.run ?engine ~graph ~detection:Engine.No_collision_detection
+        ~protocol ~stop ~max_rounds ()
+    in
+    (levels, Engine.rounds_of_outcome outcome)
+
+  let collision_wave ?max_rounds ~graph ~sources () =
+    let n = Graph.n graph in
+    let max_rounds = match max_rounds with Some m -> m | None -> n + 1 in
+    let levels = Array.make n (-1) in
+    Array.iter (fun s -> levels.(s) <- 0) sources;
+    let labeled = Atomic.make (Array.length sources) in
+    let decide ~round ~node =
+      let lvl = levels.(node) in
+      if lvl >= 0 && lvl <= round then Engine.Transmit Cmsg.Beacon
+      else if lvl < 0 then Engine.Listen
+      else Engine.Sleep
+    in
+    let deliver ~round ~node reception =
+      match reception with
+      | Engine.Received _ | Engine.Collision ->
+          if levels.(node) < 0 then begin
+            levels.(node) <- round + 1;
+            Atomic.incr labeled
+          end
+      | Engine.Silence -> ()
+    in
+    let outcome =
+      Drive.run ~graph ~detection:Engine.Collision_detection
+        ~protocol:{ Engine.decide; deliver }
+        ~stop:(fun ~round:_ -> Atomic.get labeled = n)
+        ~max_rounds ()
+    in
+    (levels, Engine.rounds_of_outcome outcome)
+
+  let run_guess ~graph ~source ~t =
+    let n = Graph.n graph in
+    let level = Array.make n (-1) in
+    level.(source) <- 0;
+    let boundary_hit = Array.make n false in
+    let echo = Array.make n false in
+    let source_heard_echo = Atomic.make false in
+    let decide ~round ~node =
+      if round < t then
+        if level.(node) = round then Engine.Transmit Cmsg.Beacon
+        else if level.(node) < 0 then Engine.Listen
+        else Engine.Sleep
+      else if round = t then
+        if level.(node) < 0 then Engine.Transmit Cmsg.Beacon else Engine.Listen
+      else begin
+        let l = level.(node) in
+        if l < 0 then Engine.Sleep
+        else if round = (2 * t) + 1 - l then begin
+          if boundary_hit.(node) || echo.(node) then Engine.Transmit Cmsg.Beacon
+          else Engine.Sleep
+        end
+        else if round = (2 * t) - l then Engine.Listen
+        else Engine.Sleep
+      end
+    in
+    let deliver ~round ~node reception =
+      match reception with
+      | Engine.Silence -> ()
+      | Engine.Received _ | Engine.Collision ->
+          if round < t then begin
+            if level.(node) < 0 then level.(node) <- round + 1
+          end
+          else if round = t then boundary_hit.(node) <- true
+          else begin
+            let l = level.(node) in
+            if l >= 0 && round = (2 * t) - l then begin
+              echo.(node) <- true;
+              if node = source then Atomic.set source_heard_echo true
+            end
+          end
+    in
+    ignore
+      (Drive.run ~graph ~detection:Engine.Collision_detection
+         ~protocol:{ Engine.decide; deliver }
+         ~stop:(fun ~round:_ -> false)
+         ~max_rounds:((2 * t) + 2)
+         ());
+    (level, Atomic.get source_heard_echo || boundary_hit.(source))
+
+  (* [Diameter_estimate.run]'s doubling loop, as (estimate, rounds,
+     levels), or [None] where it fails to converge. *)
+  let estimate ~graph ~source =
+    let n = Graph.n graph in
+    let max_rounds = 16 * (n + 4) in
+    let rec go t spent =
+      if spent > max_rounds then None
+      else
+        let levels, too_small = run_guess ~graph ~source ~t in
+        let spent = spent + (2 * t) + 2 in
+        if too_small then go (2 * t) spent else Some (t, spent, levels)
+    in
+    go 1 0
+end
+
+(* Random graphs of one or two random connected components (the second
+   unreachable from the first), with 1–3 distinct sources. *)
+let arb_layering =
+  QCheck.make
+    ~print:(fun (n1, n2, extra, seed, k) ->
+      Printf.sprintf "(n1=%d,n2=%d,extra=%d,seed=%d,sources=%d)" n1 n2 extra
+        seed k)
+    QCheck.Gen.(
+      map
+        (fun ((n1, n2, extra), (seed, k)) -> (n1, n2, extra, seed, k))
+        (pair
+           (triple (int_range 1 40) (frequency [ (2, return 0); (1, int_range 1 8) ])
+              (int_range 0 40))
+           (pair (int_range 0 10_000) (int_range 1 3))))
+
+let layering_instance (n1, n2, extra, seed, k) =
+  let r = Rng.create ~seed in
+  let a = Topo.random_connected ~rng:r ~n:n1 ~extra in
+  let edges =
+    if n2 = 0 then Graph.edges a
+    else
+      let b = Topo.random_connected ~rng:r ~n:n2 ~extra:(extra / 4) in
+      Graph.edges a @ List.map (fun (u, v) -> (u + n1, v + n1)) (Graph.edges b)
+  in
+  let n = n1 + n2 in
+  let g = Graph.create ~n ~edges in
+  let picked = Array.make n false in
+  let sources =
+    List.init k (fun _ -> Rng.int r n)
+    |> List.filter (fun v ->
+           let fresh = not picked.(v) in
+           picked.(v) <- true;
+           fresh)
+    |> Array.of_list
+  in
+  (g, sources, seed)
+
+let layering_matches_reference =
+  QCheck.Test.make ~name:"front-only layerings = all-node reference" ~count:60
+    arb_layering (fun spec ->
+      let g, sources, seed = layering_instance spec in
+      let n = Graph.n g in
+      (* Two epochs past the deepest reachable level: enough for the
+         reachable part to finish; a node out of reach runs both to the
+         budget. *)
+      let depth = Bfs.max_level (Bfs.multi_levels g ~sources) in
+      let max_rounds =
+        (depth + 3) * Params.whp_phases Params.default ~n * Params.phase_len ~n
+      in
+      let ref_levels, ref_rounds =
+        Reference.decay_bfs ~max_rounds ~engine:Engine.Dense ~rng:(rng seed)
+          ~graph:g ~sources ()
+      in
+      List.iter
+        (fun engine ->
+          let r =
+            Layering.decay_bfs ~max_rounds ~engine ~rng:(rng seed) ~graph:g
+              ~sources ()
+          in
+          if r.Layering.levels <> ref_levels || r.Layering.rounds <> ref_rounds
+          then
+            QCheck.Test.fail_reportf "decay_bfs: rounds %d vs reference %d"
+              r.Layering.rounds ref_rounds)
+        [ Engine.Dense; Engine.Sparse; Engine.Sharded 2 ];
+      let w = Layering.collision_wave ~graph:g ~sources () in
+      let ref_levels, ref_rounds =
+        Reference.collision_wave ~graph:g ~sources ()
+      in
+      if w.Layering.levels <> ref_levels || w.Layering.rounds <> ref_rounds then
+        QCheck.Test.fail_reportf "collision_wave: rounds %d vs reference %d"
+          w.Layering.rounds ref_rounds;
+      (* The estimator requires a connected graph. *)
+      let source = sources.(0) in
+      if Array.for_all (fun l -> l >= 0) (Bfs.levels g ~src:source) then begin
+        let r = Diameter_estimate.run ~graph:g ~source () in
+        let got =
+          ( r.Diameter_estimate.estimate,
+            r.Diameter_estimate.rounds,
+            r.Diameter_estimate.levels )
+        in
+        if Some got <> Reference.estimate ~graph:g ~source then
+          QCheck.Test.fail_report "Diameter_estimate.run differs from reference"
+      end;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Distributed GST construction (Theorem 2.1) *)
 
@@ -393,6 +629,16 @@ let test_handoff_single () =
   let r =
     Rings.handoff_single ~rng:(rng 3) ~graph:g ~holders:[| 2 |]
       ~receivers:[| 3 |] ()
+  in
+  Alcotest.(check bool) "delivered" true r.Rings.delivered
+
+let test_handoff_repeated_receiver () =
+  (* A receiver listed twice is one receiver: hearing the message once
+     satisfies it. *)
+  let g = Topo.path 6 in
+  let r =
+    Rings.handoff_single ~rng:(rng 3) ~graph:g ~holders:[| 2 |]
+      ~receivers:[| 3; 3 |] ()
   in
   Alcotest.(check bool) "delivered" true r.Rings.delivered
 
@@ -817,6 +1063,7 @@ let qcheck_tests =
   let open QCheck in
   [
     ring_by_ring_matches_eager;
+    layering_matches_reference;
     Test.make ~name:"decay broadcast always delivers" ~count:60 arb_graph
       (fun spec ->
         let g = graph_of spec in
@@ -896,6 +1143,7 @@ let () =
           Alcotest.test_case "collision wave diamond" `Quick test_collision_wave_needs_cd;
           Alcotest.test_case "decay BFS" `Quick test_decay_bfs_levels;
           Alcotest.test_case "decay BFS multi-source" `Quick test_decay_bfs_multi_source;
+          Alcotest.test_case "duplicate sources" `Quick test_layering_duplicate_sources;
         ] );
       ( "gst_distributed",
         [
@@ -922,6 +1170,7 @@ let () =
           Alcotest.test_case "decompose" `Quick test_rings_decompose;
           Alcotest.test_case "charged rounds" `Quick test_rings_charged_rounds;
           Alcotest.test_case "single handoff" `Quick test_handoff_single;
+          Alcotest.test_case "repeated receiver" `Quick test_handoff_repeated_receiver;
           Alcotest.test_case "FEC handoff" `Quick test_handoff_fec_batch;
         ] );
       ( "theorems",
