@@ -46,13 +46,20 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
      the callbacks touch is per-node (own RNG stream, own received_round
      cell), which is exactly the lane contract of the sharded engine. *)
   let missing = Atomic.make (n - 1) in
-  let decide ~round ~node =
-    if received_round.(node) >= 0 then begin
-      let r = round mod cycle in
-      let e = if r < truncated then (r mod short) + 1 else r - truncated + 1 in
-      if Rng.coin_pow2 node_rng.(node) e then Engine.Transmit Payload
+  let exponent round =
+    let r = round mod cycle in
+    if r < truncated then (r mod short) + 1 else r - truncated + 1
+  in
+  (* Every informed node draws on the same exponent in a round, so it is
+     computed once per round rather than once per informed node:
+     [round_exp] holds round r's exponent while round r decides, and
+     [after_round] (serial on the coordinator under every engine, between
+     the barriers of a sharded run) advances it. *)
+  let round_exp = ref (exponent 0) in
+  let decide ~round:_ ~node =
+    if received_round.(node) >= 0 then
+      if Rng.coin_pow2 node_rng.(node) !round_exp then Engine.Transmit Payload
       else Engine.Listen
-    end
     else Engine.Listen
   in
   let deliver ~round ~node reception =
@@ -78,21 +85,19 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
      engines — so per-phase aggregation never touches the parallel deliver
      phase.  Round r belongs to phase r/cycle: Lemma 2.2's unit for
      classic Decay, one whole schedule cycle with a diameter. *)
-  let after_round =
+  (match metrics with Some m -> Rn_obs.Phase.enter m 0 | None -> ());
+  let after_round ~round =
+    round_exp := exponent (round + 1);
     match metrics with
-    | None -> None
-    | Some m ->
-        Rn_obs.Phase.enter m 0;
-        Some
-          (fun ~round ->
-            Rn_obs.Phase.enter_of_round m ~len:cycle ~round:(round + 1))
+    | Some m -> Rn_obs.Phase.enter_of_round m ~len:cycle ~round:(round + 1)
+    | None -> ()
   in
   (* No skip hint: an informed node draws its coin every round, so no
      round is statically silent; the sparse win is the elided silence
      deliveries and listener resets.  Decay's deliver ignores Silence,
      satisfying the sparse no-op contract. *)
   let outcome =
-    Drive.run ?engine ~stats ?metrics ?after_round ~graph
+    Drive.run ?engine ~stats ?metrics ~after_round ~graph
       ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds ()
   in
   (match metrics with

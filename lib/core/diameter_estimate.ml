@@ -96,14 +96,14 @@ let run_guess ~graph ~source ~t =
   in
   (level, too_small)
 
-let run ?max_rounds ~graph ~source () =
+(* The reference eccentricity also rejects a disconnected graph before
+   any guess runs; on a connected one a guess [t >= ecc] covers the whole
+   graph and ends the doubling, so [go] stops at the first such guess. *)
+let run ~graph ~source () =
   let n = Graph.n graph in
   if n = 0 then invalid_arg "Diameter_estimate.run: empty graph";
   let eccentricity = Bfs.eccentricity graph source in
-  let max_rounds = match max_rounds with Some m -> m | None -> 16 * (n + 4) in
   let rec go t spent =
-    if spent > max_rounds then
-      failwith "Diameter_estimate: no convergence (disconnected graph?)";
     let levels, too_small = run_guess ~graph ~source ~t in
     let spent = spent + (2 * t) + 2 in
     if too_small then go (2 * t) spent

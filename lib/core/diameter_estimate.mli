@@ -33,8 +33,9 @@ type result = {
   levels : int array;  (** BFS levels learned as a side effect *)
 }
 
-val run :
-  ?max_rounds:int -> graph:Rn_graph.Graph.t -> source:int -> unit -> result
-(** Requires a connected graph and collision detection.
-    @raise Failure if the doubling never converges within [max_rounds]
-    (only possible on a disconnected graph). *)
+val run : graph:Rn_graph.Graph.t -> source:int -> unit -> result
+(** Requires a connected graph and collision detection.  On a connected
+    graph the doubling always stops, at the first guess [T ≥ ecc].
+    @raise Invalid_argument on an empty graph, or on a disconnected one
+    (from the reference {!Rn_graph.Bfs.eccentricity}, before any guess
+    runs). *)

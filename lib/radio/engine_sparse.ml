@@ -17,7 +17,7 @@ open Engine
                  lane's own [lo, hi) sub-slice and sprays only that — so
                  each directed edge out of a transmitter is visited by
                  exactly one lane, and every write (the saturating
-                 per-node reception byte, the first-sprayer [tx_act] slot)
+                 per-node reception byte, the last-writer [tx_src] slot)
                  lands in lane-owned state.  The cost scales with the
                  {e transmitter} set, not the listener set.  Delivery is
                  fused into the same phase: a listener's reception is
@@ -52,11 +52,12 @@ open Engine
    which only the dense scan produces.
 
    Determinism: a listener's reception depends only on the {e set} of
-   transmitting neighbours — the byte saturates, and [tx_act] is read only
-   when exactly one neighbour transmitted, in which case every spray order
-   wrote the same value.  Each lane delivers its listeners in descending
-   decide order, which on one lane without an active set (or with an
-   ascending one) is Engine.run's delivery order; stats and metrics are
+   transmitting neighbours — the byte saturates, and [tx_src] is read only
+   when exactly one neighbour transmitted, in which case that neighbour was
+   its only writer this round, whatever the spray order.  Each lane
+   delivers its listeners in descending decide order, which on one lane
+   without an active set (or with an ascending one) is Engine.run's
+   delivery order; stats and metrics are
    merged in fixed shard order.  The schedule depends only on [domains],
    never on how many pool workers execute the lanes — a busy pool degrades
    to fewer executors (or the calling domain alone) without changing a
@@ -142,10 +143,11 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
      the saturating 0/1/≥2 reception counter into one byte per node: 255 =
      not listening this round, 0 = listening and silent so far, 1 = exactly
      one packet heard, 2 = collided (saturates).  One byte load decides the
-     whole spray step.  [tx_act] holds the first sprayer's packet (only
-     read when the counter is exactly 1). *)
+     whole spray step.  [tx_src] holds the last sprayer's id (only read
+     when the counter is exactly 1, when the last sprayer was the only
+     one); the packet is then [out_act.(tx_src.(v))]. *)
   let st = Bytes.make (max n 1) '\255' in
-  let tx_act = Array.make (max n 1) Sleep in
+  let tx_src = Array.make (max n 1) 0 in
   let active =
     match decide_active with None -> [||] | Some _ -> Array.make (max n 1) 0
   in
@@ -193,8 +195,9 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
      undo walks [ls_stack] when it is sparse and falls back to one fill of
      the owned range once the listener count approaches it (sequential
      memset beats scattered byte stores well before the counts are equal).
-     [tx_act] keeps stale entries: it is only read under a counter this
-     round raised to 1, and the write raising it rewrites [tx_act] first.
+     [tx_src] keeps stale entries: it is only read under a counter this
+     round raised to exactly 1, and the one edge raising it stamped
+     [tx_src] too.
      A stack holds at most one entry per decide call, so neither overflows
      even when a faulty active set repeats ids. *)
   let do_decide lane =
@@ -258,22 +261,21 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
       else lower_bound a mid x
     end
   in
-  (* Spray one transmitter's packet into this lane's slice of its neighbor
-     list: one byte load classifies the listener (255 deaf, 2 saturated —
-     both skip), the first sprayer records the packet.  Recursion, not
-     refs — a ref would allocate per transmitter. *)
-  let rec spray_slice act e b hi =
-    if e < b then begin
+  (* Spray one transmitter's packet into this lane's slice [a, b) of its
+     neighbor list, branch-free: [c + ((c - 2) lsr 62)] adds 1 exactly when
+     [c < 2] (then [c - 2] is negative and the 63-bit int's top bit
+     survives the shift), so a listener's byte moves 0 → 1 → 2 and
+     saturates, and a deaf 255 stays put.  Every edge also stamps [tx_src]
+     unconditionally: a byte that ends the spray at 1 was raised by exactly
+     one transmitter, so the last writer of its [tx_src] slot is the only
+     one. *)
+  let spray_slice t a b =
+    for e = a to b - 1 do
       let v = Array.unsafe_get tgt e in
-      if v < hi then begin
-        let c = Char.code (Bytes.unsafe_get st v) in
-        if c < 2 then begin
-          Bytes.unsafe_set st v (Char.unsafe_chr (c + 1));
-          if c = 0 then Array.unsafe_set tx_act v act
-        end;
-        spray_slice act (e + 1) b hi
-      end
-    end
+      let c = Char.code (Bytes.unsafe_get st v) in
+      Bytes.unsafe_set st v (Char.unsafe_chr (c + ((c - 2) lsr 62)));
+      Array.unsafe_set tx_src v t
+    done
   in
   (* P2: owner-filtered push spray, then fused deliver in descending decide
      order.  Listeners still at 0 heard nobody: their Silence is elided, so
@@ -287,7 +289,8 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
           let t = src.tx_stack.(i) in
           let a = off.(t) and b = off.(t + 1) in
           let a = if lane.lo = 0 then a else lower_bound a b lane.lo in
-          spray_slice (Array.unsafe_get out_act t) a b lane.hi
+          let b = if lane.hi = n then b else lower_bound a b lane.hi in
+          spray_slice t a b
         done
       done;
       for i = lane.n_ls - 1 downto 0 do
@@ -298,7 +301,7 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
           let reception =
             if c = 1 then begin
               lane.deliveries <- lane.deliveries + 1;
-              match Array.unsafe_get tx_act v with
+              match Array.unsafe_get out_act (Array.unsafe_get tx_src v) with
               | Transmit m -> Received m
               | _ -> assert false
             end

@@ -6,11 +6,13 @@
     {!Engine.run}.  Each round has two phases: every lane decides its own
     node range (a contiguous shard, balanced by CSR edge count), then
     sprays each transmitter's packet into the part of its neighbor list
-    that the lane owns — one saturating byte per node records
-    not-listening / silent / one packet / collided — and delivers its
-    listeners in descending decide order.  On one lane that is
-    {!Engine.run}'s order whenever the decide order is ascending (no
-    active set, or an ascending one).  Three structural changes make long,
+    that the lane owns and delivers its listeners in descending decide
+    order.  On one lane that is {!Engine.run}'s order whenever the decide
+    order is ascending (no active set, or an ascending one).  One
+    saturating byte per node records not-listening / silent / one packet /
+    collided, and every sprayed edge stamps the transmitter's id into a
+    per-node slot: when the byte ends at one packet, the last stamp is the
+    only one, and it names the packet.  Three structural changes make long,
     mostly-quiet schedules (the Theorem 1.1 pipeline) cheap:
 
     - {b Active-set decides} (one lane only).  An optional

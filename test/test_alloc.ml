@@ -252,6 +252,31 @@ let test_sparse_busy_budget () =
     true
     (words <= budget)
 
+(* A collision-heavy busy round on one lane: K₆₄ with the even nodes
+   transmitting, so each of the 32 listeners hears 32 packets and
+   collides.  The spray visits 32·63 edges a round and the deliver phase
+   hands out a constant [Collision]; with no [Received] box owed, the
+   round loop must allocate exactly zero words. *)
+let test_sparse_collision_round () =
+  let graph = Gen.complete 64 in
+  let tx = Engine.Transmit 7 in
+  let collisions = ref 0 in
+  let protocol =
+    {
+      Engine.decide =
+        (fun ~round:_ ~node -> if node mod 2 = 0 then tx else Engine.Listen);
+      deliver =
+        (fun ~round:_ ~node:_ -> function
+          | Engine.Collision -> incr collisions
+          | Engine.Received _ | Engine.Silence -> ());
+    }
+  in
+  let words = sparse_round_words ~graph ~protocol ~warmup:16 ~rounds:128 () in
+  Alcotest.(check bool) "every listener collided every round" true
+    (!collisions = 32 * (16 + 128 + 2));
+  Alcotest.(check (float 0.0))
+    "collided listeners allocate zero minor words" 0.0 words
+
 (* d-lane fast engine, per-shard-lane budget: each lane writes Gc.minor_words
    (its executing domain's counter — lane j is pinned to executor j when
    the pool is idle) into its own row of a preallocated matrix at its first
@@ -582,6 +607,8 @@ let () =
             test_sparse_skip_fast_path;
           Alcotest.test_case "busy loop: deliveries only" `Quick
             test_sparse_busy_budget;
+          Alcotest.test_case "collision-heavy K64 round" `Quick
+            test_sparse_collision_round;
         ] );
       ( "sharded",
         [

@@ -170,6 +170,67 @@ let qcheck_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The spray kernel on dense graphs *)
+
+(* Dense G(n, p) graphs, p >= 0.5, so nearly every transmitter's sorted
+   neighbour slice crosses every lane cut, and each round draws its
+   transmit probability from {0.9, 0.5, 0.05}: heavy rounds saturate most
+   listeners, light ones leave many with exactly one transmitting
+   neighbour while sleepers and transmitters (deaf) are still sprayed by
+   many.  A lane that sprayed past its [hi] cut, or a delivery that read
+   the last sprayer's id under a count other than 1, would show in the
+   per-node logs, the stats or the metrics export against [Dense]. *)
+let dense_script ~rng ~n ~rounds =
+  let probs = [| 0.9; 0.5; 0.05 |] in
+  Array.init rounds (fun r ->
+      let q = probs.(Rng.int rng (Array.length probs)) in
+      Array.init n (fun v ->
+          if Rng.bernoulli rng q then Engine.Transmit ((r * 10_000) + v)
+          else if Rng.int rng 4 = 0 then Engine.Sleep
+          else Engine.Listen))
+
+let export_fingerprint m =
+  String.concat "\n"
+    (Rn_obs.Export.round_jsonl m
+    @ Rn_obs.Export.phases_jsonl m
+    @ [ Rn_obs.Export.summary_json m ])
+
+let observe_kernel ~engine ~graph ~detection ~script =
+  let rounds = Array.length script in
+  let metrics = Rn_obs.Metrics.create ~ring:(rounds + 1) () in
+  let obs =
+    observing ~n:(Graph.n graph) ~script (fun ~stats ~after_round ~protocol ->
+        Drive.run ~engine ~stats ~metrics ~after_round ~graph ~detection
+          ~protocol
+          ~stop:(fun ~round:_ -> false)
+          ~max_rounds:rounds ())
+  in
+  (obs, export_fingerprint metrics)
+
+let arb_dense =
+  QCheck.make
+    ~print:(fun (n, pct, rounds, seed, cd) ->
+      Printf.sprintf "(n=%d,p=0.%02d,rounds=%d,seed=%d,cd=%b)" n pct rounds
+        seed cd)
+    QCheck.Gen.(
+      tup5 (int_range 8 64) (int_range 50 95) (int_range 1 10)
+        (int_range 0 100_000) bool)
+
+let kernel_test =
+  QCheck.Test.make ~name:"dense spray: sparse and sharded 2/3/4 ≡ dense"
+    ~count:120 arb_dense (fun (n, pct, rounds, seed, cd) ->
+      let rng = Rng.create ~seed in
+      let graph = Topo.gnp ~rng ~n ~p:(float_of_int pct /. 100.) in
+      let script = dense_script ~rng ~n ~rounds in
+      let detection = detection_of cd in
+      let a, ea = observe_kernel ~engine:Engine.Dense ~graph ~detection ~script in
+      List.for_all
+        (fun engine ->
+          let b, eb = observe_kernel ~engine ~graph ~detection ~script in
+          same_observation a b && String.equal ea eb)
+        [ Engine.Sparse; Engine.Sharded 2; Engine.Sharded 3; Engine.Sharded 4 ])
+
+(* ------------------------------------------------------------------ *)
 (* Degenerate shards, unit-style *)
 
 let listen_all_script rounds n =
@@ -339,4 +400,5 @@ let () =
         [ Alcotest.test_case "serial ≡ sharded" `Quick test_decay_integration ]
       );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("spray kernel", [ QCheck_alcotest.to_alcotest kernel_test ]);
     ]

@@ -50,6 +50,18 @@ let test_diameter_estimate_power_of_two_boundary () =
   (* ecc exactly a power of two and one above/below it. *)
   List.iter (fun n -> check_estimate (Topo.path n)) [ 8; 9; 16; 17; 33 ]
 
+let test_diameter_estimate_disconnected () =
+  (* Two components, 0–1–2 and 3–4: rejected up front from either side,
+     before any guess runs. *)
+  let g = Graph.create ~n:5 ~edges:[ (0, 1); (1, 2); (3, 4) ] in
+  List.iter
+    (fun source ->
+      Alcotest.check_raises
+        (Printf.sprintf "source %d" source)
+        (Invalid_argument "Bfs.eccentricity: disconnected graph")
+        (fun () -> ignore (Diameter_estimate.run ~graph:g ~source ())))
+    [ 0; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Strict mode: fixed budgets, no adaptive early exit *)
 
@@ -450,6 +462,8 @@ let () =
           Alcotest.test_case "random graphs" `Quick test_diameter_estimate_random;
           Alcotest.test_case "power-of-two boundaries" `Quick
             test_diameter_estimate_power_of_two_boundary;
+          Alcotest.test_case "disconnected graph" `Quick
+            test_diameter_estimate_disconnected;
         ] );
       ( "strict_mode",
         [
