@@ -400,5 +400,5 @@ let () =
         [ Alcotest.test_case "serial ≡ sharded" `Quick test_decay_integration ]
       );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
-      ("spray kernel", [ QCheck_alcotest.to_alcotest kernel_test ]);
+      ("kernel", [ QCheck_alcotest.to_alcotest kernel_test ]);
     ]
