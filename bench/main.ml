@@ -91,7 +91,7 @@ let per_config configs seeds f k =
     configs
 
 let pmap_seeds seeds f =
-  Rn_radio.Runner.map_seeds ?domains:(Atomic.get domains) ~seeds f
+  Rn_radio.Runner.map ?domains:(Atomic.get domains) (fun seed -> f ~seed) seeds
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Theorem 1.1: single-message broadcast, rounds vs D and vs n     *)

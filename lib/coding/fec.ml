@@ -6,9 +6,3 @@ let encode rng ~msgs ~count =
     if Bitvec.is_zero c && k > 0 then nonzero_coeffs () else c
   in
   Array.init count (fun _ -> Rlnc.packet_of_coeffs ~msgs (nonzero_coeffs ()))
-
-let decoder ~k ~msg_len = Rlnc.create ~k ~msg_len
-
-let packets_needed ~k ~whp_slack =
-  if k < 0 || whp_slack < 0 then invalid_arg "Fec.packets_needed";
-  k + whp_slack

@@ -5,19 +5,15 @@
     packets such that any receiver that collects enough of them decodes the
     whole batch.  As the paper notes, this is a degenerate form of network
     coding (no intermediate recombination), so we realize it with random
-    GF(2) combinations: [k' + slack] random packets decode w.h.p.; the
-    [slack] accounts for the ~0.71 probability that a random k'×k' GF(2)
-    matrix is singular. *)
+    GF(2) combinations: [k' + s] random packets decode with probability
+    at least [1 - 2^{-s}] (a random k'×k' GF(2) matrix is singular with
+    probability ~0.71, hence the slack).  Receivers decode with a plain
+    {!Rlnc} buffer ({!Rlnc.create}, {!Rlnc.receive}, {!Rlnc.decode}); the
+    handoff ([Rings.handoff_fec]) keeps sending until every
+    receiver decodes, so no fixed packet count is needed. *)
 
 val encode :
   Rn_util.Rng.t -> msgs:Bitvec.t array -> count:int -> Rlnc.packet array
 (** [count] independent uniformly random combinations of the batch
     (zero rows are re-drawn, so every packet is useful). *)
 
-val decoder : k:int -> msg_len:int -> Rlnc.t
-(** A fresh decoder for a batch; feed it packets with {!Rlnc.receive} and
-    extract with {!Rlnc.decode}. *)
-
-val packets_needed : k:int -> whp_slack:int -> int
-(** [k + whp_slack]; receiving this many random packets decodes with
-    probability ≥ 1 - 2^{-whp_slack}. *)

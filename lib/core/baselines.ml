@@ -11,16 +11,11 @@ type multi_result = {
 
 type routing_msg = Plain of int
 
-let routing_multi ?(params = Params.default) ?max_rounds ~rng ~graph ~source
-    ~k () =
+let routing_multi ?(params = Params.default) ~rng ~graph ~source ~k () =
   let n = Graph.n graph in
   if k < 1 then invalid_arg "Baselines.routing_multi";
   let ladder = Params.phase_len ~n in
-  let max_rounds =
-    match max_rounds with
-    | Some m -> m
-    | None -> params.Params.max_round_factor * (n + k) * ladder * 4
-  in
+  let max_rounds = params.Params.max_round_factor * (n + k) * ladder * 4 in
   let node_rng = Rng.split_n rng n in
   let has = Array.make_matrix n k false in
   let count = Array.make n 0 in

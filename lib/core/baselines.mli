@@ -24,7 +24,6 @@ type multi_result = {
 
 val routing_multi :
   ?params:Params.t ->
-  ?max_rounds:int ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->

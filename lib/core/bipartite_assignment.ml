@@ -633,8 +633,7 @@ type outcome = {
   epoch_history : (int * int) list;
 }
 
-let run_standalone ?(detection = Engine.No_collision_detection) ?engine
-    ?metrics ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
+let run_standalone ?engine ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
   let n = Graph.n graph in
   let parents = Array.make n (-1) in
   let ranks = Array.make n 0 in
@@ -664,17 +663,6 @@ let run_standalone ?(detection = Engine.No_collision_detection) ?engine
     params.Params.max_round_factor
     * Ilog.pow (Ilog.clog (max 2 n)) 5
   in
-  (* Phase = bipartite epoch (Lemma 2.4's shrinkage unit), read off the
-     machine's own counter right after [advance] — coordinator-serial. *)
-  let after_round =
-    match metrics with
-    | None -> fun ~round:_ -> advance t
-    | Some m ->
-        Rn_obs.Phase.enter m 0;
-        fun ~round:_ ->
-          advance t;
-          Rn_obs.Phase.enter m t.epoch
-  in
   (* Only reds and blues ever act (decide falls through both tables to
      Sleep); the awake set is static.  No hint: Waiting never occurs under
      the standalone [ready], and every live stage keeps nodes awake. *)
@@ -684,8 +672,10 @@ let run_standalone ?(detection = Engine.No_collision_detection) ?engine
   ignore
     (Drive.run
        ?engine:(Option.map Drive.serial engine)
-       ?metrics ?decide_active ~graph ~detection ~protocol ~after_round ~stop
-       ~max_rounds ());
+       ?decide_active ~graph ~detection:Engine.No_collision_detection
+       ~protocol
+       ~after_round:(fun ~round:_ -> advance t)
+       ~stop ~max_rounds ());
   {
     rounds = rounds_used t;
     parents;

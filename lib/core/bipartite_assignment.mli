@@ -115,9 +115,7 @@ type outcome = {
 }
 
 val run_standalone :
-  ?detection:Engine.detection ->
   ?engine:Engine.mode ->
-  ?metrics:Rn_obs.Metrics.t ->
   rng:Rng.t ->
   params:Params.t ->
   graph:Rn_graph.Graph.t ->
@@ -128,7 +126,7 @@ val run_standalone :
   outcome
 (** Solve a single level pair on [graph] where [blue_ranks] gives each
     blue's (already final) rank; node ids index [blue_ranks] directly.
-    [metrics], when given, records each round under the phase annotation
-    [epoch] — Lemma 2.4's shrinkage unit (epoch survivor counts themselves
-    are in [epoch_history]).  [engine] (default [Sparse]) runs [Sharded _]
-    as [Sparse], as {!Recruiting.run_standalone} does. *)
+    Runs without collision detection; the per-epoch survivor counts
+    (Lemma 2.4's shrinkage unit) are in [epoch_history].  [engine]
+    (default [Sparse]) runs [Sharded _] as [Sparse], as
+    {!Recruiting.run_standalone} does. *)

@@ -85,11 +85,11 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
      engines — so per-phase aggregation never touches the parallel deliver
      phase.  Round r belongs to phase r/cycle: Lemma 2.2's unit for
      classic Decay, one whole schedule cycle with a diameter. *)
-  (match metrics with Some m -> Rn_obs.Phase.enter m 0 | None -> ());
+  (match metrics with Some m -> Rn_obs.Metrics.set_phase m 0 | None -> ());
   let after_round ~round =
     round_exp := exponent (round + 1);
     match metrics with
-    | Some m -> Rn_obs.Phase.enter_of_round m ~len:cycle ~round:(round + 1)
+    | Some m -> Rn_obs.Metrics.set_phase m ((round + 1) / cycle)
     | None -> ()
   in
   (* No skip hint: an informed node draws its coin every round, so no
@@ -111,16 +111,12 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
       done);
   { outcome; received_round; stats }
 
-let mmv_broadcast ?(params = Params.default) ?(noising = true) ?max_rounds ~rng
-    ~graph ~levels ~source () =
+let mmv_broadcast ?(params = Params.default) ?(noising = true) ~rng ~graph
+    ~levels ~source () =
   let n = Graph.n graph in
   if Array.length levels <> n then invalid_arg "Decay.mmv_broadcast: levels";
   let ladder = Params.phase_len ~n in
-  let max_rounds =
-    match max_rounds with
-    | Some m -> m
-    | None -> params.Params.max_round_factor * 3 * (n + 1) * ladder
-  in
+  let max_rounds = params.Params.max_round_factor * 3 * (n + 1) * ladder in
   let node_rng = Rng.split_n rng n in
   let received_round = Array.make n (-1) in
   received_round.(source) <- 0;

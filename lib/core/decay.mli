@@ -89,7 +89,6 @@ val broadcast :
 val mmv_broadcast :
   ?params:Params.t ->
   ?noising:bool ->
-  ?max_rounds:int ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   levels:int array ->

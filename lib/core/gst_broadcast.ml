@@ -27,8 +27,8 @@ let slow_exponent ~clogn ~level_or_vd ~round =
 type msg = Data of Rlnc.packet
 
 let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
-    ?step_reset ?faults ?max_rounds ?(params = Params.default)
-    ?engine ?metrics ~rng ~gst ~vd ~msgs ~sources () =
+    ?step_reset ?faults ?(params = Params.default) ?engine ?metrics ~rng ~gst
+    ~vd ~msgs ~sources () =
   let graph = gst.Gst.graph in
   let n = Graph.n graph in
   let k = Array.length msgs in
@@ -37,12 +37,9 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
   let clogn = Ilog.clog (max 2 n) in
   let depth = Bfs.max_level gst.Gst.levels in
   let max_rounds =
-    match max_rounds with
-    | Some m -> m
-    | None ->
-        params.Params.max_round_factor
-        * 6
-        * (depth + (k * clogn) + (2 * clogn * clogn) + (6 * clogn))
+    params.Params.max_round_factor
+    * 6
+    * (depth + (k * clogn) + (2 * clogn * clogn) + (6 * clogn))
   in
   let in_forest v = Gst.in_forest gst v in
   let slow_of v =
@@ -147,10 +144,10 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
     match metrics with
     | None -> after_round
     | Some m ->
-        Rn_obs.Phase.enter m 0;
+        Rn_obs.Metrics.set_phase m 0;
         let epoch_len = 6 * clogn in
         let annotate ~round =
-          Rn_obs.Phase.enter_of_round m ~len:epoch_len ~round:(round + 1)
+          Rn_obs.Metrics.set_phase m ((round + 1) / epoch_len)
         in
         Some
           (match after_round with

@@ -47,7 +47,6 @@ val run :
   ?slow_key:slow_key ->
   ?step_reset:int ->
   ?faults:Faults.spec ->
-  ?max_rounds:int ->
   ?params:Params.t ->
   ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->

@@ -193,9 +193,8 @@ let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
   in
   { levels; rounds = Engine.rounds_of_outcome outcome }
 
-let collision_wave ?max_rounds ~graph ~sources () =
+let collision_wave ~graph ~sources () =
   let n = Graph.n graph in
-  let max_rounds = match max_rounds with Some m -> m | None -> n + 1 in
   let levels = Array.make n (-1) in
   let front = wave ~graph ~levels ~sources in
   let labeled = Atomic.make (wave_labeled front) in
@@ -223,6 +222,6 @@ let collision_wave ?max_rounds ~graph ~sources () =
       ~after_round:(fun ~round:_ -> wave_advance front)
       ~decide_active:(fun ~round:_ buf -> wave_awake front buf)
       ~stop:(fun ~round:_ -> Atomic.get labeled = n)
-      ~max_rounds ()
+      ~max_rounds:(n + 1) ()
   in
   { levels; rounds = Engine.rounds_of_outcome outcome }

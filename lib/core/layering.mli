@@ -40,7 +40,6 @@ val decay_bfs :
   result
 
 val collision_wave :
-  ?max_rounds:int ->
   graph:Rn_graph.Graph.t ->
   sources:int array ->
   unit ->

@@ -5,7 +5,6 @@ type t = {
   c_recruit : int;
   c_epochs : int;
   adaptive : bool;
-  whp_slack : int;
   max_round_factor : int;
 }
 
@@ -15,7 +14,6 @@ let default =
     c_recruit = 12;
     c_epochs = 8;
     adaptive = true;
-    whp_slack = 10;
     max_round_factor = 64;
   }
 

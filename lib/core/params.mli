@@ -18,7 +18,10 @@
     a simulation-level device: it only shortens schedules whose remaining
     rounds would be no-ops, so the protocol outcome distribution for the
     achieved goal is unchanged; fixed-budget runs ([adaptive = false])
-    reproduce the paper's exact round structure. *)
+    reproduce the paper's exact round structure.  For the distributed GST
+    construction this is checked, not assumed: from the same stream both
+    settings build the same forest, ranks, overrides and virtual
+    distances (test/test_extras.ml, "oracle exits = fixed budgets"). *)
 
 type t = {
   c_whp : int;
@@ -31,8 +34,6 @@ type t = {
       (** Assignment epochs per rank: [c_epochs · ⌈log n⌉] (paper:
           Θ(log n), §2.2.3). *)
   adaptive : bool;  (** allow early exit of already-achieved phases *)
-  whp_slack : int;
-      (** extra FEC packets / extra decay phases for boundary handoffs *)
   max_round_factor : int;
       (** global simulation budget: [max_round_factor] × the predicted
           asymptotic round count; exceeded budgets are reported as

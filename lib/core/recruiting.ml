@@ -310,8 +310,6 @@ let blue_sees_many t b =
   let s = blue_slot t b in
   if s >= 0 && t.parent.(s) >= 0 then Some t.many.(s) else None
 
-let rounds_used t = t.round
-
 type outcome = {
   recruited : (int * int) list;
   rounds : int;
@@ -319,8 +317,7 @@ type outcome = {
   classes_consistent : bool;
 }
 
-let run_standalone ?(detection = Engine.No_collision_detection) ?engine
-    ?metrics ~rng ~params ~graph ~reds ~blues () =
+let run_standalone ?engine ~rng ~params ~graph ~reds ~blues () =
   let t = create ~rng ~params ~scale_n:(Graph.n graph) ~graph ~reds ~blues () in
   (* rblint:allow R14 internal Lemma-6 driver: a serial building block of the assignment phase, reachable from registered pipelines only through Bipartite_assignment; not a user-facing protocol. *)
   let protocol =
@@ -334,25 +331,14 @@ let run_standalone ?(detection = Engine.No_collision_detection) ?engine
      hint: every slot keeps some population awake (announce coins, claim
      listeners, verdict transmitters). *)
   let decide_active = Drive.static_active ~n:(Graph.n graph) [ reds; blues ] in
-  (* Phase = recruiting iteration (one announce/claim/verdict cycle).
-     [advance] moves [t.round], so the annotation reads the machine's own
-     iteration counter right after advancing — coordinator-serial. *)
-  let after_round =
-    match metrics with
-    | None -> fun ~round:_ -> advance t
-    | Some m ->
-        Rn_obs.Phase.enter m 0;
-        fun ~round:_ ->
-          advance t;
-          Rn_obs.Phase.enter m (iteration t)
-  in
   let stop ~round:_ = finished t in
   let max_rounds = t.total_rounds + 1 in
   let outcome =
     Drive.run
       ?engine:(Option.map Drive.serial engine)
-      ?metrics ?decide_active ~graph ~detection ~protocol ~after_round ~stop
-      ~max_rounds ()
+      ?decide_active ~graph ~detection:Engine.No_collision_detection ~protocol
+      ~after_round:(fun ~round:_ -> advance t)
+      ~stop ~max_rounds ()
   in
   let rounds = Engine.rounds_of_outcome outcome in
   let recruited =

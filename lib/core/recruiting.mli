@@ -102,8 +102,6 @@ val blue_sees_many : t -> int -> bool option
     ([Some true] = many, [Some false] = only child); [None] if not
     recruited. *)
 
-val rounds_used : t -> int
-
 (** {1 Standalone run} *)
 
 type outcome = {
@@ -114,9 +112,7 @@ type outcome = {
 }
 
 val run_standalone :
-  ?detection:Engine.detection ->
   ?engine:Engine.mode ->
-  ?metrics:Rn_obs.Metrics.t ->
   rng:Rng.t ->
   params:Params.t ->
   graph:Rn_graph.Graph.t ->
@@ -125,8 +121,6 @@ val run_standalone :
   unit ->
   outcome
 (** Run recruiting alone on [graph] (e.g. a random bipartite graph) until
-    [finished]; used by experiment E3 and the test-suite.  [metrics], when
-    given, records each round under the phase annotation [iteration t] —
-    one announce/claim/verdict cycle per phase.  [engine] (default
-    [Sparse]) runs [Sharded _] as [Sparse]: [deliver] writes across nodes
-    ({!Rn_radio.Drive.serial}). *)
+    [finished], without collision detection; used by experiment E3 and the
+    test-suite.  [engine] (default [Sparse]) runs [Sharded _] as [Sparse]:
+    [deliver] writes across nodes ({!Rn_radio.Drive.serial}). *)

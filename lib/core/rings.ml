@@ -113,7 +113,7 @@ let handoff_fec ?(params = Params.default) ?engine ~rng ~graph ~holders
   let k = Array.length msgs in
   if k = 0 then invalid_arg "Rings.handoff_fec: empty batch";
   let msg_len = Bitvec.length msgs.(0) in
-  if Array.length holders = 0 then ({ rounds = 0; delivered = false }, None)
+  if Array.length holders = 0 then ({ rounds = 0; delivered = false }, false)
   else begin
     let n = Graph.n graph in
     let fec_rng = Rng.split_n rng n in
@@ -133,9 +133,13 @@ let handoff_fec ?(params = Params.default) ?engine ~rng ~graph ~holders
         ~satisfied:(fun v -> Rlnc.can_decode decoders.(v))
         ()
     in
-    let decoded =
-      if Array.length receivers = 0 then Some (Array.map Bitvec.copy msgs)
-      else Rlnc.decode decoders.(receivers.(0))
+    let decoded_ok =
+      Array.for_all
+        (fun v ->
+          match Rlnc.decode decoders.(v) with
+          | Some out -> Array.for_all2 Bitvec.equal out msgs
+          | None -> false)
+        receivers
     in
-    (result, decoded)
+    (result, decoded_ok)
   end

@@ -68,8 +68,8 @@ val handoff_fec :
   receivers:int array ->
   msgs:Bitvec.t array ->
   unit ->
-  handoff_result * Bitvec.t array option
+  handoff_result * bool
 (** A batch of [k′] messages crosses a boundary: holders transmit fresh
-    random FEC combinations through Decay until every receiver decodes;
-    returns the decoded batch of the first receiver (equal to [msgs] on
-    success). *)
+    random FEC combinations through Decay until every receiver decodes.
+    The [bool] is true iff every receiver decoded exactly [msgs] (true for
+    no receivers, false for no holders). *)

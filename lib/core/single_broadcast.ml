@@ -100,11 +100,12 @@ let run ?rings ?(params = Params.default) ?estimate_diameter ?engine ~rng
         in
         rounds_broadcast := !rounds_broadcast + b.Gst_broadcast.rounds;
         (match b.Gst_broadcast.outcome with
-        | Rn_radio.Engine.Completed _ ->
+        | Rn_radio.Engine.Completed _ when b.Gst_broadcast.payloads_ok ->
             Array.iteri
               (fun v dr -> if dr >= 0 then received.(v) <- true)
               b.Gst_broadcast.decode_round
-        | Rn_radio.Engine.Out_of_budget _ -> ok := false);
+        | Rn_radio.Engine.Completed _ | Rn_radio.Engine.Out_of_budget _ ->
+            ok := false);
         if !ok && j + 1 < count then begin
           let holders = Rings.outer_boundary rings_t j in
           let receivers = Rings.roots rings_t (j + 1) in

@@ -93,7 +93,10 @@ val run :
   unit ->
   result
 (** Requires a connected graph; every node must end up with the message
-    ([delivered] reports it, and [received] the per-node outcome).
+    ([delivered] reports it, and [received] the per-node outcome).  An
+    in-ring spread that completes with a wrong decoded payload
+    ({!Gst_broadcast.result}'s [payloads_ok] false) fails the run like one
+    that runs out of budget.
 
     [engine] (default [Sparse]) selects the round path for every phase of
     the pipeline — construction, in-ring GST broadcasts and boundary

@@ -248,5 +248,3 @@ let shard_cuts t ~parts =
     cuts.(k) <- !lo
   done;
   cuts
-
-let pp fmt t = Format.fprintf fmt "graph(n=%d, m=%d)" (n t) t.m

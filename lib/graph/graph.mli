@@ -95,6 +95,3 @@ val induced_bipartite : t -> left:int array -> right:int array -> t * int array
     ignored, as in §2.2.2).  Returns the new graph — nodes of [left] come
     first, then [right] — and the mapping from new ids back to ids in
     [g]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary ["graph(n=…, m=…)"], for logs and test failures. *)

@@ -36,7 +36,11 @@ val reset : t -> unit
 val set_phase : t -> int -> unit
 (** [set_phase t p] makes [p] the phase that subsequent
     {!record_round}/[...] calls attribute to.  Out-of-range ids clamp
-    (never raises — this runs mid-round).  Prefer {!Phase.enter}. *)
+    (never raises — this runs mid-round).  Protocols mark phase boundaries
+    (Decay phase index, GST epoch) only from coordinator-serial code —
+    [after_round] hooks or between runs, never [decide]/[deliver], which
+    run inside parallel lanes under [Sharded d] and would break the
+    byte-identity contract. *)
 
 val record_round :
   t -> round:int -> transmissions:int -> deliveries:int -> collisions:int ->

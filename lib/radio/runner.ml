@@ -228,6 +228,3 @@ let map_array ?domains f items =
 
 let map ?domains f items =
   Array.to_list (map_array ?domains f (Array.of_list items))
-
-let map_seeds ?domains ~seeds f =
-  map ?domains (fun seed -> f ~seed) seeds

@@ -33,10 +33,6 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List-interface wrapper over {!map_array}: same lanes, same
     determinism contract, results in input order. *)
 
-val map_seeds : ?domains:int -> seeds:int list -> (seed:int -> 'a) -> 'a list
-(** [map_seeds ~seeds f] is [map] over a seed list — the shape of every
-    per-seed trial loop in [bench/main.ml]. *)
-
 (** The process-wide pool of reusable worker domains behind [map] and
     the lanes of {!Engine_sparse.run}.
 

@@ -254,7 +254,7 @@ let qcheck_tests =
         in
         same_modulo_frontier ~oracle:a b);
     (* The parallel runner must be bit-identical to a serial map. *)
-    Test.make ~name:"Runner.map_seeds ≡ serial map" ~count:50
+    Test.make ~name:"Runner.map ≡ serial map" ~count:50
       (pair (int_range 1 20) (int_range 0 10_000))
       (fun (k, seed0) ->
         let seeds = List.init k (fun i -> seed0 + i) in
@@ -274,8 +274,8 @@ let qcheck_tests =
           (outcome, !log, stats)
         in
         let serial = List.map (fun seed -> trial ~seed) seeds in
-        let par2 = Runner.map_seeds ~domains:2 ~seeds trial in
-        let par4 = Runner.map_seeds ~domains:4 ~seeds trial in
+        let par2 = Runner.map ~domains:2 (fun seed -> trial ~seed) seeds in
+        let par4 = Runner.map ~domains:4 (fun seed -> trial ~seed) seeds in
         serial = par2 && serial = par4);
   ]
 

@@ -436,21 +436,66 @@ let qcheck_tests =
         let r = Rng.create ~seed in
         let g = Topo.star 6 in
         let msgs = Multi_broadcast.random_messages r ~k ~msg_len:16 in
-        let res, decoded =
+        let res, decoded_ok =
           Rings.handoff_fec ~rng:r ~graph:g ~holders:[| 0 |]
             ~receivers:[| 1; 2; 3; 4; 5 |] ~msgs ()
         in
-        res.Rings.delivered
-        &&
-        match decoded with
-        | Some out -> Array.for_all2 Bitvec.equal out msgs
-        | None -> false);
+        res.Rings.delivered && decoded_ok);
     Test.make ~name:"thm 1.2 delivers for random (graph, k)" ~count:20
       (triple (int_range 2 40) (int_range 1 6) (int_range 0 5000))
       (fun (n, k, seed) ->
         let g = Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra:n in
         let r = Multi_broadcast.known ~rng:(Rng.create ~seed:(seed + 1)) ~graph:g ~source:0 ~k () in
         r.Multi_broadcast.delivered && r.Multi_broadcast.payloads_ok);
+    (* Params.adaptive only cuts schedules whose remaining rounds would be
+       no-ops, so an oracle-exit build and a fixed-budget build from the
+       same stream give the same forest in every mode. *)
+    Test.make ~name:"oracle exits = fixed budgets" ~count:12
+      (pair (int_range 2 24) (int_range 0 5000))
+      (fun (n, seed) ->
+        let g = Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra:n in
+        let build ~mode ~layering ~detection params =
+          Gst_distributed.construct ~mode ~layering ~detection ~learn_vd:true
+            ~params ~rng:(Rng.create ~seed:(seed + 1)) ~graph:g ~roots:[| 0 |]
+            ()
+        in
+        List.for_all
+          (fun (mode, layering, detection) ->
+            let a = build ~mode ~layering ~detection Params.default in
+            let b = build ~mode ~layering ~detection strict_params in
+            let ga = a.Gst_distributed.gst and gb = b.Gst_distributed.gst in
+            ga.Gst.parents = gb.Gst.parents
+            && ga.Gst.ranks = gb.Gst.ranks
+            && ga.Gst.levels = gb.Gst.levels
+            && ga.Gst.head_override = gb.Gst.head_override
+            && a.Gst_distributed.vd = b.Gst_distributed.vd
+            && a.Gst_distributed.parent_rank = b.Gst_distributed.parent_rank)
+          Gst_distributed.
+            [
+              (Sequential, Decay_layering, Rn_radio.Engine.No_collision_detection);
+              (Pipelined, Decay_layering, Rn_radio.Engine.No_collision_detection);
+              (Sequential, Collision_wave_layering, Rn_radio.Engine.Collision_detection);
+              (Pipelined, Collision_wave_layering, Rn_radio.Engine.Collision_detection);
+            ]);
+    (* Theorem 1.3 with no dissemination budget: every ring is built before
+       the first spread, which then runs out at once. *)
+    Test.make ~name:"thm 1.3 exhausted budget" ~count:12
+      (triple (int_range 1 12) (int_range 1 4) (int_range 0 1000))
+      (fun (depth, width, seed) ->
+        let graph = Topo.layered_random ~rng:(rng seed) ~depth ~width ~p:0.3 in
+        let run params =
+          Multi_broadcast.unknown ~params ~rng:(rng (seed + 1)) ~graph ~source:0
+            ~k:3 ()
+        in
+        let full = run Params.default in
+        let r = run { Params.default with Params.max_round_factor = 0 } in
+        (not r.Multi_broadcast.delivered)
+        && r.Multi_broadcast.rounds_dissemination = 0
+        && r.Multi_broadcast.rounds_total
+           = r.Multi_broadcast.rounds_layering
+             + r.Multi_broadcast.rounds_construction
+        && r.Multi_broadcast.rounds_construction
+           = full.Multi_broadcast.rounds_construction);
   ]
 
 let () =

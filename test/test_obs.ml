@@ -37,12 +37,12 @@ let test_create_validation () =
 let test_totals_and_phases () =
   let m = M.create ~phases:3 () in
   M.record_round m ~round:0 ~transmissions:4 ~deliveries:2 ~collisions:1;
-  Rn_obs.Phase.enter m 1;
+  M.set_phase m 1;
   M.record_round m ~round:1 ~transmissions:3 ~deliveries:1 ~collisions:0;
   M.record_round m ~round:2 ~transmissions:5 ~deliveries:0 ~collisions:2;
   (* phase ids at/beyond [phases] clamp into the last bin *)
-  Rn_obs.Phase.enter m 99;
-  Alcotest.(check int) "clamped phase" 2 (Rn_obs.Phase.current m);
+  M.set_phase m 99;
+  Alcotest.(check int) "clamped phase" 2 (M.current_phase m);
   M.record_round m ~round:3 ~transmissions:1 ~deliveries:1 ~collisions:0;
   Alcotest.(check int) "rounds" 4 (M.rounds m);
   Alcotest.(check int) "tx" 13 (M.transmissions m);
@@ -89,7 +89,7 @@ let test_histogram () =
 
 let test_reset () =
   let m = M.create ~phases:4 ~ring:8 () in
-  Rn_obs.Phase.enter m 2;
+  M.set_phase m 2;
   M.record_round m ~round:0 ~transmissions:1 ~deliveries:1 ~collisions:1;
   M.observe_receive_round m 3;
   M.reset m;
@@ -106,7 +106,7 @@ let test_reset () =
 let test_export_formats () =
   let m = M.create ~phases:4 ~ring:8 ~hist_bins:8 ~hist_width:2 () in
   M.record_round m ~round:0 ~transmissions:3 ~deliveries:1 ~collisions:0;
-  Rn_obs.Phase.enter m 1;
+  M.set_phase m 1;
   M.record_round m ~round:1 ~transmissions:2 ~deliveries:2 ~collisions:1;
   M.record_receive_rounds m [| 1; 2; 5 |];
   Alcotest.(check (list string)) "round jsonl"

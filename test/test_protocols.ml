@@ -289,9 +289,8 @@ module Reference = struct
     in
     (levels, Engine.rounds_of_outcome outcome)
 
-  let collision_wave ?max_rounds ~graph ~sources () =
+  let collision_wave ~graph ~sources () =
     let n = Graph.n graph in
-    let max_rounds = match max_rounds with Some m -> m | None -> n + 1 in
     let levels = Array.make n (-1) in
     Array.iter (fun s -> levels.(s) <- 0) sources;
     let labeled = Atomic.make (Array.length sources) in
@@ -314,7 +313,7 @@ module Reference = struct
       Drive.run ~graph ~detection:Engine.Collision_detection
         ~protocol:{ Engine.decide; deliver }
         ~stop:(fun ~round:_ -> Atomic.get labeled = n)
-        ~max_rounds ()
+        ~max_rounds:(n + 1) ()
     in
     (levels, Engine.rounds_of_outcome outcome)
 
@@ -649,16 +648,12 @@ let test_handoff_fec_batch () =
   in
   let g = Graph.create ~n:7 ~edges in
   let msgs = Multi_broadcast.random_messages (rng 4) ~k:5 ~msg_len:24 in
-  let r, decoded =
+  let r, decoded_ok =
     Rings.handoff_fec ~rng:(rng 5) ~graph:g ~holders:[| 0; 1; 2 |]
       ~receivers:[| 3; 4; 5; 6 |] ~msgs ()
   in
   Alcotest.(check bool) "delivered" true r.Rings.delivered;
-  match decoded with
-  | Some out ->
-      Alcotest.(check bool) "batch intact" true
-        (Array.for_all2 Rn_coding.Bitvec.equal out msgs)
-  | None -> Alcotest.fail "no decode"
+  Alcotest.(check bool) "batch intact" true decoded_ok
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end theorems *)
@@ -990,7 +985,7 @@ let eager_single_broadcast ~rings ~params ~seed ~graph =
             ~msgs:msg ~sources:roots ()
         in
         rounds_broadcast := !rounds_broadcast + b.Gst_broadcast.rounds;
-        if completed b.Gst_broadcast.outcome then
+        if completed b.Gst_broadcast.outcome && b.Gst_broadcast.payloads_ok then
           Array.iteri
             (fun v dr -> if dr >= 0 then received.(v) <- true)
             b.Gst_broadcast.decode_round

@@ -42,9 +42,9 @@ let test_single_item_many_domains () =
   let out = Runner.map ~domains:16 string_of_int [ 42 ] in
   Alcotest.(check (list string)) "singleton" [ "42" ] out
 
-let test_map_seeds_order () =
+let test_map_seed_order () =
   let out =
-    Runner.map_seeds ~domains:3 ~seeds:[ 5; 1; 9; 2 ] (fun ~seed -> seed * 10)
+    Runner.map ~domains:3 (fun seed -> seed * 10) [ 5; 1; 9; 2 ]
   in
   Alcotest.(check (list int)) "seed order preserved" [ 50; 10; 90; 20 ] out
 
@@ -134,10 +134,10 @@ let test_concurrent_tally_protocol_ensemble () =
     r.Single_broadcast.rounds_total
   in
   let before = Engine.total_simulated_rounds () in
-  let serial = Runner.map_seeds ~domains:1 ~seeds trial in
+  let serial = Runner.map ~domains:1 (fun seed -> trial ~seed) seeds in
   let serial_delta = Engine.total_simulated_rounds () - before in
   let before = Engine.total_simulated_rounds () in
-  let par = Runner.map_seeds ~domains:6 ~seeds trial in
+  let par = Runner.map ~domains:6 (fun seed -> trial ~seed) seeds in
   let par_delta = Engine.total_simulated_rounds () - before in
   Alcotest.(check (list int)) "trial results bit-identical" serial par;
   Alcotest.(check int) "tally delta identical under parallel fan-out"
@@ -285,7 +285,7 @@ let () =
             test_domains_zero_clamps;
           Alcotest.test_case "empty items" `Quick test_empty_items;
           Alcotest.test_case "single item" `Quick test_single_item_many_domains;
-          Alcotest.test_case "map_seeds order" `Quick test_map_seeds_order;
+          Alcotest.test_case "map seed order" `Quick test_map_seed_order;
           QCheck_alcotest.to_alcotest qcheck_bit_identity;
         ] );
       ( "round tally",
