@@ -107,9 +107,12 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
     match reception with
     | Engine.Received (Data p) ->
         if round mod 2 = 0 then last_fast.(node) <- Some (round, p);
-        if not (Bitvec.is_zero p.Rlnc.coeffs) then begin
+        (* A node that decodes holds a full-rank basis, which reduces any
+           packet to zero: receiving would change nothing. *)
+        if decode_round.(node) < 0 && not (Bitvec.is_zero p.Rlnc.coeffs)
+        then begin
           ignore (Rlnc.receive buf.(node) p);
-          if decode_round.(node) < 0 && Rlnc.can_decode buf.(node) then begin
+          if Rlnc.can_decode buf.(node) then begin
             decode_round.(node) <- round;
             Atomic.decr missing
           end
@@ -165,64 +168,76 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
         Faults.with_jammers ~rng:(Rng.split rng) ~jammers ~p
           ~noise:(Data (empty_packet ())) protocol
   in
-  (* Nodes outside the forest sleep in every round (and a jammer overrides
-     its decide even off-forest), so the awake set is static: hand it to the
-     engine once and skip the O(n) decide scan.  Ids ascend, matching the
-     default scan's call order exactly. *)
-  let decide_active =
-    Drive.static_active ~n
-      [
-        Array.of_seq (Seq.filter in_forest (Seq.init n Fun.id));
-        (match faults with Some { Faults.jammers; _ } -> jammers | None -> [||]);
-      ]
-  in
-  (* Skip hint: both transmission schedules are residue classes of static
-     node attributes — a fast slot occupies the even residue
-     [2·(level + 3·rank) mod 6·clogn], a slow slot the odd residues
-     [(1 + 2·slow_of v) mod 6] — so "some forest node is in slot" is a
-     presence bitmap over residues mod [6·clogn] (the lcm of the two
-     periods).  A round whose residue is unoccupied sees every forest node
-     return [Listen] without touching its RNG stream, so fast-forwarding
-     it is observationally identical to simulating it.  Occupied residues
-     must be simulated even if no transmission results (decide draws coins
-     there).  Jammers transmit in arbitrary rounds, so fault injection
-     disables the hint. *)
-  let next_busy_round =
+  (* The awake set.  Nodes outside the forest sleep in every round, and a
+     forest node acts only in its slots: the even residue
+     [2·(level + 3·rank) mod 6·clogn] of its fast slot and the odd
+     residue [(1 + 2·slow_of v) mod 6] of its slow slot.  In every other
+     round its decide is a side-effect-free [Listen], so the forest is
+     passive and each round decides only its slot bucket (ids ascending);
+     the engine wakes a passive node as a listener when a neighbour
+     transmits.
+
+     Skip hint: a round whose residue mod [6·clogn] (the lcm of the two
+     slot periods) has an empty bucket sees every forest node return
+     [Listen] without touching its RNG stream, so fast-forwarding it is
+     observationally identical to simulating it.  Occupied residues must
+     be simulated even if no transmission results (decide draws coins
+     there).
+
+     Jammers transmit in arbitrary rounds (and override their decide even
+     off-forest), so fault injection keeps the static set of forest plus
+     jammers, all deciding every round, and disables the hint. *)
+  let decide_active, passive, next_busy_round =
     match faults with
-    | Some _ -> None
+    | Some { Faults.jammers; _ } ->
+        ( Drive.static_active ~n
+            [ Array.of_seq (Seq.filter in_forest (Seq.init n Fun.id)); jammers ],
+          None,
+          None )
     | None ->
         let period = 6 * clogn in
-        let busy = Array.make period false in
-        Array.iteri
-          (fun v l ->
-            if l >= 0 then begin
-              let r = gst.Gst.ranks.(v) in
-              busy.(emod (2 * (l + (3 * r))) period) <- true;
-              let sr = emod (1 + (2 * slow_of v)) 6 in
-              let i = ref sr in
-              while !i < period do
-                busy.(!i) <- true;
-                i := !i + 6
-              done
-            end)
-          gst.Gst.levels;
-        if not (Array.exists Fun.id busy) then None
-        else begin
-          let delta = Array.make period 0 in
-          let next = ref (2 * period) in
-          for i = (2 * period) - 1 downto 0 do
-            if busy.(i mod period) then next := i;
-            if i < period then delta.(i) <- !next - i
-          done;
-          Some (fun ~round -> round + delta.(round mod period))
-        end
+        let keyed f =
+          Bfs.by_level
+            (Array.mapi
+               (fun v l -> if l >= 0 then f v l else -1)
+               gst.Gst.levels)
+        in
+        let fast =
+          keyed (fun v l -> emod (2 * (l + (3 * gst.Gst.ranks.(v)))) period)
+        and slow = keyed (fun v _ -> emod (1 + (2 * slow_of v)) 6) in
+        let bucket round =
+          let b, i =
+            if round mod 2 = 0 then (fast, round mod period)
+            else (slow, round mod 6)
+          in
+          if i < Array.length b then b.(i) else [||]
+        in
+        let decide_active ~round buf =
+          let b = bucket round in
+          Array.blit b 0 buf 0 (Array.length b);
+          Array.length b
+        in
+        let busy i = Array.length (bucket i) > 0 in
+        let next_busy_round =
+          if not (Seq.exists busy (Seq.init period Fun.id)) then None
+          else begin
+            let delta = Array.make period 0 in
+            let next = ref (2 * period) in
+            for i = (2 * period) - 1 downto 0 do
+              if busy (i mod period) then next := i;
+              if i < period then delta.(i) <- !next - i
+            done;
+            Some (fun ~round -> round + delta.(round mod period))
+          end
+        in
+        (Some decide_active, Some (Array.init n in_forest), next_busy_round)
   in
   let stats = Engine.fresh_stats () in
   let stop ~round:_ = Atomic.get missing = 0 in
   let outcome =
-    Drive.run ?engine ?metrics ?after_round ?decide_active ?next_busy_round
-      ~stats ~graph ~detection:Engine.No_collision_detection ~protocol ~stop
-      ~max_rounds ()
+    Drive.run ?engine ?metrics ?after_round ?decide_active ?passive
+      ?next_busy_round ~stats ~graph ~detection:Engine.No_collision_detection
+      ~protocol ~stop ~max_rounds ()
   in
   let payloads_ok =
     let ok = ref true in

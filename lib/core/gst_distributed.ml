@@ -75,40 +75,37 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
              ~ranks ~parent_rank ~ready:(ready_for l) ())
     done;
     let current = ref depth (* sequential cursor *) in
-    let all_done () =
-      let rec go l = l < 1 || (finished_pair l && go (l - 1)) in
-      go depth
-    in
-    let owner_block ~round ~node =
+    (* The per-round control below runs on every decide, delivery and
+       round, so it allocates nothing: owners are block levels (0 = none,
+       since pairs start at 1) and the scans are closed recursions. *)
+    let rec done_from l = l < 1 || (finished_pair l && done_from (l - 1)) in
+    let owner_level ~round ~node =
       let l = levels.(node) in
-      if l < 0 then None
+      if l < 0 then 0
       else
         match mode with
         | Sequential ->
             let c = !current in
-            if (l = c || l = c - 1) && not (finished_pair c) then Some (block c)
-            else None
+            if (l = c || l = c - 1) && not (finished_pair c) then c else 0
         | Pipelined ->
             let slot = round mod 3 in
             if l >= 1 && l <= depth && l mod 3 = slot && not (finished_pair l)
-            then Some (block l)
+            then l
             else if
               l + 1 >= 1
               && l + 1 <= depth
               && (l + 1) mod 3 = slot
               && not (finished_pair (l + 1))
-            then Some (block (l + 1))
-            else None
+            then l + 1
+            else 0
     in
     let decide ~round ~node =
-      match owner_block ~round ~node with
-      | Some b -> Bipartite_assignment.decide b ~node
-      | None -> Engine.Sleep
+      let l = owner_level ~round ~node in
+      if l = 0 then Engine.Sleep else Bipartite_assignment.decide (block l) ~node
     in
     let deliver ~round ~node reception =
-      match owner_block ~round ~node with
-      | Some b -> Bipartite_assignment.deliver b ~node reception
-      | None -> ()
+      let l = owner_level ~round ~node in
+      if l > 0 then Bipartite_assignment.deliver (block l) ~node reception
     in
     let after_round ~round =
       match mode with
@@ -161,16 +158,12 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
        endgame fast-forward to the last live slot's rounds.  Dormant
        blocks may wake in after_round, so those promises stop at one
        round. *)
-    let slot_live s =
-      let rec go l = l <= depth && ((l mod 3 = s && not (dormant l)) || go (l + 1)) in
-      go (first_of_slot s)
+    let rec live_from l =
+      l <= depth && ((not (dormant l)) || live_from (l + 3))
     in
-    let slot_dead s =
-      let rec go l =
-        l > depth || ((l mod 3 <> s || finished_pair l) && go (l + 1))
-      in
-      go (first_of_slot s)
-    in
+    let rec dead_from l = l > depth || (finished_pair l && dead_from (l + 3)) in
+    let slot_live s = live_from (first_of_slot s) in
+    let slot_dead s = dead_from (first_of_slot s) in
     let next_busy_round ~round =
       match mode with
       | Sequential -> if dormant !current then round + 1 else round
@@ -184,7 +177,7 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
           else round + 3 (* every block finished; stop fires first *)
     in
     let protocol = { Engine.decide; deliver } in
-    let stop ~round:_ = all_done () in
+    let stop ~round:_ = done_from depth in
     (* The blocks run Recruiting's deliver, which writes across nodes:
        never sharded. *)
     let outcome =
@@ -329,20 +322,21 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
      epoch 2 only cascades fresh labels. *)
   let d = ref 0 in
   let iter_cap = (3 * ladder) + n in
-  let run_phase ?decide_active ?next_busy_round ~decide ~deliver ~stop
-      ~max_rounds () =
+  let run_phase ?decide_active ?passive ?next_busy_round ~decide ~deliver
+      ~stop ~max_rounds () =
     let protocol = { Engine.decide; deliver } in
     let outcome =
-      Drive.run ?engine ?decide_active ?next_busy_round ~graph ~detection
-        ~protocol ~stop ~max_rounds ()
+      Drive.run ?engine ?decide_active ?passive ?next_busy_round ~graph
+        ~detection ~protocol ~stop ~max_rounds ()
     in
     total_rounds := !total_rounds + Engine.rounds_of_outcome outcome
   in
   (* Stage-1 sweeps wake only a moving level pair; stage 2 wakes the
-     forest nodes still relevant to the current distance.  Both reuse
-     these buffers, as does every sweep's [sweep_hit]. *)
+     frontier and leaves the unlabeled nodes passive.  Both reuse these
+     buffers, as does every sweep's [sweep_hit]. *)
   let depth_cap = depth + 2 in
   let cand = Array.make (max n 1) 0 in
+  let unlabeled = Array.make n false in
   let sweep_hit = Array.make n false in
   while unlabeled_remain () && !d <= iter_cap do
     let dv = !d in
@@ -455,16 +449,21 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
     let deliver ~round:_ ~node reception =
       match reception with
       | Engine.Received (Cmsg.Vd_label _) when vd.(node) < 0 ->
-          vd.(node) <- dv + 1
+          vd.(node) <- dv + 1;
+          unlabeled.(node) <- false
       | Engine.Received _ | Engine.Silence | Engine.Collision -> ()
     in
-    (* Awake set for the whole relaxation: frontier nodes (vd = dv) and
-       the still-unlabeled (vd < 0).  A node labeled dv+1 mid-phase stays
-       in the buffer but its decide is a side-effect-free Sleep.  No skip
-       hint: frontier nodes draw a coin every round. *)
+    (* Only the frontier (vd = dv) decides: it is static for the whole
+       relaxation.  The still-unlabeled forest nodes only listen, so they
+       are passive and the engine wakes them when a frontier neighbour
+       transmits; a node labeled dv+1 mid-phase leaves the passive set in
+       its own deliver, where its full-scan decide turns to a
+       side-effect-free Sleep.  No skip hint: frontier nodes draw a coin
+       every round. *)
     let n_cand = ref 0 in
     for v = 0 to n - 1 do
-      if in_forest v && (vd.(v) = dv || vd.(v) < 0) then begin
+      unlabeled.(v) <- in_forest v && vd.(v) < 0;
+      if in_forest v && vd.(v) = dv then begin
         cand.(!n_cand) <- v;
         incr n_cand
       end
@@ -474,7 +473,7 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
       Array.blit cand 0 buf 0 stage2_cand;
       stage2_cand
     in
-    run_phase ~decide_active ~decide ~deliver
+    run_phase ~decide_active ~passive:unlabeled ~decide ~deliver
       ~stop:(fun ~round ->
         params.Params.adaptive && round mod ladder = 0 && goal ())
       ~max_rounds:budget ();

@@ -1,14 +1,14 @@
 (* The routing table of drive.mli, in code: only Sparse takes the fast
    paths; Dense runs the full scan, Sharded the d-lane fast engine. *)
 let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
-    ?next_busy_round ?validate ~graph ~detection ~protocol ~stop ~max_rounds
-    () =
+    ?passive ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
+    ~max_rounds () =
   match engine with
   | Engine.Dense ->
       Engine.run ?stats ?metrics ?after_round ~graph ~detection ~protocol ~stop
         ~max_rounds ()
   | Engine.Sparse ->
-      Engine_sparse.run ?stats ?metrics ?after_round ?decide_active
+      Engine_sparse.run ?stats ?metrics ?after_round ?decide_active ?passive
         ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
         ~max_rounds ()
   | Engine.Sharded domains ->

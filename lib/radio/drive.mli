@@ -6,10 +6,10 @@
     protocol fast paths (every other hook reaches every engine unchanged):
 
     {v
-    mode        decide_active  next_busy_round  validate  engine
-    Dense       ignored        ignored          ignored   Engine.run (full-scan oracle)
-    Sparse      used           used             used      Engine_sparse.run ~domains:1
-    Sharded d   ignored        ignored          ignored   Engine_sparse.run ~domains:d
+    mode        decide_active  passive  next_busy_round  validate  engine
+    Dense       ignored        ignored  ignored          ignored   Engine.run (full-scan oracle)
+    Sparse      used           used     used             used      Engine_sparse.run ~domains:1
+    Sharded d   ignored        ignored  ignored          ignored   Engine_sparse.run ~domains:d
     v}
 
     [Dense] is the reference the fast paths are checked against, and
@@ -21,7 +21,9 @@
     hence dropping either never changes a protocol result.  The
     [Listen] case leaves those listeners' deliveries and collisions out
     of [stats]/[metrics], so a caller that forwards either must not use
-    it ({!Engine_sparse.run}).  Tracing
+    it ({!Engine_sparse.run}).  A [passive] node left out of the set
+    must [Listen] without side effects; the engine then wakes it when a
+    neighbour transmits, so the tallies stay the full scan's.  Tracing
     ([on_round]) is not routed: it exists only on {!Engine.run}, which
     tracing callers invoke directly. *)
 
@@ -31,6 +33,7 @@ val run :
   ?metrics:Rn_obs.Metrics.t ->
   ?after_round:(round:int -> unit) ->
   ?decide_active:(round:int -> int array -> int) ->
+  ?passive:bool array ->
   ?next_busy_round:(round:int -> int) ->
   ?validate:bool ->
   graph:Rn_graph.Graph.t ->

@@ -29,7 +29,11 @@ open Engine
       enumerates them through [decide_active]; every other node sleeps
       without a [decide] call, so a round costs O(|active|) decides
       instead of O(n).  Only the one-lane path takes it (lane 0 owns every
-      node there).
+      node there).  With [passive], a flagged node left out of the set
+      listens instead of sleeping: after the decides, a walk over the
+      transmitters' neighbour slices turns each flagged, deaf,
+      non-transmitting neighbour into a listener, so it is delivered to
+      exactly when a [Listen] decide would have heard something.
 
    2. Silence elision.  A listener whose byte is still 0 after the spray
       heard no transmitting neighbour; its [Silence] delivery is elided
@@ -121,12 +125,14 @@ module Barrier = struct
     Mutex.unlock b.lock
 end
 
-let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
+let run ?stats ?metrics ?after_round ?decide_active ?passive ?next_busy_round
     ?(validate = false) ?(domains = 1) ~graph ~detection ~protocol ~stop
     ~max_rounds () =
   if domains < 1 then invalid_arg "Engine_sparse.run: domains must be >= 1";
   if domains > 1 && Option.is_some decide_active then
     invalid_arg "Engine_sparse.run: decide_active needs domains = 1";
+  if Option.is_some passive && Option.is_none decide_active then
+    invalid_arg "Engine_sparse.run: passive needs decide_active";
   let n = Graph.n graph in
   let off = Graph.offsets graph and tgt = Graph.targets graph in
   (* CSR guard, once per run, dominating every unchecked access below:
@@ -150,6 +156,15 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
   let tx_src = Array.make (max n 1) 0 in
   let active =
     match decide_active with None -> [||] | Some _ -> Array.make (max n 1) 0
+  in
+  (* The wake walk reads [passive] unchecked by neighbour id. *)
+  let wake, pas =
+    match passive with
+    | None -> (false, [||])
+    | Some p ->
+        if Array.length p < n then
+          invalid_arg "Engine_sparse.run: passive shorter than the node count";
+        (true, p)
   in
   (* Round-stamped visit marks for the [validate] distinctness check;
      allocated only when the check is on. *)
@@ -188,6 +203,36 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
         lane.tx_stack.(lane.n_tx) <- v;
         lane.n_tx <- lane.n_tx + 1
   in
+  let transmits v =
+    match Array.unsafe_get out_act v with Transmit _ -> true | _ -> false
+  in
+  (* The passive wake walk, after the decides: every passive neighbour of
+     a transmitter that neither listens (its byte is still 255) nor
+     transmits becomes a listener, as if its decide had returned [Listen].
+     A passive node with no transmitting neighbour stays deaf: as a
+     listener it would hear only the elided [Silence].  Woken listeners
+     sit above the decided ones on [ls_stack], so they are delivered
+     first; the undo, the spray and the deliver walk treat them like any
+     other listener.  Neighbour ids are < n by the CSR guard, and [pas]
+     was checked to cover them. *)
+  let wake_passive lane =
+    for i = 0 to lane.n_tx - 1 do
+      let t = lane.tx_stack.(i) in
+      for e = off.(t) to off.(t + 1) - 1 do
+        let v = Array.unsafe_get tgt e in
+        if
+          Bytes.unsafe_get st v = '\255'
+          && Array.unsafe_get pas v
+          && not (transmits v)
+        then begin
+          Bytes.unsafe_set st v '\000';
+          lane.ls_stack.(lane.n_ls) <- v;
+          lane.n_ls <- lane.n_ls + 1
+        end
+      done
+    done
+  [@@zero_alloc_hot]
+  in
   (* P1.  Starts by undoing the previous round's marks — the lane owns
      them all: its transmit writes lie in [lo, hi), and the dirty [st]
      bytes are exactly its previous listeners ([decide_one] marks only
@@ -199,7 +244,9 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
      round raised to exactly 1, and the one edge raising it stamped
      [tx_src] too.
      A stack holds at most one entry per decide call, so neither overflows
-     even when a faulty active set repeats ids. *)
+     even when a faulty active set repeats ids.  The wake walk adds one
+     entry per woken node; with repeated ids its checked push may then
+     raise, and [validate] names the repeat first. *)
   let do_decide lane =
     let round = !cur_round in
     for i = 0 to lane.n_tx - 1 do
@@ -240,8 +287,19 @@ let run ?stats ?metrics ?after_round ?decide_active ?next_busy_round
                    v round);
             seen.(v) <- round
           end;
-          decide_one lane round v
-        done
+          decide_one lane round v;
+          if
+            validate && wake && pas.(v)
+            && Bytes.get st v = '\255'
+            && not (transmits v)
+          then
+            invalid_arg
+              (Printf.sprintf
+                 "Engine_sparse.run: passive node %d slept in round %d (a \
+                  passive node in the active set must listen or transmit)"
+                 v round)
+        done;
+        if wake then wake_passive lane
   [@@zero_alloc_hot]
   in
   (* Quiet-round test: every lane's transmit count is readable in P2

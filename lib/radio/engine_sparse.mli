@@ -19,7 +19,10 @@
       [decide_active] lets the protocol enumerate the round's awake nodes;
       every other node implicitly [Sleep]s without a [decide] call, so
       schedules where only one layer or ring is awake — Decay waves, GST
-      stretches — simulate a round in O(|active|) instead of O(n).
+      stretches — simulate a round in O(|active|) instead of O(n).  With
+      [passive], a flagged node left out of the set is a {e passive
+      listener}: it gets no [decide] call, and the engine wakes it as a
+      listener only in rounds where a neighbour transmits.
 
     - {b Silence elision.}  A listener with no transmitting neighbour
       receives no [deliver] call.  It would have heard [Silence]; the
@@ -65,6 +68,7 @@ val run :
   ?metrics:Rn_obs.Metrics.t ->
   ?after_round:(round:int -> unit) ->
   ?decide_active:(round:int -> int array -> int) ->
+  ?passive:bool array ->
   ?next_busy_round:(round:int -> int) ->
   ?validate:bool ->
   ?domains:int ->
@@ -98,9 +102,31 @@ val run :
     [stats] and [metrics], which then differ from the [Dense] scan's, so
     a driver that forwards [?stats]/[?metrics] must use only the first.
 
+    [passive], when given (it needs [decide_active]), flags the nodes
+    [v] with [passive.(v)] as passive listeners.  A passive node left out
+    of the round's active set listens without a [decide] call: after the
+    decides, every passive neighbour of a transmitter that did not itself
+    listen or transmit is woken as a listener, and gets the [deliver],
+    [stats] and [metrics] row entries a [Listen] decide would have given
+    it.  A passive node with no transmitting neighbour would have heard
+    only the elided [Silence], so the tallies equal the full scan's.  The
+    contract:
+    - a passive node's [decide] must be a side-effect-free [Listen] in
+      every round it is left out;
+    - a passive node inside the active set must not return [Sleep] (it
+      would be woken after all);
+    - flags may change in [deliver] or [after_round] and are read in the
+      next round's decides;
+    - woken listeners are delivered before the decided ones, in a
+      different order from the full scan's, so only a protocol whose
+      [deliver] writes only its own node's state (R12) may pass it.
+    {!Drive.run} drops [passive] under [Dense] and [Sharded], where the
+    passive node's decide returns its [Listen].
+
     [validate] (default [false]) additionally enforces the distinctness
     half of that contract, raising [Invalid_argument] naming the offending
-    id and round.  The scan costs one array read/write per active id and
+    id and round, and rejects a passive node in the active set that
+    returns [Sleep].  The scan costs one array read/write per active id and
     one length-[n] allocation per run, so it is reserved for tests; the
     in-range check is always on.
 
@@ -126,5 +152,6 @@ val run :
     lowest-numbered lane's first.
 
     @raise Invalid_argument if [domains < 1], if [decide_active] is given
-    with [domains > 1], if [next_busy_round] returns [r < round], or on a
-    bad [decide_active] id/count. *)
+    with [domains > 1], if [passive] is given without [decide_active] or
+    is shorter than the node count, if [next_busy_round] returns
+    [r < round], or on a bad [decide_active] id/count. *)

@@ -3,7 +3,8 @@
 
    The engine's steady-state round loop must allocate nothing on the minor
    heap beyond the [Received] wrappers handed to successful listeners (the
-   [Transmit] packets are the protocol's own, counted against it).  The
+   [Transmit] packets are the protocol's own, counted against it), also
+   in rounds where it wakes passive listeners.  The
    Runner's shard loop must allocate O(1) words per item, independent of
    both the item count and the graph size.  On the protocol's side, coin
    draws allocate nothing, a whole Decay broadcast stays within its
@@ -141,15 +142,16 @@ let test_round_loop_independent_of_n () =
     (words <= budget)
 
 (* Sparse engine: same marker trick, driving [Engine_sparse.run]. *)
-let sparse_round_words ?decide_active ?next_busy_round ?metrics ~graph
-    ~protocol ~warmup ~rounds () =
+let sparse_round_words ?decide_active ?passive ?next_busy_round ?metrics
+    ~graph ~protocol ~warmup ~rounds () =
   let marks = [| 0.0; 0.0 |] in
   let after_round ~round =
     if round = warmup then marks.(0) <- Gc.minor_words ()
     else if round = warmup + rounds then marks.(1) <- Gc.minor_words ()
   in
   let (_ : Engine.outcome) =
-    Engine_sparse.run ?decide_active ?next_busy_round ?metrics ~after_round
+    Engine_sparse.run ?decide_active ?passive ?next_busy_round ?metrics
+      ~after_round
       ~graph ~detection:Engine.Collision_detection ~protocol
       ~stop:(fun ~round:_ -> false)
       ~max_rounds:(warmup + rounds + 2) ()
@@ -276,6 +278,40 @@ let test_sparse_collision_round () =
     (!collisions = 32 * (16 + 128 + 2));
   Alcotest.(check (float 0.0))
     "collided listeners allocate zero minor words" 0.0 words
+
+(* The same K₆₄ round with the listeners passive: only the 32 even
+   transmitters are decided, and the wake walk turns the 32 odd nodes into
+   listeners, each of which collides.  The walk, like the spray, must
+   allocate nothing, so the round loop stays at exactly zero words. *)
+let test_sparse_passive_woken_round () =
+  let graph = Gen.complete 64 in
+  let tx = Engine.Transmit 7 in
+  let collisions = ref 0 in
+  let protocol =
+    {
+      Engine.decide =
+        (fun ~round:_ ~node -> if node mod 2 = 0 then tx else Engine.Listen);
+      deliver =
+        (fun ~round:_ ~node:_ -> function
+          | Engine.Collision -> incr collisions
+          | Engine.Received _ | Engine.Silence -> ());
+    }
+  in
+  let decide_active ~round:_ (buf : int array) =
+    for i = 0 to 31 do
+      buf.(i) <- 2 * i
+    done;
+    32
+  in
+  let passive = Array.init 64 (fun v -> v mod 2 = 1) in
+  let words =
+    sparse_round_words ~decide_active ~passive ~graph ~protocol ~warmup:16
+      ~rounds:128 ()
+  in
+  Alcotest.(check bool) "every woken listener collided every round" true
+    (!collisions = 32 * (16 + 128 + 2));
+  Alcotest.(check (float 0.0))
+    "passive-woken rounds allocate zero minor words" 0.0 words
 
 (* d-lane fast engine, per-shard-lane budget: each lane writes Gc.minor_words
    (its executing domain's counter — lane j is pinned to executor j when
@@ -609,6 +645,8 @@ let () =
             test_sparse_busy_budget;
           Alcotest.test_case "collision-heavy K64 round" `Quick
             test_sparse_collision_round;
+          Alcotest.test_case "passive-woken rounds" `Quick
+            test_sparse_passive_woken_round;
         ] );
       ( "sharded",
         [

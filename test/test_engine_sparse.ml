@@ -54,11 +54,15 @@ let export_fingerprint m =
     @ Rn_obs.Export.phases_jsonl m
     @ [ Rn_obs.Export.summary_json m ])
 
-let observe ?decide_active ?next_busy_round ~engine ~graph ~detection ~script
-    ~max_rounds () =
+(* [flags], when given, is a per-round passive-flag script: the sparse
+   run gets [~passive] holding round 0's flags, and [after_round] installs
+   the next round's. *)
+let observe ?decide_active ?flags ?next_busy_round ~engine ~graph ~detection
+    ~script ~max_rounds () =
   let n = Graph.n graph in
   let logs = Array.make (max n 1) [] in
   let after = ref [] in
+  let passive = Option.map (fun f -> Array.copy f.(0)) flags in
   let stats = Engine.fresh_stats () in
   let metrics = Rn_obs.Metrics.create ~ring:(max_rounds + 1) () in
   let decide ~round ~node =
@@ -68,7 +72,13 @@ let observe ?decide_active ?next_busy_round ~engine ~graph ~detection ~script
     logs.(node) <- (round, reception) :: logs.(node)
   in
   let protocol = { Engine.decide; deliver } in
-  let after_round ~round = after := round :: !after in
+  let after_round ~round =
+    after := round :: !after;
+    match (flags, passive) with
+    | Some f, Some p when round + 1 < Array.length f ->
+        Array.blit f.(round + 1) 0 p 0 n
+    | _ -> ()
+  in
   let stop ~round:_ = false in
   let outcome =
     match engine with
@@ -76,7 +86,7 @@ let observe ?decide_active ?next_busy_round ~engine ~graph ~detection ~script
         Engine.run ~stats ~metrics ~after_round ~graph ~detection ~protocol
           ~stop ~max_rounds ()
     | `Sparse ->
-        Engine_sparse.run ~stats ~metrics ~after_round ?decide_active
+        Engine_sparse.run ~stats ~metrics ~after_round ?decide_active ?passive
           ?next_busy_round ~validate:true ~graph ~detection ~protocol ~stop
           ~max_rounds ()
   in
@@ -154,6 +164,49 @@ let awake_set script n ~round (buf : int array) =
       incr k
     done;
   !k
+
+(* A passive-listener schedule.  Each round flags a random subset of the
+   nodes passive.  A flagged node transmits now and then and otherwise
+   listens; it is in the round's active set when it transmits and, a
+   third of the time, when it listens (a passive node in the set must
+   not sleep).  An unflagged node sleeps, listens or transmits, and is in
+   the set when awake and, a third of the time, when asleep. *)
+let make_passive_case ~rng ~n ~rounds =
+  let flags =
+    Array.init rounds (fun _ -> Array.init n (fun _ -> Rng.bool rng))
+  in
+  let script =
+    Array.init rounds (fun r ->
+        Array.init n (fun v ->
+            if flags.(r).(v) then
+              if Rng.int rng 4 = 0 then Engine.Transmit ((r * 10_000) + v)
+              else Engine.Listen
+            else
+              match Rng.int rng 4 with
+              | 0 -> Engine.Sleep
+              | 1 | 2 -> Engine.Listen
+              | _ -> Engine.Transmit ((r * 10_000) + v)))
+  in
+  let member =
+    Array.init rounds (fun r ->
+        Array.init n (fun v ->
+            match script.(r).(v) with
+            | Engine.Transmit _ -> true
+            | Engine.Listen -> (not flags.(r).(v)) || Rng.int rng 3 = 0
+            | Engine.Sleep -> Rng.int rng 3 = 0))
+  in
+  let decide_active ~round (buf : int array) =
+    let k = ref 0 in
+    Array.iteri
+      (fun v m ->
+        if m then begin
+          buf.(!k) <- v;
+          incr k
+        end)
+      member.(round);
+    !k
+  in
+  (flags, script, decide_active)
 
 (* The whole round's deliver sequence, across all nodes, in call order
    with [Silence] dropped.  The sparse run gets the full scan or an
@@ -242,6 +295,31 @@ let qcheck_tests =
             ~graph:g ~detection ~script ~max_rounds:rounds ()
         in
         same_observation_sparse a b);
+    (* Passive listeners: the engine wakes exactly the flagged nodes
+       that a transmitting neighbour reaches, so per-node logs, stats and
+       the metrics export equal the same run that decides every awake
+       node, and the full scan. *)
+    Test.make ~name:"sparse+passive ≡ sparse without ≡ dense" ~count:300
+      arb_case
+      (fun (n, extra, rounds, seed, cd) ->
+        let rng = Rng.create ~seed in
+        let g = Topo.random_connected ~rng ~n ~extra in
+        let flags, script, da = make_passive_case ~rng ~n ~rounds in
+        let detection = detection_of cd in
+        let dense =
+          observe ~engine:`Dense ~graph:g ~detection ~script
+            ~max_rounds:rounds ()
+        in
+        let awake =
+          observe ~decide_active:(awake_set script n) ~engine:`Sparse ~graph:g
+            ~detection ~script ~max_rounds:rounds ()
+        in
+        let passive =
+          observe ~decide_active:da ~flags ~engine:`Sparse ~graph:g ~detection
+            ~script ~max_rounds:rounds ()
+        in
+        same_observation_sparse dense passive
+        && same_observation_sparse awake passive);
     (* A "useless" hint (never promises silence) must change nothing. *)
     Test.make ~name:"sparse with hint=round ≡ sparse without" ~count:100
       arb_case
@@ -389,6 +467,38 @@ let test_honest_accounting () =
   Alcotest.(check int) "clock counts both" 100 stats.Engine.rounds;
   Alcotest.(check int) "simulated = busy rounds only" 10 sim;
   Alcotest.(check int) "skipped = the other 90" 90 skip
+
+(* The passive contract's checked edges: [passive] needs an active set,
+   must cover every node, and under [validate] a passive node inside the
+   set may not sleep. *)
+let test_passive_contract () =
+  let g = Topo.path 3 in
+  let run ?decide_active ?(validate = false) ~passive decide =
+    ignore
+      (Engine_sparse.run ?decide_active ~passive ~validate ~graph:g
+         ~detection:Engine.Collision_detection
+         ~protocol:{ Engine.decide; deliver = (fun ~round:_ ~node:_ _ -> ()) }
+         ~stop:(fun ~round:_ -> false)
+         ~max_rounds:2 ())
+  in
+  let listen ~round:_ ~node:_ = Engine.Listen in
+  let first ~round:_ (buf : int array) =
+    buf.(0) <- 0;
+    1
+  in
+  Alcotest.check_raises "passive without decide_active"
+    (Invalid_argument "Engine_sparse.run: passive needs decide_active")
+    (fun () -> run ~passive:(Array.make 3 true) listen);
+  Alcotest.check_raises "short passive"
+    (Invalid_argument "Engine_sparse.run: passive shorter than the node count")
+    (fun () -> run ~decide_active:first ~passive:(Array.make 2 true) listen);
+  Alcotest.check_raises "sleeping passive node"
+    (Invalid_argument
+       "Engine_sparse.run: passive node 0 slept in round 0 (a passive node \
+        in the active set must listen or transmit)")
+    (fun () ->
+      run ~decide_active:first ~validate:true ~passive:(Array.make 3 true)
+        (fun ~round:_ ~node:_ -> Engine.Sleep))
 
 let test_single_node () =
   let g = Topo.path 1 in
@@ -577,6 +687,7 @@ let () =
           Alcotest.test_case "skipped vs simulated accounting" `Quick
             test_honest_accounting;
           Alcotest.test_case "single node" `Quick test_single_node;
+          Alcotest.test_case "passive contract" `Quick test_passive_contract;
         ] );
       ( "wrappers",
         [

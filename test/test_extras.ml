@@ -416,7 +416,7 @@ let qcheck_tests =
   let open QCheck in
   [
     Test.make ~name:"diameter estimate within factor 2" ~count:40
-      (pair (int_range 2 60) (int_range 0 5000))
+      (pair (Qarb.int_range 2 60) (Qarb.int_range 0 5000))
       (fun (n, seed) ->
         let g = Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra:(n / 2) in
         let r = Diameter_estimate.run ~graph:g ~source:0 () in
@@ -424,14 +424,14 @@ let qcheck_tests =
         r.Diameter_estimate.estimate >= ecc
         && r.Diameter_estimate.estimate <= max 1 (2 * ecc));
     Test.make ~name:"barbell connected with expected diameter" ~count:60
-      (pair (int_range 1 10) (int_range 0 10))
+      (pair (Qarb.int_range 1 10) (Qarb.int_range 0 10))
       (fun (clique, bridge) ->
         let g = Topo.barbell ~clique ~bridge in
         Bfs.is_connected g
         && Graph.n g = (2 * clique) + bridge
         && Bfs.diameter g <= bridge + 3);
     Test.make ~name:"handoff_fec round-trips any batch" ~count:30
-      (pair (int_range 1 8) (int_range 0 5000))
+      (pair (Qarb.int_range 1 8) (Qarb.int_range 0 5000))
       (fun (k, seed) ->
         let r = Rng.create ~seed in
         let g = Topo.star 6 in
@@ -442,7 +442,8 @@ let qcheck_tests =
         in
         res.Rings.delivered && decoded_ok);
     Test.make ~name:"thm 1.2 delivers for random (graph, k)" ~count:20
-      (triple (int_range 2 40) (int_range 1 6) (int_range 0 5000))
+      (triple (Qarb.int_range 2 40) (Qarb.int_range 1 6)
+         (Qarb.int_range 0 5000))
       (fun (n, k, seed) ->
         let g = Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra:n in
         let r = Multi_broadcast.known ~rng:(Rng.create ~seed:(seed + 1)) ~graph:g ~source:0 ~k () in
@@ -451,7 +452,7 @@ let qcheck_tests =
        no-ops, so an oracle-exit build and a fixed-budget build from the
        same stream give the same forest in every mode. *)
     Test.make ~name:"oracle exits = fixed budgets" ~count:12
-      (pair (int_range 2 24) (int_range 0 5000))
+      (pair (Qarb.int_range 2 24) (Qarb.int_range 0 5000))
       (fun (n, seed) ->
         let g = Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra:n in
         let build ~mode ~layering ~detection params =
@@ -480,7 +481,8 @@ let qcheck_tests =
     (* Theorem 1.3 with no dissemination budget: every ring is built before
        the first spread, which then runs out at once. *)
     Test.make ~name:"thm 1.3 exhausted budget" ~count:12
-      (triple (int_range 1 12) (int_range 1 4) (int_range 0 1000))
+      (triple (Qarb.int_range 1 12) (Qarb.int_range 1 4)
+         (Qarb.int_range 0 1000))
       (fun (depth, width, seed) ->
         let graph = Topo.layered_random ~rng:(rng seed) ~depth ~width ~p:0.3 in
         let run params =

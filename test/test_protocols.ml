@@ -384,17 +384,19 @@ end
 (* Random graphs of one or two random connected components (the second
    unreachable from the first), with 1–3 distinct sources. *)
 let arb_layering =
-  QCheck.make
-    ~print:(fun (n1, n2, extra, seed, k) ->
-      Printf.sprintf "(n1=%d,n2=%d,extra=%d,seed=%d,sources=%d)" n1 n2 extra
-        seed k)
-    QCheck.Gen.(
-      map
-        (fun ((n1, n2, extra), (seed, k)) -> (n1, n2, extra, seed, k))
-        (pair
-           (triple (int_range 1 40) (frequency [ (2, return 0); (1, int_range 1 8) ])
-              (int_range 0 40))
-           (pair (int_range 0 10_000) (int_range 1 3))))
+  QCheck.(
+    pair
+      (triple (Qarb.int_range 1 40)
+         (frequency ~shrink:Shrink.int
+            [ (2, always 0); (1, Qarb.int_range 1 8) ])
+         (Qarb.int_range 0 40))
+      (pair (Qarb.int_range 0 10_000) (Qarb.int_range 1 3))
+    |> map
+         ~rev:(fun (n1, n2, extra, seed, k) -> ((n1, n2, extra), (seed, k)))
+         (fun ((n1, n2, extra), (seed, k)) -> (n1, n2, extra, seed, k))
+    |> set_print (fun (n1, n2, extra, seed, k) ->
+           Printf.sprintf "(n1=%d,n2=%d,extra=%d,seed=%d,sources=%d)" n1 n2
+             extra seed k))
 
 let layering_instance (n1, n2, extra, seed, k) =
   let r = Rng.create ~seed in
@@ -953,10 +955,10 @@ let golden_case (family, runs) =
 (* qcheck properties *)
 
 let arb_graph =
-  QCheck.make
-    ~print:(fun (n, extra, seed) ->
-      Printf.sprintf "(n=%d,extra=%d,seed=%d)" n extra seed)
-    QCheck.Gen.(triple (int_range 2 50) (int_range 0 60) (int_range 0 10_000))
+  QCheck.triple (Qarb.int_range 2 50) (Qarb.int_range 0 60)
+    (Qarb.int_range 0 10_000)
+  |> QCheck.set_print (fun (n, extra, seed) ->
+         Printf.sprintf "(n=%d,extra=%d,seed=%d)" n extra seed)
 
 let graph_of (n, extra, seed) =
   Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra
@@ -1026,7 +1028,8 @@ let eager_single_broadcast ~rings ~params ~seed ~graph =
 let ring_by_ring_matches_eager =
   QCheck.Test.make ~name:"Theorem 1.1 ring by ring = eager rings" ~count:12
     QCheck.(
-      quad (int_range 1 12) (int_range 1 4) (int_range 0 1000) bool)
+      quad (Qarb.int_range 1 12) (Qarb.int_range 1 4)
+        (Qarb.int_range 0 1000) bool)
     (fun (depth, width, seed, tight) ->
       let graph =
         Topo.layered_random ~rng:(rng seed) ~depth ~width ~p:0.3
@@ -1088,7 +1091,7 @@ let qcheck_tests =
         in
         r.Gst_distributed.vd = Gst.virtual_distances r.Gst_distributed.gst);
     Test.make ~name:"GST broadcast delivers and decodes" ~count:30
-      (pair arb_graph (int_range 1 6))
+      (pair arb_graph (Qarb.int_range 1 6))
       (fun (spec, k) ->
         let g = graph_of spec in
         let gst = Gst.build_centralized ~graph:g ~roots:[| 0 |] () in
