@@ -54,7 +54,6 @@ type t = {
   mutable epoch_hist : (int * int) list;
   mutable fixups : int;
   mutable fallbacks : int;
-  mutable late_attaches : int;
 }
 
 let decay_exponent t r = (r mod t.ladder) + 1
@@ -154,7 +153,6 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~pos ~parents ~ranks
     epoch_hist = [];
     fixups = 0;
     fallbacks = 0;
-    late_attaches = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -352,8 +350,7 @@ let end_epoch t =
           match higher with
           | v :: _ ->
               t.parents.(b) <- v;
-              t.parent_rank.(b) <- t.ranks.(v);
-              t.late_attaches <- t.late_attaches + 1
+              t.parent_rank.(b) <- t.ranks.(v)
           | [] ->
               failwith
                 "Bipartite_assignment: stranded blue with only equal-rank \
@@ -612,15 +609,9 @@ let current_rank t = if finished t then 0 else t.rank
 
 let waiting t = match t.stage with Waiting -> true | _ -> false
 
-let rounds_used t = t.rounds
-
-let epoch_active_history t = List.rev t.epoch_hist
-
 let class_fixups t = t.fixups
 
 let fallback_reactivations t = t.fallbacks
-
-let late_attaches t = t.late_attaches
 
 (* ------------------------------------------------------------------ *)
 (* Standalone *)
@@ -677,9 +668,9 @@ let run_standalone ?engine ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
        ~after_round:(fun ~round:_ -> advance t)
        ~stop ~max_rounds ());
   {
-    rounds = rounds_used t;
+    rounds = t.rounds;
     parents;
     ranks;
     parent_rank;
-    epoch_history = epoch_active_history t;
+    epoch_history = List.rev t.epoch_hist;
   }

@@ -85,12 +85,6 @@ val awake : t -> int array -> int -> int
 
 (** {1 Instrumentation} *)
 
-val rounds_used : t -> int
-
-val epoch_active_history : t -> (int * int) list
-(** [(rank, active-red-count)] at the start of every epoch — the shrinkage
-    series of Lemma 2.4 (experiment E4). *)
-
 val class_fixups : t -> int
 (** Number of recruit-class inconsistencies that had to be oracle-repaired
     after a recruiting part exhausted its budget (expected 0). *)
@@ -98,11 +92,6 @@ val class_fixups : t -> int
 val fallback_reactivations : t -> int
 (** Number of times a stranded blue forced re-identification of active
     reds (expected 0; counts robustness-fallback activations). *)
-
-val late_attaches : t -> int
-(** Number of primaries attached by the last-resort Stage-III-style rule
-    after their whole upper neighborhood was already ranked (expected 0;
-    each is a recovered w.h.p. failure). *)
 
 (** {1 Standalone run (tests, experiment E4)} *)
 

@@ -66,15 +66,6 @@ val virtual_distances : t -> int array
 
 (** {1 Validity checkers} *)
 
-val check_structure : t -> (unit, string) result
-(** Parents are graph neighbors one level up; roots sit at level 0; ranks
-    are positive exactly on forest nodes; every non-root level is
-    reachable. *)
-
-val check_ranks : t -> (unit, string) result
-(** The inductive ranking rule (§2.1) holds at every node, and the maximum
-    rank is at most [⌈log₂ n⌉]. *)
-
 val collision_violations : t -> (int * int * int * int) list
 (** Quadruples [(u1, v1, u2, v2)] violating collision-freeness (the
     property Lemma 2.5 proves w.h.p. for the distributed construction). *)
@@ -86,7 +77,10 @@ val wave_unsafe : t -> (int * int) list
     {!repair_wave_safety}. *)
 
 val validate : t -> (unit, string) result
-(** [check_structure] + [check_ranks] + no collision violations + no wave
+(** Parents are graph neighbors one level up; roots sit at level 0; ranks
+    are positive exactly on forest nodes; every non-root level is
+    reachable; the inductive ranking rule (§2.1) holds at every node, with
+    maximum rank at most [⌈log₂ n⌉]; no collision violations; no wave
     hazards. *)
 
 (** {1 Centralized construction} *)

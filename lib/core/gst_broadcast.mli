@@ -91,6 +91,3 @@ val fast_slot : clogn:int -> level:int -> rank:int -> round:int -> bool
 
 val slow_slot : level_or_vd:int -> round:int -> bool
 (** Exposed for tests: the slow-slot predicate (before the coin flip). *)
-
-val slow_exponent : clogn:int -> level_or_vd:int -> round:int -> int
-(** The Decay exponent used in a slow slot. *)

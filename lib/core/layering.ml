@@ -54,8 +54,6 @@ let wave ~graph ~levels ~sources =
   queue_listeners w;
   w
 
-let wave_labeled w = w.hi
-
 let wave_awake w buf =
   Array.blit w.order w.lo buf 0 (w.top - w.lo);
   w.top - w.lo
@@ -197,7 +195,7 @@ let collision_wave ~graph ~sources () =
   let n = Graph.n graph in
   let levels = Array.make n (-1) in
   let front = wave ~graph ~levels ~sources in
-  let labeled = Atomic.make (wave_labeled front) in
+  let labeled = Atomic.make front.hi in
   (* A node beeps once, in the round of its level: by then every
      neighbour is labeled or hears it, so later beeps could reach only
      labeled nodes. *)

@@ -63,9 +63,6 @@ val wave :
     level [r + 1] to exactly the unlabeled nodes that hear a level-[r]
     node's round-[r] beep, as under collision detection. *)
 
-val wave_labeled : wave -> int
-(** The nodes labeled before the current round. *)
-
 val wave_awake : wave -> int array -> int
 (** [wave_awake w buf] writes the current round's front and its
     unlabeled neighbours into [buf] and returns their count: a

@@ -25,7 +25,8 @@ let known ?(params = Params.default) ?engine ~rng ~graph ~source ~k () =
     rounds = r.Gst_broadcast.rounds;
     delivered =
       (match r.Gst_broadcast.outcome with
-      | Rn_radio.Engine.Completed _ -> true
+      | Rn_radio.Engine.Completed _ ->
+          Array.for_all (fun dr -> dr >= 0) r.Gst_broadcast.decode_round
       | Rn_radio.Engine.Out_of_budget _ -> false);
     decode_round = r.Gst_broadcast.decode_round;
     payloads_ok = r.Gst_broadcast.payloads_ok;
@@ -54,87 +55,30 @@ let unknown ?(params = Params.default) ?rings ?batch_size ?estimate_diameter
         b
     | None -> Ilog.clog (max 2 n)
   in
-  let { Single_broadcast.rings = rings_t; rounds_layering; build } =
+  let f =
     Single_broadcast.front ?rings ~params ?estimate_diameter ?engine ~rng
       ~graph ~source ()
   in
-  let levels = rings_t.Rings.levels and rcount = rings_t.Rings.count in
-  (* Every batch crosses every ring, so all forests stay live. *)
-  let ring_gsts = Array.init rcount build in
-  let rounds_construction =
-    Rings.charged_parallel_rounds
-      (Array.to_list
-         (Array.map (fun r -> r.Gst_distributed.total_rounds) ring_gsts))
-  in
-  (* Batches pipeline through the rings. *)
   let msgs = random_messages rng ~k ~msg_len:32 in
   let bcount = Ilog.cdiv k batch_size in
-  let batch b =
-    Array.sub msgs (b * batch_size) (min batch_size (k - (b * batch_size)))
+  let batches =
+    Array.init bcount (fun b ->
+        Array.sub msgs (b * batch_size) (min batch_size (k - (b * batch_size))))
   in
-  let delivered = ref true in
-  let payloads_ok = ref true in
-  let max_stage = ref 0 in
-  (* got.(b).(v) = node v decoded batch b *)
-  let got = Array.make_matrix bcount n false in
-  for b = 0 to bcount - 1 do
-    let bmsgs = batch b in
-    got.(b).(source) <- true;
-    for j = 0 to rcount - 1 do
-      if !delivered then begin
-        let roots = Rings.roots rings_t j in
-        if not (Array.for_all (fun v -> got.(b).(v)) roots) then
-          delivered := false
-        else begin
-          let stage_rounds = ref 0 in
-          let g = ring_gsts.(j) in
-          let r =
-            Gst_broadcast.run ~params ?engine ~rng:(Rng.split rng)
-              ~gst:g.Gst_distributed.gst ~vd:g.Gst_distributed.vd ~msgs:bmsgs
-              ~sources:roots ()
-          in
-          stage_rounds := r.Gst_broadcast.rounds;
-          if not r.Gst_broadcast.payloads_ok then payloads_ok := false;
-          (match r.Gst_broadcast.outcome with
-          | Rn_radio.Engine.Completed _ ->
-              Array.iteri
-                (fun v dr -> if dr >= 0 then got.(b).(v) <- true)
-                r.Gst_broadcast.decode_round
-          | Rn_radio.Engine.Out_of_budget _ -> delivered := false);
-          if !delivered && j + 1 < rcount then begin
-            let holders = Rings.outer_boundary rings_t j in
-            let receivers = Rings.roots rings_t (j + 1) in
-            let h, decoded_ok =
-              Rings.handoff_fec ~params ?engine ~rng:(Rng.split rng) ~graph
-                ~holders ~receivers ~msgs:bmsgs ()
-            in
-            stage_rounds := !stage_rounds + h.Rings.rounds;
-            if h.Rings.delivered then begin
-              Array.iter (fun v -> got.(b).(v) <- true) receivers;
-              if not decoded_ok then payloads_ok := false
-            end
-            else delivered := false
-          end;
-          max_stage := max !max_stage !stage_rounds
-        end
-      end
-    done
-  done;
-  let all_got =
-    !delivered
-    && Array.for_all
-         (fun per_batch ->
-           let ok = ref true in
-           Array.iteri
-             (fun v got_v -> if levels.(v) >= 0 && not got_v then ok := false)
-             per_batch;
-           !ok)
-         got
+  let r =
+    Single_broadcast.relay ~params ?engine ~rng f batches
+      ~handoff:(fun ~rng ~holders ~receivers msgs ->
+        Rings.handoff_fec ~params ?engine ~rng ~graph ~holders ~receivers
+          ~msgs ())
   in
+  let rcount = f.Single_broadcast.rings.Rings.count in
   let epochs = rcount + bcount - 1 in
-  (* Lockstep pipeline: each epoch lasts twice the slowest stage (adjacent
-     rings alternate rounds). *)
-  let rounds_dissemination = epochs * 2 * !max_stage in
+  (* Lockstep pipeline: one batch crosses one ring per epoch, and each
+     epoch lasts twice the slowest stage (adjacent rings alternate
+     rounds). *)
+  let rounds_dissemination = epochs * 2 * r.Single_broadcast.stage_max in
+  let rounds_layering = f.Single_broadcast.rounds_layering in
+  let rounds_construction = r.Single_broadcast.rounds_construction in
   {
     rounds_total = rounds_layering + rounds_construction + rounds_dissemination;
     rounds_layering;
@@ -143,6 +87,6 @@ let unknown ?(params = Params.default) ?rings ?batch_size ?estimate_diameter
     ring_count = rcount;
     batch_count = bcount;
     epochs;
-    delivered = all_got;
-    payloads_ok = !payloads_ok;
+    delivered = r.Single_broadcast.delivered;
+    payloads_ok = r.Single_broadcast.payloads_ok;
   }

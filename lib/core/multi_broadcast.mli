@@ -16,7 +16,14 @@
     RLNC inside each ring, FEC across ring boundaries.  One batch crosses
     one ring per epoch, so with [R] rings and [B] batches the dissemination
     takes [(R + B − 1)] epochs of twice the slowest stage (adjacent rings
-    alternate rounds), for [O(D + k log n + log⁶ n)] in total. *)
+    alternate rounds), for [O(D + k log n + log⁶ n)] in total.
+
+    The stages are {!Single_broadcast.relay}'s, with [B] batches and
+    {!Rings.handoff_fec}, so Theorem 1.1's stream order (batch-major),
+    failure rule and delivery rule ([delivered]: no stage failed and
+    every node holds every batch) hold here too, and a run holds [O(n)]
+    words plus one ring's forest; [unknown] adds only the epoch
+    accounting. *)
 
 open Rn_util
 open Rn_coding
@@ -39,7 +46,8 @@ val known :
   known_result
 (** Theorem 1.2, with 32 bits of random payload per message.  [engine] (default [Sparse]) selects the round path of the
     GST dissemination (see {!Gst_broadcast.run}); results are identical
-    either way. *)
+    either way.  [delivered] requires the spread to complete and every
+    node to decode, so it is false on a disconnected graph. *)
 
 type unknown_result = {
   rounds_total : int;

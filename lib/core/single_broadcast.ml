@@ -68,68 +68,107 @@ let front ?(rings = Auto) ?(params = Params.default)
   in
   { rings = rings_t; rounds_layering; build }
 
-let run ?rings ?(params = Params.default) ?estimate_diameter ?engine ~rng
-    ~graph ~source () =
-  let { rings = rings_t; rounds_layering; build } =
-    front ?rings ~params ?estimate_diameter ?engine ~rng ~graph ~source ()
-  in
-  let n = Graph.n graph in
+type relayed = {
+  got : bool array array;
+  delivered : bool;
+  payloads_ok : bool;
+  rounds_construction : int;
+  stage_total : int;
+  stage_max : int;
+}
+
+let relay ~params ?engine ~rng ~handoff { rings = rings_t; build; _ } batches
+    =
   let count = rings_t.Rings.count in
-  (* Ring by ring: build ring j, spread across it and hand off to ring
-     j+1, then drop its forest, so at most one ring's forest is live.
-     The rings are built in parallel in the charged accounting, whose
-     2 × max runs over every ring, so rings past a failed spread are
-     still built for their round counts. *)
-  let msg = [| Bitvec.random rng 32 |] in
-  let received = Array.make n false in
-  received.(source) <- true;
-  let rounds_broadcast = ref 0 in
-  let ring_rounds = ref [] in
-  let ok = ref true in
+  (* Stage streams in batch-major order: per batch, per ring, the
+     spread's and then the handoff's. *)
+  let streams =
+    Array.map (fun _ -> Array.init ((2 * count) - 1) (fun _ -> Rng.split rng))
+      batches
+  in
+  (* got.(b).(v) = node v holds batch b; the source (level 0) starts so. *)
+  let levels = rings_t.Rings.levels in
+  let got = Array.map (fun _ -> Array.map (fun l -> l = 0) levels) batches in
+  let ok = ref true and payloads_ok = ref true in
+  let stage_total = ref 0 and stage_max = ref 0 and ring_rounds = ref [] in
+  (* Ring-major: build ring j, run every batch's stage on it, drop it.
+     Rings past a failure are still built: the charged 2 × max runs over
+     every ring. *)
   for j = 0 to count - 1 do
     let r = build j in
     ring_rounds := r.Gst_distributed.total_rounds :: !ring_rounds;
-    if !ok then begin
-      let roots = Rings.roots rings_t j in
-      if not (Array.for_all (fun v -> received.(v)) roots) then ok := false
-      else begin
-        let b =
-          Gst_broadcast.run ~params ?engine ~rng:(Rng.split rng)
-            ~gst:r.Gst_distributed.gst ~vd:r.Gst_distributed.vd ~msgs:msg
-            ~sources:roots ()
-        in
-        rounds_broadcast := !rounds_broadcast + b.Gst_broadcast.rounds;
-        (match b.Gst_broadcast.outcome with
-        | Rn_radio.Engine.Completed _ when b.Gst_broadcast.payloads_ok ->
-            Array.iteri
-              (fun v dr -> if dr >= 0 then received.(v) <- true)
-              b.Gst_broadcast.decode_round
-        | Rn_radio.Engine.Completed _ | Rn_radio.Engine.Out_of_budget _ ->
-            ok := false);
-        if !ok && j + 1 < count then begin
-          let holders = Rings.outer_boundary rings_t j in
-          let receivers = Rings.roots rings_t (j + 1) in
-          let h =
-            Rings.handoff_single ~params ?engine ~rng:(Rng.split rng) ~graph
-              ~holders ~receivers ()
+    let roots = Rings.roots rings_t j in
+    Array.iteri
+      (fun b msgs ->
+        let held = got.(b) in
+        ok := !ok && Array.for_all (fun v -> held.(v)) roots;
+        if !ok then begin
+          let s =
+            Gst_broadcast.run ~params ?engine ~rng:streams.(b).(2 * j)
+              ~gst:r.Gst_distributed.gst ~vd:r.Gst_distributed.vd ~msgs
+              ~sources:roots ()
           in
-          rounds_broadcast := !rounds_broadcast + h.Rings.rounds;
-          if h.Rings.delivered then
-            Array.iter (fun v -> received.(v) <- true) receivers
-          else ok := false
-        end
-      end
-    end
+          payloads_ok := !payloads_ok && s.Gst_broadcast.payloads_ok;
+          ok :=
+            s.Gst_broadcast.payloads_ok
+            && Rn_radio.Engine.(
+                 match s.Gst_broadcast.outcome with
+                 | Completed _ -> true
+                 | Out_of_budget _ -> false);
+          if !ok then
+            Array.iteri
+              (fun v dr -> if dr >= 0 then held.(v) <- true)
+              s.Gst_broadcast.decode_round;
+          let handoff_rounds =
+            if !ok && j + 1 < count then begin
+              let receivers = Rings.roots rings_t (j + 1) in
+              let h, decoded_ok =
+                handoff ~rng:streams.(b).((2 * j) + 1)
+                  ~holders:(Rings.outer_boundary rings_t j) ~receivers msgs
+              in
+              if h.Rings.delivered then
+                payloads_ok := !payloads_ok && decoded_ok;
+              ok := h.Rings.delivered && decoded_ok;
+              if !ok then Array.iter (fun v -> held.(v) <- true) receivers;
+              h.Rings.rounds
+            end
+            else 0
+          in
+          let rounds = s.Gst_broadcast.rounds + handoff_rounds in
+          stage_total := !stage_total + rounds;
+          stage_max := max !stage_max rounds
+        end)
+      batches
   done;
-  let rounds_construction = Rings.charged_parallel_rounds !ring_rounds in
-  let delivered = !ok && Array.for_all (fun b -> b) received in
   {
-    delivered;
-    rounds_total = rounds_layering + rounds_construction + !rounds_broadcast;
-    rounds_layering;
-    rounds_construction;
-    rounds_broadcast = !rounds_broadcast;
-    ring_count = count;
-    ring_width = rings_t.Rings.width;
-    received;
+    got;
+    delivered = !ok && Array.for_all (Array.for_all Fun.id) got;
+    payloads_ok = !payloads_ok;
+    rounds_construction = Rings.charged_parallel_rounds !ring_rounds;
+    stage_total = !stage_total;
+    stage_max = !stage_max;
+  }
+
+let run ?rings ?(params = Params.default) ?estimate_diameter ?engine ~rng
+    ~graph ~source () =
+  let f =
+    front ?rings ~params ?estimate_diameter ?engine ~rng ~graph ~source ()
+  in
+  let msg = [| Bitvec.random rng 32 |] in
+  let r =
+    relay ~params ?engine ~rng f [| msg |]
+      ~handoff:(fun ~rng ~holders ~receivers _ ->
+        ( Rings.handoff_single ~params ?engine ~rng ~graph ~holders ~receivers
+            (),
+          true ))
+  in
+  {
+    delivered = r.delivered;
+    rounds_total = f.rounds_layering + r.rounds_construction + r.stage_total;
+    rounds_layering = f.rounds_layering;
+    rounds_construction = r.rounds_construction;
+    rounds_broadcast = r.stage_total;
+    ring_count = f.rings.Rings.count;
+    ring_width = f.rings.Rings.width;
+    received = r.got.(0);
   }

@@ -22,10 +22,14 @@
     No benchmark sweeps this choice; the test-suite runs all three ring
     choices.
 
-    Steps 1–2, and a builder for each ring's step 3, are {!front}, which
-    Theorem 1.3's {!Multi_broadcast.unknown} shares; {!run} builds each
-    ring just before step 4 reaches it and drops it after, so a run
-    holds [O(n)] words plus one ring's forest, not every ring's. *)
+    Steps 1–2, and a builder for each ring's step 3, are {!front}; steps
+    3–4 are {!relay}.  Both are shared with Theorem 1.3's
+    {!Multi_broadcast.unknown}: {!run} is {!relay} with one batch and
+    {!Rings.handoff_single}, [unknown] is {!relay} with [⌈k / batch⌉]
+    batches and {!Rings.handoff_fec}.  {!relay} walks the rings in order,
+    building each just before its first stage and dropping it after its
+    last, so a run holds [O(n)] words plus one ring's forest, not every
+    ring's. *)
 
 open Rn_util
 
@@ -73,14 +77,52 @@ val front :
     ring [j]'s stream, so it may be called at any time, in any order, and
     more than once: every call returns the same forest.  It is meant to
     be called once per ring, since each call pays a whole construction.
-    Which rings are live at a time is up to the caller: {!run} builds
-    ring [j] just before its spread and drops it after, so it holds one
-    ring's forest at a time; {!Multi_broadcast.unknown} keeps them all.
-    The charged construction cost of §2.3 is
+    Which rings are live at a time is up to the caller; {!relay} holds
+    one at a time.  The charged construction cost of §2.3 is
     {!Rings.charged_parallel_rounds} over every ring's [total_rounds].
 
     @raise Invalid_argument on an empty graph, or a [Ring_width] or
     [Ring_count] below 1. *)
+
+type relayed = {
+  got : bool array array;  (** [got.(b).(v)]: node [v] holds batch [b] *)
+  delivered : bool;  (** no stage failed and every node holds every batch *)
+  payloads_ok : bool;
+      (** no spread or delivered handoff decoded a wrong payload *)
+  rounds_construction : int;  (** charged parallel cost, 2 × slowest ring *)
+  stage_total : int;  (** sum of the rounds of every stage run *)
+  stage_max : int;  (** rounds of the slowest stage run *)
+}
+
+val relay :
+  params:Params.t ->
+  ?engine:Rn_radio.Engine.mode ->
+  rng:Rng.t ->
+  handoff:
+    (rng:Rng.t ->
+    holders:int array ->
+    receivers:int array ->
+    Rn_coding.Bitvec.t array ->
+    Rings.handoff_result * bool) ->
+  front ->
+  Rn_coding.Bitvec.t array array ->
+  relayed
+(** [relay ~params ~rng ~handoff f batches] carries every batch from the
+    source across every ring.  Stage [(b, j)] spreads batch [b] from ring
+    [j]'s roots over ring [j]'s forest ({!Gst_broadcast.run}) and then,
+    below the last ring, hands it from ring [j]'s outer boundary to ring
+    [j+1]'s roots with [handoff], whose [bool] says every receiver decoded
+    exactly the batch; the stage's rounds are the two summed.
+
+    The walk is ring-major — build ring [j], run stage [(b, j)] for every
+    [b] in order, drop the forest — but the stage streams are split from
+    [rng] up front in batch-major order: per batch, per ring, the
+    spread's and then the handoff's.  [rng] is not read after.
+
+    A stage fails on a root lacking its batch, an exhausted budget or a
+    wrong decoded payload.  No stage runs after the first failure, but
+    every ring is still built: the charged construction cost covers all
+    of them. *)
 
 val run :
   ?rings:ring_choice ->
@@ -92,11 +134,9 @@ val run :
   source:int ->
   unit ->
   result
-(** Requires a connected graph; every node must end up with the message
-    ([delivered] reports it, and [received] the per-node outcome).  An
-    in-ring spread that completes with a wrong decoded payload
-    ({!Gst_broadcast.result}'s [payloads_ok] false) fails the run like one
-    that runs out of budget.
+(** {!relay} with one batch: [delivered] follows its failure and
+    delivery rule (so it is false on a disconnected graph), and
+    [received] is the per-node outcome.
 
     [engine] (default [Sparse]) selects the round path for every phase of
     the pipeline — construction, in-ring GST broadcasts and boundary

@@ -3,19 +3,15 @@
    formatting are fixed so output is byte-comparable across runs and
    across engines. *)
 
-let round_row ~round ~phase ~transmissions ~deliveries ~collisions =
-  Printf.sprintf
-    {|{"round":%d,"phase":%d,"tx":%d,"deliveries":%d,"collisions":%d}|} round
-    phase transmissions deliveries collisions
-
 (* One JSONL line per retained round, chronological (oldest first).  If the
    run outlived the ring capacity only the last [ring_capacity] rounds are
    present — callers size the ring at create time to retain a full run. *)
 let round_jsonl m =
   List.init (Metrics.ring_length m) (fun i ->
       let round, phase, tx, del, col = Metrics.ring_get m i in
-      round_row ~round ~phase ~transmissions:tx ~deliveries:del
-        ~collisions:col)
+      Printf.sprintf
+        {|{"round":%d,"phase":%d,"tx":%d,"deliveries":%d,"collisions":%d}|}
+        round phase tx del col)
 
 let phase_row m p =
   Printf.sprintf

@@ -6,11 +6,6 @@
     output — the property the sharded-vs-serial equivalence tests and the
     ES bench checks compare. *)
 
-val round_row :
-  round:int -> phase:int -> transmissions:int -> deliveries:int ->
-  collisions:int -> string
-(** One JSONL object for a single round. *)
-
 val round_jsonl : Metrics.t -> string list
 (** One line per retained round, chronological (oldest first).  Runs
     longer than the ring capacity retain only the tail. *)

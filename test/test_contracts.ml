@@ -215,6 +215,25 @@ let registry_tests =
           (fun n ->
             Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
           [ "decay"; "cr"; "gst"; "thm11"; "known"; "unknown" ]);
+    (* A broadcast that cannot reach a component must not claim delivery.
+       [cr] and [estimate] raise on a disconnected graph by contract, and
+       [gst-dist] judges a construction, not a broadcast. *)
+    Alcotest.test_case "two components: not delivered" `Quick (fun () ->
+        let graph =
+          Graph.create ~n:7 ~edges:[ (0, 1); (1, 2); (2, 3); (4, 5); (5, 6) ]
+        in
+        List.iter
+          (fun name ->
+            match Registry.find name with
+            | None -> Alcotest.fail (name ^ " not registered")
+            | Some e ->
+                Alcotest.(check bool)
+                  (name ^ " delivered") false
+                  (run_entry ~graph e).Registry.delivered)
+          [
+            "decay"; "mmv"; "gst"; "thm11"; "known"; "unknown"; "routing";
+            "sequential";
+          ]);
   ]
 
 let () =

@@ -478,8 +478,8 @@ let qcheck_tests =
               (Sequential, Collision_wave_layering, Rn_radio.Engine.Collision_detection);
               (Pipelined, Collision_wave_layering, Rn_radio.Engine.Collision_detection);
             ]);
-    (* Theorem 1.3 with no dissemination budget: every ring is built before
-       the first spread, which then runs out at once. *)
+    (* Theorem 1.3 with no dissemination budget: the first spread runs
+       out at once, and every ring is still built and charged. *)
     Test.make ~name:"thm 1.3 exhausted budget" ~count:12
       (triple (Qarb.int_range 1 12) (Qarb.int_range 1 4)
          (Qarb.int_range 0 1000))

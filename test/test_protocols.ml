@@ -1057,10 +1057,155 @@ let ring_by_ring_matches_eager =
           r.Single_broadcast.delivered = not tight)
         Single_broadcast.[ Auto; Ring_width 1; Ring_width (depth + 1) ])
 
+(* The batch-major Theorem 1.3 reference: every ring's forest is built
+   first, then each batch crosses every ring before the next batch starts.
+   [Multi_broadcast.unknown] walks ring-major instead, holding one ring at
+   a time; it splits the stage streams in this loop's order, so the two
+   must agree whenever this one delivers. *)
+let batch_major_unknown ~rings ~params ~batch_size ~seed ~graph ~k =
+  let rng = Rng.create ~seed and source = 0 in
+  let n = Graph.n graph in
+  let { Single_broadcast.rings = rings_t; rounds_layering; build } =
+    Single_broadcast.front ~rings ~params ~rng ~graph ~source ()
+  in
+  let levels = rings_t.Rings.levels and rcount = rings_t.Rings.count in
+  let ring_gsts = Array.init rcount build in
+  let rounds_construction =
+    Rings.charged_parallel_rounds
+      (Array.to_list
+         (Array.map (fun r -> r.Gst_distributed.total_rounds) ring_gsts))
+  in
+  let msgs = Multi_broadcast.random_messages rng ~k ~msg_len:32 in
+  let bcount = Ilog.cdiv k batch_size in
+  let batch b =
+    Array.sub msgs (b * batch_size) (min batch_size (k - (b * batch_size)))
+  in
+  let delivered = ref true in
+  let payloads_ok = ref true in
+  let max_stage = ref 0 in
+  let got = Array.make_matrix bcount n false in
+  for b = 0 to bcount - 1 do
+    let bmsgs = batch b in
+    got.(b).(source) <- true;
+    for j = 0 to rcount - 1 do
+      if !delivered then begin
+        let roots = Rings.roots rings_t j in
+        if not (Array.for_all (fun v -> got.(b).(v)) roots) then
+          delivered := false
+        else begin
+          let stage_rounds = ref 0 in
+          let g = ring_gsts.(j) in
+          let r =
+            Gst_broadcast.run ~params ~rng:(Rng.split rng)
+              ~gst:g.Gst_distributed.gst ~vd:g.Gst_distributed.vd ~msgs:bmsgs
+              ~sources:roots ()
+          in
+          stage_rounds := r.Gst_broadcast.rounds;
+          if not r.Gst_broadcast.payloads_ok then payloads_ok := false;
+          (match r.Gst_broadcast.outcome with
+          | Engine.Completed _ ->
+              Array.iteri
+                (fun v dr -> if dr >= 0 then got.(b).(v) <- true)
+                r.Gst_broadcast.decode_round
+          | Engine.Out_of_budget _ -> delivered := false);
+          if !delivered && j + 1 < rcount then begin
+            let holders = Rings.outer_boundary rings_t j in
+            let receivers = Rings.roots rings_t (j + 1) in
+            let h, decoded_ok =
+              Rings.handoff_fec ~params ~rng:(Rng.split rng) ~graph ~holders
+                ~receivers ~msgs:bmsgs ()
+            in
+            stage_rounds := !stage_rounds + h.Rings.rounds;
+            if h.Rings.delivered then begin
+              Array.iter (fun v -> got.(b).(v) <- true) receivers;
+              if not decoded_ok then payloads_ok := false
+            end
+            else delivered := false
+          end;
+          max_stage := max !max_stage !stage_rounds
+        end
+      end
+    done
+  done;
+  let all_got =
+    !delivered
+    && Array.for_all
+         (fun per_batch ->
+           let ok = ref true in
+           Array.iteri
+             (fun v got_v -> if levels.(v) >= 0 && not got_v then ok := false)
+             per_batch;
+           !ok)
+         got
+  in
+  let epochs = rcount + bcount - 1 in
+  let rounds_dissemination = epochs * 2 * !max_stage in
+  {
+    Multi_broadcast.rounds_total =
+      rounds_layering + rounds_construction + rounds_dissemination;
+    rounds_layering;
+    rounds_construction;
+    rounds_dissemination;
+    ring_count = rcount;
+    batch_count = bcount;
+    epochs;
+    delivered = all_got;
+    payloads_ok = !payloads_ok;
+  }
+
+(* Random layered graphs, several batches, every ring choice.  With the
+   default budgets the two walks must give the same record whenever the
+   reference delivers (they may run different stages after a failure);
+   with [max_round_factor = 0] the first stage fails in both, so the
+   records must match outright. *)
+let ring_major_matches_batch_major =
+  QCheck.Test.make ~name:"Theorem 1.3 ring-major = batch-major reference"
+    ~count:12
+    QCheck.(
+      pair
+        (quad (Qarb.int_range 1 12) (Qarb.int_range 1 4)
+           (Qarb.int_range 0 1000) bool)
+        (pair (Qarb.int_range 1 12) (Qarb.int_range 1 4)))
+    (fun ((depth, width, seed, tight), (k, batch_size)) ->
+      let graph =
+        Topo.layered_random ~rng:(rng seed) ~depth ~width ~p:0.3
+      in
+      let params =
+        if tight then { Params.default with Params.max_round_factor = 0 }
+        else Params.default
+      in
+      List.for_all
+        (fun rings ->
+          let r =
+            Multi_broadcast.unknown ~params ~rings ~batch_size
+              ~rng:(rng (seed + 1)) ~graph ~source:0 ~k ()
+          in
+          let e =
+            batch_major_unknown ~rings ~params ~batch_size ~seed:(seed + 1)
+              ~graph ~k
+          in
+          let same =
+            if tight || e.Multi_broadcast.delivered then r = e
+            else not r.Multi_broadcast.delivered
+          in
+          if not same then
+            QCheck.Test.fail_reportf
+              "depth %d width %d seed %d tight %b k %d batch %d: rounds %d \
+               (stage-bound %d) vs reference %d (%d), delivered %b vs %b"
+              depth width seed tight k batch_size
+              r.Multi_broadcast.rounds_total
+              r.Multi_broadcast.rounds_dissemination
+              e.Multi_broadcast.rounds_total
+              e.Multi_broadcast.rounds_dissemination
+              r.Multi_broadcast.delivered e.Multi_broadcast.delivered;
+          r.Multi_broadcast.delivered = not tight)
+        Single_broadcast.[ Auto; Ring_width 1; Ring_width (depth + 1) ])
+
 let qcheck_tests =
   let open QCheck in
   [
     ring_by_ring_matches_eager;
+    ring_major_matches_batch_major;
     layering_matches_reference;
     Test.make ~name:"decay broadcast always delivers" ~count:60 arb_graph
       (fun spec ->
