@@ -541,6 +541,12 @@ let awake t buf k =
       awake_scan t t.blues t.nr 0 buf (awake_scan t t.reds 0 0 buf k)
 [@@zero_alloc_hot]
 
+let has_actors t =
+  match t.stage with
+  | Done | Waiting -> false
+  | Part (_, recr) -> Recruiting.has_actors recr
+  | Identify | Loner_probe | Loner_inform | Stage3 -> true
+
 let deliver t ~node reception =
   match t.stage with
   | Identify -> (

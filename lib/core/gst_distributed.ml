@@ -47,38 +47,81 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
     Array.iter (fun v -> ranks.(v) <- 1) (at_level depth);
     let leaf_inited = Array.make (depth + 1) false in
     leaf_inited.(depth) <- true;
-    let blocks = Array.make (depth + 1) None in
-    let block l = match blocks.(l) with Some b -> b | None -> assert false in
-    let finished_pair l = Bipartite_assignment.finished (block l) in
     let leaf_init l =
       if not leaf_inited.(l) then begin
         Array.iter (fun v -> if ranks.(v) = 0 then ranks.(v) <- 1) (at_level l);
         leaf_inited.(l) <- true
       end
     in
+    (* Pair [l]'s finished flag and current rank, cached: a block changes
+       stage only inside its own [advance], and [refresh] re-reads both
+       right after every such call, so the caches always equal the
+       blocks' own answers. *)
+    let fin = Array.make (depth + 1) false in
+    let rank_of = Array.make (depth + 1) 0 in
+    let unfinished = ref depth in
     let ready_for l ~rank =
       if l = depth then true
       else begin
-        let below = block (l + 1) in
-        let fin = Bipartite_assignment.finished below in
+        let fin_below = fin.(l + 1) in
         (* Leaf ranks at level [l] become final the moment pair [l+1] is
            done; install them lazily before our rank-1 phase starts. *)
-        if fin then leaf_init l;
-        fin || Bipartite_assignment.current_rank below < rank - 1
+        if fin_below then leaf_init l;
+        fin_below || rank_of.(l + 1) < rank - 1
+      end
+    in
+    let blocks =
+      Array.init depth (fun i ->
+          let l = i + 1 in
+          let b =
+            Bipartite_assignment.create ~rng:(Rng.split rng) ~params ~scale_n
+              ~graph ~reds:(at_level (l - 1)) ~blues:(at_level l) ~pos
+              ~parents ~ranks ~parent_rank ~ready:(ready_for l) ()
+          in
+          rank_of.(l) <- Bipartite_assignment.current_rank b;
+          b)
+    in
+    let block l = blocks.(l - 1) in
+    (* Per-slot tick sets ([Pipelined]): [ticks.(s)] holds, in its first
+       [n_ticks.(s)] cells, the pairs [≡ s (mod 3)] that a round of slot
+       [s] advances — every live pair, plus each [Waiting] pair whose pair
+       below changed its rank or finished since the [Waiting] pair last
+       checked [ready_for] (nothing else can turn that check true).
+       [queued.(l)] says whether pair [l] is in its set.  Every block
+       starts [Waiting] and unchecked. *)
+    let ticks = Array.init 3 (fun _ -> Array.make ((depth / 3) + 1) 0) in
+    let n_ticks = Array.make 3 0 in
+    let queued = Array.make (depth + 1) false in
+    let enqueue l =
+      if not queued.(l) then begin
+        queued.(l) <- true;
+        let s = l mod 3 in
+        ticks.(s).(n_ticks.(s)) <- l;
+        n_ticks.(s) <- n_ticks.(s) + 1
       end
     in
     for l = 1 to depth do
-      blocks.(l) <-
-        Some
-          (Bipartite_assignment.create ~rng:(Rng.split rng) ~params ~scale_n
-             ~graph ~reds:(at_level (l - 1)) ~blues:(at_level l) ~pos ~parents
-             ~ranks ~parent_rank ~ready:(ready_for l) ())
+      enqueue l
     done;
+    let refresh l =
+      let b = block l in
+      let f = Bipartite_assignment.finished b in
+      let r = Bipartite_assignment.current_rank b in
+      if f <> fin.(l) || r <> rank_of.(l) then begin
+        if f then decr unfinished;
+        fin.(l) <- f;
+        rank_of.(l) <- r;
+        if l > 1 && not fin.(l - 1) then enqueue (l - 1)
+      end
+    in
+    let advance l =
+      Bipartite_assignment.advance (block l);
+      refresh l
+    in
     let current = ref depth (* sequential cursor *) in
     (* The per-round control below runs on every decide, delivery and
        round, so it allocates nothing: owners are block levels (0 = none,
        since pairs start at 1) and the scans are closed recursions. *)
-    let rec done_from l = l < 1 || (finished_pair l && done_from (l - 1)) in
     let owner_level ~round ~node =
       let l = levels.(node) in
       if l < 0 then 0
@@ -86,16 +129,11 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
         match mode with
         | Sequential ->
             let c = !current in
-            if (l = c || l = c - 1) && not (finished_pair c) then c else 0
+            if (l = c || l = c - 1) && not fin.(c) then c else 0
         | Pipelined ->
             let slot = round mod 3 in
-            if l >= 1 && l <= depth && l mod 3 = slot && not (finished_pair l)
-            then l
-            else if
-              l + 1 >= 1
-              && l + 1 <= depth
-              && (l + 1) mod 3 = slot
-              && not (finished_pair (l + 1))
+            if l >= 1 && l <= depth && l mod 3 = slot && not fin.(l) then l
+            else if l + 1 <= depth && (l + 1) mod 3 = slot && not fin.(l + 1)
             then l + 1
             else 0
     in
@@ -107,21 +145,34 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
       let l = owner_level ~round ~node in
       if l > 0 then Bipartite_assignment.deliver (block l) ~node reception
     in
+    (* Advance the tick set of slot [s] from cell [i] on, keeping in the
+       first [kept] cells the pairs still live afterwards. *)
+    let rec tick s i kept =
+      if i >= n_ticks.(s) then n_ticks.(s) <- kept
+      else begin
+        let l = ticks.(s).(i) in
+        advance l;
+        if fin.(l) || Bipartite_assignment.waiting (block l) then begin
+          queued.(l) <- false;
+          tick s (i + 1) kept
+        end
+        else begin
+          ticks.(s).(kept) <- l;
+          tick s (i + 1) (kept + 1)
+        end
+      end
+    in
     let after_round ~round =
       match mode with
       | Sequential ->
           let c = !current in
-          if not (finished_pair c) then Bipartite_assignment.advance (block c);
-          while !current > 1 && finished_pair !current do
+          if not fin.(c) then advance c;
+          while !current > 1 && fin.(!current) do
             leaf_init (!current - 1);
             decr current
           done
       | Pipelined ->
-          let slot = round mod 3 in
-          for l = 1 to depth do
-            if l mod 3 = slot && not (finished_pair l) then
-              Bipartite_assignment.advance (block l)
-          done
+          tick (round mod 3) 0 0
     in
     let ladder = Ilog.clog (max 2 scale_n) in
     let max_rounds =
@@ -129,55 +180,50 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
       + 10_000
     in
     (* Frontier: the awake set of a round is the actors
-       ([Bipartite_assignment.awake]) of the blocks in the round's slot.
-       A [Waiting] (gated by [ready_for]) or [Done] block has none: it
-       returns a side-effect-free [Sleep] for every node it owns.  Blocks
-       change stage only inside [advance]/[settle] (after_round), never
-       in decide, so the actors read at round start are those of the
-       whole round.  The recruiting parts also leave out listeners whose
-       deliveries are no-ops, so this run must not forward
-       [?stats]/[?metrics]. *)
-    let dormant l =
-      let b = block l in
-      Bipartite_assignment.finished b || Bipartite_assignment.waiting b
-    in
-    let first_of_slot slot = if slot = 0 then 3 else slot in
-    let rec put_slot l buf k =
-      if l > depth then k
-      else put_slot (l + 3) buf (Bipartite_assignment.awake (block l) buf k)
+       ([Bipartite_assignment.awake]) of the blocks in the round's tick
+       set.  A pair outside it is [Waiting] or finished and returns a
+       side-effect-free [Sleep] for every node it owns, as does a
+       [Waiting] pair queued for a recheck.  Blocks change stage only
+       inside [advance] (after_round), never in decide, so the actors read
+       at round start are those of the whole round.  The recruiting parts
+       also leave out listeners whose deliveries are no-ops, so this run
+       must not forward [?stats]/[?metrics]. *)
+    let rec put_set set i stop buf k =
+      if i >= stop then k
+      else
+        put_set set (i + 1) stop buf
+          (Bipartite_assignment.awake (block set.(i)) buf k)
     in
     let decide_active ~round (buf : int array) =
       match mode with
       | Sequential -> Bipartite_assignment.awake (block !current) buf 0
-      | Pipelined -> put_slot (first_of_slot (round mod 3)) buf 0
-    in
-    (* Skip hint, re-queried every round so it only ever promises rounds
-       whose silence follows from *current* machine state: a slot with no
-       live block is silent this round; a slot whose blocks are all
-       finished stays silent forever (finishing is monotone), letting the
-       endgame fast-forward to the last live slot's rounds.  Dormant
-       blocks may wake in after_round, so those promises stop at one
-       round. *)
-    let rec live_from l =
-      l <= depth && ((not (dormant l)) || live_from (l + 3))
-    in
-    let rec dead_from l = l > depth || (finished_pair l && dead_from (l + 3)) in
-    let slot_live s = live_from (first_of_slot s) in
-    let slot_dead s = dead_from (first_of_slot s) in
-    let next_busy_round ~round =
-      match mode with
-      | Sequential -> if dormant !current then round + 1 else round
       | Pipelined ->
-          if slot_live (round mod 3) then round
-          else if not (slot_dead (round mod 3)) then round + 1
-          else if slot_live ((round + 1) mod 3) || not (slot_dead ((round + 1) mod 3))
-          then round + 1
-          else if slot_live ((round + 2) mod 3) || not (slot_dead ((round + 2) mod 3))
-          then round + 2
-          else round + 3 (* every block finished; stop fires first *)
+          let s = round mod 3 in
+          put_set ticks.(s) 0 n_ticks.(s) buf 0
+    in
+    (* Skip hint, re-queried every round: a round whose blocks all lack
+       actors ([Bipartite_assignment.has_actors] — dormant, or a
+       recruiting claim or verdict slot nobody acts in) has an empty awake
+       set, so it is silent and its only effect is [after_round].  The
+       promise covers this round alone, since [after_round] may hand the
+       next round of the slot new actors. *)
+    let rec any_actors set i stop =
+      i < stop
+      && (Bipartite_assignment.has_actors (block set.(i))
+         || any_actors set (i + 1) stop)
+    in
+    let next_busy_round ~round =
+      let busy =
+        match mode with
+        | Sequential -> Bipartite_assignment.has_actors (block !current)
+        | Pipelined ->
+            let s = round mod 3 in
+            any_actors ticks.(s) 0 n_ticks.(s)
+      in
+      if busy then round else round + 1
     in
     let protocol = { Engine.decide; deliver } in
-    let stop ~round:_ = done_from depth in
+    let stop ~round:_ = !unfinished = 0 in
     (* The blocks run Recruiting's deliver, which writes across nodes:
        never sharded. *)
     let outcome =
@@ -193,23 +239,13 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
           failwith "Gst_distributed: assignment phase exhausted its budget"
     in
     leaf_init 0;
-    let fixups =
-      Array.fold_left
-        (fun acc b ->
-          match b with
-          | Some b -> acc + Bipartite_assignment.class_fixups b
-          | None -> acc)
-        0 blocks
-    in
-    let fallbacks =
-      Array.fold_left
-        (fun acc b ->
-          match b with
-          | Some b -> acc + Bipartite_assignment.fallback_reactivations b
-          | None -> acc)
-        0 blocks
-    in
-    (parents, ranks, parent_rank, rounds, fixups, fallbacks)
+    let sum f = Array.fold_left (fun acc b -> acc + f b) 0 blocks in
+    ( parents,
+      ranks,
+      parent_rank,
+      rounds,
+      sum Bipartite_assignment.class_fixups,
+      sum Bipartite_assignment.fallback_reactivations )
   end
 
 (* ------------------------------------------------------------------ *)
@@ -311,10 +347,19 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
     in_forest v
     && (parents.(v) < 0 || head_override.(v) || parent_rank.(v) <> ranks.(v))
   in
-  let unlabeled_remain () =
-    let rec go v = v < n && ((in_forest v && vd.(v) < 0) || go (v + 1)) in
-    go 0
+  (* The forest's members, ascending: every scan below runs over them
+     alone, so a stage costs the ring's forest, not the whole graph. *)
+  let forest =
+    let members = Array.make n 0 and m = ref 0 in
+    for v = 0 to n - 1 do
+      if in_forest v then begin
+        members.(!m) <- v;
+        incr m
+      end
+    done;
+    Array.sub members 0 !m
   in
+  let unlabeled_remain () = Array.exists (fun v -> vd.(v) < 0) forest in
   let node_rng = Rng.split_n rng n in
   let total_rounds = ref 0 in
   (* One d-iteration: stretch sweeps for every rank, then Decay
@@ -343,16 +388,12 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
     (* Stage 1: label whole stretches hanging off F_dv, rank by rank. *)
     for r = 1 to max_rank do
       let heads_exist =
-        let rec go v =
-          v < n
-          && ((is_head v && vd.(v) = dv && ranks.(v) = r) || go (v + 1))
-        in
-        go 0
+        Array.exists (fun v -> is_head v && vd.(v) = dv && ranks.(v) = r) forest
       in
       if heads_exist || not params.Params.adaptive then begin
         (* Epoch 1 then epoch 2, each a D-round layer sweep. *)
         let epoch_len = depth + 1 in
-        Array.fill sweep_hit 0 n false;
+        Array.iter (fun v -> sweep_hit.(v) <- false) forest;
         (* Per-level transmitter potential for the skip hint: epoch-0
            counts (qualifying heads per level) are static for the phase;
            epoch-1 counts grow as the sweep labels nodes (bumped in
@@ -362,11 +403,13 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
            sharded run may bump the same level's count concurrently; only
            the hint reads it, and Drive.run drops the hint under Sharded. *)
         let head_count = Array.make depth_cap 0 in
-        Array.iteri
-          (fun v l ->
-            if l >= 0 && is_head v && vd.(v) = dv && ranks.(v) = r then
-              head_count.(l) <- head_count.(l) + 1)
-          levels;
+        Array.iter
+          (fun v ->
+            if is_head v && vd.(v) = dv && ranks.(v) = r then begin
+              let l = levels.(v) in
+              head_count.(l) <- head_count.(l) + 1
+            end)
+          forest;
         let sweep_count = Array.make depth_cap 0 in
         let decide ~round ~node =
           let epoch = round / epoch_len and l = round mod epoch_len in
@@ -425,18 +468,16 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
     done;
     (* Stage 2: Decay relaxation across ordinary G-edges. *)
     let budget = Params.whp_phases params ~n:scale_n * ladder in
+    (* A forest node is settled once labeled or without a frontier
+       neighbour; nodes outside the forest never take part. *)
     let settled v =
-      (not (in_forest v))
-      || vd.(v) >= 0
+      vd.(v) >= 0
       || not
            (Graph.fold_neighbors graph v
               (fun acc u -> acc || (in_forest u && vd.(u) = dv))
               false)
     in
-    let goal () =
-      let rec go v = v >= n || (settled v && go (v + 1)) in
-      go 0
-    in
+    let goal () = Array.for_all settled forest in
     let decide ~round ~node =
       if in_forest node && vd.(node) = dv then begin
         if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
@@ -461,13 +502,14 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
        side-effect-free Sleep.  No skip hint: frontier nodes draw a coin
        every round. *)
     let n_cand = ref 0 in
-    for v = 0 to n - 1 do
-      unlabeled.(v) <- in_forest v && vd.(v) < 0;
-      if in_forest v && vd.(v) = dv then begin
-        cand.(!n_cand) <- v;
-        incr n_cand
-      end
-    done;
+    Array.iter
+      (fun v ->
+        unlabeled.(v) <- vd.(v) < 0;
+        if vd.(v) = dv then begin
+          cand.(!n_cand) <- v;
+          incr n_cand
+        end)
+      forest;
     let stage2_cand = !n_cand in
     let decide_active ~round:_ (buf : int array) =
       Array.blit cand 0 buf 0 stage2_cand;

@@ -76,7 +76,9 @@ val construct :
     Under [Sparse] the assignment phase wakes only the current stage's
     actors in live bipartite blocks ({!Bipartite_assignment.awake}; a
     dormant — [Waiting] or finished — block's nodes all sleep) and
-    fast-forwards rounds whose mod-3 slot has no live block; the
+    fast-forwards rounds in which no block of the slot has actors
+    ({!Bipartite_assignment.has_actors}); its per-round control costs
+    the live blocks of the round's slot, not the depth; the
     self-test wakes one rank group per round and skips empty
     (rank, layer-class) slices; vd-learning wakes the sweeping level
     pair (stage 1, skipping levels with no potential transmitter) or the

@@ -293,6 +293,9 @@ let awake t buf k =
   else blit_into buf k t.acts t.n_acts
 [@@zero_alloc_hot]
 
+let has_actors t =
+  (not t.done_flag) && (t.round mod t.iter_len = 0 || t.n_acts > 0)
+
 type red_class = Zero | One of int | Many
 
 let parent_of t b =

@@ -508,8 +508,10 @@ let level_pos ~n ~reds ~blues =
 (* The GST assignment phase's awake-set enumeration: one small level pair
    stepped through every stage by its own [decide]/[deliver]/[advance]
    under a full-scan mini driver (no collision detection), with each
-   [awake] call bracketed by [Gc.minor_words].  The stepping also checks
-   that every transmitter was in the enumerated set. *)
+   [awake] and [has_actors] call bracketed by [Gc.minor_words] (the skip
+   hint calls the latter every round).  The stepping also checks that
+   every transmitter was in the enumerated set, and that a round without
+   actors enumerates nobody. *)
 let test_assignment_awake_zero_alloc () =
   let graph =
     Gen.layered_random ~rng:(Rng.create ~seed:11) ~depth:2 ~width:12 ~p:0.4
@@ -532,12 +534,15 @@ let test_assignment_awake_zero_alloc () =
   let acts = Array.make n Engine.Sleep in
   let marks = [| 0.0; 0.0 |] and words = [| 0.0 |] in
   let rounds = ref 0 and awake_rounds = ref 0 and missed = ref 0 in
+  let quiet_awake = ref 0 in
   while (not (B.finished t)) && !rounds < 1_000_000 do
     marks.(0) <- Gc.minor_words ();
     let k = B.awake t buf 0 in
+    let acting = B.has_actors t in
     marks.(1) <- Gc.minor_words ();
     words.(0) <- words.(0) +. (marks.(1) -. marks.(0));
     if k > 0 then incr awake_rounds;
+    if k > 0 && not acting then incr quiet_awake;
     Array.fill in_set 0 n false;
     for i = 0 to k - 1 do
       in_set.(buf.(i)) <- true
@@ -573,9 +578,11 @@ let test_assignment_awake_zero_alloc () =
   Alcotest.(check bool) "every blue has a parent" true
     (Array.for_all (fun b -> parents.(b) >= 0) blues);
   Alcotest.(check int) "transmitters outside the awake set" 0 !missed;
+  Alcotest.(check int) "awake nodes in a round without actors" 0 !quiet_awake;
   Alcotest.(check bool) "some rounds wake nodes" true (!awake_rounds > 0);
   Alcotest.(check (float 0.0))
-    (Printf.sprintf "awake over %d rounds allocates 0 words" !rounds)
+    (Printf.sprintf "awake and has_actors over %d rounds allocate 0 words"
+       !rounds)
     0.0 words.(0)
 
 (* A bipartite block sizes its per-node state by its members: with the

@@ -244,8 +244,8 @@ let test_layering_duplicate_sources () =
     d.Layering.levels
 
 (* The all-node layerings, as they were before each wave woke only its
-   front; the differential property below holds the front-only code to
-   them. *)
+   front, and the assignment phase's per-level control; the differential
+   properties below hold the current code to them. *)
 module Reference = struct
   let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
       ~sources () =
@@ -379,6 +379,174 @@ module Reference = struct
         if too_small then go (2 * t) spent else Some (t, spent, levels)
     in
     go 1 0
+
+  (* The assignment phase's per-round control before it cached each pair's
+     state, kept verbatim as a reference over the public
+     [Bipartite_assignment] API: an owner lookup through [finished] on
+     every decide and delivery, an [after_round] over every level of the
+     round's slot, a [stop] that walks the finished pairs and a skip hint
+     that recurses over every block of a slot.  [Gst_distributed.construct]
+     with a given layering must reproduce its parents, ranks, parent ranks,
+     round count and counters exactly. *)
+  let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
+      ~level_nodes () =
+    let n = Graph.n graph in
+    let scale_n = n in
+    let depth = Array.length level_nodes - 1 in
+    let parents = Array.make n (-1) in
+    let ranks = Array.make n 0 in
+    let parent_rank = Array.make n (-1) in
+    if depth <= 0 then begin
+      Array.iteri (fun v l -> if l = 0 then ranks.(v) <- 1) levels;
+      (parents, ranks, parent_rank, 0, 0, 0)
+    end
+    else begin
+      let at_level l = level_nodes.(l) in
+      let pos = Array.make n (-1) in
+      Array.iter (Array.iteri (fun i v -> pos.(v) <- i)) level_nodes;
+      Array.iter (fun v -> ranks.(v) <- 1) (at_level depth);
+      let leaf_inited = Array.make (depth + 1) false in
+      leaf_inited.(depth) <- true;
+      let blocks = Array.make (depth + 1) None in
+      let block l = match blocks.(l) with Some b -> b | None -> assert false in
+      let finished_pair l = Bipartite_assignment.finished (block l) in
+      let leaf_init l =
+        if not leaf_inited.(l) then begin
+          Array.iter (fun v -> if ranks.(v) = 0 then ranks.(v) <- 1) (at_level l);
+          leaf_inited.(l) <- true
+        end
+      in
+      let ready_for l ~rank =
+        if l = depth then true
+        else begin
+          let below = block (l + 1) in
+          let fin = Bipartite_assignment.finished below in
+          if fin then leaf_init l;
+          fin || Bipartite_assignment.current_rank below < rank - 1
+        end
+      in
+      for l = 1 to depth do
+        blocks.(l) <-
+          Some
+            (Bipartite_assignment.create ~rng:(Rng.split rng) ~params ~scale_n
+               ~graph ~reds:(at_level (l - 1)) ~blues:(at_level l) ~pos
+               ~parents ~ranks ~parent_rank ~ready:(ready_for l) ())
+      done;
+      let current = ref depth in
+      let rec done_from l = l < 1 || (finished_pair l && done_from (l - 1)) in
+      let owner_level ~round ~node =
+        let l = levels.(node) in
+        if l < 0 then 0
+        else
+          match mode with
+          | Gst_distributed.Sequential ->
+              let c = !current in
+              if (l = c || l = c - 1) && not (finished_pair c) then c else 0
+          | Gst_distributed.Pipelined ->
+              let slot = round mod 3 in
+              if l >= 1 && l <= depth && l mod 3 = slot && not (finished_pair l)
+              then l
+              else if
+                l + 1 >= 1
+                && l + 1 <= depth
+                && (l + 1) mod 3 = slot
+                && not (finished_pair (l + 1))
+              then l + 1
+              else 0
+      in
+      let decide ~round ~node =
+        let l = owner_level ~round ~node in
+        if l = 0 then Engine.Sleep
+        else Bipartite_assignment.decide (block l) ~node
+      in
+      let deliver ~round ~node reception =
+        let l = owner_level ~round ~node in
+        if l > 0 then Bipartite_assignment.deliver (block l) ~node reception
+      in
+      let after_round ~round =
+        match mode with
+        | Gst_distributed.Sequential ->
+            let c = !current in
+            if not (finished_pair c) then Bipartite_assignment.advance (block c);
+            while !current > 1 && finished_pair !current do
+              leaf_init (!current - 1);
+              decr current
+            done
+        | Gst_distributed.Pipelined ->
+            let slot = round mod 3 in
+            for l = 1 to depth do
+              if l mod 3 = slot && not (finished_pair l) then
+                Bipartite_assignment.advance (block l)
+            done
+      in
+      let ladder = Ilog.clog (max 2 scale_n) in
+      let max_rounds =
+        params.Params.max_round_factor * ((depth + 2) * Ilog.pow ladder 5)
+        + 10_000
+      in
+      let dormant l =
+        let b = block l in
+        Bipartite_assignment.finished b || Bipartite_assignment.waiting b
+      in
+      let first_of_slot slot = if slot = 0 then 3 else slot in
+      let rec put_slot l buf k =
+        if l > depth then k
+        else put_slot (l + 3) buf (Bipartite_assignment.awake (block l) buf k)
+      in
+      let decide_active ~round (buf : int array) =
+        match mode with
+        | Gst_distributed.Sequential ->
+            Bipartite_assignment.awake (block !current) buf 0
+        | Gst_distributed.Pipelined -> put_slot (first_of_slot (round mod 3)) buf 0
+      in
+      let rec live_from l =
+        l <= depth && ((not (dormant l)) || live_from (l + 3))
+      in
+      let rec dead_from l = l > depth || (finished_pair l && dead_from (l + 3)) in
+      let slot_live s = live_from (first_of_slot s) in
+      let slot_dead s = dead_from (first_of_slot s) in
+      let next_busy_round ~round =
+        match mode with
+        | Gst_distributed.Sequential ->
+            if dormant !current then round + 1 else round
+        | Gst_distributed.Pipelined ->
+            if slot_live (round mod 3) then round
+            else if not (slot_dead (round mod 3)) then round + 1
+            else if
+              slot_live ((round + 1) mod 3) || not (slot_dead ((round + 1) mod 3))
+            then round + 1
+            else if
+              slot_live ((round + 2) mod 3) || not (slot_dead ((round + 2) mod 3))
+            then round + 2
+            else round + 3
+      in
+      let protocol = { Engine.decide; deliver } in
+      let stop ~round:_ = done_from depth in
+      let outcome =
+        Drive.run
+          ?engine:(Option.map Drive.serial engine)
+          ~decide_active ~next_busy_round ~graph ~detection ~protocol
+          ~after_round ~stop ~max_rounds ()
+      in
+      let rounds =
+        match outcome with
+        | Engine.Completed r -> r
+        | Engine.Out_of_budget _ ->
+            failwith "Reference: assignment phase exhausted its budget"
+      in
+      leaf_init 0;
+      let sum f =
+        Array.fold_left
+          (fun acc b -> match b with Some b -> acc + f b | None -> acc)
+          0 blocks
+      in
+      ( parents,
+        ranks,
+        parent_rank,
+        rounds,
+        sum Bipartite_assignment.class_fixups,
+        sum Bipartite_assignment.fallback_reactivations )
+    end
 end
 
 (* Random graphs of one or two random connected components (the second
@@ -1201,12 +1369,148 @@ let ring_major_matches_batch_major =
           r.Multi_broadcast.delivered = not tight)
         Single_broadcast.[ Auto; Ring_width 1; Ring_width (depth + 1) ])
 
+(* Random layered graphs in both modes, with and without adaptive
+   termination, on both round paths: the cached pair state, the per-slot
+   tick sets and the silent-slot skips must leave every assignment byte
+   as the reference computes it.  Without adaptive termination every
+   stage runs its whole budget (millions of rounds at width 6), so the
+   full-scan path takes that case only up to 40 nodes. *)
+let assignment_matches_reference =
+  QCheck.Test.make ~name:"GST assignment = per-level reference" ~count:8
+    QCheck.(
+      triple (Qarb.int_range 1 40) (Qarb.int_range 1 6) (Qarb.int_range 0 1000))
+    (fun (depth, width, seed) ->
+      let graph = Topo.layered_random ~rng:(rng seed) ~depth ~width ~p:0.3 in
+      let levels = Bfs.levels graph ~src:0 in
+      let level_nodes = Bfs.by_level levels in
+      List.for_all
+        (fun (mode, adaptive, engine) ->
+          let params = { Params.default with Params.adaptive } in
+          let detection = Engine.No_collision_detection in
+          let r =
+            Gst_distributed.construct ~mode
+              ~layering:(Gst_distributed.Given_layering levels) ~params
+              ~detection ~engine ~rng:(rng (seed + 1)) ~graph ~roots:[| 0 |]
+              ()
+          in
+          let parents, ranks, parent_rank, rounds, fixups, fallbacks =
+            Reference.run_assignment ~engine ~mode ~params ~detection
+              ~rng:(rng (seed + 1)) ~graph ~levels ~level_nodes ()
+          in
+          let gst = r.Gst_distributed.gst in
+          let same =
+            gst.Gst.parents = parents && gst.Gst.ranks = ranks
+            && r.Gst_distributed.parent_rank = parent_rank
+            && r.Gst_distributed.assignment_rounds = rounds
+            && r.Gst_distributed.class_fixups = fixups
+            && r.Gst_distributed.fallback_reactivations = fallbacks
+          in
+          if not same then
+            QCheck.Test.fail_reportf
+              "depth %d width %d seed %d %s adaptive %b %s: %d rounds vs \
+               reference %d"
+              depth width seed
+              (match mode with
+              | Gst_distributed.Sequential -> "sequential"
+              | Gst_distributed.Pipelined -> "pipelined")
+              adaptive
+              (match engine with Engine.Dense -> "dense" | _ -> "sparse")
+              r.Gst_distributed.assignment_rounds rounds;
+          same)
+        (List.concat_map
+           (fun mode ->
+             List.concat_map
+               (fun adaptive ->
+                 List.filter_map
+                   (fun engine ->
+                     if adaptive || engine = Engine.Sparse || Graph.n graph <= 40
+                     then Some (mode, adaptive, engine)
+                     else None)
+                   [ Engine.Sparse; Engine.Dense ])
+               [ true; false ])
+           Gst_distributed.[ Sequential; Pipelined ]))
+
+(* A block whose [has_actors] is false must wake nobody: the assignment
+   phase's skip hint fast-forwards exactly those rounds.  Both machines
+   are stepped round by round on a random bipartite graph by the
+   full-scan engine, and the pair is checked before every round. *)
+let has_actors_sound =
+  QCheck.Test.make ~name:"has_actors = false => empty awake set" ~count:20
+    QCheck.(
+      triple (Qarb.int_range 1 12) (Qarb.int_range 1 24) (Qarb.int_range 0 1000))
+    (fun (nr, nb, seed) ->
+      let graph =
+        Topo.bipartite_random ~rng:(rng seed) ~reds:nr ~blues:nb ~p:0.3
+      in
+      let n = Graph.n graph in
+      let reds = Array.init nr Fun.id and blues = Array.init nb (( + ) nr) in
+      let buf = Array.make n 0 and bad = ref 0 and quiet = ref 0 in
+      let check ~has_actors ~awake =
+        if not (has_actors ()) then begin
+          incr quiet;
+          if awake buf 0 > 0 then incr bad
+        end
+      in
+      let step ~decide ~deliver ~advance ~finished ~has_actors ~awake =
+        check ~has_actors ~awake;
+        ignore
+          (Engine.run ~graph ~detection:Engine.No_collision_detection
+             ~protocol:
+               {
+                 Engine.decide = (fun ~round:_ ~node -> decide ~node);
+                 deliver = (fun ~round:_ ~node r -> deliver ~node r);
+               }
+             ~after_round:(fun ~round:_ ->
+               advance ();
+               check ~has_actors ~awake)
+             ~stop:(fun ~round:_ -> finished ())
+             ~max_rounds:1_000_000 ()
+            : Engine.outcome)
+      in
+      let params = Params.default in
+      let recr =
+        Recruiting.create ~rng:(rng (seed + 1)) ~params ~scale_n:n ~graph ~reds
+          ~blues ()
+      in
+      step
+        ~decide:(Recruiting.decide recr)
+        ~deliver:(Recruiting.deliver recr)
+        ~advance:(fun () -> Recruiting.advance recr)
+        ~finished:(fun () -> Recruiting.finished recr)
+        ~has_actors:(fun () -> Recruiting.has_actors recr)
+        ~awake:(Recruiting.awake recr);
+      let parents = Array.make n (-1) and parent_rank = Array.make n (-1) in
+      let ranks = Array.make n 0 in
+      Array.iter (fun b -> ranks.(b) <- 1 + (b mod 2)) blues;
+      let pos = Array.make n (-1) in
+      Array.iteri (fun i v -> pos.(v) <- i) reds;
+      Array.iteri (fun i v -> pos.(v) <- i) blues;
+      let ba =
+        Bipartite_assignment.create ~rng:(rng (seed + 2)) ~params ~scale_n:n
+          ~graph ~reds ~blues ~pos ~parents ~ranks ~parent_rank
+          ~ready:(fun ~rank:_ -> true)
+          ()
+      in
+      step
+        ~decide:(Bipartite_assignment.decide ba)
+        ~deliver:(Bipartite_assignment.deliver ba)
+        ~advance:(fun () -> Bipartite_assignment.advance ba)
+        ~finished:(fun () -> Bipartite_assignment.finished ba)
+        ~has_actors:(fun () -> Bipartite_assignment.has_actors ba)
+        ~awake:(Bipartite_assignment.awake ba);
+      if !bad > 0 then
+        QCheck.Test.fail_reportf "reds %d blues %d seed %d: %d of %d quiet \
+                                  rounds woke someone" nr nb seed !bad !quiet;
+      true)
+
 let qcheck_tests =
   let open QCheck in
   [
     ring_by_ring_matches_eager;
     ring_major_matches_batch_major;
     layering_matches_reference;
+    assignment_matches_reference;
+    has_actors_sound;
     Test.make ~name:"decay broadcast always delivers" ~count:60 arb_graph
       (fun spec ->
         let g = graph_of spec in
