@@ -1154,10 +1154,11 @@ let micro () =
   print_table t
 
 (* ------------------------------------------------------------------ *)
-(* ES — E-scale: the sharded engine at n = 10^4 / 10^5                  *)
+(* ES — E-scale: the sparse engine at n = 10^4 .. 10^6                  *)
 
-(* One Decay broadcast per engine configuration, each checked byte-identical
-   to the serial reference; the wall-clock figures go to stderr.
+(* One Decay broadcast per engine mode, the sparse run checked
+   byte-identical to the dense reference; the wall-clock figures go to
+   stderr.
 
    Every run carries a metrics registry; its full export (per-phase
    aggregates + receive histogram + totals) must also be byte-identical
@@ -1170,7 +1171,7 @@ let obs_fingerprint m =
     (Obs.Export.phases_jsonl m @ Obs.Export.hist_csv m
     @ [ Obs.Export.summary_json m ])
 
-let es_decay ~id ~graph_name g ~domain_counts =
+let es_decay ~id ~graph_name g =
   let t =
     Table.create
       ~title:
@@ -1191,7 +1192,7 @@ let es_decay ~id ~graph_name g ~domain_counts =
   let rounds = ref_r.Decay.stats.Rn_radio.Engine.rounds in
   let row name wall =
     Table.add_row t [ name; string_of_int rounds ];
-    timing "%s[%s]: %.2f s, %.0f rounds/s, %.2fx vs serial" id name wall
+    timing "%s[%s]: %.2f s, %.0f rounds/s, %.2fx vs dense" id name wall
       (float_of_int rounds /. wall)
       (ref_wall /. wall)
   in
@@ -1202,39 +1203,29 @@ let es_decay ~id ~graph_name g ~domain_counts =
       || r.Decay.stats <> ref_r.Decay.stats
     then
       failwith
-        (Printf.sprintf "%s: %s diverged from the serial engine" id name);
+        (Printf.sprintf "%s: %s diverged from the dense engine" id name);
     if not (String.equal ref_obs (obs_fingerprint m)) then
       failwith
         (Printf.sprintf
-           "%s: %s metrics export diverged from the serial engine" id name)
+           "%s: %s metrics export diverged from the dense engine" id name)
   in
-  let name = function
-    | Rn_radio.Engine.Dense -> "serial"
-    | Rn_radio.Engine.Sparse -> "sparse"
-    | Rn_radio.Engine.Sharded d -> Printf.sprintf "domains=%d" d
-  in
-  row (name Rn_radio.Engine.Dense) ref_wall;
-  List.iter
-    (fun engine ->
-      let wall, r, m = run engine in
-      verify (name engine) r m;
-      row (name engine) wall)
-    (Rn_radio.Engine.Sparse
-    :: List.map (fun d -> Rn_radio.Engine.Sharded d) domain_counts);
+  row "dense" ref_wall;
+  let wall, r, m = run Rn_radio.Engine.Sparse in
+  verify "sparse" r m;
+  row "sparse" wall;
   print_table t;
   note
     (Printf.sprintf
-       "every sparse and sharded run verified byte-identical to serial \
-        (outcome, per-node receive rounds, stats, metrics export); %d \
-        engine rounds each; metrics export MD5 %s"
+       "the sparse run verified byte-identical to dense (outcome, per-node \
+        receive rounds, stats, metrics export); %d engine rounds each; \
+        metrics export MD5 %s"
        rounds
        (Digest.to_hex (Digest.string ref_obs)))
 
 let es_smoke () =
-  section "ESsmoke  sharded engine ≡ serial, CI-sized (n = 10^4)";
+  section "ESsmoke  sparse engine ≡ dense, CI-sized (n = 10^4)";
   es_decay ~id:"ESsmoke" ~graph_name:"layered D=100 w=100"
     (layered ~seed:7 ~depth:100 ~width:100)
-    ~domain_counts:[ 2 ]
 
 (* One Theorem 1.1 broadcast (run seed 42): wall seconds, the result, and
    the engine rounds it simulated and fast-forwarded. *)
@@ -1252,21 +1243,18 @@ let thm11_run ?engine g =
     Rn_radio.Engine.total_skipped_rounds () - k0 )
 
 let es () =
-  section "ES  E-scale: Decay rounds/sec per domain count (n = 10^5, 10^6)";
+  section "ES  E-scale: Decay rounds/sec, dense vs sparse (n = 10^5, 10^6)";
   es_decay ~id:"ES-layered" ~graph_name:"layered D=100 w=1000"
-    (layered ~seed:7 ~depth:100 ~width:1000)
-    ~domain_counts:[ 1; 2; 4 ];
+    (layered ~seed:7 ~depth:100 ~width:1000);
   es_decay ~id:"ES-random" ~graph_name:"random_connected deg~10"
     (Topo.random_connected ~rng:(Rng.create ~seed:11) ~n:100_000
-       ~extra:400_000)
-    ~domain_counts:[ 1; 2; 4 ];
+       ~extra:400_000);
   (* The million-node point stays sparse: a dense layered graph at
      n = 10^6 is ~3*10^8 edges of CSR, past what a CI-class machine
      holds. *)
   es_decay ~id:"ES-random-1e6" ~graph_name:"random_connected deg~8"
     (Topo.random_connected ~rng:(Rng.create ~seed:13) ~n:1_000_000
-       ~extra:3_000_000)
-    ~domain_counts:[ 1; 2; 4 ];
+       ~extra:3_000_000);
   (* Theorem 1.1 comparison point.  The paper's algorithm is
      O(D + log^6 n): at every n this harness can reach, the polylog term
      towers over Decay's O(D log n + log^2 n), so the honest comparison is

@@ -665,12 +665,9 @@ let run_standalone ?engine ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
      the standalone [ready], and every live stage keeps nodes awake. *)
   let decide_active = Drive.static_active ~n [ reds; blues ] in
   let stop ~round:_ = finished t in
-  (* Recruiting's deliver writes across nodes: never sharded. *)
   ignore
-    (Drive.run
-       ?engine:(Option.map Drive.serial engine)
-       ?decide_active ~graph ~detection:Engine.No_collision_detection
-       ~protocol
+    (Drive.run ?engine ?decide_active ~graph
+       ~detection:Engine.No_collision_detection ~protocol
        ~after_round:(fun ~round:_ -> advance t)
        ~stop ~max_rounds ());
   {

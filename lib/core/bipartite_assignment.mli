@@ -123,5 +123,4 @@ val run_standalone :
     blue's (already final) rank; node ids index [blue_ranks] directly.
     Runs without collision detection; the per-epoch survivor counts
     (Lemma 2.4's shrinkage unit) are in [epoch_history].  [engine]
-    (default [Sparse]) runs [Sharded _] as [Sparse], as
-    {!Recruiting.run_standalone} does. *)
+    (default [Sparse]) picks the round path via {!Rn_radio.Drive.run}. *)

@@ -41,10 +41,11 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
   let node_rng = Rng.split_n rng n in
   let received_round = Array.make n (-1) in
   received_round.(source) <- 0;
-  (* The only cross-node aggregate; atomic so the parallel deliver phase
-     of a [Sharded d] run may decrement it from any lane.  Everything else
+  (* The only cross-node aggregate: each node's [deliver] decrements it
+     once, on first reception.  It is an [Atomic.t], the shared-aggregate
+     form R12 accepts without an allow (DESIGN.md §13); everything else
      the callbacks touch is per-node (own RNG stream, own received_round
-     cell), which is exactly the lane contract of the sharded engine. *)
+     cell). *)
   let missing = Atomic.make (n - 1) in
   let exponent round =
     let r = round mod cycle in
@@ -53,8 +54,8 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
   (* Every informed node draws on the same exponent in a round, so it is
      computed once per round rather than once per informed node:
      [round_exp] holds round r's exponent while round r decides, and
-     [after_round] (serial on the coordinator under every engine, between
-     the barriers of a sharded run) advances it. *)
+     [after_round] (called once per round under every engine, skipped
+     rounds included) advances it. *)
   let round_exp = ref (exponent 0) in
   let decide ~round:_ ~node =
     if received_round.(node) >= 0 then
@@ -81,10 +82,11 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
   in
   let stats = Engine.fresh_stats () in
   let stop ~round:_ = Atomic.get missing = 0 in
-  (* Phase annotation runs in [after_round] — coordinator-serial under both
-     engines — so per-phase aggregation never touches the parallel deliver
-     phase.  Round r belongs to phase r/cycle: Lemma 2.2's unit for
-     classic Decay, one whole schedule cycle with a diameter. *)
+  (* Phase annotation runs in [after_round], which both engines call once
+     per round, so per-phase aggregation does not move with the deliveries
+     the sparse engine elides.  Round r belongs to phase r/cycle: Lemma
+     2.2's unit for classic Decay, one whole schedule cycle with a
+     diameter. *)
   (match metrics with Some m -> Rn_obs.Metrics.set_phase m 0 | None -> ());
   let after_round ~round =
     round_exp := exponent (round + 1);

@@ -69,12 +69,10 @@ val broadcast :
     phase so dense neighborhoods still resolve.
 
     [engine] (default [Sparse]) picks the round path via {!Drive.run}:
-    [Sparse] runs {!Engine_sparse.run} on one lane, eliding the per-round
-    silence deliveries (Decay ignores them), [Dense] is the {!Engine.run}
-    reference, and [Sharded d] runs the same fast kernel on [d] lanes — the
-    E-scale workload (the callbacks touch only per-node state; the
-    completion count is atomic).  Identical results under every mode; no
-    skip hint is offered because informed nodes draw a coin every round.
+    [Sparse] runs {!Engine_sparse.run}, eliding the per-round silence
+    deliveries (Decay ignores them), and [Dense] is the {!Engine.run}
+    reference.  Identical results under both modes; no skip hint is
+    offered because informed nodes draw a coin every round.
 
     [metrics], when given, records every round into the registry with the
     phase annotation [round / cycle], where the cycle is one classic phase

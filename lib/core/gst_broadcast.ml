@@ -141,7 +141,7 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
   in
   (* Phase annotation: the slow schedule repeats with period [6·clogn]
      (the slow_exponent ladder completes one sweep), which is the natural
-     "GST epoch".  Annotated from [after_round] (coordinator-serial),
+     "GST epoch".  Annotated from [after_round] (between rounds),
      composed before any [step_reset] action for the same round. *)
   let after_round =
     match metrics with

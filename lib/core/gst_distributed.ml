@@ -224,13 +224,9 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
     in
     let protocol = { Engine.decide; deliver } in
     let stop ~round:_ = !unfinished = 0 in
-    (* The blocks run Recruiting's deliver, which writes across nodes:
-       never sharded. *)
     let outcome =
-      Drive.run
-        ?engine:(Option.map Drive.serial engine)
-        ~decide_active ~next_busy_round ~graph ~detection ~protocol
-        ~after_round ~stop ~max_rounds ()
+      Drive.run ?engine ~decide_active ~next_busy_round ~graph ~detection
+        ~protocol ~after_round ~stop ~max_rounds ()
     in
     let rounds =
       match outcome with
@@ -399,9 +395,9 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
            epoch-1 counts grow as the sweep labels nodes (bumped in
            deliver).  A round with zero potential transmitters delivers
            nothing, so it creates no new potential either — promising its
-           silence from counts read at round start is sound.  Lanes of a
-           sharded run may bump the same level's count concurrently; only
-           the hint reads it, and Drive.run drops the hint under Sharded. *)
+           silence from counts read at round start is sound.  The counts
+           are cross-node tallies that only the hint reads, and Drive.run
+           drops the hint under Dense. *)
         let head_count = Array.make depth_cap 0 in
         Array.iter
           (fun v ->

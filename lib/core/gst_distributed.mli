@@ -87,7 +87,5 @@ val construct :
     recruiting part, a side-effect-free [Listen] whose deliver is a
     no-op that round, and every skipped round is provably silent —
     per-node RNG streams advance exactly as under the full scan
-    (DESIGN.md §12).  Under
-    [Sharded d] the assignment phase still runs on [Sparse]: its Recruiting
-    callbacks write across nodes ({!Rn_radio.Drive.serial}).
+    (DESIGN.md §12).
     @raise Failure if a phase exhausts its round budget. *)

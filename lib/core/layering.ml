@@ -75,7 +75,7 @@ let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
   in
   let node_rng = Rng.split_n rng n in
   let levels = Array.make n (-1) in
-  (* Front bookkeeping, all on the coordinator (set-up and [after_round]):
+  (* Front bookkeeping, all between rounds (set-up and [after_round]):
      [pending.(v)] counts v's unlabeled neighbours; [relays] holds the
      labeled nodes with one, [listeners] the unlabeled nodes with a
      labeled neighbour.  A node enters [listeners] once ([queued]) and

@@ -225,7 +225,7 @@ let deliver t ~node reception =
                   (* The red might not have heard this blue; its class is
                      already Many by construction of Sigma. *)
                   let rs = red_slot t red in
-                  (* rblint:allow R12 Lemma-6 bookkeeping writes the recruiting red's record from the blue's callback; the recruiting subroutine is a serial building block: all three drivers of this deliver (Recruiting.run_standalone, Bipartite_assignment.run_standalone, Gst_distributed.run_assignment) map Sharded to Sparse with Drive.serial, so no Sharded d lane ever runs it. *)
+                  (* rblint:allow R12 Lemma-6 bookkeeping, a simulation device: the blue's callback writes the red's record, standing in for the Many class that Sigma already implies; the write only saturates the red's count at 2, so no delivery order can change the red's class. *)
                   if t.recruits.(rs) < 2 then t.recruits.(rs) <- 2
                 end
             | _ -> ())
@@ -337,9 +337,8 @@ let run_standalone ?engine ~rng ~params ~graph ~reds ~blues () =
   let stop ~round:_ = finished t in
   let max_rounds = t.total_rounds + 1 in
   let outcome =
-    Drive.run
-      ?engine:(Option.map Drive.serial engine)
-      ?decide_active ~graph ~detection:Engine.No_collision_detection ~protocol
+    Drive.run ?engine ?decide_active ~graph
+      ~detection:Engine.No_collision_detection ~protocol
       ~after_round:(fun ~round:_ -> advance t)
       ~stop ~max_rounds ()
   in

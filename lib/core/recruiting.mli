@@ -128,5 +128,5 @@ val run_standalone :
   outcome
 (** Run recruiting alone on [graph] (e.g. a random bipartite graph) until
     [finished], without collision detection; used by experiment E3 and the
-    test-suite.  [engine] (default [Sparse]) runs [Sharded _] as [Sparse]:
-    [deliver] writes across nodes ({!Rn_radio.Drive.serial}). *)
+    test-suite.  [engine] (default [Sparse]) picks the round path via
+    {!Rn_radio.Drive.run}. *)

@@ -225,26 +225,3 @@ let induced_bipartite g ~left ~right =
     left;
   (create ~n:(nl + nr) ~edges:!es, back)
 
-let shard_cuts t ~parts =
-  if parts < 1 then invalid_arg "Graph.shard_cuts: parts must be >= 1";
-  let nn = n t in
-  let off = t.off in
-  (* Weight of the node prefix [0, v): one unit per node plus its degree,
-     so a cut balances the decide scan plus the gather work per shard. *)
-  let prefix v = v + off.(v) in
-  let total = prefix nn in
-  let cuts = Array.make (parts + 1) 0 in
-  cuts.(parts) <- nn;
-  for k = 1 to parts - 1 do
-    let target = total * k / parts in
-    (* Smallest v with prefix v >= target; prefix is strictly increasing. *)
-    let lo = ref 0 and hi = ref nn in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if prefix mid >= target then hi := mid else lo := mid + 1
-    done;
-    (* The prefix targets are nondecreasing in [k], so the cuts are too;
-       several may coincide (empty shards are legal). *)
-    cuts.(k) <- !lo
-  done;
-  cuts

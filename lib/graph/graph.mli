@@ -71,16 +71,6 @@ val offsets : t -> int array
 val targets : t -> int array
 (** The physical CSR targets array, length [2m] — do not mutate. *)
 
-val shard_cuts : t -> parts:int -> int array
-(** [shard_cuts t ~parts] partitions the node range into [parts] contiguous
-    shards balanced by CSR edge count: the returned array [cuts] has length
-    [parts + 1] with [cuts.(0) = 0], [cuts.(parts) = n], nondecreasing, and
-    shard [k] owns nodes [\[cuts.(k), cuts.(k+1))].  Balance weights each
-    node as [1 + degree], matching a decide scan plus a spray sweep.  Cuts
-    may coincide (empty shards) when [parts > n] or one node's weight
-    spans several ideal cuts (a star's hub).
-    @raise Invalid_argument if [parts < 1]. *)
-
 val mem_edge : t -> int -> int -> bool
 (** Edge test in O(log deg). *)
 

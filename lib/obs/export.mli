@@ -3,7 +3,7 @@
     Every function returns strings — nothing here prints (rblint R4);
     bench/ and bin/ own the consoles and files.  Field order and number
     formatting are fixed, so equal registries produce byte-identical
-    output — the property the sharded-vs-serial equivalence tests and the
+    output — the property the sparse-vs-dense equivalence tests and the
     ES bench checks compare. *)
 
 val round_jsonl : Metrics.t -> string list

@@ -7,11 +7,9 @@
    boxing — so the engine can call them from its [@@zero_alloc_hot] round
    loop without breaking the 0-word quiet-round budget (test/test_alloc.ml).
 
-   Determinism contract: recording happens only from coordinator-serial
-   code (the serial engine's round tail, the sharded engine's post-barrier
-   merge), with values that are themselves deterministic (the sharded
-   engine merges owner-local lane counters in fixed shard order).  Exported
-   output is therefore byte-identical for every domain count. *)
+   Determinism contract: each engine records once per round, after the
+   round's deliveries, and phases move only between rounds.  Exported
+   output is therefore byte-identical under both engines. *)
 
 type t = {
   n_phases : int;

@@ -9,10 +9,10 @@
     loops without breaking the 0-word quiet-round budget enforced by
     test/test_alloc.ml.
 
-    Determinism: recording happens only from coordinator-serial code (the
-    serial engine's round tail; the sharded engine's post-barrier merge of
-    owner-local lane counters, walked in fixed shard order), so exported
-    output is byte-identical for every domain count — see DESIGN §11. *)
+    Determinism: each engine records once per round, after the round's
+    deliveries (the dense engine's round tail, the sparse engine's tally
+    and its zero rows for skipped rounds), so exported output is
+    byte-identical under both engines — see DESIGN §11. *)
 
 type t
 
@@ -37,10 +37,11 @@ val set_phase : t -> int -> unit
 (** [set_phase t p] makes [p] the phase that subsequent
     {!record_round}/[...] calls attribute to.  Out-of-range ids clamp
     (never raises — this runs mid-round).  Protocols mark phase boundaries
-    (Decay phase index, GST epoch) only from coordinator-serial code —
-    [after_round] hooks or between runs, never [decide]/[deliver], which
-    run inside parallel lanes under [Sharded d] and would break the
-    byte-identity contract. *)
+    (Decay phase index, GST epoch) only from [after_round] hooks or
+    between runs, never [decide]/[deliver]: the sparse engine elides
+    sleeping nodes' decides, silent listeners' deliveries and whole silent
+    rounds, so a boundary set there would move with the engine and break
+    the byte-identity contract. *)
 
 val record_round :
   t -> round:int -> transmissions:int -> deliveries:int -> collisions:int ->

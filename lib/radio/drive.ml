@@ -1,5 +1,5 @@
 (* The routing table of drive.mli, in code: only Sparse takes the fast
-   paths; Dense runs the full scan, Sharded the d-lane fast engine. *)
+   paths; Dense runs the full scan. *)
 let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
     ?passive ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
     ~max_rounds () =
@@ -11,11 +11,6 @@ let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
       Engine_sparse.run ?stats ?metrics ?after_round ?decide_active ?passive
         ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
         ~max_rounds ()
-  | Engine.Sharded domains ->
-      Engine_sparse.run ?stats ?metrics ?after_round ~domains ~graph
-        ~detection ~protocol ~stop ~max_rounds ()
-
-let serial = function Engine.Sharded _ -> Engine.Sparse | mode -> mode
 
 let static_active ~n groups =
   let mark = Array.make n false in

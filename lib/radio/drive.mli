@@ -8,12 +8,10 @@
     {v
     mode        decide_active  passive  next_busy_round  validate  engine
     Dense       ignored        ignored  ignored          ignored   Engine.run (full-scan oracle)
-    Sparse      used           used     used             used      Engine_sparse.run ~domains:1
-    Sharded d   ignored        ignored  ignored          ignored   Engine_sparse.run ~domains:d
+    Sparse      used           used     used             used      Engine_sparse.run
     v}
 
-    [Dense] is the reference the fast paths are checked against, and
-    [Sharded] runs the fast kernel of [Sparse] on [d] lanes.  A node
+    [Dense] is the reference the fast paths are checked against.  A node
     outside the active set must [Sleep] without side effects, or [Listen]
     without side effects to a [deliver] that is a no-op for every
     reception possible that round (or affect only state nothing reads
@@ -45,10 +43,6 @@ val run :
   Engine.outcome
 (** Runs on [engine] (default [Sparse]) by the rule above; every other
     argument is as documented at {!Engine.run} and {!Engine_sparse.run}. *)
-
-val serial : Engine.mode -> Engine.mode
-(** Maps [Sharded _] to [Sparse], for drivers whose callbacks write across
-    nodes (the Recruiting subroutine, DESIGN.md §13). *)
 
 val static_active :
   n:int -> int array list -> (round:int -> int array -> int) option

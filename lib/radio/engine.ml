@@ -49,7 +49,7 @@ let skipped_rounds = Atomic.make 0
 let total_skipped_rounds () = Atomic.get skipped_rounds
 let add_skipped_rounds k = Atomic.fetch_and_add skipped_rounds k |> ignore
 
-type mode = Dense | Sparse | Sharded of int
+type mode = Dense | Sparse
 
 (* Debug probe for the contracts suite: when set, every listener receives
    one spurious [Silence] delivery before its real reception.  A pipeline

@@ -91,16 +91,13 @@ val add_skipped_rounds : int -> unit
 type mode =
   | Dense  (** {!run}: the full-scan reference, the only tracing path *)
   | Sparse
-      (** {!Engine_sparse.run} on one lane, with the protocol fast paths
-          (active set, silent-round skip) *)
-  | Sharded of int
-      (** {!Engine_sparse.run} on that many lanes ([>= 1]), without the
-          fast paths *)
+      (** {!Engine_sparse.run}, with the protocol fast paths (active set,
+          passive listeners, silent-round skip) *)
 (** Which round path a pipeline runs on.  Every wrapper forwards its
     [?engine] to {!Drive.run}, which declares the [Sparse] default; only
-    [Sparse] consumes the protocol fast paths.  All three modes produce
+    [Sparse] consumes the protocol fast paths.  Both modes produce
     byte-identical results ([test/test_contracts.ml] checks every registry
-    entry under [Dense], [Sparse] and [Sharded 1/2/4]). *)
+    entry under [Dense] and [Sparse]). *)
 
 val inject_silence : bool Atomic.t
 (** Debug probe for the contracts suite: when set, both engines ({!run}

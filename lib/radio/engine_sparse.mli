@@ -1,13 +1,10 @@
-(** The fast round path: one spray/deliver kernel, on one lane or on
-    [domains] parallel lanes — the only engine that takes protocol fast
-    paths.
+(** The fast round path: one spray/deliver kernel, in the calling domain
+    — the only engine that takes protocol fast paths.
 
     Same model, protocol interface, and observable behavior as
-    {!Engine.run}.  Each round has two phases: every lane decides its own
-    node range (a contiguous shard, balanced by CSR edge count), then
-    sprays each transmitter's packet into the part of its neighbor list
-    that the lane owns and delivers its listeners in descending decide
-    order.  On one lane that is {!Engine.run}'s order whenever the decide
+    {!Engine.run}.  Each round decides the awake nodes, then sprays each
+    transmitter's packet into its neighbor list and delivers the listeners
+    in descending decide order — {!Engine.run}'s order whenever the decide
     order is ascending (no active set, or an ascending one).  One
     saturating byte per node records not-listening / silent / one packet /
     collided, and every sprayed edge stamps the transmitter's id into a
@@ -15,11 +12,11 @@
     only one, and it names the packet.  Three structural changes make long,
     mostly-quiet schedules (the Theorem 1.1 pipeline) cheap:
 
-    - {b Active-set decides} (one lane only).  An optional
-      [decide_active] lets the protocol enumerate the round's awake nodes;
-      every other node implicitly [Sleep]s without a [decide] call, so
-      schedules where only one layer or ring is awake — Decay waves, GST
-      stretches — simulate a round in O(|active|) instead of O(n).  With
+    - {b Active-set decides.}  An optional [decide_active] lets the
+      protocol enumerate the round's awake nodes; every other node
+      implicitly [Sleep]s without a [decide] call, so schedules where only
+      one layer or ring is awake — Decay waves, GST stretches — simulate a
+      round in O(|active|) instead of O(n).  With
       [passive], a flagged node left out of the set is a {e passive
       listener}: it gets no [decide] call, and the engine wakes it as a
       listener only in rounds where a neighbour transmits.
@@ -45,23 +42,13 @@
       are credited to {!Engine.total_skipped_rounds}, not
       {!Engine.total_simulated_rounds}.
 
-    {b Lanes.}  With [domains > 1] the lanes run on borrowed
-    {!Runner.Pool} workers separated by a barrier; no lane writes another
-    lane's state, so a round needs no atomics.  For protocols whose
-    [decide]/[deliver] touch only per-node state, the outcome, stats,
-    per-node deliveries, metrics and every [after_round] observation are
-    byte-identical for every [domains] value, and the schedule depends only
-    on [domains] — a busy pool runs the lanes on fewer domains (possibly
-    just the caller's) with unchanged results.  Callbacks that share
-    mutable state {e across} nodes would race; cross-node aggregates must be
-    [Atomic.t] (see [Decay]'s missing-count).  [stop], [next_busy_round]
-    and [after_round] always run in the calling domain, between rounds.
+    [stop], [next_busy_round] and [after_round] run between rounds.
 
-    The equivalence suites ([test/test_engine_sparse.ml],
-    [test/test_engine_sharded.ml]) pin outcome, stats, per-node receive
-    logs, metrics exports and the one-lane deliver sequence to the
-    full-scan reference.  There is no tracing hook: a trace must contain
-    the elided [Silence] events, so tracing callers use {!Engine.run}. *)
+    The equivalence suite ([test/test_engine_sparse.ml]) pins outcome,
+    stats, per-node receive logs, metrics exports and the deliver sequence
+    to the full-scan reference.  There is no tracing hook: a trace must
+    contain the elided [Silence] events, so tracing callers use
+    {!Engine.run}. *)
 
 val run :
   ?stats:Engine.stats ->
@@ -71,7 +58,6 @@ val run :
   ?passive:bool array ->
   ?next_busy_round:(round:int -> int) ->
   ?validate:bool ->
-  ?domains:int ->
   graph:Rn_graph.Graph.t ->
   detection:Engine.detection ->
   protocol:'msg Engine.protocol ->
@@ -80,8 +66,7 @@ val run :
   unit ->
   Engine.outcome
 (** [stats], [metrics], [after_round] and the {!Engine.inject_silence}
-    probe are as at {!Engine.run}; [metrics] and [stats] are fed from the
-    shard-order sums of the lanes' counters.
+    probe are as at {!Engine.run}.
 
     [decide_active], when given, replaces the every-node decide scan: each
     round the engine hands it a reusable buffer of length [n]; the protocol
@@ -96,8 +81,7 @@ val run :
       reception possible that round,
     or one whose only effect would be on state nothing reads again and
     whose transmission no [deliver] would act on (a retired
-    [Layering.decay_bfs] relay, DESIGN.md §12), so that dropping the set (as {!Drive.run} does under [Dense] and
-    [Sharded]) changes no protocol state.  The second case has a cost:
+    [Layering.decay_bfs] relay, DESIGN.md §12), so that dropping the set (as {!Drive.run} does under [Dense]) changes no protocol state.  The second case has a cost:
     the left-out listeners' deliveries and collisions are missing from
     [stats] and [metrics], which then differ from the [Dense] scan's, so
     a driver that forwards [?stats]/[?metrics] must use only the first.
@@ -120,8 +104,8 @@ val run :
     - woken listeners are delivered before the decided ones, in a
       different order from the full scan's, so only a protocol whose
       [deliver] writes only its own node's state (R12) may pass it.
-    {!Drive.run} drops [passive] under [Dense] and [Sharded], where the
-    passive node's decide returns its [Listen].
+    {!Drive.run} drops [passive] under [Dense], where the passive node's
+    decide returns its [Listen].
 
     [validate] (default [false]) additionally enforces the distinctness
     half of that contract, raising [Invalid_argument] naming the offending
@@ -144,14 +128,8 @@ val run :
     jammers) must not offer a hint — wrappers disable it when fault
     injection is active.
 
-    [domains] (default [1]) is the lane count.  [domains = 1] runs inline
-    in the calling domain (no pool, no barriers); [domains] exceeding the
-    node count leaves the extra lanes empty, which is legal.  A callback's
-    exception propagates at once on one lane; on [d > 1] lanes it
-    resurfaces in the caller after the round's lanes finish, the
-    lowest-numbered lane's first.
+    A callback's exception propagates at once.
 
-    @raise Invalid_argument if [domains < 1], if [decide_active] is given
-    with [domains > 1], if [passive] is given without [decide_active] or
-    is shorter than the node count, if [next_busy_round] returns
+    @raise Invalid_argument if [passive] is given without [decide_active]
+    or is shorter than the node count, if [next_busy_round] returns
     [r < round], or on a bad [decide_active] id/count. *)

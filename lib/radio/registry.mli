@@ -43,13 +43,10 @@ type run =
     wrapper creates its own {!Rn_util.Rng} from [seed].
 
     The result is engine-independent: [run ~engine] returns a
-    byte-identical record for [Dense], [Sparse] and every [Sharded d]
-    (the fast engine of [Sparse] on [d] lanes, without its fast paths) —
-    [test/test_contracts.ml] runs every entry under [Dense], [Sparse] and
-    [Sharded 1/2/4] and compares.  Drivers whose callbacks must stay serial
-    map [Sharded] back to [Sparse] ({!Drive.serial}).  The [mmv],
-    [estimate], [routing] and [sequential] entries ignore [?engine] and
-    always run on the default [Sparse]. *)
+    byte-identical record for [Dense] and [Sparse] —
+    [test/test_contracts.ml] runs every entry under both and compares.
+    The [mmv], [estimate], [routing] and [sequential] entries ignore
+    [?engine] and always run on the default [Sparse]. *)
 
 type entry = {
   name : string;  (** unique CLI-friendly identifier, e.g. ["decay"] *)

@@ -2,22 +2,20 @@ let default_domains () = max 1 (Domain.recommended_domain_count ())
 
 module Pool = struct
   (* A process-wide pool of reusable worker domains shared by every
-     parallel entry point (trial-level [map], round-level
-     [Engine_sparse.run ~domains]).  Two jobs motivate it over bare
-     [Domain.spawn]:
+     parallel entry point (trial-level [map], cell-level [Campaign.run]).
+     Two jobs motivate it over bare [Domain.spawn]:
 
-     - spawn amortization: a d-lane engine run crosses a barrier every round,
-       so respawning domains per run (let alone per round) would dwarf the
+     - spawn amortization: a bench or campaign fans out many short
+       parallel regions, so respawning domains per region would dwarf the
        work; borrowed workers park on a condition variable between jobs;
      - oversubscription control: [borrow] spawns new workers only when the
-       pool is completely idle.  A nested parallel region (a d-lane run
-       inside a [map] trial, or a [map] inside a lane's protocol callback)
-       therefore gets zero workers and falls back to running in its calling
-       domain — the domain count stays bounded by one level of parallelism
-       instead of multiplying across levels.  Determinism is unaffected:
-       both [map]'s sharding and a d-lane engine run's results depend only
-       on their requested width, never on how many workers actually
-       execute the lanes.
+       pool is completely idle.  A nested parallel region (a [map] inside
+       a [map] trial or a campaign cell) therefore gets zero workers and
+       falls back to running in its calling domain — the domain count
+       stays bounded by one level of parallelism instead of multiplying
+       across levels.  Determinism is unaffected: [map]'s sharding and a
+       campaign's output depend only on their requested width, never on
+       how many workers actually execute the lanes.
 
      Memory model: [slot.job] is only ever read or written under
      [slot.lock], and the registry only under [registry_lock], so every
@@ -64,11 +62,9 @@ module Pool = struct
 
   (* Hardware cap: the calling domain plus a full pool exactly saturate
      the cores.  CPU-bound lanes gain nothing from more executors than
-     cores and lose badly — every barrier crossing becomes a scheduler
-     round-trip (measured ~10x on a 1-core host) — and by the determinism
-     contract of [map] and [Engine_sparse.run] the executor count never
-     affects results, so capping is free.  Tests raise it to force true
-     multi-domain execution on small machines. *)
+     cores, and by the determinism contracts of [map] and [Campaign.run]
+     the executor count never affects results, so capping is free.  Tests
+     raise it to force true multi-domain execution on small machines. *)
   let size_cap : int Atomic.t = Atomic.make (max 0 (default_domains () - 1))
 
   (* rblint:allow R6 at_exit hook registration flag, flipped once under registry_lock *)

@@ -34,14 +34,14 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     determinism contract, results in input order. *)
 
 (** The process-wide pool of reusable worker domains behind [map] and
-    the lanes of {!Engine_sparse.run}.
+    the lanes of [Campaign.run].
 
     Workers park on a condition variable between jobs, so borrowing is
-    cheap enough for round-granularity use.  [borrow] reuses idle workers
-    freely but {e spawns} new domains only when no worker is busy: a nested
-    parallel region (a d-lane engine run inside a [map] trial, or vice versa)
-    gets zero workers and runs in its calling domain, bounding the live
-    domain count to one level of parallelism.  Callers must treat a short
+    cheap enough to do once per parallel region.  [borrow] reuses idle
+    workers freely but {e spawns} new domains only when no worker is busy:
+    a nested parallel region (a [map] inside a [map] trial or a campaign
+    cell) gets zero workers and runs in its calling domain, bounding the
+    live domain count to one level of parallelism.  Callers must treat a short
     allocation as normal, not an error — every parallel entry point here
     degrades to a serial execution of the same deterministic schedule.
 
@@ -53,11 +53,10 @@ module Pool : sig
   (** Upper bound on the total number of worker domains the pool will ever
       hold, defaulting to [default_domains () - 1] — the calling domain
       plus a full pool then exactly saturate the hardware.  CPU-bound lanes
-      gain nothing from more executors than cores and lose badly (every
-      barrier crossing becomes a scheduler round-trip), and by the
-      determinism contracts of {!map} and {!Engine_sparse.run} the
-      executor count never affects results, so requests beyond the cap
-      simply degrade toward the calling domain.  Tests raise it to force
+      gain nothing from more executors than cores, and by the determinism
+      contracts of {!map} and [Campaign.run] the executor count never
+      affects results, so requests beyond the cap simply degrade toward
+      the calling domain.  Tests raise it to force
       true multi-domain execution on small machines. *)
 
   val borrow : want:int -> worker array

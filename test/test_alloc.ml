@@ -17,7 +17,7 @@ open Rn_util
 open Rn_graph
 open Rn_radio
 
-(* The per-lane budgets below rely on lane [j] being pinned to executor
+(* The Runner budgets below rely on lane [j] being pinned to executor
    [j], i.e. on real worker domains; on small machines the pool's
    hardware cap would otherwise degrade every lane to the calling
    domain. *)
@@ -254,7 +254,7 @@ let test_sparse_busy_budget () =
     true
     (words <= budget)
 
-(* A collision-heavy busy round on one lane: K₆₄ with the even nodes
+(* A collision-heavy busy round: K₆₄ with the even nodes
    transmitting, so each of the 32 listeners hears 32 packets and
    collides.  The spray visits 32·63 edges a round and the deliver phase
    hands out a constant [Collision]; with no [Received] box owed, the
@@ -312,58 +312,6 @@ let test_sparse_passive_woken_round () =
     (!collisions = 32 * (16 + 128 + 2));
   Alcotest.(check (float 0.0))
     "passive-woken rounds allocate zero minor words" 0.0 words
-
-(* d-lane fast engine, per-shard-lane budget: each lane writes Gc.minor_words
-   (its executing domain's counter — lane j is pinned to executor j when
-   the pool is idle) into its own row of a preallocated matrix at its first
-   decide of every round.  The delta between consecutive rounds on the same
-   lane is the steady-state cost of one lane-round: three barrier
-   crossings plus the phase loops, all of which must be allocation-free —
-   the budget only has to absorb whatever the runtime's Mutex/Condition
-   path spends. *)
-let test_sharded_lane_budget () =
-  let n = 256 and domains = 2 in
-  let graph = Gen.path n in
-  let cuts = Graph.shard_cuts graph ~parts:domains in
-  Alcotest.(check bool)
-    "both lanes nonempty" true
-    (cuts.(1) > 0 && cuts.(2) > cuts.(1));
-  let warmup = 16 and rounds = 256 in
-  let total = warmup + rounds + 2 in
-  let marks = Array.init domains (fun _ -> Array.make total 0.0) in
-  let round_no = ref 0 in
-  let protocol =
-    {
-      Engine.decide =
-        (fun ~round ~node ->
-          if node = cuts.(0) then marks.(0).(round) <- Gc.minor_words ()
-          else if node = cuts.(1) then marks.(1).(round) <- Gc.minor_words ();
-          Engine.Listen);
-      deliver = (fun ~round:_ ~node:_ _ -> ());
-    }
-  in
-  let (_ : Engine.outcome) =
-    Engine_sparse.run ~domains ~graph
-      ~detection:Engine.Collision_detection ~protocol
-      ~after_round:(fun ~round -> round_no := round)
-      ~stop:(fun ~round:_ -> false)
-      ~max_rounds:total ()
-  in
-  Alcotest.(check int) "ran all rounds" (total - 1) !round_no;
-  let budget = 128.0 in
-  for j = 0 to domains - 1 do
-    let worst = ref 0.0 in
-    for r = warmup to warmup + rounds - 1 do
-      let delta = marks.(j).(r + 1) -. marks.(j).(r) in
-      if delta > !worst then worst := delta
-    done;
-    Alcotest.(check bool)
-      (Printf.sprintf
-         "lane %d steady-state round allocates <= %.0f words (worst %.0f)" j
-         budget !worst)
-      true
-      (!worst <= budget)
-  done
 
 (* Runner shard loop: every domain lane records Gc.minor_words (its own
    domain's counter) at each item it processes; the delta between two
@@ -654,11 +602,6 @@ let () =
             test_sparse_collision_round;
           Alcotest.test_case "passive-woken rounds" `Quick
             test_sparse_passive_woken_round;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "lane round budget" `Quick
-            test_sharded_lane_budget;
         ] );
       ( "protocol",
         [

@@ -2,37 +2,31 @@
    run over the live registry so every pipeline a user can reach from
    rbcast/bench is exercised:
 
-   - engine independence: each registered pipeline runs under [Dense],
-     [Sparse] and [Sharded 1/2/4] on two graphs and three seeds, and every
-     mode must return a byte-identical result record — the routing rule of
+   - engine independence: each registered pipeline runs under [Dense]
+     and [Sparse] on two graphs and three seeds, and both modes must
+     return a byte-identical result record — the routing rule of
      [Drive.run] (which fast paths each mode consumes) must never show in
-     a result, and R12's write locality must hold on real lanes.  The
-     [mmv], [estimate], [routing] and [sequential] entries ignore
-     [?engine] (they always run on the default [Sparse]), so for them the
-     check is trivially true.
+     a result.  The [mmv], [estimate], [routing] and [sequential] entries
+     ignore [?engine] (they always run on the default [Sparse]), so for
+     them the check is trivially true.
    - R11 silence purity: each registered pipeline runs on the same
      (graph, seed) with [Engine.inject_silence] handing every listener a
      spurious [Silence] before its real reception, under the default
-     engine and under [Sharded 2].  Entries declaring [silence_pure] must
-     produce byte-identical result records; entries that opted out with a
+     [Sparse] engine and under [Dense].  Entries declaring [silence_pure]
+     must produce byte-identical result records; entries that opted out with a
      reasoned [rblint:allow R11] (the GST self-test family, where silence
      means unsafe) must still run to completion.
    - transmit-buffer contract: the sparse engine's [?validate] debug flag
      must stay quiet on a well-formed [decide_active] and raise — naming
      the offending round — on one that repeats a node id.  [Drive.run]
-     drops both the set and the flag under [Dense] and [Sharded], which
-     take no fast path. *)
+     drops both the set and the flag under [Dense], which takes no fast
+     path. *)
 
 open Rn_graph
 open Rn_radio
 open Rn_broadcast
 
 let () = Protocols.ensure_registered ()
-
-(* Same cap override as test_engine_sharded: the sharded modes must run on
-   real worker domains, not degrade to the calling domain. *)
-let () =
-  Atomic.set Runner.Pool.size_cap (max 8 (Atomic.get Runner.Pool.size_cap))
 
 let graph =
   Gen.layered_random
@@ -59,28 +53,16 @@ let graphs =
       Gen.random_connected ~rng:(Rn_util.Rng.create ~seed:9) ~n:40 ~extra:40 );
   ]
 
-let modes =
-  [
-    ("sparse", Engine.Sparse);
-    ("sharded 1", Engine.Sharded 1);
-    ("sharded 2", Engine.Sharded 2);
-    ("sharded 4", Engine.Sharded 4);
-  ]
-
 let independence_case e =
   Alcotest.test_case e.Registry.name `Quick (fun () ->
       List.iter
         (fun (gname, graph) ->
           List.iter
             (fun seed ->
-              let base = run_entry ~engine:Engine.Dense ~graph ~seed e in
-              List.iter
-                (fun (mname, engine) ->
-                  check_result
-                    (Printf.sprintf "%s seed=%d %s ≡ dense" gname seed mname)
-                    base
-                    (run_entry ~engine ~graph ~seed e))
-                modes)
+              check_result
+                (Printf.sprintf "%s seed=%d sparse ≡ dense" gname seed)
+                (run_entry ~engine:Engine.Dense ~graph ~seed e)
+                (run_entry ~engine:Engine.Sparse ~graph ~seed e))
             [ 1; 42; 1234 ])
         graphs)
 
@@ -103,7 +85,7 @@ let injection_case e =
             Alcotest.(check bool)
               (mname ^ ": completes") true
               (injected.Registry.rounds > 0))
-        [ ("default", None); ("sharded 2", Some (Engine.Sharded 2)) ])
+        [ ("default", None); ("dense", Some Engine.Dense) ])
 
 (* --------------------------------------------------------------- *)
 (* ?validate: the transmit-buffer distinctness check (sparse only)   *)
@@ -154,7 +136,6 @@ let driven engine decide_active () =
 
 let dense = driven Engine.Dense
 let sparse = driven Engine.Sparse
-let sharded = driven (Engine.Sharded 2)
 
 (* The probe itself: every engine delivers the spurious [Silence] to every
    listener it delivers to.  On a listen-only round only [Dense] delivers
@@ -195,8 +176,7 @@ let test_injection_reaches_listeners () =
         name
         (Array.make (Graph.n small) rounds)
         (receptions ~decide:alternating engine))
-    [ ("dense", Engine.Dense); ("sparse", Engine.Sparse);
-      ("sharded 2", Engine.Sharded 2) ]
+    [ ("dense", Engine.Dense); ("sparse", Engine.Sparse) ]
 
 let registry_tests =
   [
@@ -249,11 +229,8 @@ let () =
         [
           expect_clean "dense accepts distinct ids" (dense distinct);
           expect_clean "sparse accepts distinct ids" (sparse distinct);
-          expect_clean "sharded accepts distinct ids" (sharded distinct);
           expect_clean "dense drops the set, repeats and all"
             (dense duplicated);
           expect_repeat "sparse rejects a repeated id" (sparse duplicated);
-          expect_clean "sharded drops the set, repeats and all"
-            (sharded duplicated);
         ] );
     ]

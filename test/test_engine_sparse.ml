@@ -337,6 +337,104 @@ let qcheck_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The spray kernel *)
+
+(* Dense G(n, p) graphs, p >= 0.5, where each round draws its transmit
+   probability from {0.9, 0.5, 0.05}: heavy rounds saturate most
+   listeners, light ones leave many with exactly one transmitting
+   neighbour while sleepers and transmitters (deaf) are still sprayed by
+   many.  A spray past a transmitter's neighbour slice, or a delivery that
+   read the last sprayer's id under a count other than 1, would show in
+   the per-node logs, the stats or the metrics export against [Dense]. *)
+let dense_script ~rng ~n ~rounds =
+  let probs = [| 0.9; 0.5; 0.05 |] in
+  Array.init rounds (fun r ->
+      let q = probs.(Rng.int rng (Array.length probs)) in
+      Array.init n (fun v ->
+          if Rng.bernoulli rng q then Engine.Transmit ((r * 10_000) + v)
+          else if Rng.int rng 4 = 0 then Engine.Sleep
+          else Engine.Listen))
+
+let arb_dense =
+  QCheck.make
+    ~print:(fun (n, pct, rounds, seed, cd) ->
+      Printf.sprintf "(n=%d,p=0.%02d,rounds=%d,seed=%d,cd=%b)" n pct rounds
+        seed cd)
+    QCheck.Gen.(
+      tup5 (int_range 8 64) (int_range 50 95) (int_range 1 10)
+        (int_range 0 100_000) bool)
+
+let kernel_test =
+  QCheck.Test.make ~name:"dense spray: sparse ≡ dense" ~count:120 arb_dense
+    (fun (n, pct, rounds, seed, cd) ->
+      let rng = Rng.create ~seed in
+      let graph = Topo.gnp ~rng ~n ~p:(float_of_int pct /. 100.) in
+      let script = dense_script ~rng ~n ~rounds in
+      let detection = detection_of cd in
+      same_observation_sparse
+        (observe ~engine:`Dense ~graph ~detection ~script ~max_rounds:rounds ())
+        (observe ~engine:`Sparse ~graph ~detection ~script ~max_rounds:rounds
+           ()))
+
+(* A star's edge mass sits on the hub: one transmitting hub sprays every
+   leaf, and every transmitting leaf lands on the hub's one byte.  The
+   second half leaves everyone asleep every other round, and the sparse
+   run also takes the matching awake set, empty in those rounds. *)
+let test_star_hub () =
+  let n = 100 in
+  let g = Topo.star n in
+  let rng = Rng.create ~seed:11 in
+  let script = make_script ~rng ~n ~rounds:8 in
+  let check ?decide_active what script =
+    let a =
+      observe ~engine:`Dense ~graph:g ~detection:Engine.Collision_detection
+        ~script ~max_rounds:8 ()
+    in
+    let b =
+      observe ?decide_active ~engine:`Sparse ~graph:g
+        ~detection:Engine.Collision_detection ~script ~max_rounds:8 ()
+    in
+    Alcotest.(check bool) what true (same_observation_sparse a b)
+  in
+  check "star ≡ dense" script;
+  let script =
+    Array.mapi
+      (fun round acts ->
+        if round mod 2 = 0 then Array.map (fun _ -> Engine.Sleep) acts
+        else acts)
+      script
+  in
+  check "star, idle rounds ≡ dense" script;
+  check ~decide_active:(awake_set script n) "star, empty awake sets ≡ dense"
+    script
+
+(* A protocol exception leaves the run at once, under both engines, as the
+   first raising node's. *)
+exception Boom of int
+
+let test_decide_exception_propagates () =
+  let g = Topo.path 40 in
+  let protocol =
+    {
+      Engine.decide =
+        (fun ~round ~node ->
+          if round = 2 && node >= 20 then raise (Boom node) else Engine.Listen);
+      deliver = (fun ~round:_ ~node:_ _ -> ());
+    }
+  in
+  List.iter
+    (fun engine ->
+      match
+        Drive.run ~engine ~graph:g ~detection:Engine.Collision_detection
+          ~protocol
+          ~stop:(fun ~round:_ -> false)
+          ~max_rounds:10 ()
+      with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom v -> Alcotest.(check int) "first raising node" 20 v)
+    [ Engine.Dense; Engine.Sparse ]
+
+(* ------------------------------------------------------------------ *)
 (* Skip-contract unit tests *)
 
 let listen_protocol () =
@@ -516,18 +614,10 @@ let test_single_node () =
   Alcotest.(check bool) "n=1 matches" true (same_observation_sparse a b)
 
 (* Wrapper-level equivalence: the protocol wrappers default to the sparse
-   engine, so each must give byte-identical results under [Engine.Dense],
-   [Engine.Sparse] and [Engine.Sharded 2] from the same seed — the per-node
-   RNG streams must advance exactly as under the full scan even though the
-   sparse path elides sleeping nodes' decides and fast-forwards silent
-   stretches, and the sharded path runs callbacks on two lanes. *)
-
-let sharded = Engine.Sharded 2
-
-(* Same cap override as test_engine_sharded: the sharded inputs must run
-   on real worker domains, not degrade to the calling domain. *)
-let () =
-  Atomic.set Runner.Pool.size_cap (max 8 (Atomic.get Runner.Pool.size_cap))
+   engine, so each must give byte-identical results under [Engine.Dense]
+   and [Engine.Sparse] from the same seed — the per-node RNG streams must
+   advance exactly as under the full scan even though the sparse path
+   elides sleeping nodes' decides and fast-forwards silent stretches. *)
 
 let test_wrapper_decay () =
   let rng = Rng.create ~seed:421 in
@@ -536,16 +626,13 @@ let test_wrapper_decay () =
     Rn_broadcast.Decay.broadcast ~engine ~rng:(Rng.create ~seed:7) ~graph:g
       ~source:0 ()
   in
-  let a = run Engine.Dense in
-  List.iter
-    (fun b ->
-      Alcotest.(check bool) "outcome" true
-        (a.Rn_broadcast.Decay.outcome = b.Rn_broadcast.Decay.outcome);
-      Alcotest.(check (array int)) "received rounds"
-        a.Rn_broadcast.Decay.received_round b.Rn_broadcast.Decay.received_round;
-      Alcotest.(check bool) "stats" true
-        (a.Rn_broadcast.Decay.stats = b.Rn_broadcast.Decay.stats))
-    [ run Engine.Sparse; run sharded ]
+  let a = run Engine.Dense and b = run Engine.Sparse in
+  Alcotest.(check bool) "outcome" true
+    (a.Rn_broadcast.Decay.outcome = b.Rn_broadcast.Decay.outcome);
+  Alcotest.(check (array int)) "received rounds"
+    a.Rn_broadcast.Decay.received_round b.Rn_broadcast.Decay.received_round;
+  Alcotest.(check bool) "stats" true
+    (a.Rn_broadcast.Decay.stats = b.Rn_broadcast.Decay.stats)
 
 let test_wrapper_cr () =
   let rng = Rng.create ~seed:422 in
@@ -554,16 +641,13 @@ let test_wrapper_cr () =
     Rn_broadcast.Decay.broadcast ~diameter:8 ~engine ~rng:(Rng.create ~seed:9)
       ~graph:g ~source:0 ()
   in
-  let a = run Engine.Dense in
-  List.iter
-    (fun b ->
-      Alcotest.(check bool) "outcome" true
-        (a.Rn_broadcast.Decay.outcome = b.Rn_broadcast.Decay.outcome);
-      Alcotest.(check (array int)) "received rounds"
-        a.Rn_broadcast.Decay.received_round b.Rn_broadcast.Decay.received_round;
-      Alcotest.(check bool) "stats" true
-        (a.Rn_broadcast.Decay.stats = b.Rn_broadcast.Decay.stats))
-    [ run Engine.Sparse; run sharded ]
+  let a = run Engine.Dense and b = run Engine.Sparse in
+  Alcotest.(check bool) "outcome" true
+    (a.Rn_broadcast.Decay.outcome = b.Rn_broadcast.Decay.outcome);
+  Alcotest.(check (array int)) "received rounds"
+    a.Rn_broadcast.Decay.received_round b.Rn_broadcast.Decay.received_round;
+  Alcotest.(check bool) "stats" true
+    (a.Rn_broadcast.Decay.stats = b.Rn_broadcast.Decay.stats)
 
 let test_wrapper_recruiting () =
   let rng = Rng.create ~seed:423 in
@@ -576,8 +660,7 @@ let test_wrapper_recruiting () =
       ~params:Rn_broadcast.Params.default ~graph:g ~reds ~blues ()
   in
   let a = run Engine.Dense in
-  Alcotest.(check bool) "outcome record" true (a = run Engine.Sparse);
-  Alcotest.(check bool) "sharded outcome record" true (a = run sharded)
+  Alcotest.(check bool) "outcome record" true (a = run Engine.Sparse)
 
 let test_wrapper_bipartite () =
   let rng = Rng.create ~seed:424 in
@@ -592,8 +675,7 @@ let test_wrapper_bipartite () =
       ~reds ~blues ~blue_ranks ()
   in
   let a = run Engine.Dense in
-  Alcotest.(check bool) "outcome record" true (a = run Engine.Sparse);
-  Alcotest.(check bool) "sharded outcome record" true (a = run sharded)
+  Alcotest.(check bool) "outcome record" true (a = run Engine.Sparse)
 
 let test_wrapper_construct () =
   let rng = Rng.create ~seed:425 in
@@ -605,8 +687,7 @@ let test_wrapper_construct () =
           ~engine ~rng:(Rng.create ~seed:17) ~graph:g ~roots:[| 0 |] ()
       in
       let a = run Engine.Dense in
-      Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse);
-      Alcotest.(check bool) "sharded result record" true (a = run sharded))
+      Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse))
     [ Rn_broadcast.Gst_distributed.Sequential;
       Rn_broadcast.Gst_distributed.Pipelined ]
 
@@ -651,7 +732,6 @@ let test_wrapper_single_broadcast () =
   in
   let a = run Engine.Dense in
   Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse);
-  Alcotest.(check bool) "sharded result record" true (a = run sharded);
   Alcotest.(check bool) "delivered" true a.Rn_broadcast.Single_broadcast.delivered
 
 let test_wrapper_multi_broadcast () =
@@ -663,14 +743,12 @@ let test_wrapper_multi_broadcast () =
   in
   let a = run Engine.Dense in
   Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse);
-  Alcotest.(check bool) "sharded result record" true (a = run sharded);
   let runk engine =
     Rn_broadcast.Multi_broadcast.known ~engine ~rng:(Rng.create ~seed:29)
       ~graph:g ~source:0 ~k:4 ()
   in
   let ka = runk Engine.Dense in
-  Alcotest.(check bool) "known result record" true (ka = runk Engine.Sparse);
-  Alcotest.(check bool) "known sharded result record" true (ka = runk sharded)
+  Alcotest.(check bool) "known result record" true (ka = runk Engine.Sparse)
 
 let () =
   Alcotest.run "engine_sparse"
@@ -688,6 +766,13 @@ let () =
             test_honest_accounting;
           Alcotest.test_case "single node" `Quick test_single_node;
           Alcotest.test_case "passive contract" `Quick test_passive_contract;
+        ] );
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest kernel_test;
+          Alcotest.test_case "star hub" `Quick test_star_hub;
+          Alcotest.test_case "decide exception propagates" `Quick
+            test_decide_exception_propagates;
         ] );
       ( "wrappers",
         [

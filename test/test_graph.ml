@@ -217,7 +217,7 @@ let test_gen_dot () =
   Alcotest.(check bool) "edge 1--2" true (contains s "1 -- 2")
 
 (* ------------------------------------------------------------------ *)
-(* Builder and shard_cuts *)
+(* Builder *)
 
 let same_graph a b =
   Graph.n a = Graph.n b && Graph.m a = Graph.m b
@@ -251,49 +251,6 @@ let test_builder_growth () =
   done;
   Alcotest.(check bool) "grown builder ≡ create" true
     (same_graph (Graph.Builder.finish b) (Graph.create ~n ~edges:!edges))
-
-let check_cuts_shape ~n ~parts cuts =
-  Alcotest.(check int) "length" (parts + 1) (Array.length cuts);
-  Alcotest.(check int) "first" 0 cuts.(0);
-  Alcotest.(check int) "last" n cuts.(parts);
-  for k = 1 to parts do
-    Alcotest.(check bool) "nondecreasing" true (cuts.(k) >= cuts.(k - 1))
-  done
-
-let test_shard_cuts_shapes () =
-  let cases =
-    [
-      (Topo.path 256, 4);
-      (Topo.star 100, 8);
-      (Topo.path 2, 7) (* parts > n *);
-      (Topo.path 1, 3);
-      (Graph.create ~n:0 ~edges:[], 2);
-      (Topo.complete 12, 5);
-    ]
-  in
-  List.iter
-    (fun (g, parts) ->
-      check_cuts_shape ~n:(Graph.n g) ~parts (Graph.shard_cuts g ~parts))
-    cases;
-  Alcotest.check_raises "parts < 1"
-    (Invalid_argument "Graph.shard_cuts: parts must be >= 1") (fun () ->
-      ignore (Graph.shard_cuts (Topo.path 3) ~parts:0))
-
-let test_shard_cuts_balance () =
-  (* On a uniform-degree shape, cuts land within one node-weight of the
-     ideal split. *)
-  let n = 1000 in
-  let g = Topo.cycle n in
-  let parts = 4 in
-  let cuts = Graph.shard_cuts g ~parts in
-  check_cuts_shape ~n ~parts cuts;
-  for k = 1 to parts - 1 do
-    let ideal = n * k / parts in
-    Alcotest.(check bool)
-      (Printf.sprintf "cut %d near ideal (%d vs %d)" k cuts.(k) ideal)
-      true
-      (abs (cuts.(k) - ideal) <= 1)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties *)
@@ -366,25 +323,6 @@ let qcheck_tests =
         let b = Graph.Builder.create ~capacity:(1 + (seed mod 4)) ~n () in
         List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) edges;
         same_graph (Graph.Builder.finish b) (Graph.create ~n ~edges));
-    (* Balance: a shard weighs (nodes + degrees) at most one ideal share
-       plus one node's weight, since each cut is the first node whose
-       prefix weight reaches its target. *)
-    Test.make ~name:"shard_cuts covers, sorted, balanced" ~count:200
-      (pair arb_connected (int_range 1 12))
-      (fun ((n, extra, seed), parts) ->
-        let g = Topo.random_connected ~rng:(Rng.create ~seed) ~n ~extra in
-        let cuts = Graph.shard_cuts g ~parts in
-        let off = Graph.offsets g in
-        let prefix v = v + off.(v) in
-        let slack = Ilog.cdiv (prefix n) parts + 1 + Graph.max_degree g in
-        let ok = ref (Array.length cuts = parts + 1) in
-        if cuts.(0) <> 0 || cuts.(parts) <> n then ok := false;
-        for k = 1 to parts do
-          if cuts.(k) < cuts.(k - 1) then ok := false
-          else if prefix cuts.(k) - prefix cuts.(k - 1) > slack then
-            ok := false
-        done;
-        !ok);
     Test.make ~name:"layered_random levels = layers" ~count:50
       (triple (int_range 1 8) (int_range 1 6) (int_range 0 1000))
       (fun (depth, width, seed) ->
@@ -414,16 +352,13 @@ let () =
           Alcotest.test_case "induced bipartite mapping" `Quick
             test_induced_bipartite_mapping;
         ] );
-      ( "builder & shard_cuts",
+      ( "Graph.Builder checks",
         [
           Alcotest.test_case "builder matches create" `Quick
             test_builder_matches_create;
           Alcotest.test_case "builder empty & bounds" `Quick
             test_builder_empty_and_bounds;
           Alcotest.test_case "builder growth" `Quick test_builder_growth;
-          Alcotest.test_case "shard_cuts shapes" `Quick test_shard_cuts_shapes;
-          Alcotest.test_case "shard_cuts balance" `Quick
-            test_shard_cuts_balance;
         ] );
       ( "bfs",
         [

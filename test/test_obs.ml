@@ -1,8 +1,8 @@
 (* The observability layer: registry mechanics (ring wraparound, phase
    clamping, histogram binning), export formatting, the Lemma-2.2/2.4
    analyses on hand-checkable inputs — and the acceptance property that a
-   metrics registry filled by a sharded Decay run exports byte-identical
-   text to the serial run, for every domain count. *)
+   metrics registry filled by a sparse-engine Decay run exports
+   byte-identical text to the dense run. *)
 
 open Rn_util
 open Rn_graph
@@ -11,12 +11,6 @@ open Rn_broadcast
 module M = Rn_obs.Metrics
 module Export = Rn_obs.Export
 module Analysis = Rn_obs.Analysis
-
-(* Same cap override as test_engine_sharded: byte-identity must hold under
-   true multi-domain execution, not a degenerate 1-domain fallback. *)
-let () =
-  Atomic.set Rn_radio.Runner.Pool.size_cap
-    (max 8 (Atomic.get Rn_radio.Runner.Pool.size_cap))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
@@ -179,7 +173,7 @@ let test_shrink_factors () =
     (Analysis.shrink_factors [ 5 ])
 
 (* ------------------------------------------------------------------ *)
-(* Acceptance property: sharded Decay fills the registry byte-identically *)
+(* Acceptance property: sparse Decay fills the registry byte-identically *)
 
 (* Everything Export can say about a registry, as one string. *)
 let export_fingerprint m =
@@ -194,13 +188,10 @@ let decay_fingerprint ?engine ~seed ~graph ~ladder () =
   ignore (Decay.broadcast ?engine ~metrics:m ~rng ~graph ~source:0 ());
   export_fingerprint m
 
-let domain_counts = [ 1; 2; 4 ]
-
 let qcheck_tests =
   let open QCheck in
   [
-    Test.make ~name:"Decay obs export: sharded ≡ serial, domains 1/2/4"
-      ~count:60
+    Test.make ~name:"Decay obs export: sparse ≡ dense" ~count:60
       (make
          ~print:(fun (n, extra, seed) ->
            Printf.sprintf "(n=%d,extra=%d,seed=%d)" n extra seed)
@@ -209,34 +200,27 @@ let qcheck_tests =
         let rng = Rng.create ~seed in
         let graph = Topo.random_connected ~rng ~n ~extra in
         let ladder = max 1 (Ilog.clog n) in
-        let base = decay_fingerprint ~seed ~graph ~ladder () in
-        List.for_all
-          (fun domains ->
-            String.equal base
-              (decay_fingerprint
-                 ~engine:(Rn_radio.Engine.Sharded domains)
-                 ~seed ~graph ~ladder ()))
-          domain_counts);
+        String.equal
+          (decay_fingerprint ~engine:Rn_radio.Engine.Dense ~seed ~graph
+             ~ladder ())
+          (decay_fingerprint ~engine:Rn_radio.Engine.Sparse ~seed ~graph
+             ~ladder ()));
   ]
 
-(* And once on a fixed layered topology large enough that every shard owns
-   work — the E-scale shape, unit-style so a failure prints the diff. *)
+(* And once on a fixed layered topology — the E-scale shape, unit-style so
+   a failure prints the diff. *)
 let test_decay_obs_layered () =
   let mkgraph () =
     Topo.layered_random ~rng:(Rng.create ~seed:5) ~depth:8 ~width:16 ~p:0.35
   in
   let graph = mkgraph () in
   let ladder = Ilog.clog (Graph.n graph) in
-  let base = decay_fingerprint ~seed:42 ~graph ~ladder () in
-  List.iter
-    (fun domains ->
-      Alcotest.(check string)
-        (Printf.sprintf "domains=%d export" domains)
-        base
-        (decay_fingerprint
-           ~engine:(Rn_radio.Engine.Sharded domains)
-           ~seed:42 ~graph ~ladder ()))
-    domain_counts;
+  Alcotest.(check string)
+    "sparse export ≡ dense"
+    (decay_fingerprint ~engine:Rn_radio.Engine.Dense ~seed:42 ~graph ~ladder
+       ())
+    (decay_fingerprint ~engine:Rn_radio.Engine.Sparse ~seed:42 ~graph
+       ~ladder ());
   (* the registry saw real traffic — guard against a vacuous pass *)
   let m = M.create ~hist_width:ladder () in
   let r =
@@ -270,7 +254,7 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "layered Decay export, domains 1/2/4" `Quick
+          Alcotest.test_case "layered Decay export, sparse ≡ dense" `Quick
             test_decay_obs_layered;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

@@ -523,10 +523,8 @@ module Reference = struct
       let protocol = { Engine.decide; deliver } in
       let stop ~round:_ = done_from depth in
       let outcome =
-        Drive.run
-          ?engine:(Option.map Drive.serial engine)
-          ~decide_active ~next_busy_round ~graph ~detection ~protocol
-          ~after_round ~stop ~max_rounds ()
+        Drive.run ?engine ~decide_active ~next_busy_round ~graph ~detection
+          ~protocol ~after_round ~stop ~max_rounds ()
       in
       let rounds =
         match outcome with
@@ -614,7 +612,7 @@ let layering_matches_reference =
           then
             QCheck.Test.fail_reportf "decay_bfs: rounds %d vs reference %d"
               r.Layering.rounds ref_rounds)
-        [ Engine.Dense; Engine.Sparse; Engine.Sharded 2 ];
+        [ Engine.Dense; Engine.Sparse ];
       let w = Layering.collision_wave ~graph:g ~sources () in
       let ref_levels, ref_rounds =
         Reference.collision_wave ~graph:g ~sources ()

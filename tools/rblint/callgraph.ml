@@ -30,8 +30,9 @@
          Rng on a [Silence] delivery (Engine_sparse skips silent rounds).
      R12 write locality — every write reachable from a protocol's
          [decide]/[deliver] must target node-derived state, node-local
-         scratch, or an [Atomic.t] (the [Sharded d] lanes race callbacks
-         of different nodes otherwise); Rng draws must come from a
+         scratch, or an [Atomic.t]: in the model a node changes only its
+         own state, so a cross-node write is a simulation device that
+         must carry a named allow; Rng draws must come from a
          node-derived stream.
      R13 hint determinism — [~next_busy_round] closures must be pure
          functions of the round and data they can only read: any write,
@@ -628,10 +629,11 @@ let r12_findings units =
     forward_closure ~seeds:callbacks ~edge_ok:(fun c -> not c.c_fwd) units
   in
   let advice =
-    " — Sharded d lanes run callbacks for different nodes on different \
-     domains, so cross-node or shared-accumulator writes race; index \
+    " — in the radio model a node changes only its own state, so a \
+     cross-node or shared-accumulator write is a simulation device; index \
      through the callback's ~node argument, use node-local scratch, make \
-     shared aggregates Atomic.t, or add a reasoned rblint:allow R12"
+     shared aggregates Atomic.t, or name the device in a reasoned \
+     rblint:allow R12"
   in
   let fs =
     List.concat_map
@@ -689,9 +691,9 @@ let r12_findings units =
                         g_msg =
                           "shared Rng draw (Rng." ^ op
                           ^ ") in a protocol callback: the stream is not \
-                             node-derived, so concurrent callbacks would \
-                             race it and the draw order would depend on the \
-                             shard schedule — draw from a per-node stream \
+                             node-derived, so the draw order would depend \
+                             on which callbacks the engine runs and in \
+                             what order — draw from a per-node stream \
                              (e.g. Rng.split_n at setup)" ^ advice;
                         g_anchors = [ c.c_line ];
                       }

@@ -1,7 +1,7 @@
 (* R12 clean fixture: every callback write is node-local — indexed through
    the callback's ~node argument, or a shared aggregate made Atomic — so
-   the Sharded d lanes can run callbacks for different nodes on different
-   domains without racing. *)
+   each node changes only its own state, as in the radio model, and no
+   write needs a named allow. *)
 
 module Engine = struct
   type reception = Silence | Collision | Received of int
