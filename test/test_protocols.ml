@@ -897,8 +897,11 @@ let test_baseline_cr () =
    and distributed-GST machines, and the registry entries over the
    centralized and distributed GST, pinned draw for draw: each digest is the
    MD5 of a canonical rendering of one run's outputs (3 graphs x 3 seeds
-   per family).  How these modules store their state, or which nodes the
-   engine wakes each round, must never show here. *)
+   per family; "gst-dist strict" adds both construction modes).  The
+   strict families run fixed budgets ([adaptive = false]), so a stage
+   that ends at the wrong round shows here even when oracle exits hide
+   it.  How these modules store their state, or which nodes the engine
+   wakes each round, must never show here. *)
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
@@ -951,10 +954,12 @@ let golden_recruiting ~seed (reds, blues, g) =
     o.Recruiting.classes_consistent
     (int_pairs o.Recruiting.recruited)
 
-let golden_assignment ~seed (reds, blues, g) =
+let strict_params = { Params.default with Params.adaptive = false }
+
+let golden_assignment ~params ~seed (reds, blues, g) =
   let blue_ranks = Array.init (reds + blues) (fun v -> 1 + (v mod 3)) in
   let o =
-    Bipartite_assignment.run_standalone ~rng:(rng seed) ~params:Params.default
+    Bipartite_assignment.run_standalone ~rng:(rng seed) ~params
       ~graph:g
       ~reds:(Array.init reds Fun.id)
       ~blues:(Array.init blues (fun i -> reds + i))
@@ -976,6 +981,17 @@ let golden_sequential_gst ~seed g =
     (ints r.Gst_distributed.gst.Gst.parents)
     (ints r.Gst_distributed.gst.Gst.ranks)
     (ints r.Gst_distributed.parent_rank)
+
+let golden_gst_strict mode ~seed g =
+  let r =
+    Gst_distributed.construct ~mode ~learn_vd:true ~params:strict_params
+      ~rng:(rng seed) ~graph:g ~roots:[| 0 |] ()
+  in
+  Printf.sprintf "%d|%d|%d|%s|%s|%s" r.Gst_distributed.total_rounds
+    r.Gst_distributed.assignment_rounds r.Gst_distributed.vd_rounds
+    (ints r.Gst_distributed.gst.Gst.parents)
+    (ints r.Gst_distributed.gst.Gst.ranks)
+    (ints r.Gst_distributed.vd)
 
 let golden_entry name ~seed g =
   Protocols.ensure_registered ();
@@ -1002,12 +1018,22 @@ let golden_families =
     ("decay", golden_runs "decay" golden_graphs golden_decay);
     ("cr", golden_runs "cr" golden_graphs golden_cr);
     ("recruiting", golden_runs "recruiting" bip_graphs golden_recruiting);
-    ("assignment", golden_runs "assignment" bip_graphs golden_assignment);
+    ( "assignment",
+      golden_runs "assignment" bip_graphs
+        (golden_assignment ~params:Params.default) );
+    ( "assignment strict",
+      golden_runs "assignment-strict" bip_graphs
+        (golden_assignment ~params:strict_params) );
     ( "sequential gst",
       golden_runs "sequential-gst" golden_graphs golden_sequential_gst );
     ("gst", golden_runs "gst" golden_graphs (golden_entry "gst"));
     ("known", golden_runs "known" golden_graphs (golden_entry "known"));
     ("gst-dist", golden_runs "gst-dist" golden_graphs (golden_entry "gst-dist"));
+    ( "gst-dist strict",
+      golden_runs "gst-dist-strict sequential" golden_graphs
+        (golden_gst_strict Gst_distributed.Sequential)
+      @ golden_runs "gst-dist-strict pipelined" golden_graphs
+          (golden_gst_strict Gst_distributed.Pipelined) );
     ("thm11", golden_runs "thm11" golden_graphs (golden_entry "thm11"));
     ("unknown", golden_runs "unknown" golden_graphs (golden_entry "unknown"));
   ]
@@ -1050,6 +1076,15 @@ let golden =
     ("assignment bip16x40 seed=1", "19febade2235097a2b915952e137f7cd");
     ("assignment bip16x40 seed=2", "580f99ef036de2ce6056e84e389c3a86");
     ("assignment bip16x40 seed=3", "8609ccf2f2bdcfb7c50b26b7f9bf3517");
+    ("assignment-strict bip6x14 seed=1", "5f3f03d37789015c62d82a324041072f");
+    ("assignment-strict bip6x14 seed=2", "73c75f1fab98ad898d96825ce90bae47");
+    ("assignment-strict bip6x14 seed=3", "138c6b624cfac9d41bc64dd1d16673b6");
+    ("assignment-strict bip10x30 seed=1", "ce1624528a6c2c280c28750e67189e18");
+    ("assignment-strict bip10x30 seed=2", "4d64742576927ea767267829217aa86f");
+    ("assignment-strict bip10x30 seed=3", "439001f03dde5f8d9db99f9dbc94638b");
+    ("assignment-strict bip16x40 seed=1", "0183000366ebc3db58f1fbbf609526f5");
+    ("assignment-strict bip16x40 seed=2", "7af28905017f328283b38f35c9701b31");
+    ("assignment-strict bip16x40 seed=3", "9a42b5dc6367a6f771d655ff0b088184");
     ("sequential-gst layered seed=1", "1cdbfbdf1738907f45437525f6d84630");
     ("sequential-gst layered seed=2", "72add6e5313f6bbe2b26e6491eac75e8");
     ("sequential-gst layered seed=3", "61843173a7a207780b1b4423671a590e");
@@ -1086,6 +1121,24 @@ let golden =
     ("gst-dist grid seed=1", "fa313fb92dc64089477389d8d47e6e7d");
     ("gst-dist grid seed=2", "e11506634875cef4e4fbbfa15858a710");
     ("gst-dist grid seed=3", "6107460dd5304a3d8966a3eaa3950f4f");
+    ("gst-dist-strict sequential layered seed=1", "5060911bd39eea20a91d5ab685fc3c83");
+    ("gst-dist-strict sequential layered seed=2", "6832a70e4d1f2674091b912e45760acb");
+    ("gst-dist-strict sequential layered seed=3", "19c1970fb34f952b5104c990b91705b7");
+    ("gst-dist-strict sequential random seed=1", "5e3f6b51081f263769c64818215baebf");
+    ("gst-dist-strict sequential random seed=2", "75b59e457f78028a3a00ecdb005a91ee");
+    ("gst-dist-strict sequential random seed=3", "88342b87ce282278ba863f0105f2dd34");
+    ("gst-dist-strict sequential grid seed=1", "2d77448c3e4888ae795099b3c596cb35");
+    ("gst-dist-strict sequential grid seed=2", "b322e1894ac226aa8b354969fb6d99ad");
+    ("gst-dist-strict sequential grid seed=3", "efc3ba5e7ec433b059599012dd8a3e6e");
+    ("gst-dist-strict pipelined layered seed=1", "9b55a1112079775bebc0ae7633e25aef");
+    ("gst-dist-strict pipelined layered seed=2", "37ad95e78194f0bc97975cb8a0cd9c8a");
+    ("gst-dist-strict pipelined layered seed=3", "4ecfcd75634196c23d4cb00e99a9d9aa");
+    ("gst-dist-strict pipelined random seed=1", "fdbf88e2bf360629fdf85a3a3c028493");
+    ("gst-dist-strict pipelined random seed=2", "417967c5ad1d10bdcfa1ed83403cd8ef");
+    ("gst-dist-strict pipelined random seed=3", "df00bd7e88efb040a81a0683681678d7");
+    ("gst-dist-strict pipelined grid seed=1", "838bebbffce9ff7a8d2315826004aacb");
+    ("gst-dist-strict pipelined grid seed=2", "975e4aedac7535c3f7dd6ad3e4463fb6");
+    ("gst-dist-strict pipelined grid seed=3", "2640123d6ca2b9d7871e5ecb61e3bd47");
     ("thm11 layered seed=1", "56ac9f833ebaa37e346dfe6f643aec28");
     ("thm11 layered seed=2", "def81d5264cc30b31046240582928ee4");
     ("thm11 layered seed=3", "33dab6b9364c46d62950b608df0ac7a7");
