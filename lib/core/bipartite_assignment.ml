@@ -197,6 +197,9 @@ let loner_inform_goal t =
               false))
     t.reds
 
+let no_loners t =
+  not (Array.exists (fun b -> primary t b && t.loner.(bs t b)) t.blues)
+
 let stage3_goal t =
   Array.for_all
     (fun b ->
@@ -279,11 +282,12 @@ let rec next_rank t =
   t.rank <- t.rank - 1;
   if t.rank < 1 then enter t Done
   else if not (t.ready ~rank:t.rank) then enter t Waiting
-  else begin
-    reset_rank_state t;
-    apply_offers t;
-    if exists_unassigned_primary t then enter t Identify else next_rank t
-  end
+  else start_rank t
+
+and start_rank t =
+  reset_rank_state t;
+  apply_offers t;
+  if exists_unassigned_primary t then enter t Identify else next_rank t
 
 let begin_epoch t =
   t.epoch <- t.epoch + 1;
@@ -296,10 +300,6 @@ let begin_epoch t =
   in
   t.epoch_hist <- (t.rank, count) :: t.epoch_hist;
   enter t Loner_probe
-
-let start_rank_or_finish t =
-  (* Called when the current rank has no unassigned primaries left. *)
-  next_rank t
 
 let enter_part t k =
   let rl = part_reds t k and bl = part_blues t in
@@ -378,7 +378,11 @@ let end_epoch t =
     end
     else begin_epoch t
   end
-  else start_rank_or_finish t
+  else next_rank t
+
+let decay_stage_over t goal =
+  Params.stage_over t.params ~round:t.stage_round ~budget:t.decay_budget
+    ~period:t.ladder goal t
 
 (* Move through zero-round transitions until a stage that consumes rounds. *)
 let rec settle t =
@@ -386,22 +390,13 @@ let rec settle t =
   | Done -> ()
   | Waiting ->
       if t.ready ~rank:t.rank then begin
-        reset_rank_state t;
-        apply_offers t;
-        if exists_unassigned_primary t then begin
-          enter t Identify;
-          settle t
-        end
-        else begin
-          next_rank t;
-          settle t
-        end
+        start_rank t;
+        settle t
       end
   | Identify ->
-      if
-        t.stage_round >= t.decay_budget
-        || (t.params.Params.adaptive && t.stage_round mod t.ladder = 0
-           && t.stage_round > 0 && identify_goal t)
+      (* The goal can hold vacuously at round 0, so Identify and
+         Loner_inform end early no sooner than the first phase boundary. *)
+      if decay_stage_over t (fun t -> t.stage_round > 0 && identify_goal t)
       then begin
         begin_epoch t;
         settle t
@@ -409,9 +404,7 @@ let rec settle t =
   | Loner_probe -> () (* consumes exactly one round; advanced explicitly *)
   | Loner_inform ->
       if
-        t.stage_round >= t.decay_budget
-        || (t.params.Params.adaptive && t.stage_round mod t.ladder = 0
-           && t.stage_round > 0 && loner_inform_goal t)
+        decay_stage_over t (fun t -> t.stage_round > 0 && loner_inform_goal t)
       then begin
         (match enter_part t 1 with
         | Some r -> enter t (Part (1, r))
@@ -425,11 +418,7 @@ let rec settle t =
         settle t
       end
   | Stage3 ->
-      if
-        t.stage_round >= t.decay_budget
-        || (t.params.Params.adaptive && t.stage_round mod t.ladder = 0
-           && stage3_goal t)
-      then begin
+      if decay_stage_over t stage3_goal then begin
         end_epoch t;
         settle t
       end
@@ -594,11 +583,7 @@ let advance t =
   | Loner_probe ->
       (* One-shot stage: move on unconditionally. *)
       t.stage_round <- t.stage_round + 1;
-      if
-        t.params.Params.adaptive
-        && not
-             (Array.exists (fun b -> primary t b && t.loner.(bs t b)) t.blues)
-      then begin
+      if Params.skip_stage t.params no_loners t then begin
         (* No loners: skip the inform stage. *)
         match enter_part t 1 with
         | Some r -> enter t (Part (1, r))

@@ -382,11 +382,12 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
   while unlabeled_remain () && !d <= iter_cap do
     let dv = !d in
     (* Stage 1: label whole stretches hanging off F_dv, rank by rank. *)
+    let no_heads r =
+      not
+        (Array.exists (fun v -> is_head v && vd.(v) = dv && ranks.(v) = r) forest)
+    in
     for r = 1 to max_rank do
-      let heads_exist =
-        Array.exists (fun v -> is_head v && vd.(v) = dv && ranks.(v) = r) forest
-      in
-      if heads_exist || not params.Params.adaptive then begin
+      if not (Params.skip_stage params no_heads r) then begin
         (* Epoch 1 then epoch 2, each a D-round layer sweep. *)
         let epoch_len = depth + 1 in
         Array.iter (fun v -> sweep_hit.(v) <- false) forest;
@@ -513,7 +514,7 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
     in
     run_phase ~decide_active ~passive:unlabeled ~decide ~deliver
       ~stop:(fun ~round ->
-        params.Params.adaptive && round mod ladder = 0 && goal ())
+        Params.stage_over params ~round ~budget ~period:ladder goal ())
       ~max_rounds:budget ();
     incr d
   done;

@@ -26,3 +26,8 @@ let recruit_iterations t ~n =
   t.c_recruit * l * l
 
 let max_epochs t ~n = t.c_epochs * Ilog.clog (max 2 n)
+
+let stage_over t ~round ~budget ~period goal x =
+  round >= budget || (t.adaptive && round mod period = 0 && goal x)
+
+let skip_stage t goal x = t.adaptive && goal x

@@ -18,7 +18,9 @@
     a simulation-level device: it only shortens schedules whose remaining
     rounds would be no-ops, so the protocol outcome distribution for the
     achieved goal is unchanged; fixed-budget runs ([adaptive = false])
-    reproduce the paper's exact round structure.  For the distributed GST
+    pay every stage's full budget, as the paper's nodes would (the
+    completion stops named under "Stage exits" below still read the
+    global view).  For the distributed GST
     construction this is checked, not assumed: from the same stream both
     settings build the same forest, ranks, overrides and virtual
     distances (test/test_extras.ml, "oracle exits = fixed budgets"). *)
@@ -33,7 +35,9 @@ type t = {
   c_epochs : int;
       (** Assignment epochs per rank: [c_epochs · ⌈log n⌉] (paper:
           Θ(log n), §2.2.3). *)
-  adaptive : bool;  (** allow early exit of already-achieved phases *)
+  adaptive : bool;
+      (** allow early exit of already-achieved stages; read only through
+          {!stage_over} and {!skip_stage} *)
   max_round_factor : int;
       (** global simulation budget: [max_round_factor] × the predicted
           asymptotic round count; exceeded budgets are reported as
@@ -48,3 +52,30 @@ val phase_len : n:int -> int
 val whp_phases : t -> n:int -> int
 val recruit_iterations : t -> n:int -> int
 val max_epochs : t -> n:int -> int
+
+(** {1 Stage exits}
+
+    The one rule by which a budgeted construction stage ends.  It governs
+    seven stages: recruiting ([Recruiting.advance]); the assignment's
+    Identify, Loner_inform and Stage III Decay stages and its Loner_probe
+    skip of Loner_inform ([Bipartite_assignment]); and the virtual-distance
+    stretch sweeps and Decay relaxation ([Gst_distributed], with
+    [~learn_vd:true]).
+
+    It does not govern the global-view stops that end a run at completion
+    whatever [adaptive] says: the GST spread's [missing = 0], the ring
+    handoffs, Decay-BFS's [labeled = n] and the collision wave. *)
+
+val stage_over :
+  t -> round:int -> budget:int -> period:int -> ('a -> bool) -> 'a -> bool
+(** [stage_over t ~round ~budget ~period goal x]: the stage that has run
+    [round] rounds is over.  True when [round >= budget], whatever
+    [adaptive] says; otherwise, under [adaptive], when [round] is a
+    multiple of [period] and [goal x] holds.  [goal] is never called under
+    fixed budgets.  Pass a top-level function and its argument, or a closed
+    lambda, so that a per-round check allocates nothing. *)
+
+val skip_stage : t -> ('a -> bool) -> 'a -> bool
+(** [skip_stage t goal x]: a stage whose goal already holds is skipped
+    outright.  True only when [adaptive] and [goal x]; fixed budgets run
+    every stage and never call [goal]. *)

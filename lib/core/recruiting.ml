@@ -267,11 +267,9 @@ let fill_acts t ~claim =
 let advance t =
   if not t.done_flag then begin
     t.round <- t.round + 1;
-    if t.round >= t.total_rounds then t.done_flag <- true
-    else if
-      t.params.Params.adaptive
-      && t.round mod t.iter_len = 0
-      && goal_reached t
+    if
+      Params.stage_over t.params ~round:t.round ~budget:t.total_rounds
+        ~period:t.iter_len goal_reached t
     then t.done_flag <- true
     else
       let r = t.round mod t.iter_len in

@@ -47,8 +47,8 @@ val create :
   t
 (** [scale_n] sets the [log n] in every schedule length (the network size,
     which in the paper all nodes know up to a polynomial).  [graph] is used
-    only by the adaptive-termination oracle (deciding which blues are
-    coverable); node behaviour is purely local. *)
+    only by the oracle stage exit ({!Params.stage_over}'s goal: deciding
+    which blues are coverable); node behaviour is purely local. *)
 
 (** {1 Scheduler interface} *)
 
@@ -63,9 +63,9 @@ val advance : t -> unit
     round, after all deliveries. *)
 
 val finished : t -> bool
-(** True once the iteration budget is exhausted, or (with
-    [params.adaptive]) as soon as every coverable blue is recruited with
-    consistent classes. *)
+(** True once {!Params.stage_over} ends the stage: the iteration budget is
+    exhausted or, under oracle exits, an iteration boundary finds every
+    coverable blue recruited with consistent classes. *)
 
 val awake : t -> int array -> int -> int
 (** [awake t buf k] writes the current round's {e actors} into [buf]

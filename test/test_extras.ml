@@ -98,6 +98,46 @@ let test_strict_gst_small () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The stage-exit rule itself: a budget ends the stage whatever
+   [adaptive] says; an oracle exit needs a period boundary and the goal;
+   fixed budgets never evaluate the goal. *)
+let test_stage_exit_rule () =
+  let calls = ref 0 in
+  let goal holds =
+    incr calls;
+    holds
+  in
+  let over params ~round holds =
+    Params.stage_over params ~round ~budget:12 ~period:4 goal holds
+  in
+  List.iter
+    (fun params ->
+      let a = params.Params.adaptive in
+      Alcotest.(check bool) (Printf.sprintf "budget ends (adaptive %b)" a) true
+        (over params ~round:12 false);
+      Alcotest.(check bool) (Printf.sprintf "past budget (adaptive %b)" a) true
+        (over params ~round:13 false))
+    [ Params.default; strict_params ];
+  Alcotest.(check bool) "goal at a period boundary" true
+    (over Params.default ~round:8 true);
+  Alcotest.(check bool) "goal at round 0" true (over Params.default ~round:0 true);
+  Alcotest.(check bool) "goal off the period" false
+    (over Params.default ~round:6 true);
+  Alcotest.(check bool) "no goal at a boundary" false
+    (over Params.default ~round:8 false);
+  calls := 0;
+  for round = 0 to 11 do
+    Alcotest.(check bool) (Printf.sprintf "fixed round %d runs on" round) false
+      (over strict_params ~round true)
+  done;
+  Alcotest.(check bool) "fixed: skip test false" false
+    (Params.skip_stage strict_params goal true);
+  Alcotest.(check int) "fixed budgets never call the goal" 0 !calls;
+  Alcotest.(check bool) "oracle: skip when the goal holds" true
+    (Params.skip_stage Params.default goal true);
+  Alcotest.(check bool) "oracle: run when it does not" false
+    (Params.skip_stage Params.default goal false)
+
 (* ------------------------------------------------------------------ *)
 (* Infection (Definition 3.8 / Proposition 3.9) during a live broadcast *)
 
@@ -517,6 +557,7 @@ let () =
           Alcotest.test_case "recruiting full budget" `Slow test_strict_recruiting;
           Alcotest.test_case "decay layering" `Slow test_strict_decay_layering;
           Alcotest.test_case "distributed gst" `Slow test_strict_gst_small;
+          Alcotest.test_case "stage-exit rule" `Quick test_stage_exit_rule;
         ] );
       ( "infection",
         [
