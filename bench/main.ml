@@ -226,7 +226,7 @@ let e1 () =
   let per_seed =
     pmap_seeds many_seeds (fun ~seed ->
         let g = layered ~seed ~depth ~width in
-        let ladder = Ilog.clog (Graph.n g) in
+        let ladder = Params.phase_len ~n:(Graph.n g) in
         let r =
           Decay.broadcast ~rng:(Rng.create ~seed:(seed * 211)) ~graph:g
             ~source:0 ()

@@ -23,7 +23,7 @@ let () =
   let missing = ref (n - 1) in
   let ladder = Params.phase_len ~n in
   let decide ~round ~node =
-    if has.(node) && Rng.bernoulli node_rng.(node) (Decay.probability ~ladder round)
+    if has.(node) && Rng.coin_pow2 node_rng.(node) (Decay.exponent ~ladder round)
     then Engine.Transmit Payload
     else Engine.Listen
   in

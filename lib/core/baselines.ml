@@ -29,7 +29,7 @@ let routing_multi ?(params = Params.default) ~rng ~graph ~source ~k () =
   let decide ~round ~node =
     if count.(node) = 0 then Engine.Listen
     else begin
-      if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then begin
+      if Rng.coin_pow2 node_rng.(node) (Decay.exponent ~ladder round) then begin
         (* Uniform choice among held messages: the classic store-and-forward
            forwarding rule. *)
         let pick = Rng.int node_rng.(node) count.(node) in

@@ -56,8 +56,6 @@ type t = {
   mutable fallbacks : int;
 }
 
-let decay_exponent t r = (r mod t.ladder) + 1
-
 (* Member slot of [v], or -1 for a non-member.  The hot [decide],
    [wakes] and [deliver] look it up once per call. *)
 let slot t v =
@@ -133,7 +131,7 @@ let create ~rng ~params ~scale_n ~graph ~reds ~blues ~pos ~parents ~ranks
     parent_rank;
     ready;
     ladder;
-    decay_budget = Params.whp_phases params ~n:scale_n * ladder;
+    decay_budget = Params.whp_rounds params ~n:scale_n;
     node_rng;
     rank = Ilog.clog (max 2 scale_n);
     stage = Waiting;
@@ -394,8 +392,12 @@ let rec settle t =
         settle t
       end
   | Identify ->
-      (* The goal can hold vacuously at round 0, so Identify and
-         Loner_inform end early no sooner than the first phase boundary. *)
+      (* The goal holds vacuously at round 0 when no primary has an
+         unranked red neighbour (a blue Stage III missed), so Identify ends
+         early no sooner than the first phase boundary.  Loner_inform needs
+         no guard: under oracle exits it is entered only when a loner
+         exists ([no_loners]), and the red it heard is active and not yet
+         a loner-parent, so its goal is false at round 0. *)
       if decay_stage_over t (fun t -> t.stage_round > 0 && identify_goal t)
       then begin
         begin_epoch t;
@@ -403,9 +405,7 @@ let rec settle t =
       end
   | Loner_probe -> () (* consumes exactly one round; advanced explicitly *)
   | Loner_inform ->
-      if
-        decay_stage_over t (fun t -> t.stage_round > 0 && loner_inform_goal t)
-      then begin
+      if decay_stage_over t loner_inform_goal then begin
         (match enter_part t 1 with
         | Some r -> enter t (Part (1, r))
         | None -> enter_next_part t 1);
@@ -445,7 +445,8 @@ and enter_next_part t k =
 (* ------------------------------------------------------------------ *)
 (* Scheduler interface *)
 
-let coin t s = Rng.coin_pow2 t.node_rng.(s) (decay_exponent t t.stage_round)
+let coin t s =
+  Rng.coin_pow2 t.node_rng.(s) (Decay.exponent ~ladder:t.ladder t.stage_round)
 
 (* Outside the recruiting parts, the red [v] in slot [s] and the blue
    [b] in slot [s]. *)
@@ -642,8 +643,7 @@ let run_standalone ?engine ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
      comfortably in range, and a bad exponent raises instead of silently
      wrapping into a negative round budget. *)
   let max_rounds =
-    params.Params.max_round_factor
-    * Ilog.pow (Ilog.clog (max 2 n)) 5
+    params.Params.max_round_factor * Ilog.pow (Params.phase_len ~n) 5
   in
   (* Only reds and blues ever act (decide falls through both tables to
      Sleep); the awake set is static.  No hint: Waiting never occurs under

@@ -2,10 +2,9 @@ open Rn_util
 open Rn_graph
 open Rn_radio
 
-let probability ~ladder r =
-  if ladder < 1 then invalid_arg "Decay.probability";
-  let i = (r mod ladder) + 1 in
-  1.0 /. float_of_int (1 lsl min i 62)
+let exponent ~ladder r = (r mod ladder) + 1
+
+let mmv_exponent ~ladder step = ((step mod ladder) + ladder) mod ladder
 
 type result = {
   outcome : Engine.outcome;
@@ -47,16 +46,17 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
      the callbacks touch is per-node (own RNG stream, own received_round
      cell). *)
   let missing = Atomic.make (n - 1) in
-  let exponent round =
+  let cycle_exponent round =
     let r = round mod cycle in
-    if r < truncated then (r mod short) + 1 else r - truncated + 1
+    if r < truncated then exponent ~ladder:short r
+    else exponent ~ladder:full (r - truncated)
   in
   (* Every informed node draws on the same exponent in a round, so it is
      computed once per round rather than once per informed node:
      [round_exp] holds round r's exponent while round r decides, and
      [after_round] (called once per round under every engine, skipped
      rounds included) advances it. *)
-  let round_exp = ref (exponent 0) in
+  let round_exp = ref (cycle_exponent 0) in
   let decide ~round:_ ~node =
     if received_round.(node) >= 0 then
       if Rng.coin_pow2 node_rng.(node) !round_exp then Engine.Transmit Payload
@@ -89,7 +89,7 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
      diameter. *)
   (match metrics with Some m -> Rn_obs.Metrics.set_phase m 0 | None -> ());
   let after_round ~round =
-    round_exp := exponent (round + 1);
+    round_exp := cycle_exponent (round + 1);
     match metrics with
     | Some m -> Rn_obs.Metrics.set_phase m ((round + 1) / cycle)
     | None -> ()
@@ -131,8 +131,7 @@ let mmv_broadcast ?(params = Params.default) ?(noising = true) ~rng ~graph
       (* The paper's exponent is [step mod ⌈log n⌉] starting at 0; the
          probability-1 round (exponent 0) is what lets single-neighbor
          nodes receive deterministically. *)
-      let e = ((step mod ladder) + ladder) mod ladder in
-      if Rng.coin_pow2 node_rng.(node) e then begin
+      if Rng.coin_pow2 node_rng.(node) (mmv_exponent ~ladder step) then begin
         if received_round.(node) >= 0 then Engine.Transmit Payload
         else if noising then Engine.Transmit Noise
         else Engine.Listen

@@ -8,8 +8,10 @@
     ≥ 1/8, hence Θ(log n) phases deliver w.h.p.
 
     This module provides
-    - the probability ladder used as a building block by every construction
-      in the paper,
+    - the Decay ladder that every construction in the paper draws on, in
+      one place: {!exponent} (exponents 1 … L) and {!mmv_exponent} (the
+      level-keyed exponents 0 … L−1 of §3.1).  The ladder length L is
+      {!Params.phase_len} and a w.h.p. stage lasts {!Params.whp_rounds},
     - the single-message Decay broadcast: classic
       (the [O(D log n + log² n)] baseline of §1.3), or, given a diameter
       estimate, on the truncated-ladder schedule that serves as the
@@ -21,13 +23,28 @@
 open Rn_util
 open Rn_radio
 
-val probability : ladder:int -> int -> float
-(** [probability ~ladder r] is the transmit probability in round [r] of a
-    Decay schedule whose phase cycles through exponents 1 … [ladder]:
-    [2^{-((r mod ladder) + 1)}].  The protocols draw this ladder as
-    [Rng.coin_pow2 rng ((r mod ladder) + 1)], which decides exactly as
-    [Rng.bernoulli rng (probability ~ladder r)] without allocating; this
-    float form is the documented reference and the tests' oracle. *)
+val exponent : ladder:int -> int -> int
+(** [exponent ~ladder r] is the exponent of round [r] of a Decay schedule
+    whose phase cycles through 1 … [ladder] ([ladder ≥ 1]):
+    [(r mod ladder) + 1].  A participant transmits on
+    [Rng.coin_pow2 rng (exponent ~ladder r)], i.e. with probability
+    [2^{-exponent ~ladder r}], drawing exactly as [Rng.bernoulli] on that
+    float does.  Every 1-based Decay coin is drawn on it:
+    {!broadcast} (classic and the CR cycle), Decay-BFS layering
+    ([Layering.decay_bfs]), recruiting's announce coin
+    ([Recruiting], on the iteration index over [ladder]), the assignment's
+    Identify, Loner_inform and Stage III coins ([Bipartite_assignment]),
+    the virtual-distance relaxation ([Gst_distributed]), the ring handoffs
+    ([Rings]) and the routing baseline ([Baselines.routing_multi]). *)
+
+val mmv_exponent : ladder:int -> int -> int
+(** [mmv_exponent ~ladder step] is the exponent of step [step] of a
+    level-keyed ladder of §3.1: [step mod ladder] taken in 0 … [ladder − 1],
+    so a negative step wraps to [ladder + (step mod ladder)].  The step is
+    the round counted from the node's own slot, divided by the slot
+    spacing.  Exponent 0 transmits with probability 1.  Drawn on by
+    {!mmv_broadcast} (step [(r − l − 1)/3]) and the slow rounds of
+    [Gst_broadcast] (step [(t − 1 − 2d)/6]). *)
 
 type result = {
   outcome : Engine.outcome;
@@ -95,7 +112,8 @@ val mmv_broadcast :
   result
 (** The level-keyed Decay schedule of Lemma 3.2: a node at BFS level [l] is
     prompted only in rounds [r ≡ l + 1 (mod 3)], with probability
-    [2^{-((r - l - 1)/3 mod ⌈log n⌉)}].  With [noising = true] (default)
-    prompted nodes without the message send noise — the MMV framework of
+    [2^{-mmv_exponent ~ladder:⌈log n⌉ ((r - l - 1)/3)}].  With
+    [noising = true] (default) prompted nodes without the message send
+    noise — the MMV framework of
     Definition 3.1; with [noising = false] they stay silent (classic
     behaviour), the comparison point for experiment E7. *)

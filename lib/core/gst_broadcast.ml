@@ -21,9 +21,6 @@ let fast_slot ~clogn ~level ~rank ~round =
 let slow_slot ~level_or_vd ~round =
   round mod 2 = 1 && emod (round - 1 - (2 * level_or_vd)) 6 = 0
 
-let slow_exponent ~clogn ~level_or_vd ~round =
-  emod ((round - 1 - (2 * level_or_vd)) / 6) clogn
-
 type msg = Data of Rlnc.packet
 
 let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
@@ -34,7 +31,7 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
   let k = Array.length msgs in
   if k = 0 then invalid_arg "Gst_broadcast.run: no messages";
   let msg_len = Bitvec.length msgs.(0) in
-  let clogn = Ilog.clog (max 2 n) in
+  let clogn = Params.phase_len ~n in
   let depth = Bfs.max_level gst.Gst.levels in
   let max_rounds =
     params.Params.max_round_factor
@@ -93,8 +90,9 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
               else Engine.Listen
       end
       else if slow_slot ~level_or_vd:(slow_of node) ~round then begin
-        let e = slow_exponent ~clogn ~level_or_vd:(slow_of node) ~round in
-        if Rng.coin_pow2 node_rng.(node) e then
+        let step = (round - 1 - (2 * slow_of node)) / 6 in
+        if Rng.coin_pow2 node_rng.(node) (Decay.mmv_exponent ~ladder:clogn step)
+        then
           match fresh_packet node with
           | Some pkt -> Engine.Transmit (Data pkt)
           | None -> Engine.Listen
@@ -140,7 +138,7 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
               done)
   in
   (* Phase annotation: the slow schedule repeats with period [6·clogn]
-     (the slow_exponent ladder completes one sweep), which is the natural
+     (the Decay.mmv_exponent ladder completes one sweep), which is the natural
      "GST epoch".  Annotated from [after_round] (between rounds),
      composed before any [step_reset] action for the same round. *)
   let after_round =

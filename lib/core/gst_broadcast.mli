@@ -9,9 +9,10 @@
       relay of the packet received in the previous fast round (the
       pipelined wave; Lemma 3.5 keeps these collision-free);
     - {e slow} (odd rounds): if [t ≡ 1 + 2d (mod 6)] it transmits a fresh
-      coded packet with probability [2^{-((t-1-2d)/6 mod ⌈log n⌉)}] —
-      Decay-style steps that push packets toward entry points of fast
-      stretches (Lemma 3.7).
+      coded packet with probability [2^{-e}], where
+      [e = Decay.mmv_exponent ~ladder:⌈log n⌉ ((t-1-2d)/6)] runs
+      0 … [⌈log n⌉ − 1] (and wraps for [t < 1 + 2d]) — Decay-style steps
+      that push packets toward entry points of fast stretches (Lemma 3.7).
 
     Keying the slow transmissions by virtual distance rather than by level
     is the paper's crucial change versus [7,19]; the [slow_key] parameter

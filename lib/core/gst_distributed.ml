@@ -174,7 +174,7 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
       | Pipelined ->
           tick (round mod 3) 0 0
     in
-    let ladder = Ilog.clog (max 2 scale_n) in
+    let ladder = Params.phase_len ~n:scale_n in
     let max_rounds =
       params.Params.max_round_factor * ((depth + 2) * Ilog.pow ladder 5)
       + 10_000
@@ -464,7 +464,7 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
       end
     done;
     (* Stage 2: Decay relaxation across ordinary G-edges. *)
-    let budget = Params.whp_phases params ~n:scale_n * ladder in
+    let budget = Params.whp_rounds params ~n:scale_n in
     (* A forest node is settled once labeled or without a frontier
        neighbour; nodes outside the forest never take part. *)
     let settled v =
@@ -477,7 +477,7 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
     let goal () = Array.for_all settled forest in
     let decide ~round ~node =
       if in_forest node && vd.(node) = dv then begin
-        if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
+        if Rng.coin_pow2 node_rng.(node) (Decay.exponent ~ladder round) then
           Engine.Transmit (Cmsg.Vd_label { from_node = node; vd = dv })
         else Engine.Listen
       end

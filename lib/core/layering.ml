@@ -67,7 +67,7 @@ let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
     ~sources () =
   let n = Graph.n graph in
   let ladder = Params.phase_len ~n in
-  let epoch_len = Params.whp_phases params ~n * ladder in
+  let epoch_len = Params.whp_rounds params ~n in
   let max_rounds =
     match max_rounds with
     | Some m -> m
@@ -148,7 +148,7 @@ let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
   let decide ~round ~node =
     let lvl = levels.(node) in
     if lvl >= 0 && lvl <= epoch_of round then begin
-      if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
+      if Rng.coin_pow2 node_rng.(node) (Decay.exponent ~ladder round) then
         Engine.Transmit Cmsg.Probe
       else Engine.Listen
     end

@@ -19,7 +19,7 @@ let default =
 
 let phase_len ~n = Ilog.clog (max 2 n)
 
-let whp_phases t ~n = t.c_whp * Ilog.clog (max 2 n)
+let whp_rounds t ~n = t.c_whp * phase_len ~n * phase_len ~n
 
 let recruit_iterations t ~n =
   let l = Ilog.clog (max 2 n) in

@@ -47,9 +47,17 @@ type t = {
 val default : t
 
 val phase_len : n:int -> int
-(** Length of one Decay phase: the paper's [⌈log n⌉] (at least 1). *)
+(** Length of one Decay phase: the paper's [⌈log n⌉] (at least 1).  It is
+    the [ladder] of every Decay coin ({!Decay.exponent},
+    {!Decay.mmv_exponent}) and the length of recruiting's claim window. *)
 
-val whp_phases : t -> n:int -> int
+val whp_rounds : t -> n:int -> int
+(** Length of one w.h.p. Decay stage: [c_whp] phases of {!phase_len}
+    rounds, [c_whp · L · L] with [L = phase_len ~n].  It is the fixed
+    budget of the assignment's Identify, Loner_inform and Stage III
+    stages, of the virtual-distance relaxation, and of one Decay-BFS
+    epoch; the ring handoffs cap their run at a multiple of it. *)
+
 val recruit_iterations : t -> n:int -> int
 val max_epochs : t -> n:int -> int
 

@@ -128,7 +128,7 @@ let iteration t = t.round / t.iter_len
 let announce_exponent t =
   (* Exponent of 2^{-⌈j/⌈log n⌉⌉}, cycling so long runs keep sweeping all
      scales. *)
-  ((iteration t / t.ladder) mod t.ladder) + 1
+  Decay.exponent ~ladder:t.ladder (iteration t / t.ladder)
 
 let decide t ~node =
   if t.done_flag then Engine.Sleep

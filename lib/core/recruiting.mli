@@ -11,11 +11,14 @@
       ≥ 2 blues (the blue derives its parent's rank from this, footnote 3).
 
     Each recruiting iteration has [2 + ⌈log n⌉] rounds: reds announce their
-    id with a probability that halves every [⌈log n⌉] iterations; blues that
-    heard a red cleanly echo a claim through one Decay phase; reds then
-    repeat their announce-round coin with a verdict — [Confirm] for exactly
-    one claim, [Sigma] for ≥ 2 (all clean round-1 receivers of a [Sigma]
-    red are recruited).
+    id with a probability that halves every [⌈log n⌉] iterations (exponent
+    [Decay.exponent ~ladder:⌈log n⌉ (j / ⌈log n⌉)] in iteration [j]); blues
+    that heard a red cleanly echo a claim through one Decay phase, whose
+    [⌈log n⌉] claim slots are numbered 1 … [⌈log n⌉] and a claim in slot [i]
+    is sent with probability [2^{-i}] (a claim's exponent is its slot
+    index); reds then repeat their announce-round coin with a verdict —
+    [Confirm] for exactly one claim, [Sigma] for ≥ 2 (all clean round-1
+    receivers of a [Sigma] red are recruited).
 
     {b Class-consistency echoes} (implementation note): the paper's verdict
     rule alone lets a red's recruit class silently upgrade from one to many

@@ -59,7 +59,7 @@ let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
     receivers;
   let decide ~round ~node =
     if is_holder.(node) then begin
-      if Rng.coin_pow2 node_rng.(node) ((round mod ladder) + 1) then
+      if Rng.coin_pow2 node_rng.(node) (Decay.exponent ~ladder round) then
         Engine.Transmit (payload node)
       else Engine.Listen
     end
@@ -74,7 +74,7 @@ let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
     | Engine.Silence | Engine.Collision -> ()
   in
   let budget =
-    params.Params.max_round_factor * Params.whp_phases params ~n * ladder * 4
+    params.Params.max_round_factor * Params.whp_rounds params ~n * 4
   in
   let protocol = { Engine.decide; deliver } in
   let stop ~round:_ = Atomic.get missing = 0 in

@@ -373,8 +373,6 @@ let test_invalid_arguments () =
   let g = Topo.path 4 in
   Alcotest.(check bool) "decay bad source" true
     (raises_invalid (fun () -> Decay.broadcast ~rng:(rng 1) ~graph:g ~source:9 ()));
-  Alcotest.(check bool) "probability bad ladder" true
-    (raises_invalid (fun () -> Decay.probability ~ladder:0 3));
   Alcotest.(check bool) "gst_broadcast no messages" true
     (raises_invalid (fun () ->
          let gst = Gst.build_centralized ~graph:g ~roots:[| 0 |] () in

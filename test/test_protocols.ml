@@ -19,10 +19,30 @@ let completed = function
 (* ------------------------------------------------------------------ *)
 (* Decay *)
 
-let test_decay_probability_ladder () =
-  Alcotest.(check (float 1e-9)) "round 0" 0.5 (Decay.probability ~ladder:4 0);
-  Alcotest.(check (float 1e-9)) "round 3" 0.0625 (Decay.probability ~ladder:4 3);
-  Alcotest.(check (float 1e-9)) "wraps" 0.5 (Decay.probability ~ladder:4 4)
+let test_decay_exponent_ladder () =
+  let e = Decay.exponent ~ladder:4 in
+  Alcotest.(check int) "round 0" 1 (e 0);
+  Alcotest.(check int) "round L-1" 4 (e 3);
+  Alcotest.(check int) "wraps at L" 1 (e 4);
+  Alcotest.(check int) "second phase" 3 (e 6);
+  Alcotest.(check int) "ladder 1" 1 (Decay.exponent ~ladder:1 5);
+  (* The CR cycle with short = 2, full = 4: three truncated phases
+     (exponent ~ladder:short r), then one full phase
+     (exponent ~ladder:full (r - 6)). *)
+  let short = 2 and full = 4 in
+  let truncated = 3 * short in
+  let cr r =
+    let r = r mod (truncated + full) in
+    if r < truncated then Decay.exponent ~ladder:short r
+    else Decay.exponent ~ladder:full (r - truncated)
+  in
+  Alcotest.(check (list int)) "CR cycle"
+    [ 1; 2; 1; 2; 1; 2; 1; 2; 3; 4; 1; 2 ]
+    (List.init 12 cr);
+  let m = Decay.mmv_exponent ~ladder:4 in
+  Alcotest.(check (list int)) "mmv ladder, negative steps wrap"
+    [ 2; 3; 0; 1; 2; 3; 0; 1 ]
+    (List.map m [ -6; -5; -4; -3; -2; -1; 0; 1 ])
 
 let test_decay_broadcast_delivers () =
   List.iter
@@ -251,7 +271,7 @@ module Reference = struct
       ~sources () =
     let n = Graph.n graph in
     let ladder = Params.phase_len ~n in
-    let epoch_len = Params.whp_phases params ~n * ladder in
+    let epoch_len = Params.whp_rounds params ~n in
     let max_rounds =
       match max_rounds with
       | Some m -> m
@@ -596,7 +616,7 @@ let layering_matches_reference =
          budget. *)
       let depth = Bfs.max_level (Bfs.multi_levels g ~sources) in
       let max_rounds =
-        (depth + 3) * Params.whp_phases Params.default ~n * Params.phase_len ~n
+        (depth + 3) * Params.whp_rounds Params.default ~n
       in
       let ref_levels, ref_rounds =
         Reference.decay_bfs ~max_rounds ~engine:Engine.Dense ~rng:(rng seed)
@@ -891,6 +911,170 @@ let test_baseline_cr () =
   Alcotest.(check bool) "completed" true (completed r.Decay.outcome)
 
 (* ------------------------------------------------------------------ *)
+(* Exact law of the Decay ladder *)
+
+(* A listener with [d] transmitting neighbours, each sending independently
+   with probability p_r in round r, hears in round r with probability
+   q_r = d·p_r·(1 − p_r)^(d−1), so the number of rounds until it first
+   hears has the exact law P(rounds > t) = Π_{r<t} (1 − q_r).  The cases
+   below test the simulated round counts against that law by chi-square.
+   Each law spells its exponents out again ((r mod L) + 1, and the CR
+   cycle), independently of [Decay.exponent], so a wrong ladder in the
+   code fails the test instead of moving the oracle with it.
+
+   Fixed design: N = 4000 runs per case, each run on its own [Rng.split]
+   of the case's master stream [Rng.create ~seed:(1000 + d)] (the CR case:
+   seed 1000); α = 0.001 over the six cases, Bonferroni, so each case
+   needs p ≥ α/6. *)
+
+let law_runs = 4000
+let law_alpha = 0.001 /. 6.0
+
+(* ln Γ(a) for a positive multiple of 1/2: Γ(1) = 1, Γ(1/2) = √π and
+   Γ(a + 1) = a·Γ(a). *)
+let rec log_gamma_half a =
+  if a = 1.0 then 0.0
+  else if a = 0.5 then 0.5 *. log Float.pi
+  else log (a -. 1.0) +. log_gamma_half (a -. 1.0)
+
+(* P(χ²_df > x) = Q(df/2, x/2), the regularized upper incomplete gamma:
+   one minus the power series of the lower one below y = a + 1, the
+   continued fraction (modified Lentz) above it. *)
+let chi2_sf ~df x =
+  let a = float_of_int df /. 2.0 and y = x /. 2.0 in
+  if y <= 0.0 then 1.0
+  else
+    let front = exp ((a *. log y) -. y -. log_gamma_half a) in
+    if y < a +. 1.0 then
+      let rec sum k term acc =
+        let term = term *. y /. (a +. float_of_int k) in
+        if term < 1e-17 *. acc then acc else sum (k + 1) term (acc +. term)
+      in
+      1.0 -. (front *. sum 1 (1.0 /. a) (1.0 /. a))
+    else
+      let tiny = 1e-300 in
+      let rec frac i b c d h =
+        let an = -.float_of_int i *. (float_of_int i -. a) and b = b +. 2.0 in
+        let d = (an *. d) +. b in
+        let d = 1.0 /. if Float.abs d < tiny then tiny else d in
+        let c = b +. (an /. c) in
+        let c = if Float.abs c < tiny then tiny else c in
+        let h = h *. d *. c in
+        if Float.abs ((d *. c) -. 1.0) < 1e-15 || i > 10_000 then h
+        else frac (i + 1) b c d h
+      in
+      let b = y +. 1.0 -. a in
+      front *. frac 1 b (1.0 /. tiny) (1.0 /. b) (1.0 /. b)
+
+(* Chi-square of the observed round counts ([rounds] ≥ 1) against the law
+   whose per-round hearing probability is [q r] (round r counted from 0).
+   Cells are runs of consecutive round counts merged until each expects at
+   least 5 runs; the tail from the last cell on is pooled into it. *)
+let chi2_against_law ~q rounds =
+  let n = float_of_int (Array.length rounds) in
+  (* [cells] holds (first round count, probability), last cell first. *)
+  let rec build t surv lo acc cells =
+    if surv *. n < 5.0 then
+      match cells with
+      | (lo', p') :: rest when (acc +. surv) *. n < 5.0 ->
+          (lo', p' +. acc +. surv) :: rest
+      | _ -> (lo, acc +. surv) :: cells
+    else
+      let p = surv *. q (t - 1) in
+      let surv = surv -. p and acc = acc +. p in
+      if acc *. n >= 5.0 then build (t + 1) surv (t + 1) 0.0 ((lo, acc) :: cells)
+      else build (t + 1) surv lo acc cells
+  in
+  let cells = Array.of_list (List.rev (build 1 1.0 1 0.0 [])) in
+  let k = Array.length cells in
+  let observed = Array.make k 0 in
+  Array.iter
+    (fun r ->
+      let rec cell i = if i + 1 < k && fst cells.(i + 1) <= r then cell (i + 1) else i in
+      observed.(cell 0) <- observed.(cell 0) + 1)
+    rounds;
+  let chi2 = ref 0.0 in
+  Array.iteri
+    (fun i (_, p) ->
+      let e = n *. p in
+      let dev = float_of_int observed.(i) -. e in
+      chi2 := !chi2 +. (dev *. dev /. e))
+    cells;
+  (!chi2, k - 1)
+
+let check_law what ~q rounds =
+  let chi2, df = chi2_against_law ~q rounds in
+  let p = chi2_sf ~df chi2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: chi2 = %.1f over %d cells, p = %.2g >= %.2g" what
+       chi2 (df + 1) p law_alpha)
+    true (p >= law_alpha)
+
+let test_chi2_sf () =
+  (* df = 2 is the exponential: P(χ²_2 > x) = e^{−x/2}; the others are
+     table quantiles (0.999 at df 1 and 10, 0.01 at df 10). *)
+  List.iter
+    (fun x ->
+      Alcotest.(check (float 1e-12)) (Printf.sprintf "df=2 x=%g" x)
+        (exp (-.x /. 2.0)) (chi2_sf ~df:2 x))
+    [ 0.5; 3.0; 20.0 ];
+  Alcotest.(check (float 1e-5)) "df=1 at 10.828" 0.001 (chi2_sf ~df:1 10.828);
+  Alcotest.(check (float 1e-5)) "df=10 at 29.588" 0.001 (chi2_sf ~df:10 29.588);
+  Alcotest.(check (float 1e-4)) "df=10 at 2.558" 0.99 (chi2_sf ~df:10 2.558);
+  Alcotest.(check (float 1e-12)) "far tail" 0.0 (chi2_sf ~df:9 1e6)
+
+(* Rings.handoff_single on a star: holders 1 … d, receiver the centre. *)
+let test_handoff_exact_law () =
+  List.iter
+    (fun d ->
+      let graph = Topo.star (d + 1) in
+      let ladder = Params.phase_len ~n:(d + 1) in
+      let q r =
+        let p = ldexp 1.0 (-((r mod ladder) + 1)) in
+        float_of_int d *. p *. ((1.0 -. p) ** float_of_int (d - 1))
+      in
+      let master = Rng.create ~seed:(1000 + d) in
+      let holders = Array.init d (fun i -> i + 1) in
+      let rounds =
+        Array.init law_runs (fun _ ->
+            let r =
+              Rings.handoff_single ~rng:(Rng.split master) ~graph ~holders
+                ~receivers:[| 0 |] ()
+            in
+            if not r.Rings.delivered then Alcotest.fail "handoff not delivered";
+            r.Rings.rounds)
+      in
+      check_law (Printf.sprintf "handoff d=%d ladder=%d" d ladder) ~q rounds)
+    [ 1; 2; 3; 16; 255 ]
+
+(* Decay.broadcast's CR cycle from the centre of a star: every leaf has
+   one informed neighbour and all hear the centre's first transmission.
+   At n = 17 and diameter 9 the cycle is three truncated phases of 2
+   rounds, then one full phase of 5. *)
+let test_cr_cycle_exact_law () =
+  let n = 17 and diameter = 9 in
+  let graph = Topo.star n in
+  let full = Params.phase_len ~n in
+  let short = min full (Decay.cr_ladder ~n ~diameter) in
+  Alcotest.(check (pair int int)) "short < full" (2, 5) (short, full);
+  let q r =
+    let r = r mod ((3 * short) + full) in
+    let e = if r < 3 * short then (r mod short) + 1 else r - (3 * short) + 1 in
+    ldexp 1.0 (-e)
+  in
+  let master = Rng.create ~seed:1000 in
+  let rounds =
+    Array.init law_runs (fun _ ->
+        let r =
+          Decay.broadcast ~diameter ~rng:(Rng.split master) ~graph ~source:0 ()
+        in
+        match r.Decay.outcome with
+        | Engine.Completed t -> t
+        | Engine.Out_of_budget _ -> Alcotest.fail "CR run not completed")
+  in
+  check_law "CR cycle d=1" ~q rounds
+
+(* ------------------------------------------------------------------ *)
 (* Golden values *)
 
 (* The Decay and CR baselines, the recruiting, bipartite-assignment
@@ -956,6 +1140,13 @@ let golden_recruiting ~seed (reds, blues, g) =
 
 let strict_params = { Params.default with Params.adaptive = false }
 
+let render_assignment o =
+  Printf.sprintf "%d|%s|%s|%s|%s" o.Bipartite_assignment.rounds
+    (ints o.Bipartite_assignment.parents)
+    (ints o.Bipartite_assignment.ranks)
+    (ints o.Bipartite_assignment.parent_rank)
+    (int_pairs o.Bipartite_assignment.epoch_history)
+
 let golden_assignment ~params ~seed (reds, blues, g) =
   let blue_ranks = Array.init (reds + blues) (fun v -> 1 + (v mod 3)) in
   let o =
@@ -965,11 +1156,24 @@ let golden_assignment ~params ~seed (reds, blues, g) =
       ~blues:(Array.init blues (fun i -> reds + i))
       ~blue_ranks ()
   in
-  Printf.sprintf "%d|%s|%s|%s|%s" o.Bipartite_assignment.rounds
-    (ints o.Bipartite_assignment.parents)
-    (ints o.Bipartite_assignment.ranks)
-    (ints o.Bipartite_assignment.parent_rank)
-    (int_pairs o.Bipartite_assignment.epoch_history)
+  render_assignment o
+
+(* Identify's oracle exit waits for the first phase boundary: its goal
+   ("every eligible red next to an unassigned primary is active") holds
+   vacuously when no primary has an unranked red neighbour.  Red 0 serves
+   blue 1 (rank 2) and blue 2 (rank 1); at n = 3 the ladder is 2 rounds,
+   and [c_whp = 1] gives Stage III of rank 2 a budget of two phases.  On
+   these seeds blue 2 never hears red 0's announcement there, so at rank 1
+   Identify opens with its goal already true; it must still run one phase
+   (2 rounds) before the epoch starts and the end-of-epoch net attaches
+   blue 2 to red 0. *)
+let golden_vacuous_identify ~seed g =
+  let o =
+    Bipartite_assignment.run_standalone ~rng:(rng seed)
+      ~params:{ Params.default with Params.c_whp = 1 }
+      ~graph:g ~reds:[| 0 |] ~blues:[| 1; 2 |] ~blue_ranks:[| 0; 2; 1 |] ()
+  in
+  render_assignment o
 
 let golden_sequential_gst ~seed g =
   let r =
@@ -1024,6 +1228,14 @@ let golden_families =
     ( "assignment strict",
       golden_runs "assignment-strict" bip_graphs
         (golden_assignment ~params:strict_params) );
+    ( "assignment vacuous identify",
+      List.map
+        (fun seed ->
+          ( Printf.sprintf "assignment-vacuous-identify seed=%d" seed,
+            fun () ->
+              golden_vacuous_identify ~seed
+                (Graph.create ~n:3 ~edges:[ (0, 1); (0, 2) ]) ))
+        [ 10; 16; 20 ] );
     ( "sequential gst",
       golden_runs "sequential-gst" golden_graphs golden_sequential_gst );
     ("gst", golden_runs "gst" golden_graphs (golden_entry "gst"));
@@ -1085,6 +1297,9 @@ let golden =
     ("assignment-strict bip16x40 seed=1", "0183000366ebc3db58f1fbbf609526f5");
     ("assignment-strict bip16x40 seed=2", "7af28905017f328283b38f35c9701b31");
     ("assignment-strict bip16x40 seed=3", "9a42b5dc6367a6f771d655ff0b088184");
+    ("assignment-vacuous-identify seed=10", "54400bea93a8cfb2b42852fb7f7f8a48");
+    ("assignment-vacuous-identify seed=16", "e87f5f44e07e123821059a8f9b819afa");
+    ("assignment-vacuous-identify seed=20", "ee12595d32d674b24ebe6bf63d3687ff");
     ("sequential-gst layered seed=1", "1cdbfbdf1738907f45437525f6d84630");
     ("sequential-gst layered seed=2", "72add6e5313f6bbe2b26e6491eac75e8");
     ("sequential-gst layered seed=3", "61843173a7a207780b1b4423671a590e");
@@ -1611,13 +1826,21 @@ let () =
     [
       ( "decay",
         [
-          Alcotest.test_case "probability ladder" `Quick test_decay_probability_ladder;
+          Alcotest.test_case "exponent ladder" `Quick test_decay_exponent_ladder;
           Alcotest.test_case "broadcast delivers" `Quick test_decay_broadcast_delivers;
           Alcotest.test_case "single node" `Quick test_decay_single_node;
           Alcotest.test_case "causality" `Quick test_decay_respects_distance;
           Alcotest.test_case "MMV noising" `Quick test_decay_mmv_noising_delivers;
           Alcotest.test_case "MMV silent" `Quick test_decay_mmv_silent_delivers;
           Alcotest.test_case "CR ladder" `Quick test_cr_ladder_values;
+        ] );
+      ( "exact law",
+        [
+          Alcotest.test_case "chi-square tail" `Quick test_chi2_sf;
+          Alcotest.test_case "ring handoff on a star" `Quick
+            test_handoff_exact_law;
+          Alcotest.test_case "CR cycle, one neighbour" `Quick
+            test_cr_cycle_exact_law;
         ] );
       ( "recruiting",
         [

@@ -586,16 +586,16 @@ let qcheck_tests =
             Bool.equal got want
             && Int64.equal (Rng.bits64 rng) (Rng.bits64 oracle))
           (List.init 81 (fun e -> e)));
-    Test.make ~name:"coin_pow2 matches Decay.probability across ladder wrap"
+    Test.make ~name:"coin_pow2 on Decay.exponent = float ladder across wrap"
       ~count:300
       (triple int (int_range 1 20) (int_range 0 500))
       (fun (seed, ladder, r) ->
         let rng = Rng.create ~seed in
         let oracle = Rng.copy rng in
-        let want =
-          Rng.bernoulli oracle (Rn_broadcast.Decay.probability ~ladder r)
-        in
-        Bool.equal (Rng.coin_pow2 rng ((r mod ladder) + 1)) want
+        (* The ladder's float form: 2^-((r mod ladder) + 1). *)
+        let want = Rng.bernoulli oracle (ldexp 1.0 (-((r mod ladder) + 1))) in
+        let e = Rn_broadcast.Decay.exponent ~ladder r in
+        Bool.equal (Rng.coin_pow2 rng e) want
         && Int64.equal (Rng.bits64 rng) (Rng.bits64 oracle));
     Test.make ~name:"coin_pow2 rejects negative exponents" ~count:100
       (pair int (oneof [ int_range (-1000) (-1); oneofl [ min_int; -62 ] ]))
