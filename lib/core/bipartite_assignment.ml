@@ -531,12 +531,6 @@ let awake t buf k =
       awake_scan t t.blues t.nr 0 buf (awake_scan t t.reds 0 0 buf k)
 [@@zero_alloc_hot]
 
-let has_actors t =
-  match t.stage with
-  | Done | Waiting -> false
-  | Part (_, recr) -> Recruiting.has_actors recr
-  | Identify | Loner_probe | Loner_inform | Stage3 -> true
-
 let deliver t ~node reception =
   match t.stage with
   | Identify -> (
@@ -646,8 +640,7 @@ let run_standalone ?engine ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
     params.Params.max_round_factor * Ilog.pow (Params.phase_len ~n) 5
   in
   (* Only reds and blues ever act (decide falls through both tables to
-     Sleep); the awake set is static.  No hint: Waiting never occurs under
-     the standalone [ready], and every live stage keeps nodes awake. *)
+     Sleep); the awake set is static. *)
   let decide_active = Drive.static_active ~n [ reds; blues ] in
   let stop ~round:_ = finished t in
   ignore

@@ -83,12 +83,6 @@ val awake : t -> int array -> int -> int
     {!Recruiting.awake} for what that costs a driver.  Allocates
     nothing. *)
 
-val has_actors : t -> bool
-(** [false] only when {!awake} would write nobody: the instance is
-    [Waiting] or finished, or a recruiting part is in a slot without
-    actors ({!Recruiting.has_actors}).  Every other stage counts as having
-    actors.  Reads state only and allocates nothing. *)
-
 (** {1 Instrumentation} *)
 
 val class_fixups : t -> int

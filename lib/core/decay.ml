@@ -94,10 +94,10 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
     | Some m -> Rn_obs.Metrics.set_phase m ((round + 1) / cycle)
     | None -> ()
   in
-  (* No skip hint: an informed node draws its coin every round, so no
-     round is statically silent; the sparse win is the elided silence
-     deliveries and listener resets.  Decay's deliver ignores Silence,
-     satisfying the sparse no-op contract. *)
+  (* An informed node draws its coin every round, so no round is
+     statically silent; the sparse win is the elided silence deliveries
+     and listener resets.  Decay's deliver ignores Silence, satisfying the
+     sparse no-op contract. *)
   let outcome =
     Drive.run ?engine ~stats ?metrics ~after_round ~graph
       ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds ()

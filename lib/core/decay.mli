@@ -88,8 +88,8 @@ val broadcast :
     [engine] (default [Sparse]) picks the round path via {!Drive.run}:
     [Sparse] runs {!Engine_sparse.run}, eliding the per-round silence
     deliveries (Decay ignores them), and [Dense] is the {!Engine.run}
-    reference.  Identical results under both modes; no skip hint is
-    offered because informed nodes draw a coin every round.
+    reference.  Identical results under both modes; every round is
+    simulated, because informed nodes draw a coin every round.
 
     [metrics], when given, records every round into the registry with the
     phase annotation [round / cycle], where the cycle is one classic phase

@@ -23,9 +23,9 @@ let slow_slot ~level_or_vd ~round =
 
 type msg = Data of Rlnc.packet
 
-let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
-    ?step_reset ?faults ?(params = Params.default) ?engine ?metrics ~rng ~gst
-    ~vd ~msgs ~sources () =
+let run ?(slow_key = By_virtual_distance) ?step_reset ?faults
+    ?(params = Params.default) ?engine ?metrics ~rng ~gst ~vd ~msgs ~sources
+    () =
   let graph = gst.Gst.graph in
   let n = Graph.n graph in
   let k = Array.length msgs in
@@ -66,10 +66,12 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
   let empty_packet () =
     { Rlnc.coeffs = Bitvec.create k; payload = Bitvec.create msg_len }
   in
+  (* An empty buffer transmits a vacuous packet: the "noise" of the MMV
+     framework (Definition 3.1). *)
   let fresh_packet v =
     match Rlnc.encode node_rng.(v) buf.(v) with
-    | Some p -> Some p
-    | None -> if noise_when_empty then Some (empty_packet ()) else None
+    | Some p -> p
+    | None -> empty_packet ()
   in
   let decide ~round ~node =
     if not (in_forest node) then Engine.Sleep
@@ -77,25 +79,18 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
       let l = gst.Gst.levels.(node) and r = gst.Gst.ranks.(node) in
       if fast_slot ~clogn ~level:l ~rank:r ~round then begin
         if Gst.is_stretch_head gst node then
-          match fresh_packet node with
-          | Some p -> Engine.Transmit (Data p)
-          | None -> Engine.Listen
+          Engine.Transmit (Data (fresh_packet node))
         else
           (* Interior: relay the wave packet from the previous fast round
              (the parent's slot is exactly two rounds earlier). *)
           match last_fast.(node) with
           | Some (rcv, p) when rcv = round - 2 -> Engine.Transmit (Data p)
-          | Some _ | None ->
-              if noise_when_empty then Engine.Transmit (Data (empty_packet ()))
-              else Engine.Listen
+          | Some _ | None -> Engine.Transmit (Data (empty_packet ()))
       end
       else if slow_slot ~level_or_vd:(slow_of node) ~round then begin
         let step = (round - 1 - (2 * slow_of node)) / 6 in
         if Rng.coin_pow2 node_rng.(node) (Decay.mmv_exponent ~ladder:clogn step)
-        then
-          match fresh_packet node with
-          | Some pkt -> Engine.Transmit (Data pkt)
-          | None -> Engine.Listen
+        then Engine.Transmit (Data (fresh_packet node))
         else Engine.Listen
       end
       else Engine.Listen
@@ -173,24 +168,16 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
      round its decide is a side-effect-free [Listen], so the forest is
      passive and each round decides only its slot bucket (ids ascending);
      the engine wakes a passive node as a listener when a neighbour
-     transmits.
-
-     Skip hint: a round whose residue mod [6·clogn] (the lcm of the two
-     slot periods) has an empty bucket sees every forest node return
-     [Listen] without touching its RNG stream, so fast-forwarding it is
-     observationally identical to simulating it.  Occupied residues must
-     be simulated even if no transmission results (decide draws coins
-     there).
+     transmits, and fast-forwards a round whose bucket is empty.
 
      Jammers transmit in arbitrary rounds (and override their decide even
      off-forest), so fault injection keeps the static set of forest plus
-     jammers, all deciding every round, and disables the hint. *)
-  let decide_active, passive, next_busy_round =
+     jammers, all deciding every round. *)
+  let decide_active, passive =
     match faults with
     | Some { Faults.jammers; _ } ->
         ( Drive.static_active ~n
             [ Array.of_seq (Seq.filter in_forest (Seq.init n Fun.id)); jammers ],
-          None,
           None )
     | None ->
         let period = 6 * clogn in
@@ -203,39 +190,23 @@ let run ?(noise_when_empty = true) ?(slow_key = By_virtual_distance)
         let fast =
           keyed (fun v l -> emod (2 * (l + (3 * gst.Gst.ranks.(v)))) period)
         and slow = keyed (fun v _ -> emod (1 + (2 * slow_of v)) 6) in
-        let bucket round =
+        let decide_active ~round buf =
           let b, i =
             if round mod 2 = 0 then (fast, round mod period)
             else (slow, round mod 6)
           in
-          if i < Array.length b then b.(i) else [||]
-        in
-        let decide_active ~round buf =
-          let b = bucket round in
+          let b = if i < Array.length b then b.(i) else [||] in
           Array.blit b 0 buf 0 (Array.length b);
           Array.length b
         in
-        let busy i = Array.length (bucket i) > 0 in
-        let next_busy_round =
-          if not (Seq.exists busy (Seq.init period Fun.id)) then None
-          else begin
-            let delta = Array.make period 0 in
-            let next = ref (2 * period) in
-            for i = (2 * period) - 1 downto 0 do
-              if busy (i mod period) then next := i;
-              if i < period then delta.(i) <- !next - i
-            done;
-            Some (fun ~round -> round + delta.(round mod period))
-          end
-        in
-        (Some decide_active, Some (Array.init n in_forest), next_busy_round)
+        (Some decide_active, Some (Array.init n in_forest))
   in
   let stats = Engine.fresh_stats () in
   let stop ~round:_ = Atomic.get missing = 0 in
   let outcome =
-    Drive.run ?engine ?metrics ?after_round ?decide_active ?passive
-      ?next_busy_round ~stats ~graph ~detection:Engine.No_collision_detection
-      ~protocol ~stop ~max_rounds ()
+    Drive.run ?engine ?metrics ?after_round ?decide_active ?passive ~stats
+      ~graph ~detection:Engine.No_collision_detection ~protocol ~stop
+      ~max_rounds ()
   in
   let payloads_ok =
     let ok = ref true in

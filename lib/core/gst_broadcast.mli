@@ -18,11 +18,10 @@
     is the paper's crucial change versus [7,19]; the [slow_key] parameter
     exposes the level-keyed variant for the ablation experiment E8.
 
-    A single-message broadcast is the [k = 1] case; with
-    [noise_when_empty] a prompted node with an empty buffer transmits a
-    vacuous packet — the "noise" of the MMV framework (Definition 3.1) —
-    while [noise_when_empty = false] gives the classic silent behaviour.
-    Either way the schedule needs no collision detection. *)
+    A single-message broadcast is the [k = 1] case.  A prompted node with
+    an empty buffer transmits a vacuous packet — the "noise" of the MMV
+    framework (Definition 3.1).  The schedule needs no collision
+    detection. *)
 
 open Rn_util
 open Rn_coding
@@ -44,7 +43,6 @@ type result = {
 }
 
 val run :
-  ?noise_when_empty:bool ->
   ?slow_key:slow_key ->
   ?step_reset:int ->
   ?faults:Faults.spec ->
@@ -63,7 +61,7 @@ val run :
     [vd] must give virtual distances for all forest nodes (from
     {!Gst.virtual_distances} or the distributed learning of Lemma 3.10).
     Completion = every forest node can decode all [k] messages.
-    Defaults: [noise_when_empty = true], [slow_key = By_virtual_distance].
+    Default: [slow_key = By_virtual_distance].
 
     [metrics], when given, records every round into the registry with the
     phase annotation [round / (6·⌈log n⌉)] — one sweep of the slow-wave
@@ -79,13 +77,13 @@ val run :
     receptions; sources (who hold the originals) never reset.
 
     [engine] (default [Sparse]) selects the round path.  Under [Sparse]
-    the run also hands {!Engine_sparse.run} a [next_busy_round] hint built
-    from the two transmission schedules' residue classes (fast slots mod
-    [6·⌈log n⌉], slow slots mod 6), fast-forwarding rounds in which no
-    forest node is in either slot — such rounds are all-Listen with no RNG
-    draw, so results are identical to [Dense].  Fault injection disables
-    the hint (jammers transmit in arbitrary rounds) but keeps the sparse
-    delivery path. *)
+    each round's awake set is its slot bucket: the forest nodes whose fast
+    slot (mod [6·⌈log n⌉]) or slow slot (mod 6) falls on the round.  A
+    round whose bucket is empty is all-Listen with no RNG draw, so
+    {!Engine_sparse.run} fast-forwards it and results are identical to
+    [Dense].  Fault injection wakes the forest and the jammers every round
+    (jammers transmit in arbitrary rounds) but keeps the sparse delivery
+    path. *)
 
 val fast_slot : clogn:int -> level:int -> rank:int -> round:int -> bool
 (** Exposed for tests: the deterministic fast-slot predicate. *)

@@ -185,7 +185,9 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
        side-effect-free [Sleep] for every node it owns, as does a
        [Waiting] pair queued for a recheck.  Blocks change stage only
        inside [advance] (after_round), never in decide, so the actors read
-       at round start are those of the whole round.  The recruiting parts
+       at round start are those of the whole round; a round in which no
+       block of the set has actors (dormant, or a recruiting claim or
+       verdict slot nobody acts in) is fast-forwarded.  The recruiting parts
        also leave out listeners whose deliveries are no-ops, so this run
        must not forward [?stats]/[?metrics]. *)
     let rec put_set set i stop buf k =
@@ -201,32 +203,11 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
           let s = round mod 3 in
           put_set ticks.(s) 0 n_ticks.(s) buf 0
     in
-    (* Skip hint, re-queried every round: a round whose blocks all lack
-       actors ([Bipartite_assignment.has_actors] — dormant, or a
-       recruiting claim or verdict slot nobody acts in) has an empty awake
-       set, so it is silent and its only effect is [after_round].  The
-       promise covers this round alone, since [after_round] may hand the
-       next round of the slot new actors. *)
-    let rec any_actors set i stop =
-      i < stop
-      && (Bipartite_assignment.has_actors (block set.(i))
-         || any_actors set (i + 1) stop)
-    in
-    let next_busy_round ~round =
-      let busy =
-        match mode with
-        | Sequential -> Bipartite_assignment.has_actors (block !current)
-        | Pipelined ->
-            let s = round mod 3 in
-            any_actors ticks.(s) 0 n_ticks.(s)
-      in
-      if busy then round else round + 1
-    in
     let protocol = { Engine.decide; deliver } in
     let stop ~round:_ = !unfinished = 0 in
     let outcome =
-      Drive.run ?engine ~decide_active ~next_busy_round ~graph ~detection
-        ~protocol ~after_round ~stop ~max_rounds ()
+      Drive.run ?engine ~decide_active ~graph ~detection ~protocol
+        ~after_round ~stop ~max_rounds ()
     in
     let rounds =
       match outcome with
@@ -289,7 +270,7 @@ let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
      though this deliver is *not* silence-neutral.  Rounds whose
      (rank, class) slice holds no node have no transmitters and therefore
      no listeners either (a listener's parent would populate the slice),
-     so they can be fast-forwarded from a static table. *)
+     so they wake nobody and are fast-forwarded. *)
   let rank_nodes =
     Bfs.by_level
       (Array.mapi
@@ -305,21 +286,16 @@ let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
       end)
     levels;
   let decide_active ~round (buf : int array) =
-    let nodes = rank_nodes.((round / 3) + 1) in
-    Array.blit nodes 0 buf 0 (Array.length nodes);
-    Array.length nodes
-  in
-  let next_busy_round ~round =
-    let rec go r =
-      if r >= total then total
-      else if slice_count.((3 * ((r / 3) + 1)) + (r mod 3)) > 0 then r
-      else go (r + 1)
-    in
-    go round
+    if slice_count.((3 * ((round / 3) + 1)) + (round mod 3)) = 0 then 0
+    else begin
+      let nodes = rank_nodes.((round / 3) + 1) in
+      Array.blit nodes 0 buf 0 (Array.length nodes);
+      Array.length nodes
+    end
   in
   let outcome =
-    Drive.run ?engine ~decide_active ~next_busy_round ~graph ~detection
-      ~protocol ~stop ~max_rounds:total ()
+    Drive.run ?engine ~decide_active ~graph ~detection ~protocol ~stop
+      ~max_rounds:total ()
   in
   let head_override = Array.init n (fun v -> listens.(v) && not safe.(v)) in
   (head_override, Engine.rounds_of_outcome outcome)
@@ -363,12 +339,11 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
      epoch 2 only cascades fresh labels. *)
   let d = ref 0 in
   let iter_cap = (3 * ladder) + n in
-  let run_phase ?decide_active ?passive ?next_busy_round ~decide ~deliver
-      ~stop ~max_rounds () =
+  let run_phase ?decide_active ?passive ~decide ~deliver ~stop ~max_rounds () =
     let protocol = { Engine.decide; deliver } in
     let outcome =
-      Drive.run ?engine ?decide_active ?passive ?next_busy_round ~graph
-        ~detection ~protocol ~stop ~max_rounds ()
+      Drive.run ?engine ?decide_active ?passive ~graph ~detection ~protocol
+        ~stop ~max_rounds ()
     in
     total_rounds := !total_rounds + Engine.rounds_of_outcome outcome
   in
@@ -391,14 +366,13 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
         (* Epoch 1 then epoch 2, each a D-round layer sweep. *)
         let epoch_len = depth + 1 in
         Array.iter (fun v -> sweep_hit.(v) <- false) forest;
-        (* Per-level transmitter potential for the skip hint: epoch-0
-           counts (qualifying heads per level) are static for the phase;
-           epoch-1 counts grow as the sweep labels nodes (bumped in
-           deliver).  A round with zero potential transmitters delivers
-           nothing, so it creates no new potential either — promising its
-           silence from counts read at round start is sound.  The counts
-           are cross-node tallies that only the hint reads, and Drive.run
-           drops the hint under Dense. *)
+        (* Per-level transmitter potential: epoch-0 counts (qualifying
+           heads per level) are static for the phase; epoch-1 counts grow
+           as the sweep labels nodes (bumped in deliver).  A round with
+           zero potential transmitters wakes nobody: its decides would all
+           be side-effect-free, and it creates no new potential either.
+           The counts are cross-node tallies that only [decide_active]
+           reads, and Drive.run drops the set under Dense. *)
         let head_count = Array.make depth_cap 0 in
         Array.iter
           (fun v ->
@@ -434,6 +408,10 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
               sweep_count.(levels.(node)) <- sweep_count.(levels.(node)) + 1
           | Engine.Received _ | Engine.Silence | Engine.Collision -> ()
         in
+        let busy m =
+          if m < epoch_len then head_count.(m) > 0
+          else sweep_count.(m - epoch_len) > 0
+        in
         let decide_active ~round (buf : int array) =
           let l = round mod epoch_len in
           let k = ref 0 in
@@ -445,22 +423,15 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
               k := !k + len
             end
           in
-          put l;
-          put (l + 1);
+          if busy round then begin
+            put l;
+            put (l + 1)
+          end;
           !k
         in
-        let busy m =
-          if m < epoch_len then head_count.(m) > 0
-          else sweep_count.(m - epoch_len) > 0
-        in
-        let max_rounds = 2 * epoch_len in
-        let next_busy_round ~round =
-          let rec go m = if m >= max_rounds || busy m then m else go (m + 1) in
-          go round
-        in
-        run_phase ~decide_active ~next_busy_round ~decide ~deliver
+        run_phase ~decide_active ~decide ~deliver
           ~stop:(fun ~round:_ -> false)
-          ~max_rounds ()
+          ~max_rounds:(2 * epoch_len) ()
       end
     done;
     (* Stage 2: Decay relaxation across ordinary G-edges. *)
@@ -496,8 +467,7 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
        are passive and the engine wakes them when a frontier neighbour
        transmits; a node labeled dv+1 mid-phase leaves the passive set in
        its own deliver, where its full-scan decide turns to a
-       side-effect-free Sleep.  No skip hint: frontier nodes draw a coin
-       every round. *)
+       side-effect-free Sleep. *)
     let n_cand = ref 0 in
     Array.iter
       (fun v ->

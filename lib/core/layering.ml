@@ -183,8 +183,7 @@ let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
   in
   let protocol = { Engine.decide; deliver } in
   let stop ~round = Atomic.get labeled = n && round mod epoch_len = 0 in
-  (* finish on epoch boundary; no skip hint — relays draw a coin every
-     round, so no round is statically silent. *)
+  (* finish on epoch boundary *)
   let outcome =
     Drive.run ?engine ~after_round ~decide_active ~graph
       ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds ()

@@ -291,9 +291,6 @@ let awake t buf k =
   else blit_into buf k t.acts t.n_acts
 [@@zero_alloc_hot]
 
-let has_actors t =
-  (not t.done_flag) && (t.round mod t.iter_len = 0 || t.n_acts > 0)
-
 type red_class = Zero | One of int | Many
 
 let parent_of t b =
@@ -328,9 +325,7 @@ let run_standalone ?engine ~rng ~params ~graph ~reds ~blues () =
     }
   in
   (* Nodes outside the bipartite population sleep in every round (decide
-     falls through both tables), so the awake set is static.  No skip
-     hint: every slot keeps some population awake (announce coins, claim
-     listeners, verdict transmitters). *)
+     falls through both tables), so the awake set is static. *)
   let decide_active = Drive.static_active ~n:(Graph.n graph) [ reds; blues ] in
   let stop ~round:_ = finished t in
   let max_rounds = t.total_rounds + 1 in

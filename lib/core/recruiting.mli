@@ -90,12 +90,6 @@ val awake : t -> int array -> int -> int
     claim and verdict sets are computed once per slot in {!advance}, so a
     call allocates nothing. *)
 
-val has_actors : t -> bool
-(** [false] only when {!awake} would write nobody: the instance is
-    finished, or the round is a claim or verdict slot with no actors.  An
-    announce round always counts as having actors.  Reads state only and
-    allocates nothing, so a driver's skip hint may call it. *)
-
 (** {1 Results} *)
 
 type red_class = Zero | One of int | Many

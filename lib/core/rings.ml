@@ -80,7 +80,7 @@ let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
   let stop ~round:_ = Atomic.get missing = 0 in
   (* Everyone else sleeps, so the awake set is the (static, disjoint)
      boundary populations; deduped defensively in case a caller passes
-     overlapping sets.  No skip hint: holders draw a coin every round. *)
+     overlapping sets. *)
   let decide_active = Drive.static_active ~n [ holders; receivers ] in
   let outcome =
     Drive.run ?engine ?decide_active ~graph

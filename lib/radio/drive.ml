@@ -1,16 +1,14 @@
 (* The routing table of drive.mli, in code: only Sparse takes the fast
    paths; Dense runs the full scan. *)
 let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
-    ?passive ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
-    ~max_rounds () =
+    ?passive ?validate ~graph ~detection ~protocol ~stop ~max_rounds () =
   match engine with
   | Engine.Dense ->
       Engine.run ?stats ?metrics ?after_round ~graph ~detection ~protocol ~stop
         ~max_rounds ()
   | Engine.Sparse ->
       Engine_sparse.run ?stats ?metrics ?after_round ?decide_active ?passive
-        ?next_busy_round ?validate ~graph ~detection ~protocol ~stop
-        ~max_rounds ()
+        ?validate ~graph ~detection ~protocol ~stop ~max_rounds ()
 
 let static_active ~n groups =
   let mark = Array.make n false in

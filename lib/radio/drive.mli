@@ -6,17 +6,17 @@
     protocol fast paths (every other hook reaches every engine unchanged):
 
     {v
-    mode        decide_active  passive  next_busy_round  validate  engine
-    Dense       ignored        ignored  ignored          ignored   Engine.run (full-scan oracle)
-    Sparse      used           used     used             used      Engine_sparse.run
+    mode        decide_active  passive  validate  engine
+    Dense       ignored        ignored  ignored   Engine.run (full-scan oracle)
+    Sparse      used           used     used      Engine_sparse.run
     v}
 
     [Dense] is the reference the fast paths are checked against.  A node
     outside the active set must [Sleep] without side effects, or [Listen]
     without side effects to a [deliver] that is a no-op for every
     reception possible that round (or affect only state nothing reads
-    again, {!Engine_sparse.run}), and a skipped round must be silent,
-    hence dropping either never changes a protocol result.  The
+    again, {!Engine_sparse.run}), hence dropping the set never changes a
+    protocol result; a round whose set is empty is fast-forwarded.  The
     [Listen] case leaves those listeners' deliveries and collisions out
     of [stats]/[metrics], so a caller that forwards either must not use
     it ({!Engine_sparse.run}).  A [passive] node left out of the set
@@ -32,7 +32,6 @@ val run :
   ?after_round:(round:int -> unit) ->
   ?decide_active:(round:int -> int array -> int) ->
   ?passive:bool array ->
-  ?next_busy_round:(round:int -> int) ->
   ?validate:bool ->
   graph:Rn_graph.Graph.t ->
   detection:Engine.detection ->

@@ -41,7 +41,7 @@ let simulated_rounds = Atomic.make 0
 let total_simulated_rounds () = Atomic.get simulated_rounds
 let add_simulated_rounds k = Atomic.fetch_and_add simulated_rounds k |> ignore
 
-(* Rounds fast-forwarded by {!Engine_sparse}'s silent-round skip, kept apart
+(* Rounds whose awake set {!Engine_sparse} found empty, kept apart
    from [simulated_rounds] so rounds/sec never counts rounds the engine did
    not actually execute.  [stats.rounds] still counts skipped rounds — the
    protocol-visible clock is identical either way. *)

@@ -78,11 +78,11 @@ val add_simulated_rounds : int -> unit
     [run]; protocols and benches never call this. *)
 
 val total_skipped_rounds : unit -> int
-(** Rounds fast-forwarded process-wide by {!Engine_sparse}'s silent-round
-    skip.  Disjoint from {!total_simulated_rounds}: a round is counted in
-    exactly one of the two tallies, so honest throughput is
-    [simulated / wall] and a bench can report the skipped volume
-    separately.  Protocol-visible state ([stats.rounds], metrics rows,
+(** Rounds fast-forwarded process-wide by {!Engine_sparse}: the rounds
+    whose [decide_active] awake set was empty.  Disjoint from
+    {!total_simulated_rounds}: a round is counted in exactly one of the
+    two tallies, so honest throughput is [simulated / wall] and a bench
+    can report the skipped volume separately.  Protocol-visible state ([stats.rounds], metrics rows,
     [after_round] calls) does not distinguish the two. *)
 
 val add_skipped_rounds : int -> unit

@@ -33,9 +33,8 @@ open Engine
       marks are undone from the listener stack, so a round where k nodes
       act costs O(k + Σ deg over transmitters), independent of n.
 
-   3. Silent-round skip.  When the protocol can promise "nobody transmits
-      before round r" through [next_busy_round], the loop fast-forwards
-      the stretch without a decide.  Every skipped round still ticks the
+   3. Empty awake sets.  A round whose [decide_active] writes no id
+      decides nobody and owes no spray or deliver; it still ticks the
       protocol-visible clock — [stop] is checked, [stats.rounds]
       increments, [metrics] gets a zero row, [after_round] fires — and is
       credited to [Engine.skipped_rounds], not [simulated_rounds], so
@@ -51,8 +50,8 @@ open Engine
    delivered in descending decide order, which without an active set (or
    with an ascending one) is Engine.run's delivery order. *)
 
-let run ?stats ?metrics ?after_round ?decide_active ?passive ?next_busy_round
-    ?(validate = false) ~graph ~detection ~protocol ~stop ~max_rounds () =
+let run ?stats ?metrics ?after_round ?decide_active ?passive ?(validate = false)
+    ~graph ~detection ~protocol ~stop ~max_rounds () =
   if Option.is_some passive && Option.is_none decide_active then
     invalid_arg "Engine_sparse.run: passive needs decide_active";
   let n = Graph.n graph in
@@ -174,6 +173,7 @@ let run ?stats ?metrics ?after_round ?decide_active ?passive ?next_busy_round
         let k = da ~round active in
         if k < 0 || k > n then
           invalid_arg "Engine_sparse.run: decide_active returned a bad count";
+        if k = 0 then incr skipped;
         for i = 0 to k - 1 do
           let v = active.(i) in
           if v < 0 || v >= n then
@@ -273,32 +273,9 @@ let run ?stats ?metrics ?after_round ?decide_active ?passive ?next_busy_round
     if stop ~round then finish round (Completed round)
     else if round >= max_rounds then finish round (Out_of_budget round)
     else begin
-      let busy_at =
-        match next_busy_round with
-        | None -> round
-        | Some f ->
-            let r = f ~round in
-            if r < round then
-              invalid_arg "Engine_sparse.run: next_busy_round went backwards";
-            r
-      in
-      if busy_at > round then begin
-        (* Provably-silent round: nobody transmits, so no listener can
-           observe anything but Silence and no decide runs.  Only the
-           clock ticks. *)
-        incr skipped;
-        s.rounds <- s.rounds + 1;
-        match metrics with
-        | Some m ->
-            Rn_obs.Metrics.record_round m ~round ~transmissions:0
-              ~deliveries:0 ~collisions:0
-        | None -> ()
-      end
-      else begin
-        do_decide round;
-        do_gather round;
-        tally round
-      end;
+      do_decide round;
+      do_gather round;
+      tally round;
       (match after_round with Some f -> f ~round | None -> ());
       loop (round + 1)
     end

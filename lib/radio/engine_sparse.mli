@@ -32,17 +32,15 @@
       {e those} deliveries still happen, so the contract only concerns
       zero-transmitter silence.
 
-    - {b Silent-round skip.}  An optional [next_busy_round] hint lets the
-      protocol promise that no node transmits before a given round; the
-      engine fast-forwards the stretch without calling [decide].  Each
-      skipped round still checks [stop], increments [stats.rounds],
-      records a zero metrics row, and fires [after_round] — the
-      protocol-visible clock and the full metrics export are byte-identical
-      to the dense engine executing those silent rounds.  Skipped rounds
-      are credited to {!Engine.total_skipped_rounds}, not
-      {!Engine.total_simulated_rounds}.
+    - {b Empty awake sets.}  A round whose [decide_active] writes no id
+      calls no [decide] and owes no spray or deliver.  It still checks
+      [stop], increments [stats.rounds], records a zero metrics row, and
+      fires [after_round] — the protocol-visible clock and the full
+      metrics export are byte-identical to the dense engine executing
+      that silent round.  Such rounds are credited to
+      {!Engine.total_skipped_rounds}, not {!Engine.total_simulated_rounds}.
 
-    [stop], [next_busy_round] and [after_round] run between rounds.
+    [stop] and [after_round] run between rounds.
 
     The equivalence suite ([test/test_engine_sparse.ml]) pins outcome,
     stats, per-node receive logs, metrics exports and the deliver sequence
@@ -56,7 +54,6 @@ val run :
   ?after_round:(round:int -> unit) ->
   ?decide_active:(round:int -> int array -> int) ->
   ?passive:bool array ->
-  ?next_busy_round:(round:int -> int) ->
   ?validate:bool ->
   graph:Rn_graph.Graph.t ->
   detection:Engine.detection ->
@@ -114,22 +111,8 @@ val run :
     one length-[n] allocation per run, so it is reserved for tests; the
     in-range check is always on.
 
-    [next_busy_round ~round] returns the earliest round [>= round] in
-    which some node {e may} transmit; every round strictly before it is
-    fast-forwarded.  Returning [round] means "cannot promise silence now"
-    and costs nothing.  The hint is re-queried every round (protocol state
-    may change in [after_round]), so implementations should be O(1) —
-    precompute residue tables rather than scanning.  The hint must be
-    {e sound}: claiming silence for a round in which a node would have
-    transmitted silently changes the simulation (the engine cannot detect
-    a lie it was told precisely to avoid checking; see DESIGN.md §12 for
-    the contract).  A hint that goes backwards ([r < round]) raises.
-    Protocols whose transmissions are randomized every round (Decay,
-    jammers) must not offer a hint — wrappers disable it when fault
-    injection is active.
-
     A callback's exception propagates at once.
 
     @raise Invalid_argument if [passive] is given without [decide_active]
-    or is shorter than the node count, if [next_busy_round] returns
-    [r < round], or on a bad [decide_active] id/count. *)
+    or is shorter than the node count, or on a bad [decide_active]
+    id/count. *)

@@ -9,8 +9,8 @@
     spurious-[Silence] injection.
 
     The registry is also the anchor of rblint's protocol-contract rules
-    (DESIGN.md §13): R11–R13 statically verify every protocol's
-    [decide]/[deliver]/[next_busy_round] closures, and R14 flags any
+    (DESIGN.md §13): R11 and R12 statically verify every protocol's
+    [decide]/[deliver] closures, and R14 flags any
     engine-driving pipeline that is not reachable from a
     [Registry.register] call — so a protocol cannot opt out of the
     contract checks by simply not registering. *)

@@ -142,16 +142,15 @@ let test_round_loop_independent_of_n () =
     (words <= budget)
 
 (* Sparse engine: same marker trick, driving [Engine_sparse.run]. *)
-let sparse_round_words ?decide_active ?passive ?next_busy_round ?metrics
-    ~graph ~protocol ~warmup ~rounds () =
+let sparse_round_words ?decide_active ?passive ?metrics ~graph ~protocol
+    ~warmup ~rounds () =
   let marks = [| 0.0; 0.0 |] in
   let after_round ~round =
     if round = warmup then marks.(0) <- Gc.minor_words ()
     else if round = warmup + rounds then marks.(1) <- Gc.minor_words ()
   in
   let (_ : Engine.outcome) =
-    Engine_sparse.run ?decide_active ?passive ?next_busy_round ?metrics
-      ~after_round
+    Engine_sparse.run ?decide_active ?passive ?metrics ~after_round
       ~graph ~detection:Engine.Collision_detection ~protocol
       ~stop:(fun ~round:_ -> false)
       ~max_rounds:(warmup + rounds + 2) ()
@@ -208,9 +207,9 @@ let test_sparse_quiet_round_loop () =
   Alcotest.(check bool) "registry recorded the rounds" true
     (Rn_obs.Metrics.rounds metrics >= 256)
 
-(* The skip fast path — every round fast-forwarded by the hint, metrics
-   still recording a zero row per skipped round — must also run at zero
-   words per round. *)
+(* The skip fast path — every round's awake set empty, so every round is
+   fast-forwarded, metrics still recording a zero row per skipped round —
+   must also run at zero words per round. *)
 let test_sparse_skip_fast_path () =
   let graph = star 512 in
   let protocol =
@@ -220,9 +219,9 @@ let test_sparse_skip_fast_path () =
     }
   in
   let metrics = Rn_obs.Metrics.create ~ring:1024 () in
-  let next_busy_round ~round = round + 1_000_000 in
+  let decide_active ~round:_ (_ : int array) = 0 in
   let words =
-    sparse_round_words ~metrics ~next_busy_round ~graph ~protocol ~warmup:16
+    sparse_round_words ~metrics ~decide_active ~graph ~protocol ~warmup:16
       ~rounds:256 ()
   in
   Alcotest.(check (float 0.0))
@@ -456,10 +455,8 @@ let level_pos ~n ~reds ~blues =
 (* The GST assignment phase's awake-set enumeration: one small level pair
    stepped through every stage by its own [decide]/[deliver]/[advance]
    under a full-scan mini driver (no collision detection), with each
-   [awake] and [has_actors] call bracketed by [Gc.minor_words] (the skip
-   hint calls the latter every round).  The stepping also checks that
-   every transmitter was in the enumerated set, and that a round without
-   actors enumerates nobody. *)
+   [awake] call bracketed by [Gc.minor_words].  The stepping also checks
+   that every transmitter was in the enumerated set. *)
 let test_assignment_awake_zero_alloc () =
   let graph =
     Gen.layered_random ~rng:(Rng.create ~seed:11) ~depth:2 ~width:12 ~p:0.4
@@ -482,15 +479,12 @@ let test_assignment_awake_zero_alloc () =
   let acts = Array.make n Engine.Sleep in
   let marks = [| 0.0; 0.0 |] and words = [| 0.0 |] in
   let rounds = ref 0 and awake_rounds = ref 0 and missed = ref 0 in
-  let quiet_awake = ref 0 in
   while (not (B.finished t)) && !rounds < 1_000_000 do
     marks.(0) <- Gc.minor_words ();
     let k = B.awake t buf 0 in
-    let acting = B.has_actors t in
     marks.(1) <- Gc.minor_words ();
     words.(0) <- words.(0) +. (marks.(1) -. marks.(0));
     if k > 0 then incr awake_rounds;
-    if k > 0 && not acting then incr quiet_awake;
     Array.fill in_set 0 n false;
     for i = 0 to k - 1 do
       in_set.(buf.(i)) <- true
@@ -526,11 +520,9 @@ let test_assignment_awake_zero_alloc () =
   Alcotest.(check bool) "every blue has a parent" true
     (Array.for_all (fun b -> parents.(b) >= 0) blues);
   Alcotest.(check int) "transmitters outside the awake set" 0 !missed;
-  Alcotest.(check int) "awake nodes in a round without actors" 0 !quiet_awake;
   Alcotest.(check bool) "some rounds wake nodes" true (!awake_rounds > 0);
   Alcotest.(check (float 0.0))
-    (Printf.sprintf "awake and has_actors over %d rounds allocate 0 words"
-       !rounds)
+    (Printf.sprintf "awake over %d rounds allocate 0 words" !rounds)
     0.0 words.(0)
 
 (* A bipartite block sizes its per-node state by its members: with the

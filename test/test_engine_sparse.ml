@@ -6,11 +6,12 @@
    that both engines perform), same after_round sequence, and a
    byte-identical metrics export (per-round ring rows included).  The
    reference is the full-scan Engine.run, which takes no fast path: the
-   active set and the skip hint are exercised on the sparse side only.
-   The silent-round skip is exercised with a hint derived from the script
-   itself, and its contract edges (lying hint, backwards hint, stop
-   mid-stretch, decide never called while skipping) are pinned as unit
-   tests. *)
+   active set is exercised on the sparse side only.  The fast-forward of
+   rounds whose awake set is empty is exercised with an awake set that
+   leaves out every node of a script round nobody transmits in, and its
+   contract edges (no decide in an empty round, stop inside an empty
+   stretch, after_round every round, the simulated/skipped partition) are
+   pinned as unit tests. *)
 
 open Rn_util
 open Rn_graph
@@ -25,8 +26,8 @@ let make_script ~rng ~n ~rounds =
           | 1 | 2 -> Engine.Listen
           | _ -> Engine.Transmit ((r * 10_000) + v)))
 
-(* Sparse scripts leave most rounds with zero transmitters, so the skip
-   hint has real stretches to fast-forward. *)
+(* Sparse scripts leave most rounds with zero transmitters, so an awake
+   set that leaves them empty has real stretches to fast-forward. *)
 let make_sparse_script ~rng ~n ~rounds =
   Array.init rounds (fun r ->
       if Rng.int rng 4 <> 0 then
@@ -57,8 +58,8 @@ let export_fingerprint m =
 (* [flags], when given, is a per-round passive-flag script: the sparse
    run gets [~passive] holding round 0's flags, and [after_round] installs
    the next round's. *)
-let observe ?decide_active ?flags ?next_busy_round ~engine ~graph ~detection
-    ~script ~max_rounds () =
+let observe ?decide_active ?flags ~engine ~graph ~detection ~script
+    ~max_rounds () =
   let n = Graph.n graph in
   let logs = Array.make (max n 1) [] in
   let after = ref [] in
@@ -87,8 +88,7 @@ let observe ?decide_active ?flags ?next_busy_round ~engine ~graph ~detection
           ~stop ~max_rounds ()
     | `Sparse ->
         Engine_sparse.run ~stats ~metrics ~after_round ?decide_active ?passive
-          ?next_busy_round ~validate:true ~graph ~detection ~protocol ~stop
-          ~max_rounds ()
+          ~validate:true ~graph ~detection ~protocol ~stop ~max_rounds ()
   in
   {
     obs_outcome = outcome;
@@ -110,22 +110,6 @@ let same_observation_sparse a b =
   && drop_silence a.obs_logs = drop_silence b.obs_logs
   && a.obs_after = b.obs_after && a.obs_stats = b.obs_stats
   && String.equal a.obs_export b.obs_export
-
-(* A sound skip hint computed from the script: next round >= r with at
-   least one Transmit action (max_rounds when the tail is all-silent). *)
-let script_hint script max_rounds =
-  let rounds = Array.length script in
-  let busy r =
-    r < rounds
-    && Array.exists
-         (function Engine.Transmit _ -> true | _ -> false)
-         script.(r)
-  in
-  let next = Array.make (max_rounds + 1) max_rounds in
-  for r = max_rounds - 1 downto 0 do
-    next.(r) <- (if busy r then r else next.(r + 1))
-  done;
-  fun ~round -> if round >= max_rounds then round else next.(round)
 
 let arb_case =
   QCheck.make
@@ -164,6 +148,20 @@ let awake_set script n ~round (buf : int array) =
       incr k
     done;
   !k
+
+(* [awake_set], emptied in every script round without a transmitter: its
+   listeners can hear only the elided [Silence], so leaving them out
+   changes no log, stat or metrics row, and the engine fast-forwards the
+   round. *)
+let skip_awake_set script n ~round buf =
+  if
+    round < Array.length script
+    && not
+         (Array.exists
+            (function Engine.Transmit _ -> true | _ -> false)
+            script.(round))
+  then 0
+  else awake_set script n ~round buf
 
 (* A passive-listener schedule.  Each round flags a random subset of the
    nodes passive.  A flagged node transmits now and then and otherwise
@@ -282,17 +280,16 @@ let qcheck_tests =
       (pair arb_case bool)
       (fun (case, use_da) ->
         let g, script, detection, rounds = setup ~sparse:true case in
-        let hint = script_hint script rounds in
         let da =
-          if use_da then Some (awake_set script (Graph.n g)) else None
+          if use_da then Some (skip_awake_set script (Graph.n g)) else None
         in
         let a =
           observe ~engine:`Dense ~graph:g ~detection ~script
             ~max_rounds:rounds ()
         in
         let b =
-          observe ?decide_active:da ~next_busy_round:hint ~engine:`Sparse
-            ~graph:g ~detection ~script ~max_rounds:rounds ()
+          observe ?decide_active:da ~engine:`Sparse ~graph:g ~detection
+            ~script ~max_rounds:rounds ()
         in
         same_observation_sparse a b);
     (* Passive listeners: the engine wakes exactly the flagged nodes
@@ -320,20 +317,6 @@ let qcheck_tests =
         in
         same_observation_sparse dense passive
         && same_observation_sparse awake passive);
-    (* A "useless" hint (never promises silence) must change nothing. *)
-    Test.make ~name:"sparse with hint=round ≡ sparse without" ~count:100
-      arb_case
-      (fun case ->
-        let g, script, detection, rounds = setup case in
-        let a =
-          observe ~engine:`Sparse ~graph:g ~detection ~script
-            ~max_rounds:rounds ()
-        in
-        let b =
-          observe ~next_busy_round:(fun ~round -> round) ~engine:`Sparse
-            ~graph:g ~detection ~script ~max_rounds:rounds ()
-        in
-        same_observation_sparse a b);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -435,7 +418,8 @@ let test_decide_exception_propagates () =
     [ Engine.Dense; Engine.Sparse ]
 
 (* ------------------------------------------------------------------ *)
-(* Skip-contract unit tests *)
+(* Skip-contract unit tests: a round whose awake set is empty is
+   fast-forwarded *)
 
 let listen_protocol () =
   {
@@ -443,7 +427,18 @@ let listen_protocol () =
     deliver = (fun ~round:_ ~node:_ _ -> ());
   }
 
-(* decide must never run during a skipped stretch. *)
+(* Every node when [busy ~round], nobody otherwise. *)
+let all_or_none ~n busy ~round (buf : int array) =
+  if busy ~round then begin
+    for v = 0 to n - 1 do
+      buf.(v) <- v
+    done;
+    n
+  end
+  else 0
+
+(* decide must never run in a round whose awake set is empty, and
+   after_round fires on every round, empty or not. *)
 let test_skip_elides_decide () =
   let n = 5 in
   let g = Topo.path n in
@@ -459,10 +454,10 @@ let test_skip_elides_decide () =
       deliver = (fun ~round:_ ~node:_ _ -> ());
     }
   in
-  let hint ~round = if round = 0 then 0 else if round <= 9 then 9 else round in
   let after = ref [] in
   let outcome =
-    Engine_sparse.run ~next_busy_round:hint
+    Engine_sparse.run
+      ~decide_active:(all_or_none ~n (fun ~round -> round = 0 || round >= 9))
       ~after_round:(fun ~round -> after := round :: !after)
       ~graph:g ~detection:Engine.Collision_detection ~protocol:p
       ~stop:(fun ~round:_ -> false)
@@ -474,17 +469,17 @@ let test_skip_elides_decide () =
     Alcotest.(check int) (Printf.sprintf "decide calls round %d" r) expected
       calls.(r)
   done;
-  (* after_round fires on every round, skipped or not. *)
   Alcotest.(check (list int)) "after_round every round"
     (List.init 12 (fun i -> 11 - i))
     !after
 
-(* stop is checked before each round, including inside a skipped stretch. *)
+(* stop is checked before each round, including inside a stretch of
+   empty awake sets. *)
 let test_stop_mid_stretch () =
   let g = Topo.path 4 in
   let outcome =
     Engine_sparse.run
-      ~next_busy_round:(fun ~round:_ -> 1_000_000)
+      ~decide_active:(fun ~round:_ _ -> 0)
       ~graph:g ~detection:Engine.Collision_detection
       ~protocol:(listen_protocol ())
       ~stop:(fun ~round -> round = 5)
@@ -492,49 +487,8 @@ let test_stop_mid_stretch () =
   in
   Alcotest.(check bool) "completed at 5" true (outcome = Engine.Completed 5)
 
-(* A hint that goes backwards is a contract violation the engine detects. *)
-let test_backwards_hint_raises () =
-  let g = Topo.path 3 in
-  Alcotest.check_raises "backwards hint rejected"
-    (Invalid_argument "Engine_sparse.run: next_busy_round went backwards")
-    (fun () ->
-      ignore
-        (Engine_sparse.run
-           ~next_busy_round:(fun ~round -> round - 1)
-           ~graph:g ~detection:Engine.Collision_detection
-           ~protocol:(listen_protocol ())
-           ~stop:(fun ~round:_ -> false)
-           ~max_rounds:4 ()))
-
-(* A hint that lies — claims silence over rounds where the protocol would
-   transmit — is *obeyed*, not detected: the engine skips exactly so it
-   can avoid asking every node, so it cannot check the claim.  This pins
-   the documented contract (DESIGN §12): soundness is the protocol's
-   obligation. *)
-let test_lying_hint_is_obeyed () =
-  let n = 4 in
-  let g = Topo.path n in
-  let stats = Engine.fresh_stats () in
-  let p =
-    {
-      (* would transmit every round from every node *)
-      Engine.decide = (fun ~round ~node:_ -> Engine.Transmit round);
-      deliver = (fun ~round:_ ~node:_ _ -> ());
-    }
-  in
-  let outcome =
-    Engine_sparse.run ~stats
-      ~next_busy_round:(fun ~round:_ -> max_int)
-      ~graph:g ~detection:Engine.Collision_detection ~protocol:p
-      ~stop:(fun ~round:_ -> false)
-      ~max_rounds:50 ()
-  in
-  Alcotest.(check bool) "ran to budget" true (outcome = Engine.Out_of_budget 50);
-  Alcotest.(check int) "clock still ticked" 50 stats.Engine.rounds;
-  Alcotest.(check int) "no transmissions simulated" 0 stats.Engine.transmissions
-
-(* Skipped rounds land in the skipped tally, simulated rounds in the
-   simulated tally, and they partition stats.rounds. *)
+(* Rounds whose awake set is empty land in the skipped tally, the others
+   in the simulated tally, and the two partition stats.rounds. *)
 let test_honest_accounting () =
   let n = 6 in
   let g = Topo.path n in
@@ -547,14 +501,17 @@ let test_honest_accounting () =
       deliver = (fun ~round:_ ~node:_ _ -> ());
     }
   in
-  let hint ~round =
-    if round mod 10 = 0 then round else round + (10 - (round mod 10))
+  let empty = ref 0 in
+  let busy ~round =
+    let b = round mod 10 = 0 in
+    if not b then incr empty;
+    b
   in
   let stats = Engine.fresh_stats () in
   let sim0 = Engine.total_simulated_rounds () in
   let skip0 = Engine.total_skipped_rounds () in
   let outcome =
-    Engine_sparse.run ~stats ~next_busy_round:hint ~graph:g
+    Engine_sparse.run ~stats ~decide_active:(all_or_none ~n busy) ~graph:g
       ~detection:Engine.Collision_detection ~protocol:p
       ~stop:(fun ~round:_ -> false)
       ~max_rounds:100 ()
@@ -564,6 +521,7 @@ let test_honest_accounting () =
   Alcotest.(check bool) "budget" true (outcome = Engine.Out_of_budget 100);
   Alcotest.(check int) "clock counts both" 100 stats.Engine.rounds;
   Alcotest.(check int) "simulated = busy rounds only" 10 sim;
+  Alcotest.(check int) "skipped = rounds whose set was empty" !empty skip;
   Alcotest.(check int) "skipped = the other 90" 90 skip
 
 (* The passive contract's checked edges: [passive] needs an active set,
@@ -758,10 +716,6 @@ let () =
           Alcotest.test_case "decide elided while skipping" `Quick
             test_skip_elides_decide;
           Alcotest.test_case "stop mid-stretch" `Quick test_stop_mid_stretch;
-          Alcotest.test_case "backwards hint raises" `Quick
-            test_backwards_hint_raises;
-          Alcotest.test_case "lying hint obeyed (documented)" `Quick
-            test_lying_hint_is_obeyed;
           Alcotest.test_case "skipped vs simulated accounting" `Quick
             test_honest_accounting;
           Alcotest.test_case "single node" `Quick test_single_node;

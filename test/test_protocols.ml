@@ -404,8 +404,8 @@ module Reference = struct
      state, kept verbatim as a reference over the public
      [Bipartite_assignment] API: an owner lookup through [finished] on
      every decide and delivery, an [after_round] over every level of the
-     round's slot, a [stop] that walks the finished pairs and a skip hint
-     that recurses over every block of a slot.  [Gst_distributed.construct]
+     round's slot and a [stop] that walks the finished pairs.
+     [Gst_distributed.construct]
      with a given layering must reproduce its parents, ranks, parent ranks,
      round count and counters exactly. *)
   let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
@@ -504,10 +504,6 @@ module Reference = struct
         params.Params.max_round_factor * ((depth + 2) * Ilog.pow ladder 5)
         + 10_000
       in
-      let dormant l =
-        let b = block l in
-        Bipartite_assignment.finished b || Bipartite_assignment.waiting b
-      in
       let first_of_slot slot = if slot = 0 then 3 else slot in
       let rec put_slot l buf k =
         if l > depth then k
@@ -519,32 +515,11 @@ module Reference = struct
             Bipartite_assignment.awake (block !current) buf 0
         | Gst_distributed.Pipelined -> put_slot (first_of_slot (round mod 3)) buf 0
       in
-      let rec live_from l =
-        l <= depth && ((not (dormant l)) || live_from (l + 3))
-      in
-      let rec dead_from l = l > depth || (finished_pair l && dead_from (l + 3)) in
-      let slot_live s = live_from (first_of_slot s) in
-      let slot_dead s = dead_from (first_of_slot s) in
-      let next_busy_round ~round =
-        match mode with
-        | Gst_distributed.Sequential ->
-            if dormant !current then round + 1 else round
-        | Gst_distributed.Pipelined ->
-            if slot_live (round mod 3) then round
-            else if not (slot_dead (round mod 3)) then round + 1
-            else if
-              slot_live ((round + 1) mod 3) || not (slot_dead ((round + 1) mod 3))
-            then round + 1
-            else if
-              slot_live ((round + 2) mod 3) || not (slot_dead ((round + 2) mod 3))
-            then round + 2
-            else round + 3
-      in
       let protocol = { Engine.decide; deliver } in
       let stop ~round:_ = done_from depth in
       let outcome =
-        Drive.run ?engine ~decide_active ~next_busy_round ~graph ~detection
-          ~protocol ~after_round ~stop ~max_rounds ()
+        Drive.run ?engine ~decide_active ~graph ~detection ~protocol
+          ~after_round ~stop ~max_rounds ()
       in
       let rounds =
         match outcome with
@@ -772,17 +747,6 @@ let test_gst_broadcast_single () =
       Alcotest.(check bool) "payloads ok" true r.Gst_broadcast.payloads_ok)
     [ Topo.path 30; Topo.grid ~w:6 ~h:5; Topo.balanced_tree ~arity:2 ~depth:4 ]
 
-let test_gst_broadcast_silent_variant () =
-  let g = Topo.grid ~w:5 ~h:5 in
-  let gst = Gst.build_centralized ~graph:g ~roots:[| 0 |] () in
-  let vd = Gst.virtual_distances gst in
-  let msgs = [| Rn_coding.Bitvec.random (rng 1) 32 |] in
-  let r =
-    Gst_broadcast.run ~noise_when_empty:false ~rng:(rng 17) ~gst ~vd ~msgs
-      ~sources:[| 0 |] ()
-  in
-  Alcotest.(check bool) "silent completes" true (completed r.Gst_broadcast.outcome)
-
 let test_gst_broadcast_multi_sources () =
   (* Forest with several roots, all holding the messages (ring scenario). *)
   let g = Topo.grid ~w:6 ~h:3 in
@@ -1002,13 +966,13 @@ let chi2_against_law ~q rounds =
     cells;
   (!chi2, k - 1)
 
-let check_law what ~q rounds =
+let check_law ?(alpha = law_alpha) what ~q rounds =
   let chi2, df = chi2_against_law ~q rounds in
   let p = chi2_sf ~df chi2 in
   Alcotest.(check bool)
     (Printf.sprintf "%s: chi2 = %.1f over %d cells, p = %.2g >= %.2g" what
-       chi2 (df + 1) p law_alpha)
-    true (p >= law_alpha)
+       chi2 (df + 1) p alpha)
+    true (p >= alpha)
 
 let test_chi2_sf () =
   (* df = 2 is the exponential: P(χ²_2 > x) = e^{−x/2}; the others are
@@ -1073,6 +1037,90 @@ let test_cr_cycle_exact_law () =
         | Engine.Out_of_budget _ -> Alcotest.fail "CR run not completed")
   in
   check_law "CR cycle d=1" ~q rounds
+
+(* Decay.mmv_broadcast on K_{1,d,1}: source 0 (level 0), level-1 nodes
+   1 … d, receiver d + 1 adjacent to all of them.  The source's step-0
+   slot (round 1, exponent 0) informs every level-1 node; from then on
+   the receiver can hear only in the level-1 slots, rounds 2 + 3s, where
+   each level-1 node transmits with probability p_s = 2^(−(s mod L)),
+   L = Params.phase_len (d + 2).  So received_round = 2 + 3S with
+   P(S > s) = Π_{s' ≤ s} (1 − d·p_s'·(1 − p_s')^(d−1)); the exponent is
+   spelled out here, apart from [Decay.mmv_exponent].  The receiver's own
+   slot is ≡ 0 (mod 3) and nobody it could inform listens to it, so its
+   noise changes nothing: the [noising = false] run of every seed must
+   give the same receptions.
+
+   Fixed design: N = 4000 runs per d ∈ {2, 3, 16}, each on its own
+   [Rng.split] of [Rng.create ~seed:(2000 + d)]; α = 0.001 over the three
+   cases, Bonferroni. *)
+let test_mmv_exact_law () =
+  List.iter
+    (fun d ->
+      let n = d + 2 in
+      let graph =
+        Graph.create ~n
+          ~edges:
+            (List.concat
+               (List.init d (fun i -> [ (0, i + 1); (i + 1, d + 1) ])))
+      in
+      let levels =
+        Array.init n (fun v -> if v = 0 then 0 else if v <= d then 1 else 2)
+      in
+      let ladder = Params.phase_len ~n in
+      let q s =
+        let p = ldexp 1.0 (-(s mod ladder)) in
+        float_of_int d *. p *. ((1.0 -. p) ** float_of_int (d - 1))
+      in
+      let master = Rng.create ~seed:(2000 + d) in
+      let steps =
+        Array.init law_runs (fun _ ->
+            let rng = Rng.split master in
+            let run noising =
+              let r =
+                Decay.mmv_broadcast ~noising ~rng:(Rng.copy rng) ~graph ~levels
+                  ~source:0 ()
+              in
+              if not (completed r.Decay.outcome) then
+                Alcotest.fail "MMV run not completed";
+              r.Decay.received_round
+            in
+            let rr = run true in
+            if rr <> run false then
+              Alcotest.fail "noising = false received at different rounds";
+            Array.iteri
+              (fun v t ->
+                if v >= 1 && v <= d && t <> 1 then
+                  Alcotest.failf "level-1 node %d received at %d, not 1" v t)
+              rr;
+            let t = rr.(d + 1) in
+            if t < 2 || (t - 2) mod 3 <> 0 then
+              Alcotest.failf "receiver heard at round %d, not 2 + 3s" t;
+            ((t - 2) / 3) + 1)
+      in
+      check_law ~alpha:(0.001 /. 3.0)
+        (Printf.sprintf "MMV K_{1,%d,1} ladder=%d" d ladder)
+        ~q steps)
+    [ 2; 3; 16 ]
+
+(* On a path the level-(l−1) node's step-0 slot is round l, where it
+   transmits with probability 1 to its only listener: every node receives
+   at round = its level, under both [noising] values. *)
+let test_mmv_path_exact () =
+  let n = 12 in
+  let graph = Topo.path n in
+  let levels = Bfs.levels graph ~src:0 in
+  for seed = 1 to 200 do
+    List.iter
+      (fun noising ->
+        let r =
+          Decay.mmv_broadcast ~noising ~rng:(Rng.create ~seed) ~graph ~levels
+            ~source:0 ()
+        in
+        Alcotest.(check (array int))
+          (Printf.sprintf "seed %d noising %b" seed noising)
+          (Array.init n Fun.id) r.Decay.received_round)
+      [ true; false ]
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Golden values *)
@@ -1696,79 +1744,6 @@ let assignment_matches_reference =
                [ true; false ])
            Gst_distributed.[ Sequential; Pipelined ]))
 
-(* A block whose [has_actors] is false must wake nobody: the assignment
-   phase's skip hint fast-forwards exactly those rounds.  Both machines
-   are stepped round by round on a random bipartite graph by the
-   full-scan engine, and the pair is checked before every round. *)
-let has_actors_sound =
-  QCheck.Test.make ~name:"has_actors = false => empty awake set" ~count:20
-    QCheck.(
-      triple (Qarb.int_range 1 12) (Qarb.int_range 1 24) (Qarb.int_range 0 1000))
-    (fun (nr, nb, seed) ->
-      let graph =
-        Topo.bipartite_random ~rng:(rng seed) ~reds:nr ~blues:nb ~p:0.3
-      in
-      let n = Graph.n graph in
-      let reds = Array.init nr Fun.id and blues = Array.init nb (( + ) nr) in
-      let buf = Array.make n 0 and bad = ref 0 and quiet = ref 0 in
-      let check ~has_actors ~awake =
-        if not (has_actors ()) then begin
-          incr quiet;
-          if awake buf 0 > 0 then incr bad
-        end
-      in
-      let step ~decide ~deliver ~advance ~finished ~has_actors ~awake =
-        check ~has_actors ~awake;
-        ignore
-          (Engine.run ~graph ~detection:Engine.No_collision_detection
-             ~protocol:
-               {
-                 Engine.decide = (fun ~round:_ ~node -> decide ~node);
-                 deliver = (fun ~round:_ ~node r -> deliver ~node r);
-               }
-             ~after_round:(fun ~round:_ ->
-               advance ();
-               check ~has_actors ~awake)
-             ~stop:(fun ~round:_ -> finished ())
-             ~max_rounds:1_000_000 ()
-            : Engine.outcome)
-      in
-      let params = Params.default in
-      let recr =
-        Recruiting.create ~rng:(rng (seed + 1)) ~params ~scale_n:n ~graph ~reds
-          ~blues ()
-      in
-      step
-        ~decide:(Recruiting.decide recr)
-        ~deliver:(Recruiting.deliver recr)
-        ~advance:(fun () -> Recruiting.advance recr)
-        ~finished:(fun () -> Recruiting.finished recr)
-        ~has_actors:(fun () -> Recruiting.has_actors recr)
-        ~awake:(Recruiting.awake recr);
-      let parents = Array.make n (-1) and parent_rank = Array.make n (-1) in
-      let ranks = Array.make n 0 in
-      Array.iter (fun b -> ranks.(b) <- 1 + (b mod 2)) blues;
-      let pos = Array.make n (-1) in
-      Array.iteri (fun i v -> pos.(v) <- i) reds;
-      Array.iteri (fun i v -> pos.(v) <- i) blues;
-      let ba =
-        Bipartite_assignment.create ~rng:(rng (seed + 2)) ~params ~scale_n:n
-          ~graph ~reds ~blues ~pos ~parents ~ranks ~parent_rank
-          ~ready:(fun ~rank:_ -> true)
-          ()
-      in
-      step
-        ~decide:(Bipartite_assignment.decide ba)
-        ~deliver:(Bipartite_assignment.deliver ba)
-        ~advance:(fun () -> Bipartite_assignment.advance ba)
-        ~finished:(fun () -> Bipartite_assignment.finished ba)
-        ~has_actors:(fun () -> Bipartite_assignment.has_actors ba)
-        ~awake:(Bipartite_assignment.awake ba);
-      if !bad > 0 then
-        QCheck.Test.fail_reportf "reds %d blues %d seed %d: %d of %d quiet \
-                                  rounds woke someone" nr nb seed !bad !quiet;
-      true)
-
 let qcheck_tests =
   let open QCheck in
   [
@@ -1776,7 +1751,6 @@ let qcheck_tests =
     ring_major_matches_batch_major;
     layering_matches_reference;
     assignment_matches_reference;
-    has_actors_sound;
     Test.make ~name:"decay broadcast always delivers" ~count:60 arb_graph
       (fun spec ->
         let g = graph_of spec in
@@ -1841,6 +1815,9 @@ let () =
             test_handoff_exact_law;
           Alcotest.test_case "CR cycle, one neighbour" `Quick
             test_cr_cycle_exact_law;
+          Alcotest.test_case "MMV ladder on K_{1,d,1}" `Quick
+            test_mmv_exact_law;
+          Alcotest.test_case "MMV ladder on a path" `Quick test_mmv_path_exact;
         ] );
       ( "recruiting",
         [
@@ -1883,7 +1860,6 @@ let () =
           Alcotest.test_case "fast cadence" `Quick test_schedule_fast_cadence;
           Alcotest.test_case "slow cadence" `Quick test_schedule_slow_cadence;
           Alcotest.test_case "single broadcast" `Quick test_gst_broadcast_single;
-          Alcotest.test_case "silent variant" `Quick test_gst_broadcast_silent_variant;
           Alcotest.test_case "multi-root sources" `Quick test_gst_broadcast_multi_sources;
         ] );
       ( "rings",

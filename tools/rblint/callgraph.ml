@@ -22,8 +22,7 @@
 
      v4 adds the protocol-contract rules, driven by the write/effect
      facts (mutable-store primitives with silence-region and
-     node-locality flags, protocol-record constructions, next_busy_round
-     hint roots):
+     node-locality flags, protocol-record constructions):
 
      R11 silence purity — a protocol's [deliver] must not, transitively
          through silence-reachable calls, write mutable state or draw
@@ -34,9 +33,9 @@
          own state, so a cross-node write is a simulation device that
          must carry a named allow; Rng draws must come from a
          node-derived stream.
-     R13 hint determinism — [~next_busy_round] closures must be pure
-         functions of the round and data they can only read: any write,
-         Rng draw or R8-tainted source reachable from the hint fires.
+     R13 retired: it checked the purity of the sparse engine's skip
+         hint, which no longer exists (a round whose awake set is empty
+         is fast-forwarded instead).  The number is not reused.
      R14 registry coverage — every lib/ pipeline that constructs a
          protocol and drives an engine must be reachable from an
          [Rn_radio.Registry.register] call, so the registry enumerates
@@ -132,7 +131,7 @@ type write = {
   w_line : int;
   w_desc : string;  (** e.g. "Array.set", ":=", "mutable-field set" *)
   w_sil : bool;  (** silence-reachable within its function (see [call].c_sil) *)
-  w_atomic : bool;  (** an [Atomic.*] store — sanctioned for R12, not R11/R13 *)
+  w_atomic : bool;  (** an [Atomic.*] store — sanctioned for R12, not R11 *)
   w_node_ok : bool;
       (** the write target mentions a node-derived identifier or node-local
           scratch — only meaningful when [w_in_scope] *)
@@ -149,12 +148,6 @@ type proto_decl = {
   p_deliver : key option;
 }
 
-type hint_decl = {
-  h_key : key;  (** node holding the [~next_busy_round] closure body *)
-  h_line : int;
-  h_anchors : int list;
-}
-
 type unit_facts = {
   uf_unit : string;  (** compilation unit name, e.g. "Rn_radio__Engine" *)
   uf_file : string;  (** normalized source path *)
@@ -166,7 +159,6 @@ type unit_facts = {
   uf_binds : rng_bind list;
   uf_writes : write list;
   uf_protos : proto_decl list;
-  uf_hints : hint_decl list;
 }
 
 let empty_facts =
@@ -181,7 +173,6 @@ let empty_facts =
     uf_binds = [];
     uf_writes = [];
     uf_protos = [];
-    uf_hints = [];
   }
 
 (* All call edges, for the fixture self-tests. *)
@@ -370,24 +361,21 @@ let forward_closure ~seeds ~edge_ok units =
 (* ------------------------------------------------------------------ *)
 (* R8 — determinism taint                                              *)
 
-(* The R8 cause table, exposed so R13 can treat taint as a hint-impurity
-   source. *)
-let r8_taint ?(sinks = List.map fst default_r8_sinks) units =
-  propagate
-    ~seed_iter:(fun mark ->
-      List.iter
-        (fun uf ->
-          List.iter
-            (fun d -> mark d.d_node (`Direct (d.d_src, d.d_line)))
-            uf.uf_nondet)
-        units)
-    ~edge_ok:(fun _ -> true)
-    ~skip:(fun k -> List.mem k sinks)
-    units
-
 let r8_findings ?(sinks = List.map fst default_r8_sinks) units =
   let node_home = node_home_table units in
-  let cause = r8_taint ~sinks units in
+  let cause =
+    propagate
+      ~seed_iter:(fun mark ->
+        List.iter
+          (fun uf ->
+            List.iter
+              (fun d -> mark d.d_node (`Direct (d.d_src, d.d_line)))
+              uf.uf_nondet)
+          units)
+      ~edge_ok:(fun _ -> true)
+      ~skip:(fun k -> List.mem k sinks)
+      units
+  in
   let chain = chain_of ~node_home cause in
   let fs =
     Hashtbl.fold
@@ -704,88 +692,6 @@ let r12_findings units =
   sort_findings fs
 
 (* ------------------------------------------------------------------ *)
-(* R13 — determinism/purity of [~next_busy_round] hints                *)
-
-let r13_findings ?r8_sinks units =
-  let node_home = node_home_table units in
-  let taint =
-    match r8_sinks with
-    | Some sinks -> r8_taint ~sinks units
-    | None -> r8_taint units
-  in
-  (* A hint is impure when any write (Atomic included — hints may be
-     re-queried or skipped, so even atomic counters desynchronize), any
-     consuming Rng draw, or any R8-tainted source is reachable from its
-     body.  Mutable *reads* are deliberately allowed: the engine
-     re-queries the hint each silent round, so reading evolving state is
-     sound. *)
-  let cause =
-    propagate
-      ~seed_iter:(fun mark ->
-        List.iter
-          (fun uf ->
-            List.iter
-              (fun w -> mark w.w_node (`Direct (w.w_desc, w.w_line)))
-              uf.uf_writes;
-            List.iter
-              (fun c ->
-                (match rng_op_of_key c.c_callee with
-                | Some op when rng_consuming op ->
-                    mark c.c_caller (`Direct ("Rng." ^ op ^ " draw", c.c_line))
-                | _ -> ());
-                if Hashtbl.mem taint c.c_callee then
-                  mark c.c_caller
-                    (`Direct
-                       ( "R8-tainted " ^ string_of_key c.c_callee,
-                         c.c_line )))
-              uf.uf_calls)
-          units)
-      ~edge_ok:(fun _ -> true)
-      ~skip:(fun _ -> false)
-      units
-  in
-  (* Direct nondet in the hint body itself (not through a call). *)
-  List.iter
-    (fun uf ->
-      List.iter
-        (fun d ->
-          if not (Hashtbl.mem cause d.d_node) then
-            Hashtbl.replace cause d.d_node (`Direct (d.d_src, d.d_line)))
-        uf.uf_nondet)
-    units;
-  let chain = chain_of ~node_home cause in
-  let fs =
-    List.concat_map
-      (fun uf ->
-        if not (in_lib uf.uf_file) then []
-        else
-          List.filter_map
-            (fun h ->
-              if Hashtbl.mem cause h.h_key then
-                Some
-                  {
-                    g_file = uf.uf_file;
-                    g_line = h.h_line;
-                    g_rule = "R13";
-                    g_msg =
-                      "next_busy_round hint is not a pure function of the \
-                       round: " ^ chain h.h_key
-                      ^ " — Engine_sparse consults the hint instead of \
-                         simulating silent rounds, so any write, Rng draw \
-                         or nondeterministic source in it diverges the \
-                         sparse schedule from the dense one; compute the \
-                         hint from the round and captured immutable data \
-                         (reading evolving state is fine), or add a \
-                         reasoned rblint:allow R13";
-                    g_anchors = h.h_anchors;
-                  }
-              else None)
-            uf.uf_hints)
-      units
-  in
-  sort_findings fs
-
-(* ------------------------------------------------------------------ *)
 (* R14 — registry coverage of protocol pipelines                       *)
 
 let r14_findings units =
@@ -844,7 +750,7 @@ let r14_findings units =
                          is not reachable from any Rn_radio.Registry \
                          registration: add an entry (lib/core/protocols.ml) \
                          so rbcast/bench/tests and the contract rules \
-                         R11-R13 see it, or mark an internal driver with a \
+                         R11 and R12 see it, or mark an internal driver with a \
                          reasoned rblint:allow R14";
                     g_anchors = p.p_anchors;
                   }

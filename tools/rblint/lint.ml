@@ -53,12 +53,13 @@
          call graph), not stored in top-level module state.
 
    v4 adds the engine protocol-contract rules (R11 silence purity of
-   [deliver], R12 per-node write locality of [decide]/[deliver], R13
-   purity of [~next_busy_round] hints, R14 registry coverage).  The
-   traversal additionally collects mutable-store primitives (with
-   silence-region and node-locality flags), [Engine.protocol] record
-   constructions (whose callback closures become synthetic call-graph
-   nodes), and hint closures; callgraph.ml holds the verdicts.
+   [deliver], R12 per-node write locality of [decide]/[deliver], R14
+   registry coverage; R13, the purity of the retired skip hint, is not
+   reused).  The traversal additionally collects mutable-store
+   primitives (with silence-region and node-locality flags) and
+   [Engine.protocol] record constructions (whose callback closures
+   become synthetic call-graph nodes); callgraph.ml holds the
+   verdicts.
 
    Findings print as "file:line:col RULE message".  A finding is
    suppressed by an inline [rblint:allow RULE reason] comment marker —
@@ -454,7 +455,6 @@ let analyze ~path ~modname str =
   (* (node, line, anchors, decide target, deliver target) with targets
      still unresolved ([`Key] for synthetic callback nodes, [`Path] for
      identifier fields) *)
-  let raw_hints = ref [] in  (* (`Key k | `Path p, line, anchors) *)
   (* R11 silence regions: > 0 inside the rhs of a reception-match arm that
      cannot match [Silence] — effects there never run on a Silence
      delivery. *)
@@ -498,7 +498,7 @@ let analyze ~path ~modname str =
     | Types.Tpoly (t, _) -> mentions_rng env t
     | _ -> false
   in
-  (* --- R11/R12/R13 protocol-contract fact helpers ------------------- *)
+  (* --- R11/R12 protocol-contract fact helpers ----------------------- *)
   let ty_suffix env ty suffix =
     match Types.get_desc (expand env ty) with
     | Types.Tconstr (p, _, _) -> (
@@ -957,18 +957,13 @@ let analyze ~path ~modname str =
         | None -> ());
         let visit_args () =
           List.iter
-            (fun (lbl, eo) ->
+            (fun (_, eo) ->
               match eo with
               | Some a -> (
-                  match lbl with
-                  | Asttypes.Labelled "next_busy_round"
-                  | Asttypes.Optional "next_busy_round" ->
-                      visit_hint_arg it a
-                  | _ -> (
-                      match is_rng_arg a with
-                      | Some _ when !in_spawn = 0 ->
-                          () (* counted as a call argument, not a plain use *)
-                      | _ -> expr_hook it a))
+                  match is_rng_arg a with
+                  | Some _ when !in_spawn = 0 ->
+                      () (* counted as a call argument, not a plain use *)
+                  | _ -> expr_hook it a)
               | None -> ())
             args
         in
@@ -1182,7 +1177,7 @@ let analyze ~path ~modname str =
         expr_hook it e2;
         if g then decr guard
     | _ -> iter.expr it e
-  (* Attribute a callback/hint closure's body to a fresh synthetic
+  (* Attribute a callback closure's body to a fresh synthetic
      call-graph node ("%decide@<line>" under the enclosing node), so the
      contract analyses can reason about it separately. *)
   and synth_walk it ~tag fe =
@@ -1201,35 +1196,6 @@ let analyze ~path ~modname str =
     expr_hook it fe;
     cur_node := prev;
     skey
-  (* R13 roots: closures passed (possibly under [Some], through branches,
-     or as a top-level identifier) as a [~next_busy_round] argument. *)
-  and visit_hint_arg it a =
-    match a.exp_desc with
-    | Texp_function _ ->
-        let k = synth_walk it ~tag:"hint" a in
-        raw_hints := (`Key k, loc_line a.exp_loc, !anchor_stack) :: !raw_hints
-    | Texp_construct (_, cd, [ inner ]) when cd.Types.cstr_name = "Some" -> (
-        match inner.exp_desc with
-        | Texp_function _ ->
-            let k = synth_walk it ~tag:"hint" inner in
-            raw_hints :=
-              (`Key k, loc_line inner.exp_loc, !anchor_stack) :: !raw_hints
-        | _ -> visit_hint_arg it inner)
-    | Texp_ident (p, _, _) ->
-        raw_hints := (`Path p, loc_line a.exp_loc, !anchor_stack) :: !raw_hints;
-        expr_hook it a
-    | Texp_ifthenelse (c, t, e') ->
-        expr_hook it c;
-        visit_hint_arg it t;
-        Option.iter (visit_hint_arg it) e'
-    | Texp_match (scrut, cases, _) ->
-        expr_hook it scrut;
-        List.iter
-          (fun c ->
-            Option.iter (expr_hook it) c.c_guard;
-            visit_hint_arg it c.c_rhs)
-          cases
-    | _ -> expr_hook it a
   in
   let module_expr_hook it m =
     (match m.mod_desc with
@@ -1522,15 +1488,6 @@ let analyze ~path ~modname str =
         })
       !raw_protos
   in
-  let hints =
-    List.filter_map
-      (fun (target, line, anchors) ->
-        match resolve_target target with
-        | Some k ->
-            Some { Callgraph.h_key = k; h_line = line; h_anchors = anchors }
-        | None -> None)
-      !raw_hints
-  in
   let facts =
     {
       Callgraph.uf_unit = modname;
@@ -1543,7 +1500,6 @@ let analyze ~path ~modname str =
       uf_binds = List.rev !binds;
       uf_writes = List.rev !writes;
       uf_protos = protos;
-      uf_hints = List.rev hints;
     }
   in
   let sort fs =
@@ -1719,9 +1675,6 @@ let finalize_full ?r8_sinks units =
     @ Callgraph.r10_findings facts
     @ Callgraph.r11_findings facts
     @ Callgraph.r12_findings facts
-    @ (match r8_sinks with
-      | Some sinks -> Callgraph.r13_findings ~r8_sinks:sinks facts
-      | None -> Callgraph.r13_findings facts)
     @ Callgraph.r14_findings facts
   in
   let cg_by_file : (string, Callgraph.cg_finding) Hashtbl.t =

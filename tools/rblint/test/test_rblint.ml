@@ -381,15 +381,6 @@ let test_r12 () =
   Alcotest.(check int) "node-indexed + Atomic aggregate is clean" 0
     (List.length fs)
 
-let test_r13 () =
-  let fs = lint_as ~path:"lib/core/bad_r13.ml" "bad_r13.ml" in
-  check_rules "R13 only" [ "R13" ] fs;
-  (* the Rng-drawing hint and the writing hint *)
-  Alcotest.(check int) "both impure hints fire" 2 (count "R13" fs);
-  let fs = lint_as ~path:"lib/core/ok_r13.ml" "ok_r13.ml" in
-  Alcotest.(check int) "round-pure and state-reading hints are clean" 0
-    (List.length fs)
-
 let test_r14 () =
   let fs = lint_as ~path:"lib/core/bad_r14.ml" "bad_r14.ml" in
   check_rules "R14 only" [ "R14" ] fs;
@@ -539,7 +530,6 @@ let () =
             test_r10_campaign;
           Alcotest.test_case "R11 silence purity" `Quick test_r11;
           Alcotest.test_case "R12 write locality" `Quick test_r12;
-          Alcotest.test_case "R13 hint determinism" `Quick test_r13;
           Alcotest.test_case "R14 registry coverage" `Quick test_r14;
         ] );
       ( "machinery",
