@@ -49,9 +49,27 @@ let run ?(slow_key = By_virtual_distance) ?step_reset ?faults
       if l >= 0 && (vd.(v) < 0 || gst.Gst.ranks.(v) < 1) then
         invalid_arg "Gst_broadcast.run: forest node lacks vd or rank")
     gst.Gst.levels;
-  let node_rng = Rng.split_n rng n in
-  let buf = Array.init n (fun _ -> Rlnc.create ~k ~msg_len) in
-  Array.iter (fun s -> Rlnc.seed_with_sources buf.(s) ~msgs) sources;
+  (* Only forest nodes draw, code or receive: every other node sleeps in
+     every round, so it gets no stream or buffer of its own, and the one
+     buffer those entries share is never read.  A source outside the
+     forest never transmits, so it is not seeded. *)
+  let members =
+    let ids = Array.make (Gst.size gst) 0 and m = ref 0 in
+    Array.iteri
+      (fun v l ->
+        if l >= 0 then begin
+          ids.(!m) <- v;
+          incr m
+        end)
+      gst.Gst.levels;
+    ids
+  in
+  let node_rng = Rng.split_members rng n members in
+  let buf = Array.make n (Rlnc.create ~k ~msg_len) in
+  Array.iter (fun v -> buf.(v) <- Rlnc.create ~k ~msg_len) members;
+  Array.iter
+    (fun s -> if in_forest s then Rlnc.seed_with_sources buf.(s) ~msgs)
+    sources;
   let decode_round = Array.make n (-1) in
   let missing = Atomic.make 0 in
   Array.iteri

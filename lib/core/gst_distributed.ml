@@ -332,7 +332,8 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
     Array.sub members 0 !m
   in
   let unlabeled_remain () = Array.exists (fun v -> vd.(v) < 0) forest in
-  let node_rng = Rng.split_n rng n in
+  (* Only frontier nodes draw (stage 2), and they lie in the forest. *)
+  let node_rng = Rng.split_members rng n forest in
   let total_rounds = ref 0 in
   (* One d-iteration: stretch sweeps for every rank, then Decay
      relaxation.  [swept] marks nodes labeled d+1 by the current sweep so

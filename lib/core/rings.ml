@@ -43,7 +43,7 @@ let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
     ~receive ~satisfied () =
   let n = Graph.n graph in
   let ladder = Params.phase_len ~n in
-  let node_rng = Rng.split_n rng n in
+  let node_rng = Rng.split_members rng n holders in
   let is_holder = Array.make n false in
   Array.iter (fun v -> is_holder.(v) <- true) holders;
   (* [missing] counts distinct receivers: one satisfied receiver
@@ -116,8 +116,11 @@ let handoff_fec ?(params = Params.default) ?engine ~rng ~graph ~holders
   if Array.length holders = 0 then ({ rounds = 0; delivered = false }, false)
   else begin
     let n = Graph.n graph in
-    let fec_rng = Rng.split_n rng n in
-    let decoders = Array.init n (fun _ -> Rlnc.create ~k ~msg_len) in
+    (* Holders code and receivers decode: the others' entries are shared
+       and never read. *)
+    let fec_rng = Rng.split_members rng n holders in
+    let decoders = Array.make n (Rlnc.create ~k ~msg_len) in
+    Array.iter (fun v -> decoders.(v) <- Rlnc.create ~k ~msg_len) receivers;
     let result =
       decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers
         ~payload:(fun v ->

@@ -10,11 +10,21 @@ let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
       Engine_sparse.run ?stats ?metrics ?after_round ?decide_active ?passive
         ?validate ~graph ~detection ~protocol ~stop ~max_rounds ()
 
+(* Sort and dedupe the ids in place: O(k log k) for k listed ids, with
+   no n-sized mark, since a stage lists only the nodes it wakes. *)
 let static_active ~n groups =
-  let mark = Array.make n false in
-  List.iter (Array.iter (fun v -> mark.(v) <- true)) groups;
-  let ids = Array.of_seq (Seq.filter (Array.get mark) (Seq.init n Fun.id)) in
-  let count = Array.length ids in
+  let ids = Array.concat groups in
+  Array.sort Int.compare ids;
+  let count = ref 0 in
+  for i = 0 to Array.length ids - 1 do
+    let v = ids.(i) in
+    if v < 0 || v >= n then invalid_arg "Drive.static_active: bad node id";
+    if !count = 0 || ids.(!count - 1) <> v then begin
+      ids.(!count) <- v;
+      incr count
+    end
+  done;
+  let count = !count in
   if count = n then None
   else
     Some

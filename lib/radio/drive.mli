@@ -48,4 +48,6 @@ val static_active :
 (** [static_active ~n groups] is the [decide_active] of an awake set that
     never changes: the distinct ids in [groups], ascending (the full
     scan's call order).  [None] when they cover all [n] nodes — such a set
-    saves nothing over the scan. *)
+    saves nothing over the scan.  Built by sorting the listed ids, so it
+    costs O(k log k) for [k] of them and nothing per node of the graph.
+    @raise Invalid_argument if an id is outside [\[0, n)]. *)

@@ -40,7 +40,33 @@
       that silent round.  Such rounds are credited to
       {!Engine.total_skipped_rounds}, not {!Engine.total_simulated_rounds}.
 
+    - {b One workspace per domain.}  The monomorphic scratch — the
+      reception bytes, the last-sprayer slots, the active-set buffer and
+      the transmitter/listener stacks, each with room for at least [n]
+      nodes — is cached in a one-slot per-domain store and reused by the
+      next run, so a run's set-up costs the nodes it touches, not [n].
+      The packets live apart, in a per-run array indexed by transmitter
+      position, because their type is the protocol's.
+
     [stop] and [after_round] run between rounds.
+
+    The workspace contract:
+    - a run that completes or runs out of budget undoes its last round's
+      marks (every reception byte back to 255) and returns the workspace
+      to the slot, where the next run in the domain takes it if it is
+      long enough, and replaces it otherwise;
+    - a run that raises, whether from a callback or from a contract
+      check, never returns its workspace: the slot stays empty and the
+      next run builds fresh arrays;
+    - a run nested in a callback of another (an [after_round] that
+      drives a run of its own) finds the slot empty, since the outer run
+      holds the workspace, and builds its own;
+    - the workspace holds ints and bytes only, so no packet outlives the
+      run that sent it.
+
+    A transmitter's reception byte is the reserved value 254 for its
+    round: the spray leaves it unchanged, as it does a deaf 255, so
+    whether a node transmits is one byte test.
 
     The equivalence suite ([test/test_engine_sparse.ml]) pins outcome,
     stats, per-node receive logs, metrics exports and the deliver sequence
@@ -66,7 +92,8 @@ val run :
     probe are as at {!Engine.run}.
 
     [decide_active], when given, replaces the every-node decide scan: each
-    round the engine hands it a reusable buffer of length [n]; the protocol
+    round the engine hands it a reusable buffer of length at least [n]
+    (the domain's workspace may be longer); the protocol
     writes the ids of the awake nodes into a prefix and returns the prefix
     length, and [decide] is then called on exactly those nodes (in buffer
     order) — every other node implicitly [Sleep]s that round.  The ids of a

@@ -19,12 +19,15 @@ let copy t = Bytes.copy t
 
 (* SplitMix64 output function: advance by the golden gamma, then mix.
    Inlined into every caller so the result never leaves a register. *)
-let[@inline] next t =
-  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
-  Bytes.set_int64_le t 0 z;
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
+  mix z
 
 let bits64 t = next t
 
@@ -34,13 +37,39 @@ let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
 let bits62 t = Int64.to_int (next t) land max_int
 
-let split t =
-  let s = next t in
-  (* Mix once more so that parent and child streams are decorrelated even
-     for adjacent integer seeds. *)
+(* A child's state: the parent's output mixed once more, so that parent
+   and child streams are decorrelated even for adjacent integer seeds. *)
+let[@inline] child s =
   of_state (Int64.mul (Int64.logxor s (Int64.shift_right_logical s 33)) 0xFF51AFD7ED558CCDL)
 
-let split_n t n = Array.init n (fun _ -> split t)
+let split t = child (next t)
+
+(* The k-th of n consecutive splits from state s₀ reads the output of
+   state s₀ + (k+1)·γ (wrapping, as the sequential additions do), so
+   [jump] records s₀ and moves the parent straight to s₀ + n·γ. *)
+type streams = { base : t; count : int }
+
+let jump t n =
+  if n < 0 then invalid_arg "Rng.jump: negative count";
+  let base = copy t in
+  Bytes.set_int64_le t 0
+    (Int64.add (Bytes.get_int64_le t 0) (Int64.mul (Int64.of_int n) golden_gamma));
+  { base; count = n }
+
+let stream { base; count } k =
+  if k < 0 || k >= count then invalid_arg "Rng.stream: index out of range";
+  child
+    (mix
+       (Int64.add (Bytes.get_int64_le base 0)
+          (Int64.mul (Int64.of_int (k + 1)) golden_gamma)))
+
+let split_n t n = Array.init n (stream (jump t n))
+
+let split_members t n ids =
+  let s = jump t n in
+  let out = Array.make n (of_state 0L) in
+  Array.iter (fun v -> out.(v) <- stream s v) ids;
+  out
 
 (* Rejection sampling on the low 62 bits to avoid modulo bias.  A
    top-level loop rather than a local closure, so a draw allocates

@@ -20,7 +20,38 @@ val split : t -> t
     [t]'s; both generators advance independently afterwards. *)
 
 val split_n : t -> int -> t array
-(** [split_n t n] derives [n] independent generators (one per node). *)
+(** [split_n t n] derives [n] independent generators (one per node): the
+    [n] results of [n] successive {!split}s, in order.  It is
+    [Array.init n (stream (jump t n))]. *)
+
+type streams
+(** The [n] generators a [split_n t n] would build, none of them built
+    yet. *)
+
+val jump : t -> int -> streams
+(** [jump t n] advances [t] past [n] splits in O(1): afterwards [t] draws
+    exactly as it would after [split_n t n].  The result names the [n]
+    generators that call would have returned; {!stream} builds any one of
+    them, so a stage in which few of [n] nodes draw pays for those nodes
+    only, with the same draws.  This is SplitMix64's closed form: the
+    [k]-th of [n] successive splits mixes the parent's state advanced by
+    [(k+1)] golden gammas, and the parent ends [n] gammas on.
+    @raise Invalid_argument if [n < 0]. *)
+
+val stream : streams -> int -> t
+(** [stream (jump t n) k], for [0 <= k < n], is a fresh generator that
+    draws exactly as [(split_n t n).(k)] would.  O(1); each call builds a
+    new generator, so a caller that keeps drawing builds it once.
+    @raise Invalid_argument unless [0 <= k < n]. *)
+
+val split_members : t -> int -> int array -> t array
+(** [split_members t n ids] is [split_n t n] built for the nodes in [ids]
+    only: [t] ends as after [split_n t n], and entry [v] of the result,
+    for every [v] in [ids], draws exactly as [(split_n t n).(v)].  All
+    other entries are one shared generator that no caller may draw from,
+    so [ids] must hold every node that draws.  Costs an [n]-word array
+    and one generator per id.
+    @raise Invalid_argument if an id is outside [\[0, n)]. *)
 
 val copy : t -> t
 (** [copy t] duplicates the current state; the copy replays [t]'s future. *)

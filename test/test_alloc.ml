@@ -312,6 +312,55 @@ let test_sparse_passive_woken_round () =
   Alcotest.(check (float 0.0))
     "passive-woken rounds allocate zero minor words" 0.0 words
 
+(* Engine set-up costs the nodes a run touches: the first run in a domain
+   builds the workspace (five n-sized arrays, allocated straight in the
+   major heap), and a second run on the same graph reuses it.  Two awake
+   nodes of a 4096-node star over a few rounds must then allocate fewer
+   major-heap words than the graph has nodes. *)
+let test_second_run_reuses_workspace () =
+  let n = 4096 in
+  let graph = star n in
+  let tx = Engine.Transmit 1 in
+  let protocol =
+    {
+      Engine.decide =
+        (fun ~round:_ ~node -> if node = 0 then tx else Engine.Listen);
+      deliver = (fun ~round:_ ~node:_ _ -> ());
+    }
+  in
+  let decide_active ~round:_ (buf : int array) =
+    buf.(0) <- 0;
+    buf.(1) <- 5;
+    2
+  in
+  (* A domain's major-heap counter catches up with its direct major
+     allocations only at a minor collection, so one closes each side of
+     the window. *)
+  let run () =
+    Gc.minor ();
+    let before = Gc.quick_stat () in
+    let (_ : Engine.outcome) =
+      Drive.run ~decide_active ~graph ~detection:Engine.Collision_detection
+        ~protocol
+        ~stop:(fun ~round:_ -> false)
+        ~max_rounds:8 ()
+    in
+    Gc.minor ();
+    let after = Gc.quick_stat () in
+    after.Gc.major_words -. before.Gc.major_words
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words)
+  in
+  let first = run () in
+  let second = run () in
+  Alcotest.(check bool)
+    (Printf.sprintf "first run builds the workspace (%.0f major words)" first)
+    true
+    (first >= float_of_int n);
+  Alcotest.(check bool)
+    (Printf.sprintf "second run allocates %.0f < n = %d major words" second n)
+    true
+    (second < float_of_int n)
+
 (* Runner shard loop: every domain lane records Gc.minor_words (its own
    domain's counter) at each item it processes; the delta between two
    consecutive items of the same lane is the steady-state cost of one
@@ -542,6 +591,7 @@ let test_assignment_create_member_sized () =
   let ranks = Array.make n 0 in
   let rng = Rng.create ~seed:17 and ready ~rank:_ = true in
   let marks = [| 0.0; 0.0 |] in
+  Gc.minor ();
   let before = Gc.quick_stat () in
   marks.(0) <- Gc.minor_words ();
   let t =
@@ -550,6 +600,7 @@ let test_assignment_create_member_sized () =
       ~parents ~ranks ~parent_rank ~ready ()
   in
   marks.(1) <- Gc.minor_words ();
+  Gc.minor ();
   let after = Gc.quick_stat () in
   ignore (Sys.opaque_identity t);
   (* Words promoted by a minor collection inside the window are counted
@@ -594,6 +645,8 @@ let () =
             test_sparse_collision_round;
           Alcotest.test_case "passive-woken rounds" `Quick
             test_sparse_passive_woken_round;
+          Alcotest.test_case "second run reuses the workspace" `Quick
+            test_second_run_reuses_workspace;
         ] );
       ( "protocol",
         [

@@ -58,7 +58,7 @@ let export_fingerprint m =
 (* [flags], when given, is a per-round passive-flag script: the sparse
    run gets [~passive] holding round 0's flags, and [after_round] installs
    the next round's. *)
-let observe ?decide_active ?flags ~engine ~graph ~detection ~script
+let observe ?decide_active ?flags ?hook ~engine ~graph ~detection ~script
     ~max_rounds () =
   let n = Graph.n graph in
   let logs = Array.make (max n 1) [] in
@@ -75,6 +75,7 @@ let observe ?decide_active ?flags ~engine ~graph ~detection ~script
   let protocol = { Engine.decide; deliver } in
   let after_round ~round =
     after := round :: !after;
+    Option.iter (fun f -> f ~round) hook;
     match (flags, passive) with
     | Some f, Some p when round + 1 < Array.length f ->
         Array.blit f.(round + 1) 0 p 0 n
@@ -708,6 +709,149 @@ let test_wrapper_multi_broadcast () =
   let ka = runk Engine.Dense in
   Alcotest.(check bool) "known result record" true (ka = runk Engine.Sparse)
 
+(* ------------------------------------------------------------------ *)
+(* The engine workspace: every sparse run in a domain reuses one set of
+   scratch arrays, handed back by the run before.  Each case below puts
+   a run in a state a reused workspace could leak from and checks the
+   next run against the full-scan reference, which keeps no scratch. *)
+
+let workspace_case ~seed ~n =
+  let rng = Rng.create ~seed in
+  let g = Topo.random_connected ~rng ~n ~extra:n in
+  let flags, script, decide_active = make_passive_case ~rng ~n ~rounds:8 in
+  (g, flags, script, decide_active)
+
+(* The reference, the sparse full scan, and the sparse run with passive
+   listeners: a stale reception byte would hide a passive node from the
+   wake walk, or hand a listener a packet nobody sent it this run. *)
+let observe_both ?hook (g, flags, script, decide_active) =
+  let run ?decide_active ?flags engine =
+    observe ?decide_active ?flags ?hook ~engine ~graph:g
+      ~detection:Engine.Collision_detection ~script ~max_rounds:8 ()
+  in
+  (run `Dense, run `Sparse, run ~decide_active ~flags `Sparse)
+
+let check_against_dense ?hook what case =
+  let dense, scan, passive = observe_both ?hook case in
+  Alcotest.(check bool) (what ^ ", full scan ≡ dense") true
+    (same_observation_sparse dense scan);
+  Alcotest.(check bool) (what ^ ", passive set ≡ dense") true
+    (same_observation_sparse dense passive)
+
+exception Stop_here
+
+(* A run that raises never hands its arrays back: neither a bad
+   [decide_active] count (raised before any mark of its round) nor an
+   exception out of [after_round] (raised with the round's transmitters
+   and listeners still marked) can leak into the next run. *)
+let test_workspace_after_raise () =
+  let ((g, _, script, _) as case) = workspace_case ~seed:11 ~n:30 in
+  let n = Graph.n g in
+  let protocol =
+    {
+      Engine.decide = (fun ~round ~node -> script.(round).(node));
+      deliver = (fun ~round:_ ~node:_ _ -> ());
+    }
+  in
+  let raises f =
+    match f () with
+    | (_ : Engine.outcome) -> Alcotest.fail "expected the run to raise"
+    | exception (Invalid_argument _ | Stop_here) -> ()
+  in
+  raises (fun () ->
+      Engine_sparse.run
+        ~decide_active:(fun ~round buf ->
+          if round = 3 then n + 1 else awake_set script n ~round buf)
+        ~graph:g ~detection:Engine.Collision_detection ~protocol
+        ~stop:(fun ~round:_ -> false)
+        ~max_rounds:8 ());
+  check_against_dense "after a bad count" case;
+  raises (fun () ->
+      Engine_sparse.run
+        ~after_round:(fun ~round -> if round = 3 then raise Stop_here)
+        ~graph:g ~detection:Engine.Collision_detection ~protocol
+        ~stop:(fun ~round:_ -> false)
+        ~max_rounds:8 ());
+  check_against_dense "after a raising after_round" case
+
+(* A run started from [after_round] finds the slot empty (the outer run
+   holds the workspace) and builds its own arrays; both runs, and the
+   run after them, match the reference.  The inner graph is the smaller,
+   so its runs cannot clean the outer run's marks by accident. *)
+let test_workspace_nested () =
+  let outer = workspace_case ~seed:12 ~n:40 in
+  let inner = workspace_case ~seed:13 ~n:10 in
+  let nested = ref [] in
+  let hook ~round:_ =
+    let dense, scan, passive = observe_both inner in
+    nested :=
+      (same_observation_sparse dense scan
+      && same_observation_sparse dense passive)
+      :: !nested
+  in
+  check_against_dense ~hook "outer run" outer;
+  Alcotest.(check bool) "every nested run ≡ dense" true
+    (!nested <> [] && List.for_all Fun.id !nested);
+  check_against_dense "after nesting" outer
+
+(* The workspace only grows: a larger graph builds a larger one, and a
+   smaller graph then runs on a workspace longer than its node count. *)
+let test_workspace_sizes () =
+  List.iteri
+    (fun i n ->
+      check_against_dense
+        (Printf.sprintf "run %d (n = %d)" i n)
+        (workspace_case ~seed:(20 + i) ~n))
+    [ 12; 90; 12; 3; 90 ]
+
+(* A packet is the protocol's: once the run returns, nothing the engine
+   keeps may point to it. *)
+let test_workspace_keeps_no_packet () =
+  let g = Topo.path 8 in
+  let w = Weak.create 1 in
+  let transmit_fresh node =
+    let packet = Bytes.make 16 (Char.chr node) in
+    Weak.set w 0 (Some packet);
+    Engine.Transmit packet
+  in
+  let protocol =
+    {
+      Engine.decide =
+        (fun ~round:_ ~node ->
+          if node = 3 then transmit_fresh node else Engine.Listen);
+      deliver = (fun ~round:_ ~node:_ _ -> ());
+    }
+  in
+  let outcome =
+    Drive.run ~graph:g ~detection:Engine.Collision_detection ~protocol
+      ~stop:(fun ~round:_ -> false)
+      ~max_rounds:5 ()
+  in
+  Alcotest.(check bool) "ran out of budget" true
+    (outcome = Engine.Out_of_budget 5);
+  Gc.full_major ();
+  Alcotest.(check bool) "last packet collected" false (Weak.check w 0)
+
+(* [Drive.static_active]: the distinct ids, ascending, or [None] when
+   they cover every node. *)
+let test_static_active () =
+  let ids n groups =
+    match Drive.static_active ~n groups with
+    | None -> None
+    | Some da ->
+        let buf = Array.make n (-1) in
+        let k = da ~round:0 buf in
+        Some (Array.to_list (Array.sub buf 0 k))
+  in
+  Alcotest.(check (option (list int))) "sorted, deduped" (Some [ 1; 3; 4; 7 ])
+    (ids 9 [ [| 7; 3; 3 |]; [| 1; 7; 4 |] ]);
+  Alcotest.(check (option (list int))) "empty" (Some []) (ids 4 [ [||] ]);
+  Alcotest.(check (option (list int))) "covers every node" None
+    (ids 3 [ [| 2; 0 |]; [| 1; 0 |] ]);
+  Alcotest.check_raises "id out of range"
+    (Invalid_argument "Drive.static_active: bad node id") (fun () ->
+      ignore (ids 3 [ [| 0; 3 |] ]))
+
 let () =
   Alcotest.run "engine_sparse"
     [
@@ -727,6 +871,18 @@ let () =
           Alcotest.test_case "star hub" `Quick test_star_hub;
           Alcotest.test_case "decide exception propagates" `Quick
             test_decide_exception_propagates;
+        ] );
+      ( "workspace",
+        [
+          Alcotest.test_case "run after a raising run" `Quick
+            test_workspace_after_raise;
+          Alcotest.test_case "run nested in after_round" `Quick
+            test_workspace_nested;
+          Alcotest.test_case "graphs of growing and shrinking size" `Quick
+            test_workspace_sizes;
+          Alcotest.test_case "no packet kept after the run" `Quick
+            test_workspace_keeps_no_packet;
+          Alcotest.test_case "static_active ids" `Quick test_static_active;
         ] );
       ( "wrappers",
         [

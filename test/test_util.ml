@@ -569,6 +569,47 @@ let qcheck_tests =
         let rng = Rng.create ~seed in
         let v = Rng.int rng bound in
         v >= 0 && v < bound);
+    (* The O(1) jump is n sequential splits: stream k replays the k-th
+       split's generator, and the parent resumes where the n splits left
+       it.  The oracle is [Rng.split] itself, since [split_n] and
+       [split_members] are built on the jump. *)
+    Test.make ~name:"jump = n sequential splits (split_n, split_members)"
+      ~count:200
+      (triple int (oneofl [ 0; 1; 2; 1000 ]) (int_range 0 999))
+      (fun (seed, n, k) ->
+        let draws r = List.init 64 (fun _ -> Rng.bits64 r) in
+        let same a b = List.for_all2 Int64.equal (draws a) (draws b) in
+        let oracle = Rng.create ~seed in
+        let children = Array.init n (fun _ -> Rng.split oracle) in
+        let jumped = Rng.create ~seed in
+        let streams = Rng.jump jumped n in
+        let via_n = Rng.create ~seed in
+        let split = Rng.split_n via_n n in
+        let via_members = Rng.create ~seed in
+        let k = if n = 0 then 0 else k mod n in
+        let ids = if n = 0 then [||] else [| k |] in
+        let members = Rng.split_members via_members n ids in
+        let parents_agree =
+          List.for_all
+            (fun r -> same (Rng.copy oracle) r)
+            [ jumped; via_n; via_members ]
+        in
+        parents_agree
+        && Array.length split = n
+        && Array.length members = n
+        && (n = 0
+           ||
+           let want () = Rng.copy children.(k) in
+           same (want ()) (Rng.stream streams k)
+           && same (want ()) split.(k)
+           && same (want ()) members.(k)));
+    Test.make ~name:"stream rejects indices outside [0, n)" ~count:100
+      (pair (int_range 0 50) (oneof [ int_range (-1000) (-1); int_range 0 100 ]))
+      (fun (n, k) ->
+        let s = Rng.jump (Rng.create ~seed:n) n in
+        match Rng.stream s k with
+        | _ -> k < n
+        | exception Invalid_argument _ -> k < 0 || k >= n);
     (* coin_pow2 is the float ladder draw for draw: same answer, and the
        same stream position afterwards (so e = 0 and e >= 62 consume
        nothing, exactly like the clamped bernoulli). *)
