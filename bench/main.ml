@@ -1184,7 +1184,10 @@ let es_decay ~id ~graph_name g =
     let rng = Rng.create ~seed:42 in
     let metrics = Obs.Metrics.create ~phases:256 ~hist_width:ladder () in
     let w0 = now () in
-    let r = Decay.broadcast ~engine ~metrics ~rng ~graph:g ~source:0 () in
+    let r =
+      Rn_radio.Drive.with_engine engine (fun () ->
+          Decay.broadcast ~metrics ~rng ~graph:g ~source:0 ())
+    in
     (now () -. w0, r, metrics)
   in
   let ref_wall, ref_r, ref_m = run Rn_radio.Engine.Dense in
@@ -1229,13 +1232,13 @@ let es_smoke () =
 
 (* One Theorem 1.1 broadcast (run seed 42): wall seconds, the result, and
    the engine rounds it simulated and fast-forwarded. *)
-let thm11_run ?engine g =
+let thm11_run g =
   let rng = Rng.create ~seed:42 in
   let s0 = Rn_radio.Engine.total_simulated_rounds () in
   let k0 = Rn_radio.Engine.total_skipped_rounds () in
   let w0 = now () in
   let r =
-    Single_broadcast.run ?engine ~rng:(Rng.split rng) ~graph:g ~source:0 ()
+    Single_broadcast.run ~rng:(Rng.split rng) ~graph:g ~source:0 ()
   in
   ( now () -. w0,
     r,
@@ -1298,8 +1301,10 @@ let esthm_compare ~id ~graph_name g =
            id graph_name (Graph.n g))
       ~columns:[ "engine"; "protocol rounds"; "simulated"; "skipped" ]
   in
-  let wd, rd, sim_d, skip_d = thm11_run ~engine:Rn_radio.Engine.Dense g in
-  let ws, rs, sim_s, skip_s = thm11_run ~engine:Rn_radio.Engine.Sparse g in
+  let wd, rd, sim_d, skip_d =
+    Rn_radio.Drive.with_engine Rn_radio.Engine.Dense (fun () -> thm11_run g)
+  in
+  let ws, rs, sim_s, skip_s = thm11_run g in
   if rd <> rs then
     failwith
       (id ^ ": sparse engine diverged from dense on the Theorem 1.1 pipeline");
@@ -1332,7 +1337,7 @@ let esthm_compare ~id ~graph_name g =
 (* Sparse-only: the graphs where the dense engine is the reason the row
    never existed.  The run still self-checks (delivery to every node). *)
 let esthm_sparse_only ~id ~graph_name g =
-  let wall, r, sim, skip = thm11_run ~engine:Rn_radio.Engine.Sparse g in
+  let wall, r, sim, skip = thm11_run g in
   assert r.Single_broadcast.delivered;
   timing "%s[sparse]: %.2f s, %.0f simulated rounds/s" id wall
     (float_of_int sim /. wall);

@@ -610,7 +610,7 @@ type outcome = {
   epoch_history : (int * int) list;
 }
 
-let run_standalone ?engine ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
+let run_standalone ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
   let n = Graph.n graph in
   let parents = Array.make n (-1) in
   let ranks = Array.make n 0 in
@@ -644,7 +644,7 @@ let run_standalone ?engine ~rng ~params ~graph ~reds ~blues ~blue_ranks () =
   let decide_active = Drive.static_active ~n [ reds; blues ] in
   let stop ~round:_ = finished t in
   ignore
-    (Drive.run ?engine ?decide_active ~graph
+    (Drive.run ?decide_active ~graph
        ~detection:Engine.No_collision_detection ~protocol
        ~after_round:(fun ~round:_ -> advance t)
        ~stop ~max_rounds ());

@@ -104,7 +104,6 @@ type outcome = {
 }
 
 val run_standalone :
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   params:Params.t ->
   graph:Rn_graph.Graph.t ->
@@ -116,5 +115,4 @@ val run_standalone :
 (** Solve a single level pair on [graph] where [blue_ranks] gives each
     blue's (already final) rank; node ids index [blue_ranks] directly.
     Runs without collision detection; the per-epoch survivor counts
-    (Lemma 2.4's shrinkage unit) are in [epoch_history].  [engine]
-    (default [Sparse]) picks the round path via {!Rn_radio.Drive.run}. *)
+    (Lemma 2.4's shrinkage unit) are in [epoch_history]. *)

@@ -19,8 +19,8 @@ let cr_ladder ~n ~diameter =
   let ratio = max 2 (Ilog.cdiv n (max 1 diameter)) in
   Ilog.clog ratio + 1
 
-let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
-    ~rng ~graph ~source () =
+let broadcast ?(params = Params.default) ?diameter ?faults ?metrics ~rng ~graph
+    ~source () =
   let n = Graph.n graph in
   if source < 0 || source >= n then invalid_arg "Decay.broadcast: bad source";
   let full = Params.phase_len ~n in
@@ -99,7 +99,7 @@ let broadcast ?(params = Params.default) ?diameter ?faults ?engine ?metrics
      and listener resets.  Decay's deliver ignores Silence, satisfying the
      sparse no-op contract. *)
   let outcome =
-    Drive.run ?engine ~stats ?metrics ~after_round ~graph
+    Drive.run ~stats ?metrics ~after_round ~graph
       ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds ()
   in
   (match metrics with

@@ -62,7 +62,6 @@ val broadcast :
   ?params:Params.t ->
   ?diameter:int ->
   ?faults:Faults.spec ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
@@ -85,12 +84,6 @@ val broadcast :
     [O(log(n/D))] per hop when layer degrees are ≤ n/D), then one full
     phase so dense neighborhoods still resolve.
 
-    [engine] (default [Sparse]) picks the round path via {!Drive.run}:
-    [Sparse] runs {!Engine_sparse.run}, eliding the per-round silence
-    deliveries (Decay ignores them), and [Dense] is the {!Engine.run}
-    reference.  Identical results under both modes; every round is
-    simulated, because informed nodes draw a coin every round.
-
     [metrics], when given, records every round into the registry with the
     phase annotation [round / cycle], where the cycle is one classic phase
     of [⌈log n⌉] rounds (Lemma 2.2's unit) or one whole truncated³+full
@@ -99,7 +92,7 @@ val broadcast :
     first-receive round into the registry's histogram — create the
     registry with [~hist_width:⌈log n⌉] to make a classic run's histogram
     a per-phase first-receive count.  Identical registry contents under
-    every [engine]. *)
+    both engine modes. *)
 
 val mmv_broadcast :
   ?params:Params.t ->

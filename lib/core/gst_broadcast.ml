@@ -24,8 +24,7 @@ let slow_slot ~level_or_vd ~round =
 type msg = Data of Rlnc.packet
 
 let run ?(slow_key = By_virtual_distance) ?step_reset ?faults
-    ?(params = Params.default) ?engine ?metrics ~rng ~gst ~vd ~msgs ~sources
-    () =
+    ?(params = Params.default) ?metrics ~rng ~gst ~vd ~msgs ~sources () =
   let graph = gst.Gst.graph in
   let n = Graph.n graph in
   let k = Array.length msgs in
@@ -222,9 +221,8 @@ let run ?(slow_key = By_virtual_distance) ?step_reset ?faults
   let stats = Engine.fresh_stats () in
   let stop ~round:_ = Atomic.get missing = 0 in
   let outcome =
-    Drive.run ?engine ?metrics ?after_round ?decide_active ?passive ~stats
-      ~graph ~detection:Engine.No_collision_detection ~protocol ~stop
-      ~max_rounds ()
+    Drive.run ?metrics ?after_round ?decide_active ?passive ~stats ~graph
+      ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds ()
   in
   let payloads_ok =
     let ok = ref true in

@@ -47,7 +47,6 @@ val run :
   ?step_reset:int ->
   ?faults:Faults.spec ->
   ?params:Params.t ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   rng:Rng.t ->
   gst:Gst.t ->
@@ -76,14 +75,13 @@ val run :
     step w.h.p., so completion survives with buffers bounded by one step's
     receptions; sources (who hold the originals) never reset.
 
-    [engine] (default [Sparse]) selects the round path.  Under [Sparse]
-    each round's awake set is its slot bucket: the forest nodes whose fast
-    slot (mod [6·⌈log n⌉]) or slow slot (mod 6) falls on the round.  A
-    round whose bucket is empty is all-Listen with no RNG draw, so
-    {!Engine_sparse.run} fast-forwards it and results are identical to
-    [Dense].  Fault injection wakes the forest and the jammers every round
-    (jammers transmit in arbitrary rounds) but keeps the sparse delivery
-    path. *)
+    Under the [Sparse] engine ({!Drive.run}) each round's awake set is its
+    slot bucket: the forest nodes whose fast slot (mod [6·⌈log n⌉]) or
+    slow slot (mod 6) falls on the round.  A round whose bucket is empty is
+    all-Listen with no RNG draw, so {!Engine_sparse.run} fast-forwards it
+    and results are identical to [Dense].  Fault injection wakes the forest
+    and the jammers every round (jammers transmit in arbitrary rounds) but
+    keeps the sparse delivery path. *)
 
 val fast_slot : clogn:int -> level:int -> rank:int -> round:int -> bool
 (** Exposed for tests: the deterministic fast-slot predicate. *)

@@ -25,8 +25,8 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Phase 2: level-pair assignments *)
 
-let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
-    ~level_nodes () =
+let run_assignment ~mode ~params ~detection ~rng ~graph ~levels ~level_nodes
+    () =
   let n = Graph.n graph in
   let scale_n = n in
   let depth = Array.length level_nodes - 1 in
@@ -206,8 +206,8 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
     let protocol = { Engine.decide; deliver } in
     let stop ~round:_ = !unfinished = 0 in
     let outcome =
-      Drive.run ?engine ~decide_active ~graph ~detection ~protocol
-        ~after_round ~stop ~max_rounds ()
+      Drive.run ~decide_active ~graph ~detection ~protocol ~after_round ~stop
+        ~max_rounds ()
     in
     let rounds =
       match outcome with
@@ -228,7 +228,7 @@ let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
 (* ------------------------------------------------------------------ *)
 (* Phase 3: wave-safety self-test *)
 
-let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
+let run_selftest ~detection ~graph ~levels ~parents ~ranks () =
   let n = Graph.n graph in
   let max_rank = Array.fold_left max 0 ranks in
   let safe = Array.make n true in
@@ -294,8 +294,8 @@ let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
     end
   in
   let outcome =
-    Drive.run ?engine ~decide_active ~graph ~detection ~protocol ~stop
-      ~max_rounds:total ()
+    Drive.run ~decide_active ~graph ~detection ~protocol ~stop ~max_rounds:total
+      ()
   in
   let head_override = Array.init n (fun v -> listens.(v) && not safe.(v)) in
   (head_override, Engine.rounds_of_outcome outcome)
@@ -303,8 +303,8 @@ let run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks () =
 (* ------------------------------------------------------------------ *)
 (* Phase 4: virtual-distance learning (Lemma 3.10) *)
 
-let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
-    ~parents ~ranks ~parent_rank ~head_override () =
+let run_vd ~params ~detection ~rng ~graph ~levels ~level_nodes ~parents ~ranks
+    ~parent_rank ~head_override () =
   let n = Graph.n graph in
   let scale_n = n in
   let ladder = Params.phase_len ~n:scale_n in
@@ -343,8 +343,8 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
   let run_phase ?decide_active ?passive ~decide ~deliver ~stop ~max_rounds () =
     let protocol = { Engine.decide; deliver } in
     let outcome =
-      Drive.run ?engine ?decide_active ?passive ~graph ~detection ~protocol
-        ~stop ~max_rounds ()
+      Drive.run ?decide_active ?passive ~graph ~detection ~protocol ~stop
+        ~max_rounds ()
     in
     total_rounds := !total_rounds + Engine.rounds_of_outcome outcome
   in
@@ -497,8 +497,7 @@ let run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
 
 let construct ?(mode = Pipelined) ?(layering = Decay_layering)
     ?(learn_vd = false) ?(params = Params.default)
-    ?(detection = Engine.No_collision_detection) ?engine ~rng ~graph ~roots
-    () =
+    ?(detection = Engine.No_collision_detection) ~rng ~graph ~roots () =
   let n = Graph.n graph in
   let levels, layering_rounds =
     match layering with
@@ -508,30 +507,26 @@ let construct ?(mode = Pipelined) ?(layering = Decay_layering)
         (levels, 0)
     | Decay_layering ->
         let r =
-          Layering.decay_bfs ~params ?engine ~rng:(Rng.split rng) ~graph
-            ~sources:roots ()
+          Layering.decay_bfs ~params ~rng:(Rng.split rng) ~graph ~sources:roots
+            ()
         in
         (r.Layering.levels, r.Layering.rounds)
     | Collision_wave_layering ->
-        (* Deterministic and front-only (each node beeps once, in the
-           round of its level), so it always runs on the default engine,
-           where it costs the front per round rather than n. *)
         let r = Layering.collision_wave ~graph ~sources:roots () in
         (r.Layering.levels, r.Layering.rounds)
   in
   let level_nodes = Bfs.by_level levels in
   let parents, ranks, parent_rank, assignment_rounds, class_fixups,
       fallback_reactivations =
-    run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
-      ~level_nodes ()
+    run_assignment ~mode ~params ~detection ~rng ~graph ~levels ~level_nodes ()
   in
   let head_override, selftest_rounds =
-    run_selftest ?engine ~detection ~graph ~levels ~parents ~ranks ()
+    run_selftest ~detection ~graph ~levels ~parents ~ranks ()
   in
   let vd, vd_rounds =
     if learn_vd then
-      run_vd ?engine ~params ~detection ~rng ~graph ~levels ~level_nodes
-        ~parents ~ranks ~parent_rank ~head_override ()
+      run_vd ~params ~detection ~rng ~graph ~levels ~level_nodes ~parents
+        ~ranks ~parent_rank ~head_override ()
     else (Array.make n (-1), 0)
   in
   let gst = Gst.make ~graph ~levels ~parents ~ranks ~head_override () in

@@ -61,7 +61,6 @@ val construct :
   ?learn_vd:bool ->
   ?params:Params.t ->
   ?detection:Engine.detection ->
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   roots:int array ->
@@ -72,18 +71,17 @@ val construct :
     construction never needs CD; pass [Collision_wave_layering] together
     with [Collision_detection] for the Theorem 1.1 pipeline).
 
-    [engine] (default [Sparse]) selects the round path for every phase.
-    Under [Sparse] the assignment phase wakes only the current stage's
-    actors in live bipartite blocks ({!Bipartite_assignment.awake}; a
-    dormant — [Waiting] or finished — block's nodes all sleep); its
-    per-round control costs the live blocks of the round's slot, not the
-    depth; the self-test wakes one rank group per round and nobody in an
-    empty (rank, layer-class) slice; vd-learning wakes the sweeping level
-    pair (stage 1, nobody at a level with no potential transmitter) or
-    the relaxation candidates (stage 2).  A round whose awake set is
-    empty is fast-forwarded.  Results are identical to [Dense]: every
-    excluded node's decide is a side-effect-free [Sleep], or, in a
-    recruiting part, a side-effect-free [Listen] whose deliver is a
-    no-op that round — per-node RNG streams advance exactly as under the
-    full scan (DESIGN.md §12).
+    Under the [Sparse] engine ({!Drive.run}) the assignment phase wakes only
+    the current stage's actors in live bipartite blocks
+    ({!Bipartite_assignment.awake}; a dormant — [Waiting] or finished —
+    block's nodes all sleep); its per-round control costs the live blocks
+    of the round's slot, not the depth; the self-test wakes one rank group
+    per round and nobody in an empty (rank, layer-class) slice;
+    vd-learning wakes the sweeping level pair (stage 1, nobody at a level
+    with no potential transmitter) or the relaxation candidates (stage 2).
+    A round whose awake set is empty is fast-forwarded.  Results are
+    identical to [Dense]: every excluded node's decide is a
+    side-effect-free [Sleep], or, in a recruiting part, a side-effect-free
+    [Listen] whose deliver is a no-op that round — per-node RNG streams
+    advance exactly as under the full scan (DESIGN.md §12).
     @raise Failure if a phase exhausts its round budget. *)

@@ -63,8 +63,7 @@ let wave_advance w =
   w.hi <- w.top;
   queue_listeners w
 
-let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
-    ~sources () =
+let decay_bfs ?(params = Params.default) ?max_rounds ~rng ~graph ~sources () =
   let n = Graph.n graph in
   let ladder = Params.phase_len ~n in
   let epoch_len = Params.whp_rounds params ~n in
@@ -185,7 +184,7 @@ let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
   let stop ~round = Atomic.get labeled = n && round mod epoch_len = 0 in
   (* finish on epoch boundary *)
   let outcome =
-    Drive.run ?engine ~after_round ~decide_active ~graph
+    Drive.run ~after_round ~decide_active ~graph
       ~detection:Engine.No_collision_detection ~protocol ~stop ~max_rounds ()
   in
   { levels; rounds = Engine.rounds_of_outcome outcome }

@@ -13,7 +13,7 @@
       exactly [D] rounds.  This [Θ(log² n)]-factor gap is what makes the
       collision-detection model faster here.
 
-    Both wake only their front on the default engine, so a round costs
+    Both wake only their front on the [Sparse] engine, so a round costs
     the front's size, not [n]: the collision wave the nodes that beep and
     their unlabeled neighbours, Decay-BFS the relays and the unlabeled
     nodes next to a labeled one.  A Decay-BFS relay retires once it has
@@ -22,7 +22,6 @@
     the end.  Repeated ids in [sources] count once. *)
 
 open Rn_util
-open Rn_radio
 
 type result = {
   levels : int array;  (** [-1] if the node was never reached *)
@@ -32,7 +31,6 @@ type result = {
 val decay_bfs :
   ?params:Params.t ->
   ?max_rounds:int ->
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   sources:int array ->

@@ -12,13 +12,13 @@ type known_result = {
   payloads_ok : bool;
 }
 
-let known ?(params = Params.default) ?engine ~rng ~graph ~source ~k () =
+let known ?(params = Params.default) ~rng ~graph ~source ~k () =
   if k < 1 then invalid_arg "Multi_broadcast.known: k must be >= 1";
   let gst = Gst.build_centralized ~graph ~roots:[| source |] () in
   let vd = Gst.virtual_distances gst in
   let msgs = random_messages rng ~k ~msg_len:32 in
   let r =
-    Gst_broadcast.run ~params ?engine ~rng:(Rng.split rng) ~gst ~vd ~msgs
+    Gst_broadcast.run ~params ~rng:(Rng.split rng) ~gst ~vd ~msgs
       ~sources:[| source |] ()
   in
   {
@@ -45,7 +45,7 @@ type unknown_result = {
 }
 
 let unknown ?(params = Params.default) ?rings ?batch_size ?estimate_diameter
-    ?engine ~rng ~graph ~source ~k () =
+    ~rng ~graph ~source ~k () =
   if k < 1 then invalid_arg "Multi_broadcast.unknown: k must be >= 1";
   let n = Graph.n graph in
   let batch_size =
@@ -56,8 +56,8 @@ let unknown ?(params = Params.default) ?rings ?batch_size ?estimate_diameter
     | None -> Ilog.clog (max 2 n)
   in
   let f =
-    Single_broadcast.front ?rings ~params ?estimate_diameter ?engine ~rng
-      ~graph ~source ()
+    Single_broadcast.front ?rings ~params ?estimate_diameter ~rng ~graph ~source
+      ()
   in
   let msgs = random_messages rng ~k ~msg_len:32 in
   let bcount = Ilog.cdiv k batch_size in
@@ -66,10 +66,9 @@ let unknown ?(params = Params.default) ?rings ?batch_size ?estimate_diameter
         Array.sub msgs (b * batch_size) (min batch_size (k - (b * batch_size))))
   in
   let r =
-    Single_broadcast.relay ~params ?engine ~rng f batches
+    Single_broadcast.relay ~params ~rng f batches
       ~handoff:(fun ~rng ~holders ~receivers msgs ->
-        Rings.handoff_fec ~params ?engine ~rng ~graph ~holders ~receivers
-          ~msgs ())
+        Rings.handoff_fec ~params ~rng ~graph ~holders ~receivers ~msgs ())
   in
   let rcount = f.Single_broadcast.rings.Rings.count in
   let epochs = rcount + bcount - 1 in

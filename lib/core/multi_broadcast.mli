@@ -37,16 +37,14 @@ type known_result = {
 
 val known :
   ?params:Params.t ->
-  ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->
   k:int ->
   unit ->
   known_result
-(** Theorem 1.2, with 32 bits of random payload per message.  [engine] (default [Sparse]) selects the round path of the
-    GST dissemination (see {!Gst_broadcast.run}); results are identical
-    either way.  [delivered] requires the spread to complete and every
+(** Theorem 1.2, with 32 bits of random payload per message.
+    [delivered] requires the spread to complete and every
     node to decode, so it is false on a disconnected graph. *)
 
 type unknown_result = {
@@ -66,7 +64,6 @@ val unknown :
   ?rings:Single_broadcast.ring_choice ->
   ?batch_size:int ->
   ?estimate_diameter:bool ->
-  ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->
@@ -78,8 +75,6 @@ val unknown :
     in {!Single_broadcast.run}.  [batch_size] defaults to [⌈log n⌉];
     [estimate_diameter = true] sizes rings from the footnote-2 beep-wave
     2-approximation instead of the exact depth (no knowledge of [D]
-    assumed).  [engine] (default [Sparse]) selects the round path of
-    construction, in-ring RLNC dissemination and FEC handoffs; results
-    are identical either way (DESIGN.md §12). *)
+    assumed). *)
 
 val random_messages : Rng.t -> k:int -> msg_len:int -> Bitvec.t array

@@ -30,9 +30,9 @@ let decay_entry =
     traceable = true;
     silence_pure = true;
     run =
-      (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
-        let r = Decay.broadcast ?engine ?metrics ~rng ~graph ~source () in
+        let r = Decay.broadcast ?metrics ~rng ~graph ~source () in
         {
           Registry.rounds = Engine.rounds_of_outcome r.Decay.outcome;
           delivered = all_received r.Decay.received_round;
@@ -48,12 +48,10 @@ let cr_entry =
     traceable = true;
     silence_pure = true;
     run =
-      (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let diameter = Bfs.eccentricity graph source in
-        let r =
-          Decay.broadcast ~diameter ?engine ?metrics ~rng ~graph ~source ()
-        in
+        let r = Decay.broadcast ~diameter ?metrics ~rng ~graph ~source () in
         {
           Registry.rounds = Engine.rounds_of_outcome r.Decay.outcome;
           delivered = all_received r.Decay.received_round;
@@ -69,7 +67,7 @@ let mmv_entry =
     traceable = false;
     silence_pure = true;
     run =
-      (fun ?k:_ ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let levels = Bfs.levels graph ~src:source in
         let r = Decay.mmv_broadcast ~rng ~graph ~levels ~source () in
@@ -88,13 +86,13 @@ let gst_entry =
     traceable = true;
     silence_pure = true;
     run =
-      (fun ?k:_ ?engine ?metrics ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let gst = Gst.build_centralized ~graph ~roots:[| source |] () in
         let vd = Gst.virtual_distances gst in
         let msgs = [| Bitvec.random rng 32 |] in
         let r =
-          Gst_broadcast.run ?engine ?metrics ~rng ~gst ~vd ~msgs
+          Gst_broadcast.run ?metrics ~rng ~gst ~vd ~msgs
             ~sources:[| source |] ()
         in
         {
@@ -117,9 +115,9 @@ let thm11_entry =
        injection legitimately perturbs this pipeline. *)
     silence_pure = false;
     run =
-      (fun ?k:_ ?engine ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
-        let r = Single_broadcast.run ?engine ~rng ~graph ~source () in
+        let r = Single_broadcast.run ~rng ~graph ~source () in
         {
           Registry.rounds = r.Single_broadcast.rounds_total;
           delivered = r.Single_broadcast.delivered;
@@ -141,7 +139,7 @@ let estimate_entry =
     traceable = false;
     silence_pure = true;
     run =
-      (fun ?k:_ ?engine:_ ?metrics:_ ~seed:_ ~graph ~source () ->
+      (fun ?k:_ ?metrics:_ ~seed:_ ~graph ~source () ->
         let r = Diameter_estimate.run ~graph ~source () in
         {
           Registry.rounds = r.Diameter_estimate.rounds;
@@ -163,10 +161,10 @@ let gst_dist_entry =
     (* Same self-test caveat as thm11. *)
     silence_pure = false;
     run =
-      (fun ?k:_ ?engine ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k:_ ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let r =
-          Gst_distributed.construct ?engine ~learn_vd:true ~rng ~graph
+          Gst_distributed.construct ~learn_vd:true ~rng ~graph
             ~roots:[| source |] ()
         in
         {
@@ -193,9 +191,9 @@ let known_entry =
     traceable = false;
     silence_pure = true;
     run =
-      (fun ?k ?engine ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
-        let r = Multi_broadcast.known ?engine ~rng ~graph ~source ~k:(k_or k) () in
+        let r = Multi_broadcast.known ~rng ~graph ~source ~k:(k_or k) () in
         {
           Registry.rounds = r.Multi_broadcast.rounds;
           delivered = r.Multi_broadcast.delivered;
@@ -212,9 +210,9 @@ let unknown_entry =
     (* Uses the distributed GST construction; see thm11. *)
     silence_pure = false;
     run =
-      (fun ?k ?engine ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
-        let r = Multi_broadcast.unknown ?engine ~rng ~graph ~source ~k:(k_or k) () in
+        let r = Multi_broadcast.unknown ~rng ~graph ~source ~k:(k_or k) () in
         {
           Registry.rounds = r.Multi_broadcast.rounds_total;
           delivered = r.Multi_broadcast.delivered;
@@ -236,7 +234,7 @@ let routing_entry =
     traceable = false;
     silence_pure = true;
     run =
-      (fun ?k ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let r = Baselines.routing_multi ~rng ~graph ~source ~k:(k_or k) () in
         {
@@ -254,7 +252,7 @@ let sequential_entry =
     traceable = false;
     silence_pure = true;
     run =
-      (fun ?k ?engine:_ ?metrics:_ ~seed ~graph ~source () ->
+      (fun ?k ?metrics:_ ~seed ~graph ~source () ->
         let rng = Rng.create ~seed in
         let r = Baselines.sequential_multi ~rng ~graph ~source ~k:(k_or k) () in
         {

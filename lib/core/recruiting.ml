@@ -315,7 +315,7 @@ type outcome = {
   classes_consistent : bool;
 }
 
-let run_standalone ?engine ~rng ~params ~graph ~reds ~blues () =
+let run_standalone ~rng ~params ~graph ~reds ~blues () =
   let t = create ~rng ~params ~scale_n:(Graph.n graph) ~graph ~reds ~blues () in
   (* rblint:allow R14 internal Lemma-6 driver: a serial building block of the assignment phase, reachable from registered pipelines only through Bipartite_assignment; not a user-facing protocol. *)
   let protocol =
@@ -330,7 +330,7 @@ let run_standalone ?engine ~rng ~params ~graph ~reds ~blues () =
   let stop ~round:_ = finished t in
   let max_rounds = t.total_rounds + 1 in
   let outcome =
-    Drive.run ?engine ?decide_active ~graph
+    Drive.run ?decide_active ~graph
       ~detection:Engine.No_collision_detection ~protocol
       ~after_round:(fun ~round:_ -> advance t)
       ~stop ~max_rounds ()

@@ -115,7 +115,6 @@ type outcome = {
 }
 
 val run_standalone :
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   params:Params.t ->
   graph:Rn_graph.Graph.t ->
@@ -125,5 +124,4 @@ val run_standalone :
   outcome
 (** Run recruiting alone on [graph] (e.g. a random bipartite graph) until
     [finished], without collision detection; used by experiment E3 and the
-    test-suite.  [engine] (default [Sparse]) picks the round path via
-    {!Rn_radio.Drive.run}. *)
+    test-suite. *)

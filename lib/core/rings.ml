@@ -39,8 +39,8 @@ type handoff_result = { rounds : int; delivered : bool }
 (* Shared Decay loop for both handoff flavours: [payload] builds the packet
    a holder sends when its coin comes up; [receive] consumes a clean
    reception and returns true once that receiver is satisfied. *)
-let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
-    ~receive ~satisfied () =
+let decay_handoff ~params ~rng ~graph ~holders ~receivers ~payload ~receive
+    ~satisfied () =
   let n = Graph.n graph in
   let ladder = Params.phase_len ~n in
   let node_rng = Rng.split_members rng n holders in
@@ -83,7 +83,7 @@ let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
      overlapping sets. *)
   let decide_active = Drive.static_active ~n [ holders; receivers ] in
   let outcome =
-    Drive.run ?engine ?decide_active ~graph
+    Drive.run ?decide_active ~graph
       ~detection:Engine.No_collision_detection ~protocol ~stop
       ~max_rounds:budget ()
   in
@@ -92,12 +92,12 @@ let decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers ~payload
     delivered = (match outcome with Engine.Completed _ -> true | _ -> false);
   }
 
-let handoff_single ?(params = Params.default) ?engine ~rng ~graph ~holders
-    ~receivers () =
+let handoff_single ?(params = Params.default) ~rng ~graph ~holders ~receivers
+    () =
   if Array.length holders = 0 then { rounds = 0; delivered = false }
   else begin
     let got = Array.make (Graph.n graph) false in
-    decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers
+    decay_handoff ~params ~rng ~graph ~holders ~receivers
       ~payload:(fun _ -> Cmsg.Beacon)
       ~receive:(fun v _ ->
         got.(v) <- true;
@@ -108,8 +108,8 @@ let handoff_single ?(params = Params.default) ?engine ~rng ~graph ~holders
 
 type fec_msg = Fec_packet of Rlnc.packet
 
-let handoff_fec ?(params = Params.default) ?engine ~rng ~graph ~holders
-    ~receivers ~msgs () =
+let handoff_fec ?(params = Params.default) ~rng ~graph ~holders ~receivers
+    ~msgs () =
   let k = Array.length msgs in
   if k = 0 then invalid_arg "Rings.handoff_fec: empty batch";
   let msg_len = Bitvec.length msgs.(0) in
@@ -122,7 +122,7 @@ let handoff_fec ?(params = Params.default) ?engine ~rng ~graph ~holders
     let decoders = Array.make n (Rlnc.create ~k ~msg_len) in
     Array.iter (fun v -> decoders.(v) <- Rlnc.create ~k ~msg_len) receivers;
     let result =
-      decay_handoff ?engine ~params ~rng ~graph ~holders ~receivers
+      decay_handoff ~params ~rng ~graph ~holders ~receivers
         ~payload:(fun v ->
           (* Fresh random combination per transmission — RLNC-grade FEC,
              at least as decodable as the paper's fixed Θ(k′) codebook. *)

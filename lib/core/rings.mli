@@ -14,7 +14,6 @@
 
 open Rn_util
 open Rn_coding
-open Rn_radio
 
 type t = {
   levels : int array;  (** the global BFS layering *)
@@ -49,7 +48,6 @@ type handoff_result = { rounds : int; delivered : bool }
 
 val handoff_single :
   ?params:Params.t ->
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   holders:int array ->
@@ -61,7 +59,6 @@ val handoff_single :
 
 val handoff_fec :
   ?params:Params.t ->
-  ?engine:Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   holders:int array ->

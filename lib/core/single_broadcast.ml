@@ -35,7 +35,7 @@ type front = {
 }
 
 let front ?(rings = Auto) ?(params = Params.default)
-    ?(estimate_diameter = false) ?engine ~rng ~graph ~source () =
+    ?(estimate_diameter = false) ~rng ~graph ~source () =
   if Graph.n graph = 0 then invalid_arg "Single_broadcast.front: empty graph";
   (* Collision-detection layering — either the D-round wave alone (when a
      constant-factor D bound is assumed known, the model default) or the
@@ -63,7 +63,7 @@ let front ?(rings = Auto) ?(params = Params.default)
   let build j =
     Gst_distributed.construct ~mode:Gst_distributed.Pipelined
       ~layering:(Gst_distributed.Given_layering (Rings.ring_levels rings_t j))
-      ~learn_vd:true ~params ?engine ~rng:(Rng.copy ring_rngs.(j)) ~graph
+      ~learn_vd:true ~params ~rng:(Rng.copy ring_rngs.(j)) ~graph
       ~roots:(Rings.roots rings_t j) ()
   in
   { rings = rings_t; rounds_layering; build }
@@ -77,8 +77,7 @@ type relayed = {
   stage_max : int;
 }
 
-let relay ~params ?engine ~rng ~handoff { rings = rings_t; build; _ } batches
-    =
+let relay ~params ~rng ~handoff { rings = rings_t; build; _ } batches =
   let count = rings_t.Rings.count in
   (* Stage streams in batch-major order: per batch, per ring, the
      spread's and then the handoff's. *)
@@ -104,7 +103,7 @@ let relay ~params ?engine ~rng ~handoff { rings = rings_t; build; _ } batches
         ok := !ok && Array.for_all (fun v -> held.(v)) roots;
         if !ok then begin
           let s =
-            Gst_broadcast.run ~params ?engine ~rng:streams.(b).(2 * j)
+            Gst_broadcast.run ~params ~rng:streams.(b).(2 * j)
               ~gst:r.Gst_distributed.gst ~vd:r.Gst_distributed.vd ~msgs
               ~sources:roots ()
           in
@@ -149,17 +148,14 @@ let relay ~params ?engine ~rng ~handoff { rings = rings_t; build; _ } batches
     stage_max = !stage_max;
   }
 
-let run ?rings ?(params = Params.default) ?estimate_diameter ?engine ~rng
-    ~graph ~source () =
-  let f =
-    front ?rings ~params ?estimate_diameter ?engine ~rng ~graph ~source ()
-  in
+let run ?rings ?(params = Params.default) ?estimate_diameter ~rng ~graph
+    ~source () =
+  let f = front ?rings ~params ?estimate_diameter ~rng ~graph ~source () in
   let msg = [| Bitvec.random rng 32 |] in
   let r =
-    relay ~params ?engine ~rng f [| msg |]
+    relay ~params ~rng f [| msg |]
       ~handoff:(fun ~rng ~holders ~receivers _ ->
-        ( Rings.handoff_single ~params ?engine ~rng ~graph ~holders ~receivers
-            (),
+        ( Rings.handoff_single ~params ~rng ~graph ~holders ~receivers (),
           true ))
   in
   {

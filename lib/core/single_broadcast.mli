@@ -59,7 +59,6 @@ val front :
   ?rings:ring_choice ->
   ?params:Params.t ->
   ?estimate_diameter:bool ->
-  ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->
@@ -69,8 +68,8 @@ val front :
     1.1) and {!Multi_broadcast.unknown} (Theorem 1.3): layer the graph,
     cut it into rings of the chosen width, and return a builder for each
     ring's GST forest ({!Gst_distributed.construct} in [Pipelined] mode,
-    learning virtual distances).  [rings] defaults to [Auto]; [engine]
-    and [estimate_diameter] are as for {!run}.
+    learning virtual distances).  [rings] defaults to [Auto];
+    [estimate_diameter] is as for {!run}.
 
     [front] draws one [Rng.split rng] per ring, in ring order, before it
     returns; [build] never touches [rng].  [build j] runs on a copy of
@@ -96,7 +95,6 @@ type relayed = {
 
 val relay :
   params:Params.t ->
-  ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   handoff:
     (rng:Rng.t ->
@@ -128,7 +126,6 @@ val run :
   ?rings:ring_choice ->
   ?params:Params.t ->
   ?estimate_diameter:bool ->
-  ?engine:Rn_radio.Engine.mode ->
   rng:Rng.t ->
   graph:Rn_graph.Graph.t ->
   source:int ->
@@ -137,15 +134,6 @@ val run :
 (** {!relay} with one batch: [delivered] follows its failure and
     delivery rule (so it is false on a disconnected graph), and
     [received] is the per-node outcome.
-
-    [engine] (default [Sparse]) selects the round path for every phase of
-    the pipeline — construction, in-ring GST broadcasts and boundary
-    handoffs all run on {!Rn_radio.Engine_sparse} with frontier active
-    sets and silent-round skipping; pass [Dense] for the reference
-    full-scan path.  Outcomes, round counts and statistics are identical
-    either way (DESIGN.md §12); only the collision wave ignores [engine]
-    and runs on the default (it is [D] rounds with every awake node
-    acting).
 
     With [estimate_diameter = true] the run starts with the footnote-2
     beep-wave estimator ({!Diameter_estimate}), sizes the rings from the

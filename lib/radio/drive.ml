@@ -1,14 +1,23 @@
+(* The one engine switch.  Process-wide rather than domain-local, so
+   every lane of a [Runner.map] started inside [with_engine] runs in the
+   same mode; only [run] reads it, once per run. *)
+let engine_mode = Atomic.make Engine.Sparse
+
+let with_engine mode f =
+  let outer = Atomic.exchange engine_mode mode in
+  Fun.protect ~finally:(fun () -> Atomic.set engine_mode outer) f
+
 (* The routing table of drive.mli, in code: only Sparse takes the fast
    paths; Dense runs the full scan. *)
-let run ?(engine = Engine.Sparse) ?stats ?metrics ?after_round ?decide_active
-    ?passive ?validate ~graph ~detection ~protocol ~stop ~max_rounds () =
-  match engine with
+let run ?stats ?metrics ?after_round ?decide_active ?passive ~graph ~detection
+    ~protocol ~stop ~max_rounds () =
+  match Atomic.get engine_mode with
   | Engine.Dense ->
       Engine.run ?stats ?metrics ?after_round ~graph ~detection ~protocol ~stop
         ~max_rounds ()
   | Engine.Sparse ->
       Engine_sparse.run ?stats ?metrics ?after_round ?decide_active ?passive
-        ?validate ~graph ~detection ~protocol ~stop ~max_rounds ()
+        ~graph ~detection ~protocol ~stop ~max_rounds ()
 
 (* Sort and dedupe the ids in place: O(k log k) for k listed ids, with
    no n-sized mark, since a stage lists only the nodes it wakes. *)

@@ -93,8 +93,9 @@ type mode =
   | Sparse
       (** {!Engine_sparse.run}, with the protocol fast paths (active set,
           passive listeners, silent-round skip) *)
-(** Which round path a pipeline runs on.  Every wrapper forwards its
-    [?engine] to {!Drive.run}, which declares the [Sparse] default; only
+(** Which round path {!Drive.run} takes.  No pipeline names a mode: it
+    is one process-wide setting (default [Sparse]) that tests and benches
+    scope with {!Drive.with_engine}, and only {!Drive.run} reads it.  Only
     [Sparse] consumes the protocol fast paths.  Both modes produce
     byte-identical results ([test/test_contracts.ml] checks every registry
     entry under [Dense] and [Sparse]). *)

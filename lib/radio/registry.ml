@@ -6,7 +6,6 @@ type result = {
 
 type run =
   ?k:int ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   seed:int ->
   graph:Rn_graph.Graph.t ->

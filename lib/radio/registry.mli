@@ -29,7 +29,6 @@ type result = {
 
 type run =
   ?k:int ->
-  ?engine:Engine.mode ->
   ?metrics:Rn_obs.Metrics.t ->
   seed:int ->
   graph:Rn_graph.Graph.t ->
@@ -37,16 +36,14 @@ type run =
   unit ->
   result
 (** Uniform pipeline entry point.  [k] is the message count for multi-
-    message protocols (ignored otherwise; defaults to 8), [engine] selects
-    the round path (forwarded to {!Drive.run}, default [Sparse]), and
-    [metrics] is forwarded to wrappers that support round tracing.  The
-    wrapper creates its own {!Rn_util.Rng} from [seed].
+    message protocols (ignored otherwise; defaults to 8), and [metrics] is
+    forwarded to wrappers that support round tracing.  The wrapper creates
+    its own {!Rn_util.Rng} from [seed].
 
-    The result is engine-independent: [run ~engine] returns a
-    byte-identical record for [Dense] and [Sparse] —
-    [test/test_contracts.ml] runs every entry under both and compares.
-    The [mmv], [estimate], [routing] and [sequential] entries ignore
-    [?engine] and always run on the default [Sparse]. *)
+    The result is engine-independent: a run under
+    [Drive.with_engine Dense] returns a byte-identical record to one under
+    [Sparse] — [test/test_contracts.ml] runs every entry under both and
+    compares. *)
 
 type entry = {
   name : string;  (** unique CLI-friendly identifier, e.g. ["decay"] *)

@@ -2,13 +2,12 @@
    run over the live registry so every pipeline a user can reach from
    rbcast/bench is exercised:
 
-   - engine independence: each registered pipeline runs under [Dense]
-     and [Sparse] on two graphs and three seeds, and both modes must
-     return a byte-identical result record — the routing rule of
-     [Drive.run] (which fast paths each mode consumes) must never show in
-     a result.  The [mmv], [estimate], [routing] and [sequential] entries
-     ignore [?engine] (they always run on the default [Sparse]), so for
-     them the check is trivially true.
+   - engine independence: each registered pipeline runs under
+     [Drive.with_engine Dense] and [Sparse] on two graphs and three
+     seeds, and both modes must return a byte-identical result record —
+     the routing rule of [Drive.run] (which fast paths each mode
+     consumes) must never show in a result.  No entry is exempt: every
+     stage of every pipeline reaches the engines through [Drive.run].
    - R11 silence purity: each registered pipeline runs on the same
      (graph, seed) with [Engine.inject_silence] handing every listener a
      spurious [Silence] before its real reception, under the default
@@ -16,11 +15,11 @@
      must produce byte-identical result records; entries that opted out with a
      reasoned [rblint:allow R11] (the GST self-test family, where silence
      means unsafe) must still run to completion.
-   - transmit-buffer contract: the sparse engine's [?validate] debug flag
-     must stay quiet on a well-formed [decide_active] and raise — naming
-     the offending round — on one that repeats a node id.  [Drive.run]
-     drops both the set and the flag under [Dense], which takes no fast
-     path. *)
+   - transmit-buffer contract: [Engine_sparse.run]'s [?validate] debug
+     flag must stay quiet on a well-formed [decide_active] and raise —
+     naming the offending round — on one that repeats a node id.
+     [Drive.run] drops the set under [Dense], which takes no fast path,
+     so a repeated id changes nothing there. *)
 
 open Rn_graph
 open Rn_radio
@@ -33,8 +32,8 @@ let graph =
     ~rng:(Rn_util.Rng.create ~seed:5)
     ~depth:6 ~width:6 ~p:0.3
 
-let run_entry ?engine ?(graph = graph) ?(seed = 42) e =
-  e.Registry.run ~k:3 ?engine ~seed ~graph ~source:0 ()
+let run_entry ?(graph = graph) ?(seed = 42) e =
+  e.Registry.run ~k:3 ~seed ~graph ~source:0 ()
 
 let check_result what (a : Registry.result) (b : Registry.result) =
   Alcotest.(check int) (what ^ ": rounds") a.Registry.rounds b.Registry.rounds;
@@ -61,8 +60,10 @@ let independence_case e =
             (fun seed ->
               check_result
                 (Printf.sprintf "%s seed=%d sparse ≡ dense" gname seed)
-                (run_entry ~engine:Engine.Dense ~graph ~seed e)
-                (run_entry ~engine:Engine.Sparse ~graph ~seed e))
+                (Drive.with_engine Engine.Dense (fun () ->
+                     run_entry ~graph ~seed e))
+                (Drive.with_engine Engine.Sparse (fun () ->
+                     run_entry ~graph ~seed e)))
             [ 1; 42; 1234 ])
         graphs)
 
@@ -76,7 +77,10 @@ let injection_case e =
       let base = run_entry e in
       List.iter
         (fun (mname, engine) ->
-          let injected = with_injection (fun () -> run_entry ?engine e) in
+          let injected =
+            Drive.with_engine engine (fun () ->
+                with_injection (fun () -> run_entry e))
+          in
           if e.Registry.silence_pure then check_result mname base injected
           else
             (* Silence-as-evidence pipelines legitimately take a different
@@ -85,7 +89,7 @@ let injection_case e =
             Alcotest.(check bool)
               (mname ^ ": completes") true
               (injected.Registry.rounds > 0))
-        [ ("default", None); ("dense", Some Engine.Dense) ])
+        [ ("default", Engine.Sparse); ("dense", Engine.Dense) ])
 
 (* --------------------------------------------------------------- *)
 (* ?validate: the transmit-buffer distinctness check (sparse only)   *)
@@ -128,14 +132,19 @@ let expect_clean name runner =
   Alcotest.test_case name `Quick (fun () ->
       ignore (runner () : Engine.outcome))
 
-let driven engine decide_active () =
-  Drive.run ~engine ~decide_active ~validate:true ~graph:small
-    ~detection:Engine.No_collision_detection ~protocol:null_protocol
-    ~stop:(fun ~round:_ -> false)
-    ~max_rounds:3 ()
+let stop ~round:_ = false
 
-let dense = driven Engine.Dense
-let sparse = driven Engine.Sparse
+(* Under [Dense] the set reaches no engine, so there is nothing to check. *)
+let dense decide_active () =
+  Drive.with_engine Engine.Dense (fun () ->
+      Drive.run ~decide_active ~graph:small
+        ~detection:Engine.No_collision_detection ~protocol:null_protocol ~stop
+        ~max_rounds:3 ())
+
+let sparse decide_active () =
+  Engine_sparse.run ~decide_active ~validate:true ~graph:small
+    ~detection:Engine.No_collision_detection ~protocol:null_protocol ~stop
+    ~max_rounds:3 ()
 
 (* The probe itself: every engine delivers the spurious [Silence] to every
    listener it delivers to.  On a listen-only round only [Dense] delivers
@@ -154,11 +163,10 @@ let test_injection_reaches_listeners () =
       }
     in
     ignore
-      (with_injection (fun () ->
-           Drive.run ~engine ~graph:small
-             ~detection:Engine.No_collision_detection ~protocol
-             ~stop:(fun ~round:_ -> false)
-             ~max_rounds:rounds ()));
+      (Drive.with_engine engine (fun () ->
+           with_injection (fun () ->
+               Drive.run ~graph:small ~detection:Engine.No_collision_detection
+                 ~protocol ~stop ~max_rounds:rounds ())));
     got
   in
   Alcotest.(check (array int))
@@ -177,6 +185,77 @@ let test_injection_reaches_listeners () =
         (Array.make (Graph.n small) rounds)
         (receptions ~decide:alternating engine))
     [ ("dense", Engine.Dense); ("sparse", Engine.Sparse) ]
+
+(* --------------------------------------------------------------- *)
+(* The engine switch                                                  *)
+
+(* Which route [Drive.run] takes right now, read from behaviour: with an
+   awake set that lists no node, [Sparse] decides nobody and
+   fast-forwards, while [Dense] drops the set and decides all n nodes in
+   every round. *)
+let decides_per_round () =
+  let rounds = 3 in
+  let calls = Atomic.make 0 in
+  let protocol =
+    {
+      null_protocol with
+      Engine.decide =
+        (fun ~round:_ ~node:_ ->
+          Atomic.incr calls;
+          Engine.Listen);
+    }
+  in
+  ignore
+    (Drive.run
+       ~decide_active:(fun ~round:_ _ -> 0)
+       ~graph:small ~detection:Engine.No_collision_detection ~protocol ~stop
+       ~max_rounds:rounds ()
+      : Engine.outcome);
+  Atomic.get calls / rounds
+
+let routed what expected =
+  Alcotest.(check int)
+    (what ^ ": decides per round")
+    (match expected with Engine.Dense -> Graph.n small | Engine.Sparse -> 0)
+    (decides_per_round ())
+
+let switch_tests =
+  [
+    Alcotest.test_case "dense decides every node despite an empty set"
+      `Quick (fun () ->
+        routed "default" Engine.Sparse;
+        Drive.with_engine Engine.Dense (fun () -> routed "dense" Engine.Dense));
+    Alcotest.test_case "restored after a normal return" `Quick (fun () ->
+        Alcotest.(check int)
+          "callback result" 7
+          (Drive.with_engine Engine.Dense (fun () -> 7));
+        routed "after" Engine.Sparse);
+    Alcotest.test_case "restored after the callback raises" `Quick (fun () ->
+        (match Drive.with_engine Engine.Dense (fun () -> raise Exit) with
+        | () -> Alcotest.fail "with_engine swallowed the exception"
+        | exception Exit -> ());
+        routed "after" Engine.Sparse);
+    Alcotest.test_case "nested calls restore the outer mode" `Quick
+      (fun () ->
+        Drive.with_engine Engine.Dense (fun () ->
+            Drive.with_engine Engine.Sparse (fun () ->
+                routed "inner" Engine.Sparse);
+            routed "outer, after inner" Engine.Dense;
+            (try
+               Drive.with_engine Engine.Sparse (fun () -> raise Exit)
+             with Exit -> ());
+            routed "outer, after a raising inner" Engine.Dense);
+        routed "after" Engine.Sparse);
+    Alcotest.test_case "runner lanes share the mode" `Quick (fun () ->
+        let per_lane =
+          Drive.with_engine Engine.Dense (fun () ->
+              Runner.map ~domains:2 (fun _ -> decides_per_round ()) [ 1; 2 ])
+        in
+        Alcotest.(check (list int))
+          "decides per round, per lane"
+          [ Graph.n small; Graph.n small ]
+          per_lane);
+  ]
 
 let registry_tests =
   [
@@ -220,6 +299,7 @@ let () =
   Alcotest.run "contracts"
     [
       ("registry", registry_tests);
+      ("engine-switch", switch_tests);
       ("engine-independence", List.map independence_case (Registry.all ()));
       ( "silence-injection",
         Alcotest.test_case "probe reaches every listener" `Quick

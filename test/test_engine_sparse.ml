@@ -409,10 +409,10 @@ let test_decide_exception_propagates () =
   List.iter
     (fun engine ->
       match
-        Drive.run ~engine ~graph:g ~detection:Engine.Collision_detection
-          ~protocol
-          ~stop:(fun ~round:_ -> false)
-          ~max_rounds:10 ()
+        Drive.with_engine engine (fun () ->
+            Drive.run ~graph:g ~detection:Engine.Collision_detection ~protocol
+              ~stop:(fun ~round:_ -> false)
+              ~max_rounds:10 ())
       with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom v -> Alcotest.(check int) "first raising node" 20 v)
@@ -572,18 +572,20 @@ let test_single_node () =
   in
   Alcotest.(check bool) "n=1 matches" true (same_observation_sparse a b)
 
-(* Wrapper-level equivalence: the protocol wrappers default to the sparse
-   engine, so each must give byte-identical results under [Engine.Dense]
-   and [Engine.Sparse] from the same seed — the per-node RNG streams must
-   advance exactly as under the full scan even though the sparse path
-   elides sleeping nodes' decides and fast-forwards silent stretches. *)
+(* Wrapper-level equivalence: the protocol wrappers run on the sparse
+   engine by default, so each must give byte-identical results under
+   [Drive.with_engine Dense] and [Sparse] from the same seed — the
+   per-node RNG streams must advance exactly as under the full scan even
+   though the sparse path elides sleeping nodes' decides and
+   fast-forwards silent stretches. *)
 
 let test_wrapper_decay () =
   let rng = Rng.create ~seed:421 in
   let g = Topo.random_connected ~rng ~n:60 ~extra:40 in
   let run engine =
-    Rn_broadcast.Decay.broadcast ~engine ~rng:(Rng.create ~seed:7) ~graph:g
-      ~source:0 ()
+    Drive.with_engine engine (fun () ->
+        Rn_broadcast.Decay.broadcast ~rng:(Rng.create ~seed:7) ~graph:g
+          ~source:0 ())
   in
   let a = run Engine.Dense and b = run Engine.Sparse in
   Alcotest.(check bool) "outcome" true
@@ -597,8 +599,9 @@ let test_wrapper_cr () =
   let rng = Rng.create ~seed:422 in
   let g = Topo.random_connected ~rng ~n:60 ~extra:30 in
   let run engine =
-    Rn_broadcast.Decay.broadcast ~diameter:8 ~engine ~rng:(Rng.create ~seed:9)
-      ~graph:g ~source:0 ()
+    Drive.with_engine engine (fun () ->
+        Rn_broadcast.Decay.broadcast ~diameter:8 ~rng:(Rng.create ~seed:9)
+          ~graph:g ~source:0 ())
   in
   let a = run Engine.Dense and b = run Engine.Sparse in
   Alcotest.(check bool) "outcome" true
@@ -615,8 +618,9 @@ let test_wrapper_recruiting () =
   let reds = Array.init (n / 2) (fun i -> i) in
   let blues = Array.init (n - (n / 2)) (fun i -> (n / 2) + i) in
   let run engine =
-    Rn_broadcast.Recruiting.run_standalone ~engine ~rng:(Rng.create ~seed:11)
-      ~params:Rn_broadcast.Params.default ~graph:g ~reds ~blues ()
+    Drive.with_engine engine (fun () ->
+        Rn_broadcast.Recruiting.run_standalone ~rng:(Rng.create ~seed:11)
+          ~params:Rn_broadcast.Params.default ~graph:g ~reds ~blues ())
   in
   let a = run Engine.Dense in
   Alcotest.(check bool) "outcome record" true (a = run Engine.Sparse)
@@ -629,9 +633,10 @@ let test_wrapper_bipartite () =
   let blues = Array.init (n - (n / 2)) (fun i -> (n / 2) + i) in
   let blue_ranks = Array.make n 1 in
   let run engine =
-    Rn_broadcast.Bipartite_assignment.run_standalone ~engine
-      ~rng:(Rng.create ~seed:13) ~params:Rn_broadcast.Params.default ~graph:g
-      ~reds ~blues ~blue_ranks ()
+    Drive.with_engine engine (fun () ->
+        Rn_broadcast.Bipartite_assignment.run_standalone
+          ~rng:(Rng.create ~seed:13) ~params:Rn_broadcast.Params.default
+          ~graph:g ~reds ~blues ~blue_ranks ())
   in
   let a = run Engine.Dense in
   Alcotest.(check bool) "outcome record" true (a = run Engine.Sparse)
@@ -642,8 +647,9 @@ let test_wrapper_construct () =
   List.iter
     (fun mode ->
       let run engine =
-        Rn_broadcast.Gst_distributed.construct ~mode ~learn_vd:true
-          ~engine ~rng:(Rng.create ~seed:17) ~graph:g ~roots:[| 0 |] ()
+        Drive.with_engine engine (fun () ->
+            Rn_broadcast.Gst_distributed.construct ~mode ~learn_vd:true
+              ~rng:(Rng.create ~seed:17) ~graph:g ~roots:[| 0 |] ())
       in
       let a = run Engine.Dense in
       Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse))
@@ -670,9 +676,10 @@ let construct_differential =
       List.for_all
         (fun (mode, detection) ->
           let run engine =
-            Rn_broadcast.Gst_distributed.construct ~mode ~detection
-              ~learn_vd:true ~engine ~rng:(Rng.create ~seed:(seed + 1))
-              ~graph:g ~roots:[| 0 |] ()
+            Drive.with_engine engine (fun () ->
+                Rn_broadcast.Gst_distributed.construct ~mode ~detection
+                  ~learn_vd:true ~rng:(Rng.create ~seed:(seed + 1)) ~graph:g
+                  ~roots:[| 0 |] ())
           in
           run Engine.Dense = run Engine.Sparse)
         [
@@ -686,8 +693,9 @@ let test_wrapper_single_broadcast () =
   let rng = Rng.create ~seed:426 in
   let g = Topo.random_connected ~rng ~n:50 ~extra:40 in
   let run engine =
-    Rn_broadcast.Single_broadcast.run ~engine ~rng:(Rng.create ~seed:19)
-      ~graph:g ~source:0 ()
+    Drive.with_engine engine (fun () ->
+        Rn_broadcast.Single_broadcast.run ~rng:(Rng.create ~seed:19) ~graph:g
+          ~source:0 ())
   in
   let a = run Engine.Dense in
   Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse);
@@ -697,14 +705,16 @@ let test_wrapper_multi_broadcast () =
   let rng = Rng.create ~seed:427 in
   let g = Topo.random_connected ~rng ~n:40 ~extra:40 in
   let run engine =
-    Rn_broadcast.Multi_broadcast.unknown ~engine ~rng:(Rng.create ~seed:23)
-      ~graph:g ~source:0 ~k:4 ()
+    Drive.with_engine engine (fun () ->
+        Rn_broadcast.Multi_broadcast.unknown ~rng:(Rng.create ~seed:23)
+          ~graph:g ~source:0 ~k:4 ())
   in
   let a = run Engine.Dense in
   Alcotest.(check bool) "whole result record" true (a = run Engine.Sparse);
   let runk engine =
-    Rn_broadcast.Multi_broadcast.known ~engine ~rng:(Rng.create ~seed:29)
-      ~graph:g ~source:0 ~k:4 ()
+    Drive.with_engine engine (fun () ->
+        Rn_broadcast.Multi_broadcast.known ~rng:(Rng.create ~seed:29) ~graph:g
+          ~source:0 ~k:4 ())
   in
   let ka = runk Engine.Dense in
   Alcotest.(check bool) "known result record" true (ka = runk Engine.Sparse)

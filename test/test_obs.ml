@@ -182,10 +182,11 @@ let export_fingerprint m =
     @ Export.hist_csv m
     @ [ Export.summary_json m ])
 
-let decay_fingerprint ?engine ~seed ~graph ~ladder () =
+let decay_fingerprint engine ~seed ~graph ~ladder () =
   let m = M.create ~phases:128 ~ring:4096 ~hist_bins:128 ~hist_width:ladder () in
   let rng = Rng.create ~seed in
-  ignore (Decay.broadcast ?engine ~metrics:m ~rng ~graph ~source:0 ());
+  Rn_radio.Drive.with_engine engine (fun () ->
+      ignore (Decay.broadcast ~metrics:m ~rng ~graph ~source:0 ()));
   export_fingerprint m
 
 let qcheck_tests =
@@ -201,10 +202,8 @@ let qcheck_tests =
         let graph = Topo.random_connected ~rng ~n ~extra in
         let ladder = max 1 (Ilog.clog n) in
         String.equal
-          (decay_fingerprint ~engine:Rn_radio.Engine.Dense ~seed ~graph
-             ~ladder ())
-          (decay_fingerprint ~engine:Rn_radio.Engine.Sparse ~seed ~graph
-             ~ladder ()));
+          (decay_fingerprint Rn_radio.Engine.Dense ~seed ~graph ~ladder ())
+          (decay_fingerprint Rn_radio.Engine.Sparse ~seed ~graph ~ladder ()));
   ]
 
 (* And once on a fixed layered topology — the E-scale shape, unit-style so
@@ -217,10 +216,8 @@ let test_decay_obs_layered () =
   let ladder = Ilog.clog (Graph.n graph) in
   Alcotest.(check string)
     "sparse export ≡ dense"
-    (decay_fingerprint ~engine:Rn_radio.Engine.Dense ~seed:42 ~graph ~ladder
-       ())
-    (decay_fingerprint ~engine:Rn_radio.Engine.Sparse ~seed:42 ~graph
-       ~ladder ());
+    (decay_fingerprint Rn_radio.Engine.Dense ~seed:42 ~graph ~ladder ())
+    (decay_fingerprint Rn_radio.Engine.Sparse ~seed:42 ~graph ~ladder ());
   (* the registry saw real traffic — guard against a vacuous pass *)
   let m = M.create ~hist_width:ladder () in
   let r =

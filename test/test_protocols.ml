@@ -267,8 +267,8 @@ let test_layering_duplicate_sources () =
    front, and the assignment phase's per-level control; the differential
    properties below hold the current code to them. *)
 module Reference = struct
-  let decay_bfs ?(params = Params.default) ?max_rounds ?engine ~rng ~graph
-      ~sources () =
+  let decay_bfs ?(params = Params.default) ?max_rounds ~rng ~graph ~sources
+      () =
     let n = Graph.n graph in
     let ladder = Params.phase_len ~n in
     let epoch_len = Params.whp_rounds params ~n in
@@ -304,8 +304,8 @@ module Reference = struct
     let protocol = { Engine.decide; deliver } in
     let stop ~round = Atomic.get labeled = n && round mod epoch_len = 0 in
     let outcome =
-      Drive.run ?engine ~graph ~detection:Engine.No_collision_detection
-        ~protocol ~stop ~max_rounds ()
+      Drive.run ~graph ~detection:Engine.No_collision_detection ~protocol
+        ~stop ~max_rounds ()
     in
     (levels, Engine.rounds_of_outcome outcome)
 
@@ -408,7 +408,7 @@ module Reference = struct
      [Gst_distributed.construct]
      with a given layering must reproduce its parents, ranks, parent ranks,
      round count and counters exactly. *)
-  let run_assignment ?engine ~mode ~params ~detection ~rng ~graph ~levels
+  let run_assignment ~mode ~params ~detection ~rng ~graph ~levels
       ~level_nodes () =
     let n = Graph.n graph in
     let scale_n = n in
@@ -518,8 +518,8 @@ module Reference = struct
       let protocol = { Engine.decide; deliver } in
       let stop ~round:_ = done_from depth in
       let outcome =
-        Drive.run ?engine ~decide_active ~graph ~detection ~protocol
-          ~after_round ~stop ~max_rounds ()
+        Drive.run ~decide_active ~graph ~detection ~protocol ~after_round
+          ~stop ~max_rounds ()
       in
       let rounds =
         match outcome with
@@ -594,14 +594,16 @@ let layering_matches_reference =
         (depth + 3) * Params.whp_rounds Params.default ~n
       in
       let ref_levels, ref_rounds =
-        Reference.decay_bfs ~max_rounds ~engine:Engine.Dense ~rng:(rng seed)
-          ~graph:g ~sources ()
+        Drive.with_engine Engine.Dense (fun () ->
+            Reference.decay_bfs ~max_rounds ~rng:(rng seed) ~graph:g ~sources
+              ())
       in
       List.iter
         (fun engine ->
           let r =
-            Layering.decay_bfs ~max_rounds ~engine ~rng:(rng seed) ~graph:g
-              ~sources ()
+            Drive.with_engine engine (fun () ->
+                Layering.decay_bfs ~max_rounds ~rng:(rng seed) ~graph:g
+                  ~sources ())
           in
           if r.Layering.levels <> ref_levels || r.Layering.rounds <> ref_rounds
           then
@@ -1701,15 +1703,13 @@ let assignment_matches_reference =
         (fun (mode, adaptive, engine) ->
           let params = { Params.default with Params.adaptive } in
           let detection = Engine.No_collision_detection in
-          let r =
-            Gst_distributed.construct ~mode
-              ~layering:(Gst_distributed.Given_layering levels) ~params
-              ~detection ~engine ~rng:(rng (seed + 1)) ~graph ~roots:[| 0 |]
-              ()
-          in
-          let parents, ranks, parent_rank, rounds, fixups, fallbacks =
-            Reference.run_assignment ~engine ~mode ~params ~detection
-              ~rng:(rng (seed + 1)) ~graph ~levels ~level_nodes ()
+          let r, (parents, ranks, parent_rank, rounds, fixups, fallbacks) =
+            Drive.with_engine engine (fun () ->
+                ( Gst_distributed.construct ~mode
+                    ~layering:(Gst_distributed.Given_layering levels) ~params
+                    ~detection ~rng:(rng (seed + 1)) ~graph ~roots:[| 0 |] (),
+                  Reference.run_assignment ~mode ~params ~detection
+                    ~rng:(rng (seed + 1)) ~graph ~levels ~level_nodes () ))
           in
           let gst = r.Gst_distributed.gst in
           let same =
